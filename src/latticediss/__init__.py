@@ -6,7 +6,7 @@ letters whose neighborhoods repeat a color; a dissection into area-1 lattice
 triangles exists exactly when the word reduces below length 3.
 """
 
-from .combi import ColoredPolygon, Triangulation, good_dissection, sperner_check, validate_disk
+from .combi import Triangulation, good_dissection, sperner_check, validate_disk
 from .dissect import Dissection, diagonal_dissection, refine_triangle, unit_dissection
 from .geometry import (
     Color,
@@ -24,7 +24,7 @@ from .words import CyclicWord, decide_contractible
 __version__ = "0.1.0"
 
 __all__ = [
-    "Color", "ColoredPolygon", "ConvexLatticePolygon", "CyclicWord",
+    "Color", "ConvexLatticePolygon", "CyclicWord",
     "Dissection", "LatticePoint", "LatticeTriangle", "Triangulation",
     "boundary_word", "color_of", "decide_contractible",
     "diagonal_dissection", "good_dissection", "poof", "refine_triangle",

@@ -1,7 +1,7 @@
 """Timing harness for the contractibility decider.
 
-Generates seeded random words, times decide_contractible per kernel, and
-fits time against length by least squares; the decider is linear, so the
+Generates seeded random words, times decide_contractible on each, and fits
+time against length by least squares; the decider is linear, so the
 per-decade time ratios stay near 10 and the fit is tight.
 """
 
@@ -11,12 +11,11 @@ import random
 import time
 from dataclasses import dataclass
 
-from .words import CyclicWord, available_kernels, decide_contractible
+from .words import CyclicWord, decide_contractible
 
 
 @dataclass
 class BenchRow:
-    kernel: str
     length: int
     seconds: float
 
@@ -30,31 +29,23 @@ def _repeats(n: int) -> int:
     return max(3, min(20, 2_000_000 // max(n, 1)))
 
 
-def time_decide(w: CyclicWord, kernel: str, repeats: int | None = None) -> float:
+def time_decide(w: CyclicWord, repeats: int | None = None) -> float:
     """Best-of-N wall time of one decision, in seconds."""
     reps = repeats if repeats is not None else _repeats(len(w))
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
-        decide_contractible(w, kernel=kernel)
+        decide_contractible(w)
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def run_bench(
-    lengths: list[int], seed: int = 0, kernels: list[str] | None = None
-) -> list[BenchRow]:
-    kernels = kernels if kernels is not None else available_kernels()
-    rows = []
-    for n in lengths:
-        w = random_word(n, seed=seed + n)
-        for kernel in kernels:
-            rows.append(BenchRow(kernel, n, time_decide(w, kernel)))
-    return rows
+def run_bench(lengths: list[int], seed: int = 0) -> list[BenchRow]:
+    return [BenchRow(n, time_decide(random_word(n, seed=seed + n))) for n in lengths]
 
 
 def linear_fit(rows: list[BenchRow]) -> tuple[float, float, float]:
-    """(slope seconds/letter, intercept seconds, r^2) over one kernel's rows."""
+    """(slope seconds/letter, intercept seconds, r^2) over the rows."""
     pts = [(r.length, r.seconds) for r in rows]
     m = len(pts)
     if m < 2:
@@ -72,24 +63,18 @@ def linear_fit(rows: list[BenchRow]) -> tuple[float, float, float]:
 
 
 def format_table(rows: list[BenchRow]) -> str:
-    lines = [f"{'kernel':<8} {'length':>10} {'seconds':>12} {'ns/letter':>10}"]
-    by_kernel: dict[str, list[BenchRow]] = {}
+    lines = [f"{'length':>10} {'seconds':>12} {'ns/letter':>10}"]
     for r in rows:
-        by_kernel.setdefault(r.kernel, []).append(r)
         lines.append(
-            f"{r.kernel:<8} {r.length:>10} {r.seconds:>12.6f} "
-            f"{1e9 * r.seconds / max(r.length, 1):>10.1f}"
+            f"{r.length:>10} {r.seconds:>12.6f} {1e9 * r.seconds / max(r.length, 1):>10.1f}"
         )
-    for kernel, krows in sorted(by_kernel.items()):
-        krows = sorted(krows, key=lambda r: r.length)
-        for a, b in zip(krows, krows[1:]):
-            ratio = b.seconds / a.seconds if a.seconds else float("inf")
-            lines.append(
-                f"{kernel}: time({b.length})/time({a.length}) = {ratio:.2f}"
-            )
-        if len(krows) >= 2:
-            slope, intercept, r2 = linear_fit(krows)
-            lines.append(
-                f"{kernel}: least-squares fit t = {slope:.3e}*n + {intercept:.3e}  (r^2 = {r2:.4f})"
-            )
+    ordered = sorted(rows, key=lambda r: r.length)
+    for a, b in zip(ordered, ordered[1:]):
+        ratio = b.seconds / a.seconds if a.seconds else float("inf")
+        lines.append(f"time({b.length})/time({a.length}) = {ratio:.2f}")
+    if len(ordered) >= 2:
+        slope, intercept, r2 = linear_fit(ordered)
+        lines.append(
+            f"least-squares fit t = {slope:.3e}*n + {intercept:.3e}  (r^2 = {r2:.4f})"
+        )
     return "\n".join(lines)

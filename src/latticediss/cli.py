@@ -24,7 +24,7 @@ from .dissect import (
 from .errors import LatticeDissError, PreconditionViolated
 from .geometry import boundary_word, parse_polygon_json, polygon_to_json, signed_area2
 from .verify import verify_dissection, witness_noninteger
-from .words import CyclicWord, available_kernels, decide_contractible
+from .words import CyclicWord, decide_contractible
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,8 +52,11 @@ def _write(path: str | None, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _CliError(f"cannot write {path}: {e}") from e
 
 
 def _parse_word(s: str) -> CyclicWord:
@@ -147,10 +150,7 @@ def cmd_bench(args) -> int:
     if not lengths:
         print(format_table([]))
         return EXIT_OK
-    kernels = available_kernels() if args.impl == "both" else [args.impl]
-    if any(k not in available_kernels() for k in kernels):
-        raise _CliError(f"kernel {args.impl!r} unavailable; have {available_kernels()}")
-    rows = run_bench(lengths, seed=args.seed, kernels=kernels)
+    rows = run_bench(lengths, seed=args.seed)
     print(format_table(rows))
     return EXIT_OK
 
@@ -210,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", default="10000,100000,1000000",
                    help="comma-separated word lengths")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--impl", choices=("both", "fast", "pure"), default="both",
-                   help="which kernel(s) to time")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("realize", help="find a convex lattice polygon with a given boundary word")

@@ -10,34 +10,11 @@ of an n-gon, and runs the exhaustive tricolor check for a boundary word.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BoundExceeded, NotADisk, TheoremViolation, TooSmall
 from .words import ContractionTrace, CyclicWord, decide_contractible
-
-
-@dataclass(frozen=True)
-class ColoredPolygon:
-    """Cyclic sequence of corner colors, at least 3 corners."""
-
-    corner_colors: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.corner_colors) < 3:
-            raise TooSmall("a combinatorial polygon needs at least 3 corners")
-        object.__setattr__(self, "corner_colors", tuple(self.corner_colors))
-
-    @classmethod
-    def from_word(cls, w: CyclicWord) -> "ColoredPolygon":
-        return cls(tuple(w.letters))
-
-    def word(self) -> CyclicWord:
-        return CyclicWord(self.corner_colors)
-
-    def __len__(self) -> int:
-        return len(self.corner_colors)
 
 
 class Triangulation:
@@ -209,7 +186,7 @@ def validate_disk(T: Triangulation) -> None:
 
 
 def boundary_word_of(T: Triangulation) -> CyclicWord:
-    return CyclicWord(tuple(T.vertex_colors[v] for v in T.corners))
+    return CyclicWord(T.vertex_colors[v] for v in T.corners)
 
 
 def find_tricolor(T: Triangulation) -> frozenset | None:
@@ -220,51 +197,24 @@ def find_tricolor(T: Triangulation) -> frozenset | None:
     return None
 
 
-class ExternalTriangle(NamedTuple):
-    indices: tuple[int, int, int]  # consecutive corner positions
-    good: bool                     # two of the three colors coincide
-
-
-def external_triangles(G: ColoredPolygon) -> list[ExternalTriangle]:
-    """All n consecutive corner triples, flagged good when colors repeat."""
-    n = len(G)
-    cols = G.corner_colors
-    out = []
-    for i in range(n):
-        trip = ((i - 1) % n, i, (i + 1) % n)
-        cs = {cols[trip[0]], cols[trip[1]], cols[trip[2]]}
-        out.append(ExternalTriangle(trip, len(cs) < 3))
-    return out
-
-
-def remove_external(G: ColoredPolygon, i: int) -> ColoredPolygon:
-    """Delete corner i, joining its neighbors by an edge."""
-    n = len(G)
-    if n == 3:
-        raise TooSmall("cannot remove a corner from a triangle")
-    i %= n
-    return ColoredPolygon(G.corner_colors[:i] + G.corner_colors[i + 1 :])
-
-
-def good_dissection(G: ColoredPolygon) -> Triangulation | None:
-    """A diagonal triangulation of G into good triangles, if one exists.
+def good_dissection(w: CyclicWord) -> Triangulation | None:
+    """A diagonal triangulation of the polygon with corner colors w into good
+    triangles, if one exists.
 
     Replays the decider's contraction trace: every deletion step (left,
     deleted, right) contributes the external triangle on those corners, and
     the final step closes the polygon.  Returns None when the boundary word
     is not contractible.
     """
-    ok, trace = decide_contractible(G.word())
+    n = len(w)
+    if n < 3:
+        raise TooSmall("a combinatorial polygon needs at least 3 corners")
+    ok, trace = decide_contractible(w)
     if not ok:
         return None
     assert isinstance(trace, ContractionTrace)
     tris = [frozenset((s.left, s.deleted, s.right)) for s in trace.steps]
-    n = len(G)
-    T = Triangulation(
-        {i: c for i, c in enumerate(G.corner_colors)},
-        tris,
-        tuple(range(n)),
-    )
+    T = Triangulation(dict(enumerate(w.letters)), tris, tuple(range(n)))
     assert len(T.triangles) == n - 2
     return T
 
@@ -361,19 +311,3 @@ def sperner_check(w: CyclicWord) -> SpernerReport:
 
     return SpernerReport(w, contractible, examined, free_count, example, star)
 
-
-# --- triangulation JSON ------------------------------------------------------
-
-def triangulation_to_json(T: Triangulation) -> str:
-    payload = {
-        "colors": {str(v): T.vertex_colors[v] for v in sorted(T.vertex_colors)},
-        "triangles": T.sorted_triangles(),
-        "corners": list(T.corners),
-    }
-    return json.dumps(payload)
-
-
-def triangulation_from_json(text: str) -> Triangulation:
-    data = json.loads(text)
-    colors = {int(k): v for k, v in data["colors"].items()}
-    return Triangulation(colors, [tuple(t) for t in data["triangles"]], tuple(data["corners"]))

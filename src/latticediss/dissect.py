@@ -78,10 +78,6 @@ class UnimodularAffineMap:
         return self.m00 * self.m11 - self.m01 * self.m10
 
     @classmethod
-    def identity(cls) -> "UnimodularAffineMap":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
     def translation(cls, tx: int, ty: int) -> "UnimodularAffineMap":
         return cls(1, 0, 0, 1, tx, ty)
 
@@ -307,12 +303,22 @@ def parse_dissection_json(text: str) -> tuple[list[LatticePoint], Dissection]:
     """Parse dissection JSON; returns the stated polygon vertices (not yet
     validated) and the triangle list."""
     data = json.loads(text)
-    if not isinstance(data, dict) or "triangles" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
-    poly = [as_point(p) for p in data.get("polygon", [])]
-    tris = []
-    for t in data["triangles"]:
-        if len(t) != 3:
-            raise ValueError(f"triangle {t!r} does not have 3 vertices")
-        tris.append(LatticeTriangle(*(as_point(p) for p in t)))
+    polygon = data.get("polygon", [])
+    if not isinstance(polygon, list):
+        raise ValueError('dissection JSON "polygon" must be an array of [x, y] pairs')
+    entry = None
+    try:
+        poly = []
+        for entry in polygon:
+            poly.append(as_point(entry))
+        tris = []
+        for entry in data["triangles"]:
+            if len(entry) != 3:
+                raise ValueError(f"triangle {entry!r} does not have 3 vertices")
+            tris.append(LatticeTriangle(*(as_point(p) for p in entry)))
+    except TypeError:
+        # a number or null where a pair or a vertex list belongs
+        raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None
     return poly, Dissection(tuple(tris))

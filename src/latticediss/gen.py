@@ -103,7 +103,7 @@ def random_convex_polygon(
     )
 
 
-_PARITY = {c.tag: c.value for c in Color}
+_PARITY = {c.name: c.value for c in Color}
 
 
 def realize_word(

@@ -46,10 +46,6 @@ class Color(enum.Enum):
     C = (1, 1)
     D = (0, 1)
 
-    @property
-    def tag(self) -> str:
-        return self.name
-
 
 _COLOR_BY_PARITY = {c.value: c for c in Color}
 
@@ -91,21 +87,6 @@ def signed_area2(t: LatticeTriangle) -> int:
 def orient(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
     """Doubled signed area of the point triple (a, b, c)."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-
-
-def has_repeated_color(t: LatticeTriangle) -> bool:
-    """True iff at least two vertices of the triangle share a parity color."""
-    c0, c1, c2 = (color_of(v) for v in t)
-    return c0 == c1 or c1 == c2 or c0 == c2
-
-
-def is_integer_area(t: LatticeTriangle) -> bool:
-    """True iff the triangle's (unsigned) area is an integer.
-
-    Equivalent to signed_area2(t) being even, and — the parity fact the whole
-    package rests on — to the triangle having two vertices of the same color.
-    """
-    return signed_area2(t) % 2 == 0
 
 
 def collinear(p: LatticePoint, q: LatticePoint, r: LatticePoint) -> bool:
@@ -211,7 +192,7 @@ def polygon_area2(P: ConvexLatticePolygon) -> int:
 
 def boundary_word(P: ConvexLatticePolygon) -> CyclicWord:
     """Cyclic word of corner parity colors, counterclockwise."""
-    return CyclicWord(tuple(color_of(v).tag for v in P.vertices))
+    return CyclicWord("".join([color_of(v).name for v in P.vertices]))
 
 
 def contains_point(P: ConvexLatticePolygon, p: LatticePoint) -> bool:

@@ -1,9 +1,9 @@
 """Cyclic words over color labels and the contractibility deciders.
 
-A cyclic word is a string of labels considered up to rotation.  A letter may
-be deleted ("contracting step") when it and its two cyclic neighbors are not
-three pairwise distinct labels; a word is contractible when such steps can
-shrink it to length < 3.  This module provides:
+A cyclic word is a string of one-character labels considered up to rotation.
+A letter may be deleted ("contracting step") when it and its two cyclic
+neighbors are not three pairwise distinct labels; a word is contractible when
+such steps can shrink it to length < 3.  This module provides:
 
 * decide_contractible — the production decider: one linear stack pass plus a
   seam pass across the wrap-around, O(n) total, returning a replayable
@@ -13,46 +13,26 @@ shrink it to length < 3.  This module provides:
   word's edge loop in the complete graph on its labels and tests whether the
   loop cancels away entirely.
 
-The stack kernel has a compiled twin (_decider_c) and a pure-Python twin
-(_decider_py); the compiled one is preferred at import time and the
-LATTICEDISS_KERNEL environment variable ("fast"/"pure") overrides.
+Words are stored as ASCII strings, so the decider hands the kernel the
+word's bytes as its color codes.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from typing import Iterable, Iterator, NamedTuple
 
-from ..errors import BoundExceeded, IllegalStep, WordTooShort
-
-from . import _decider_py
-
-try:
-    from . import _decider_c
-except ImportError:  # extension not built; fall back to the pure twin
-    _decider_c = None
-
-_KERNELS = {"pure": _decider_py.reduce_cyclic}
-if _decider_c is not None:
-    _KERNELS["fast"] = _decider_c.reduce_cyclic
-
-
-def available_kernels() -> list[str]:
-    return sorted(_KERNELS)
+from .errors import BoundExceeded, IllegalStep, WordTooShort
 
 
 def active_kernel() -> str:
-    """Name of the kernel decide_contractible uses by default."""
-    env = os.environ.get("LATTICEDISS_KERNEL")
-    if env:
-        if env not in _KERNELS:
-            raise ValueError(f"LATTICEDISS_KERNEL={env!r}: available kernels are {available_kernels()}")
-        return env
-    return "fast" if "fast" in _KERNELS else "pure"
+    """Name of the decider kernel, recorded in benchmark results.
+
+    The package has one kernel, written in pure Python.
+    """
+    return "pure"
 
 
-def _least_rotation(seq: tuple) -> int:
+def _least_rotation(seq) -> int:
     """Booth's algorithm: start index of the lexicographically least rotation."""
     n = len(seq)
     s = seq + seq
@@ -75,32 +55,34 @@ def _least_rotation(seq: tuple) -> int:
 
 
 class CyclicWord:
-    """A nonempty word over string labels, equal to all of its rotations.
+    """A nonempty word of ASCII letters, equal to all of its rotations.
 
-    Accepts a plain string (one letter per character) or an iterable of
-    labels.  Equality and hashing go through the canonical (lexicographically
-    least) rotation, computed lazily.
+    Accepts a string (one letter per character) or an iterable of
+    one-character strings, which are joined; letters is always a str.
+    Equality and hashing go through the canonical (lexicographically least)
+    rotation, computed lazily.
     """
 
     __slots__ = ("letters", "_canon")
 
     def __init__(self, letters: str | Iterable[str]):
-        if isinstance(letters, str):
-            lets = tuple(letters)
-        else:
-            lets = tuple(letters)
-        if not lets:
+        if not isinstance(letters, str):
+            labels = tuple(letters)
+            if not all(isinstance(l, str) and len(l) == 1 for l in labels):
+                raise ValueError("labels must be one-character strings")
+            letters = "".join(labels)
+        if not letters:
             raise WordTooShort("cyclic words must have at least one letter")
-        if not all(isinstance(l, str) and l for l in lets):
-            raise ValueError("labels must be nonempty strings")
-        object.__setattr__(self, "letters", lets)
+        if not letters.isascii():
+            raise ValueError("labels must be ASCII characters")
+        object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicWord is immutable")
 
     @property
-    def canonical(self) -> tuple[str, ...]:
+    def canonical(self) -> str:
         c = self._canon
         if c is None:
             k = _least_rotation(self.letters)
@@ -131,12 +113,10 @@ class CyclicWord:
         return hash(self.canonical)
 
     def __str__(self) -> str:
-        if all(len(l) == 1 for l in self.letters):
-            return "".join(self.letters)
-        return ",".join(self.letters)
+        return self.letters
 
     def __repr__(self) -> str:
-        return f"CyclicWord({str(self)!r})"
+        return f"CyclicWord({self.letters!r})"
 
 
 class Step(NamedTuple):
@@ -243,28 +223,87 @@ def apply_step(w: CyclicWord, i: int) -> CyclicWord:
     return CyclicWord(lets[:i] + lets[i + 1 :])
 
 
-def decide_contractible(
-    w: CyclicWord, kernel: str | None = None
-) -> tuple[bool, ContractionTrace | CyclicWord]:
+def _reduce_cyclic(codes: bytes) -> tuple[bool, list[int], list[int]]:
+    """The linear stack reduction behind decide_contractible.
+
+    Works on the word's letter codes and returns (contractible, steps, final):
+    steps is a flat sequence of (deleted, left, right) index triples in
+    original-letter positions and final lists the surviving positions in
+    order.  Reduction stops as soon as the live word has length 2 (or 1), so
+    on success steps has exactly n - len(final) triples and every triple
+    names three distinct positions.  On failure steps comes back empty:
+    callers only need the stuck word, and large inputs stay cheap.
+    """
+    n = len(codes)
+    if n <= 2:
+        return True, [], list(range(n))
+
+    # The stack holds each live letter's original position (pos) and code
+    # (col).  Slots 0 and 1 hold sentinel codes that equal no byte, so the
+    # comparisons below need no bounds checks; letters start at slot 2, and
+    # the live length is top - 1 plus the last - i letters not yet pushed.
+    pos = [-1, -1] + [0] * n
+    col = [-1, -2] + [0] * n
+    top = 1
+    last = n - 1
+    steps: list[int] = []
+
+    for i, c in enumerate(codes):
+        top += 1
+        pos[top] = i
+        col[top] = c
+        # c stays the code of the stack top through both deletions below.
+        while True:
+            if c == col[top - 1]:
+                # adjacent equal pair: drop the newer letter
+                if top - 1 + last - i <= 2:
+                    break
+                top -= 1
+                steps += (pos[top + 1], pos[top], i + 1 if i < last else pos[2])
+            elif c == col[top - 2]:
+                # x,y,x: the middle letter's neighbors repeat; drop it and
+                # let the loop re-enter on the equal pair left behind
+                if top - 1 + last - i <= 2:
+                    break
+                steps += (pos[top - 1], pos[top - 2], pos[top])
+                top -= 1
+                pos[top] = pos[top + 1]
+                col[top] = c
+            else:
+                break
+
+    # Seam pass: the linear stack is fully reduced in its interior, so the
+    # only candidate deletions sit next to the wrap-around.
+    head, tail = 2, top
+    while tail - head + 1 > 2:
+        f, b = pos[head], pos[tail]
+        if col[tail] == col[head] or col[tail] == col[head + 1]:
+            steps += (f, b, pos[head + 1])
+            head += 1
+            continue
+        if col[tail - 1] == col[head]:
+            steps += (b, pos[tail - 1], f)
+            tail -= 1
+            continue
+        break
+
+    final = pos[head : tail + 1]
+    ok = tail - head + 1 <= 2
+    return ok, steps if ok else [], final
+
+
+def decide_contractible(w: CyclicWord) -> tuple[bool, ContractionTrace | CyclicWord]:
     """Decide contractibility in linear time.
 
     Returns (True, trace) where trace replays the full deletion sequence down
     to at most two letters, or (False, stuck) where stuck is the live cyclic
     word at the point no contracting step applies anywhere.
     """
-    fn = _KERNELS[kernel if kernel is not None else active_kernel()]
     letters = w.letters
-    codes: bytes | array
-    joined = "".join(letters)
-    if len(joined) == len(letters) and joined.isascii():
-        codes = joined.encode("ascii")  # single-char labels: bytes are the codes
-    else:
-        codemap: dict[str, int] = {}
-        codes = array("i", (codemap.setdefault(l, len(codemap)) for l in letters))
-    ok, flat, final = fn(codes)
+    ok, flat, final = _reduce_cyclic(letters.encode("ascii"))
     if ok:
         return True, ContractionTrace(flat, tuple(final))
-    return False, CyclicWord(letters[i] for i in final)
+    return False, CyclicWord("".join([letters[i] for i in final]))
 
 
 def exhaustive_contractible(
@@ -282,11 +321,11 @@ def exhaustive_contractible(
     if memo is None:
         memo = {}
 
-    def canon(lets: tuple[str, ...]) -> tuple[str, ...]:
+    def canon(lets: str) -> str:
         k = _least_rotation(lets)
         return lets[k:] + lets[:k]
 
-    def go(lets: tuple[str, ...]) -> bool:
+    def go(lets: str) -> bool:
         if len(lets) <= 2:
             return True
         hit = memo.get(lets)

@@ -160,6 +160,32 @@ def test_render_golden_pentagon(tmp_path):
     assert out.read_bytes() == (GOLDEN / "pentagon.svg").read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "SQUARE", '{"triangles": [5]}'],
+    ["verify", "SQUARE", '{"triangles": 5}'],
+    ["verify", "SQUARE", '{"triangles": [[null, [1, 0], [1, 1]]]}'],
+    ["verify", "SQUARE", '{"polygon": 5, "triangles": []}'],
+    ["dissect", "TRIANGLE", "-o", "UNWRITABLE"],
+    ["render", "SQUARE", "-o", "UNWRITABLE"],
+    ["realize", "ABCD", "-o", "UNWRITABLE"],
+], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
+        "dissect-unwritable", "render-unwritable", "realize-unwritable"])
+def test_malformed_input_exits_2(args, tmp_path, capsys):
+    files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE}
+    argv = []
+    for i, a in enumerate(args):
+        if a in files or a.startswith("{"):
+            path = tmp_path / f"in{i}.json"
+            path.write_text(files.get(a, a))
+            a = str(path)
+        elif a == "UNWRITABLE":
+            a = str(tmp_path / "no-such-dir" / "out")
+        argv.append(a)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_render_bad_file(tmp_path, capsys):
     assert main(["render", str(tmp_path / "nope.json"), "-o", str(tmp_path / "x.svg")]) == 2
     capsys.readouterr()
@@ -168,10 +194,10 @@ def test_render_bad_file(tmp_path, capsys):
 def test_bench_cli(capsys):
     assert main(["bench", "--lengths", "500,1000", "--seed", "1"]) == 0
     out = capsys.readouterr().out
-    assert "kernel" in out and "least-squares fit" in out
+    assert "time(1000)/time(500)" in out and "least-squares fit" in out
     assert main(["bench", "--lengths", ""]) == 0
     out = capsys.readouterr().out
-    assert "kernel" in out  # header-only table
+    assert out.split() == ["length", "seconds", "ns/letter"]  # header-only table
 
 
 def test_realize_cli(tmp_path, capsys):

@@ -6,20 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from latticediss.errors import BoundExceeded, NotADisk, TooSmall
 from latticediss.combi import (
-    ColoredPolygon,
-    ExternalTriangle,
     SpernerReport,
     Triangulation,
     boundary_word_of,
     disk_errors,
     enumerate_diagonal_triangulations,
-    external_triangles,
     find_tricolor,
     good_dissection,
-    remove_external,
     sperner_check,
-    triangulation_from_json,
-    triangulation_to_json,
     validate_disk,
 )
 from latticediss.words import CyclicWord, decide_contractible, exhaustive_contractible
@@ -112,55 +106,37 @@ def test_find_tricolor():
     assert find_tricolor(T) == frozenset({1, 2, 3})
 
 
-# --- external triangles ------------------------------------------------------
-
-def test_external_triangles():
-    res = external_triangles(ColoredPolygon(tuple("ABCD")))
-    assert len(res) == 4 and not any(e.good for e in res)
-    res = external_triangles(ColoredPolygon(tuple("ABAC")))
-    assert [e.good for e in res] == [False, True, False, True]
-    res = external_triangles(ColoredPolygon(tuple("AAA")))
-    assert all(e.good for e in res)
-    assert res[0] == ExternalTriangle((2, 0, 1), True)
-
-
-def test_remove_external():
-    G = ColoredPolygon(tuple("ABAC"))
-    assert remove_external(G, 1).corner_colors == tuple("AAC")
-    assert remove_external(ColoredPolygon(tuple("ABCD")), 2).corner_colors == tuple("ABD")
-    with pytest.raises(TooSmall):
-        remove_external(ColoredPolygon(tuple("AAA")), 0)
-
-
 # --- good dissections ---------------------------------------------------------
 
 def test_good_dissection_dodecagon():
-    G = ColoredPolygon(tuple("ABABCCDCBBDB"))
-    T = good_dissection(G)
+    w = CyclicWord("ABABCCDCBBDB")
+    T = good_dissection(w)
     assert T is not None
     assert len(T.triangles) == 10
     validate_disk(T)
     assert find_tricolor(T) is None
-    assert boundary_word_of(T) == G.word()
+    assert boundary_word_of(T) == w
 
 
 def test_good_dissection_none_for_noncontractible():
-    assert good_dissection(ColoredPolygon(tuple("ABCD"))) is None
-    assert good_dissection(ColoredPolygon(tuple("ABCDACBADC"))) is None
+    assert good_dissection(CyclicWord("ABCD")) is None
+    assert good_dissection(CyclicWord("ABCDACBADC")) is None
 
 
 def test_good_dissection_triangle():
-    T = good_dissection(ColoredPolygon(tuple("AAA")))
+    T = good_dissection(CyclicWord("AAA"))
     assert T is not None and T.triangles == frozenset({frozenset({0, 1, 2})})
     validate_disk(T)
+    with pytest.raises(TooSmall):
+        good_dissection(CyclicWord("AB"))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="ABCD", min_size=3, max_size=10))
 def test_good_dissection_random_words(s):
-    G = ColoredPolygon(tuple(s))
-    T = good_dissection(G)
-    ok, _ = decide_contractible(G.word())
+    w = CyclicWord(s)
+    T = good_dissection(w)
+    ok, _ = decide_contractible(w)
     if not ok:
         assert T is None
         return
@@ -168,7 +144,7 @@ def test_good_dissection_random_words(s):
     assert len(T.triangles) == len(s) - 2
     validate_disk(T)
     assert find_tricolor(T) is None
-    assert boundary_word_of(T) == G.word()
+    assert boundary_word_of(T) == w
 
 
 # --- enumeration --------------------------------------------------------------
@@ -243,12 +219,3 @@ def test_sperner_matches_exhaustive_oracle(s):
     rep = sperner_check(CyclicWord(s))
     assert rep.contractible == exhaustive_contractible(CyclicWord(s))
 
-
-# --- JSON ----------------------------------------------------------------------
-
-def test_triangulation_json_roundtrip():
-    T = quad_star("ABCDA")
-    T2 = triangulation_from_json(triangulation_to_json(T))
-    assert T2.vertex_colors == T.vertex_colors
-    assert T2.triangles == T.triangles
-    assert T2.corners == T.corners
