@@ -179,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dissect", help="construct an integral (or unit, with --unit) dissection")
     p.add_argument("polygon", help="polygon JSON file (- for stdin)")
-    p.add_argument("--unit", action="store_true", help="refine to triangles of area exactly 1")
+    p.add_argument("--unit", action="store_true",
+                   help="refine to triangles of area exactly 1: writes exactly "
+                        "doubled-area/2 triangles, so the JSON grows linearly with the area")
     p.add_argument("-o", "--output", help="output file (default stdout)")
     p.set_defaults(fn=cmd_dissect)
 

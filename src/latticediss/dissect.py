@@ -14,12 +14,22 @@ splitting at a fixed lattice point chosen by parity:
 Every piece keeps two vertices of one parity color, hence even doubled area,
 and is strictly smaller, so the worklist terminates with exactly
 doubled-area/2 unit pieces.
+
+The worklist loop does this with plain integer arithmetic and builds no map
+objects.  Three non-collinear points fix an affine map, so the split point
+depends only on the triangle and its chosen edge v0 -> v1, and can be
+written straight in the triangle's own coordinates: with (a, b) = v1 - v0,
+d = gcd(a, b) and u = (a, b)/d, the points (2,0) and (1,0) are v0 + 2u and
+v0 + u, and only the d = 2, q odd case runs the extended Euclidean algorithm
+to place (1,1) or (2,1).  normalize, split_with_point and
+UnimodularAffineMap spell out the same rule with explicit maps.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import NamedTuple
 
 from .errors import Degenerate, IsVertex, NotIntegerArea, OddArea, OutsideTriangle
@@ -30,6 +40,7 @@ from .geometry import (
     as_point,
     boundary_word,
     color_of,
+    load_json,
     orient,
     polygon_area2,
     signed_area2,
@@ -205,19 +216,12 @@ def split_with_point(t: LatticeTriangle, x: LatticePoint) -> list[LatticeTriangl
     ]
 
 
-_SPLIT_AT_D2 = {  # (q odd, p odd) -> split point in normal coordinates
-    (False, False): LatticePoint(1, 0),
-    (False, True): LatticePoint(1, 0),
-    (True, True): LatticePoint(1, 1),
-    (True, False): LatticePoint(2, 1),
-}
-
-
 def refine_triangle(t: LatticeTriangle) -> Dissection:
     """Cut a lattice triangle of even doubled area into unit-area pieces.
 
     Returns exactly doubled-area/2 triangles of doubled area 2.  Input
-    orientation does not matter; pieces come out counterclockwise.
+    orientation does not matter; pieces come out counterclockwise.  The
+    pieces share the LatticePoint objects of the triangles they came from.
     """
     area2 = signed_area2(t)
     if area2 == 0:
@@ -229,22 +233,55 @@ def refine_triangle(t: LatticeTriangle) -> Dissection:
         raise NotIntegerArea(f"doubled area {area2} is odd")
 
     out: list[LatticeTriangle] = []
-    work = [t]
+    work = [(area2, *t)]  # (doubled area, counterclockwise vertices)
     while work:
-        u = work.pop()
-        a2 = signed_area2(u)
+        a2, u0, u1, u2 = work.pop()
         if a2 == 2:
-            out.append(u)
+            out.append(LatticeTriangle(u0, u1, u2))
             continue
-        M, norm = normalize(u)
-        if norm.d > 2:
-            xn = LatticePoint(2, 0)
+        # The first same-colored pair, taken in counterclockwise order, is the
+        # edge v0 -> v1 that the normal form sends to (0,0) -> (d,0).
+        if not ((u0.x ^ u1.x) | (u0.y ^ u1.y)) & 1:
+            v0, v1, v2 = u0, u1, u2
+        elif not ((u0.x ^ u2.x) | (u0.y ^ u2.y)) & 1:
+            v0, v1, v2 = u2, u0, u1
         else:
-            xn = _SPLIT_AT_D2[(norm.q % 2 == 1, norm.p % 2 == 1)]
-        x = M.inverse().apply(xn)
-        pieces = split_with_point(u, x)
+            v0, v1, v2 = u1, u2, u0
+        a, b = v1.x - v0.x, v1.y - v0.y
+        d = gcd(a, b)
+        q = a2 // d
+        assert d % 2 == 0 and d * q == a2
+        ua, ub = a // d, b // d  # primitive direction of the edge
+        if d > 2:  # split at (2,0)
+            x = LatticePoint(v0.x + 2 * ua, v0.y + 2 * ub)
+        elif q % 2 == 0:  # split at (1,0)
+            x = LatticePoint(v0.x + ua, v0.y + ub)
+        else:
+            # Normal coordinates of v2 are (p, q) with 1 <= p <= q; the map
+            # back sends (X, Y) to v0 + (X - k*Y)*(ua, ub) + Y*(-s, r).
+            _, r, s = _egcd(a, b)
+            tq = r * (v2.x - v0.x) + s * (v2.y - v0.y)
+            p = (tq - 1) % q + 1
+            k = (p - tq) // q
+            m = (1 if p % 2 else 2) - k  # split at (1,1) or (2,1)
+            x = LatticePoint(v0.x + m * ua - s, v0.y + m * ub + r)
+        o0 = orient(u0, u1, x)
+        o1 = orient(u1, u2, x)
+        o2 = a2 - o0 - o1  # orient(u2, u0, x)
+        if o0 < 0 or o1 < 0 or o2 < 0:
+            raise OutsideTriangle(f"{tuple(x)} lies outside the triangle")
+        if o0 and o1 and o2:
+            pieces = ((o0, u0, u1, x), (o1, u1, u2, x), (o2, u2, u0, x))
+        elif o1 and o2:  # x inside edge u0 u1
+            pieces = ((o2, u0, x, u2), (o1, x, u1, u2))
+        elif o0 and o2:  # x inside edge u1 u2
+            pieces = ((o0, u1, x, u0), (o2, x, u2, u0))
+        elif o0 and o1:  # x inside edge u2 u0
+            pieces = ((o1, u2, x, u1), (o0, x, u0, u1))
+        else:
+            raise IsVertex(f"{tuple(x)} is a vertex of the triangle")
         for piece in pieces:
-            pa = signed_area2(piece)
+            pa = piece[0]
             assert 0 < pa < a2 and pa % 2 == 0
         work.extend(pieces)
     assert len(out) == area2 // 2
@@ -302,7 +339,7 @@ def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
 def parse_dissection_json(text: str) -> tuple[list[LatticePoint], Dissection]:
     """Parse dissection JSON; returns the stated polygon vertices (not yet
     validated) and the triangle list."""
-    data = json.loads(text)
+    data = load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
     polygon = data.get("polygon", [])

@@ -204,9 +204,17 @@ def contains_point(P: ConvexLatticePolygon, p: LatticePoint) -> bool:
 
 # --- polygon file format ----------------------------------------------------
 
+def load_json(text: str):
+    """json.loads, with nesting too deep for the parser raised as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
+
+
 def parse_polygon_json(text: str) -> ConvexLatticePolygon:
     """Parse the polygon text format: a JSON array of [x, y] integer pairs."""
-    data = json.loads(text)
+    data = load_json(text)
     if not isinstance(data, list):
         raise ValueError("polygon JSON must be an array of [x, y] pairs")
     pts = []

@@ -108,10 +108,10 @@ def verify_dissection(
         "all triangles counterclockwise with positive area" if not bad
         else f"non-positive doubled area at triangles {_fmt_indices(bad)}"))
 
-    bad = [
-        i for i, t in enumerate(D.triangles)
-        if not all(contains_point(P, v) for v in t)
-    ]
+    # Triangles share vertices, so test each distinct vertex once.
+    vertices = {v for t in D.triangles for v in t}
+    escaping = {v for v in vertices if not contains_point(P, v)}
+    bad = [i for i, t in enumerate(D.triangles) if not escaping.isdisjoint(t)] if escaping else []
     checks.append(CheckResult(
         "containment", not bad,
         "all triangle vertices inside or on the polygon" if not bad

@@ -18,7 +18,7 @@ from latticediss.combi import (
     sperner_check,
 )
 from latticediss.dissect import Dissection, split_with_point, unit_dissection
-from latticediss.gen import random_convex_polygon, random_dissection, realize_word
+from latticediss.gen import random_convex_polygon, random_dissection
 from latticediss.geometry import (
     LatticePoint,
     as_triangle,

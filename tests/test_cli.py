@@ -168,10 +168,13 @@ def test_render_golden_pentagon(tmp_path):
     ["dissect", "TRIANGLE", "-o", "UNWRITABLE"],
     ["render", "SQUARE", "-o", "UNWRITABLE"],
     ["realize", "ABCD", "-o", "UNWRITABLE"],
+    ["verify", "SQUARE", "DEEP"],
+    ["decide", "--polygon", "DEEP"],
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
-        "dissect-unwritable", "render-unwritable", "realize-unwritable"])
+        "dissect-unwritable", "render-unwritable", "realize-unwritable",
+        "verify-deep-json", "decide-deep-json"])
 def test_malformed_input_exits_2(args, tmp_path, capsys):
-    files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE}
+    files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
     for i, a in enumerate(args):
         if a in files or a.startswith("{"):

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -6,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from latticediss.errors import BoundExceeded, NotADisk, TooSmall
 from latticediss.combi import (
-    SpernerReport,
     Triangulation,
     boundary_word_of,
     disk_errors,

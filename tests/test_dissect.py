@@ -1,9 +1,10 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latticediss.errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from latticediss.dissect import (
-    Dissection,
     NormalizedTriangle,
     UnimodularAffineMap,
     diagonal_dissection,
@@ -185,6 +186,45 @@ def test_refine_properties(t):
     tv = t if signed_area2(t) > 0 else LatticeTriangle(t.v0, t.v2, t.v1)
     P = validate_convex(tv)
     assert verify_dissection(P, d, "unit").valid
+
+
+def _reference_refine(t):
+    """The refinement rule spelled out with the public normal-form helpers."""
+    if signed_area2(t) < 0:
+        t = LatticeTriangle(t.v0, t.v2, t.v1)
+    out, work = [], [t]
+    while work:
+        u = work.pop()
+        if signed_area2(u) == 2:
+            out.append(u)
+            continue
+        M, (d, p, q) = normalize(u)
+        if d > 2:
+            xn = (2, 0)
+        elif q % 2 == 0:
+            xn = (1, 0)
+        else:
+            xn = (1, 1) if p % 2 else (2, 1)
+        work.extend(split_with_point(u, M.inverse().apply(xn)))
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_triangles)
+def test_refine_matches_reference_exactly(t):
+    assert refine_triangle(t).triangles == _reference_refine(t)
+
+
+def test_refine_matches_reference_on_criterion_6_triangles():
+    rng = random.Random(1106)
+    done = 0
+    while done < 300:  # the first 300 triangles of criterion 6
+        t = as_triangle([(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(3)])
+        a2 = signed_area2(t)
+        if a2 == 0 or a2 % 2:
+            continue
+        assert refine_triangle(t).triangles == _reference_refine(t)
+        done += 1
 
 
 # --- diagonal and unit dissections --------------------------------------------------

@@ -1,7 +1,6 @@
 import pytest
 
 from latticediss.errors import GenerationFailed
-from latticediss.dissect import Dissection
 from latticediss.gen import (
     default_bound,
     random_convex_polygon,

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from latticediss.errors import InvalidDissection, PreconditionViolated
-from latticediss.combi import boundary_word_of, find_tricolor, validate_disk
+from latticediss.combi import boundary_word_of
 from latticediss.dissect import Dissection, split_with_point, unit_dissection
 from latticediss.gen import random_convex_polygon, random_dissection, realize_word
 from latticediss.geometry import (
@@ -15,7 +15,6 @@ from latticediss.geometry import (
     validate_convex,
 )
 from latticediss.verify import (
-    VerifyReport,
     poof,
     proper_crossings,
     verify_dissection,
