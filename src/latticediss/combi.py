@@ -146,15 +146,17 @@ def disk_errors(T: Triangulation) -> list[str]:
     # each vertex's incident triangles must form a single fan:
     # closed (cycle) for interior vertices, open (path) for boundary ones
     boundary_vertices = {v for e in boundary for v in e}
+    star: dict[int, list[frozenset]] = {}
+    for tri in T.triangles:
+        for v in tri:
+            star.setdefault(v, []).append(tri)
     for v in sorted(used):
         link: dict[int, list[int]] = {}
-        cnt = 0
-        for tri in T.triangles:
-            if v in tri:
-                a, b = sorted(tri - {v})
-                link.setdefault(a, []).append(b)
-                link.setdefault(b, []).append(a)
-                cnt += 1
+        cnt = len(star[v])
+        for tri in star[v]:
+            a, b = sorted(tri - {v})
+            link.setdefault(a, []).append(b)
+            link.setdefault(b, []).append(a)
         degs = sorted(len(ns) for ns in link.values())
         ends = [u for u, ns in link.items() if len(ns) == 1]
         # connectivity of the link graph

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
@@ -330,31 +331,47 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
 # --- dissection JSON ----------------------------------------------------------
 
 def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
-    return json.dumps({
-        "polygon": [[v.x, v.y] for v in P.vertices],
-        "triangles": [[[v.x, v.y] for v in t] for t in D.triangles],
-    })
+    # Points and triangles are tuples, which json writes as arrays: no copy.
+    return json.dumps({"polygon": P.vertices, "triangles": D.triangles})
 
 
 def parse_dissection_json(text: str) -> tuple[list[LatticePoint], Dissection]:
     """Parse dissection JSON; returns the stated polygon vertices (not yet
-    validated) and the triangle list."""
+    validated) and the triangle list.
+
+    Each distinct vertex becomes one LatticePoint, shared by the triangles
+    that name it.
+    """
     data = load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
     polygon = data.get("polygon", [])
     if not isinstance(polygon, list):
         raise ValueError('dissection JSON "polygon" must be an array of [x, y] pairs')
+    raw = data["triangles"]
+    try:
+        vertices = list(chain.from_iterable(raw))
+        # JSON holds lists, dicts, strings and scalars, so this admits only
+        # lists of three [x, y] lists of exact integers (a bool is not one).
+        well_formed = (set(map(len, raw)) <= {3} and set(map(len, vertices)) <= {2}
+                       and set(map(type, chain.from_iterable(vertices))) <= {int})
+    except TypeError:
+        well_formed = False
+    if well_formed:
+        points = {p: p for p in map(LatticePoint._make, set(map(tuple, vertices)))}
+        it = map(points.__getitem__, map(tuple, vertices))
+        tris = tuple(map(LatticeTriangle._make, zip(it, it, it)))
     entry = None
     try:
         poly = []
         for entry in polygon:
             poly.append(as_point(entry))
-        tris = []
-        for entry in data["triangles"]:
-            if len(entry) != 3:
-                raise ValueError(f"triangle {entry!r} does not have 3 vertices")
-            tris.append(LatticeTriangle(*(as_point(p) for p in entry)))
+        if not well_formed:  # the checks below name the first bad entry
+            tris = []
+            for entry in raw:
+                if len(entry) != 3:
+                    raise ValueError(f"triangle {entry!r} does not have 3 vertices")
+                tris.append(LatticeTriangle(*(as_point(p) for p in entry)))
     except TypeError:
         # a number or null where a pair or a vertex list belongs
         raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None

@@ -195,13 +195,6 @@ def boundary_word(P: ConvexLatticePolygon) -> CyclicWord:
     return CyclicWord("".join([color_of(v).name for v in P.vertices]))
 
 
-def contains_point(P: ConvexLatticePolygon, p: LatticePoint) -> bool:
-    """True iff p lies inside or on the boundary of P (CCW convex P)."""
-    vs = P.vertices
-    n = len(vs)
-    return all(orient(vs[i], vs[(i + 1) % n], p) >= 0 for i in range(n))
-
-
 # --- polygon file format ----------------------------------------------------
 
 def load_json(text: str):

@@ -1,19 +1,27 @@
 """Independent validation of dissections, poofing, and tricolor witnesses.
 
 verify_dissection certifies a triangle list as a genuine dissection of a
-convex polygon by exact area accounting: positively oriented triangles whose
-vertices lie in the polygon and whose doubled areas sum to the polygon's
-cannot overlap or leak.  poof rebuilds a dissection as an abstract disk
-triangulation, inserting degenerate "poofagon" triangles wherever collinear
-vertices subdivide a triangle side or a polygon edge.  witness_noninteger
-exhibits a tricolor (hence non-integer-area) triangle in any valid
-dissection of a polygon whose boundary word is not contractible.
+convex polygon by comparing 1-chains: positively oriented triangles dissect
+P exactly when the sum of their boundary chains equals the boundary of P.
+Equal doubled-area sums alone prove nothing (two copies of one half of a
+square have the square's area), and neither does every vertex lying in P.
+The chain test rules out overlaps, gaps and pieces outside P at once, in
+integers only: each side is cancelled against its exact reverse, and what
+is left is added up line by line (see _segment_index).  poof rebuilds a
+dissection as an abstract disk triangulation, inserting degenerate
+"poofagon" triangles wherever collinear vertices subdivide a triangle side
+or a polygon edge; it finds those vertices in the same per-line index.
+witness_noninteger exhibits a tricolor (hence non-integer-area) triangle in
+any valid dissection of a polygon whose boundary word is not contractible.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
 from typing import NamedTuple
 
 from .combi import Triangulation, validate_disk
@@ -25,7 +33,6 @@ from .geometry import (
     LatticeTriangle,
     boundary_word,
     color_of,
-    contains_point,
     orient,
     polygon_area2,
     signed_area2,
@@ -86,21 +93,101 @@ def proper_crossings(D: Dissection) -> list[tuple[int, int]]:
     return out
 
 
-def verify_dissection(
-    P: ConvexLatticePolygon,
-    D: Dissection,
-    mode: str = "any",
-    diagnostics: bool = False,
-) -> VerifyReport:
-    """Exact verification that D dissects P; mode adds area constraints.
+# --- the boundary chain, indexed by line ----------------------------------------
 
-    mode "integral" requires every doubled area even, "unit" requires every
-    doubled area exactly 2, "any" only the dissection structure itself.
+_Line = tuple[int, int, int]
+_Index = tuple[list[tuple[LatticePoint, LatticePoint, _Line, int, int]], dict[_Line, dict[int, int]]]
+
+
+def _segment_index(P: ConvexLatticePolygon, triangles) -> _Index:
+    """The sides of the triangles minus the edges of P, as a signed 1-chain.
+
+    Returns (segments, lines).  segments holds each directed side p -> q
+    left over after cancelling sides against their exact reverses, with its
+    line and the coordinates u.p and u.q on it.  lines maps a line to
+    {coordinate: delta}: a side p -> q of multiplicity n adds +n at u.p and
+    -n at u.q, which has the right sign whichever way the side runs along
+    u.  The chain is zero, i.e. the triangles' boundaries add up to the
+    polygon's, exactly when every delta is zero; the signed coverage of a
+    line interval is the sum of the deltas before it.  Every coordinate
+    must be an integer.
     """
+    # left holds the sides met so far that no reverse has cancelled yet, so
+    # never both p -> q and q -> p.  P's edges v_i -> v_i+1 enter reversed.
+    vs = P.vertices
+    left = dict.fromkeys(zip(vs[1:] + vs[:1], vs), 1)
+    pop, get = left.pop, left.get
+    for a, b, c in triangles:
+        for p, q in ((a, b), (b, c), (c, a)):
+            n = pop((q, p), 0)
+            if n > 1:
+                left[q, p] = n - 1
+            elif not n:
+                left[p, q] = get((p, q), 0) + 1
+    segments = []
+    lines: dict[_Line, dict[int, int]] = {}
+    for (p, q), n in left.items():
+        if p == q:  # a side of a triangle with a repeated vertex: the zero chain
+            continue
+        (px, py), (qx, qy) = p, q
+        dx, dy = qx - px, qy - py
+        g = gcd(dx, dy)
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        ux, uy = dx // g, dy // g
+        line = (ux, uy, ux * py - uy * px)
+        tp, tq = ux * px + uy * py, ux * qx + uy * qy
+        segments.append((p, q, line, tp, tq))
+        deltas = lines.get(line)
+        if deltas is None:
+            deltas = lines[line] = {}
+        deltas[tp] = deltas.get(tp, 0) + n
+        deltas[tq] = deltas.get(tq, 0) - n
+    return segments, lines
+
+
+def _point_on(line: _Line, t: int) -> LatticePoint:
+    """The point with coordinate t on the line (ux, uy, u x p)."""
+    ux, uy, off = line
+    n = ux * ux + uy * uy
+    return LatticePoint((ux * t - uy * off) // n, (uy * t + ux * off) // n)
+
+
+def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
+    """The first line interval of nonzero coverage, and the triangles with a
+    side on it."""
+    line = min(k for k, deltas in lines.items() if any(deltas.values()))
+    deltas = lines[line]
+    ts = sorted(deltas)
+    cover = 0
+    for lo, hi in zip(ts, ts[1:]):
+        cover += deltas[lo]
+        if cover:
+            break
+    ux, uy, off = line
+    hits = []
+    for i, t in enumerate(triangles):
+        for p, q in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            if ux * p[1] - uy * p[0] == off == ux * q[1] - uy * q[0]:
+                tp, tq = ux * p[0] + uy * p[1], ux * q[0] + uy * q[1]
+                if min(tp, tq) < hi and max(tp, tq) > lo:
+                    hits.append(i)
+                    break
+    a, b = _point_on(line, lo), _point_on(line, hi)
+    return (f"segment ({a.x},{a.y})-({b.x},{b.y}) is covered {cover:+d} times in direction "
+            f"({ux},{uy}) by triangle sides net of the polygon's edges; triangles with a "
+            f"side there: {_fmt_indices(hits) or 'none'}")
+
+
+def _verify(P: ConvexLatticePolygon, D: Dissection, mode: str,
+            diagnostics: bool) -> tuple[VerifyReport, _Index | None]:
+    """verify_dissection, also returning the segment index it built (None when
+    the coordinates are not all integers)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    tris = D.triangles
     checks: list[CheckResult] = []
-    areas = [signed_area2(t) for t in D.triangles]
+    areas = [signed_area2(t) for t in tris]
 
     bad = [i for i, a in enumerate(areas) if a <= 0]
     checks.append(CheckResult(
@@ -108,14 +195,27 @@ def verify_dissection(
         "all triangles counterclockwise with positive area" if not bad
         else f"non-positive doubled area at triangles {_fmt_indices(bad)}"))
 
-    # Triangles share vertices, so test each distinct vertex once.
-    vertices = {v for t in D.triangles for v in t}
-    escaping = {v for v in vertices if not contains_point(P, v)}
-    bad = [i for i, t in enumerate(D.triangles) if not escaping.isdisjoint(t)] if escaping else []
-    checks.append(CheckResult(
-        "containment", not bad,
-        "all triangle vertices inside or on the polygon" if not bad
-        else f"vertices escape the polygon at triangles {_fmt_indices(bad)}"))
+    # Only exact integers may reach gcd; a type scan settles the common case.
+    if set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}:
+        bad_coords = []
+    else:
+        bad_coords = [
+            i for i, t in enumerate(tris)
+            if not all(isinstance(c, int) and not isinstance(c, bool) for v in t for c in v)
+        ]
+
+    index = None
+    if bad_coords:
+        checks.append(CheckResult(
+            "boundary-chain", False, "not run: coordinates are not all integers"))
+    else:
+        index = _segment_index(P, tris)
+        _, lines = index
+        closed = not any(d for deltas in lines.values() for d in deltas.values())
+        checks.append(CheckResult(
+            "boundary-chain", closed,
+            "triangle sides add up to the polygon's edges" if closed
+            else _chain_failure(lines, tris)))
 
     total = sum(areas)
     target = polygon_area2(P)
@@ -138,14 +238,10 @@ def verify_dissection(
     else:
         checks.append(CheckResult("mode-areas", True, "mode any: no area constraint"))
 
-    bad = [
-        i for i, t in enumerate(D.triangles)
-        if not all(isinstance(c, int) and not isinstance(c, bool) for v in t for c in v)
-    ]
     checks.append(CheckResult(
-        "integer-coords", not bad,
-        "all coordinates are integers" if not bad
-        else f"non-integer coordinates at triangles {_fmt_indices(bad)}"))
+        "integer-coords", not bad_coords,
+        "all coordinates are integers" if not bad_coords
+        else f"non-integer coordinates at triangles {_fmt_indices(bad_coords)}"))
 
     valid = all(c.passed for c in checks)
     if diagnostics and not valid:
@@ -154,14 +250,21 @@ def verify_dissection(
             "edge-crossings", not pairs,
             "no properly crossing triangle edges" if not pairs
             else f"edges cross properly for triangle pairs {_fmt_indices([f'{i}-{j}' for i, j in pairs])}"))
-    return VerifyReport(valid, tuple(checks), len(D.triangles), total)
+    return VerifyReport(valid, tuple(checks), len(tris), total), index
 
 
-def _strictly_inside_segment(a: LatticePoint, p: LatticePoint, b: LatticePoint) -> bool:
-    if orient(a, p, b) != 0 or p == a or p == b:
-        return False
-    d = b - a
-    return 0 < (p - a).dot(d) < d.dot(d)
+def verify_dissection(
+    P: ConvexLatticePolygon,
+    D: Dissection,
+    mode: str = "any",
+    diagnostics: bool = False,
+) -> VerifyReport:
+    """Exact verification that D dissects P; mode adds area constraints.
+
+    mode "integral" requires every doubled area even, "unit" requires every
+    doubled area exactly 2, "any" only the dissection structure itself.
+    """
+    return _verify(P, D, mode, diagnostics)[0]
 
 
 def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[int, LatticePoint]]:
@@ -173,8 +276,15 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     degenerate polygon fan-triangulated from the side's first endpoint; all
     other triangles are the dissection's own.  The result passes
     validate_disk and its corners are exactly the polygon's corners.
+
+    In a valid dissection a side that cancels against its exact reverse
+    spans no vertex, and a vertex strictly inside a side is an endpoint of
+    a left-over segment on the side's line: the triangles on the far side
+    of the line have their own sides ending there.  So each left-over
+    segment finds its inner vertices by bisection in its line's sorted
+    coordinates.
     """
-    rep = verify_dissection(P, D, "any")
+    rep, index = _verify(P, D, "any", False)
     if not rep.valid:
         raise InvalidDissection("; ".join(c.detail for c in rep.checks if not c.passed))
 
@@ -184,22 +294,29 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     for t in D.triangles:
         tris.add(frozenset(idx[v] for v in t))
 
-    sides: list[tuple[LatticePoint, LatticePoint]] = []
-    for t in D.triangles:
-        sides += [(t.v0, t.v1), (t.v1, t.v2), (t.v2, t.v0)]
-    sides += P.edges()
-
-    for a, b in sides:
-        inner = [p for p in pts if _strictly_inside_segment(a, p, b)]
-        if not inner:
+    # P's edges are in the index reversed; their fans start at the edge's start.
+    reversed_edges = {(b, a) for a, b in P.edges()}
+    coords: dict[_Line, list[int]] = {}
+    segments, lines = index
+    for p, q, line, tp, tq in segments:
+        ts = coords.get(line)
+        if ts is None:
+            ts = coords[line] = sorted(lines[line])
+        lo, hi = (tp, tq) if tp < tq else (tq, tp)
+        i, j = bisect_right(ts, lo), bisect_left(ts, hi)
+        if i == j:
             continue
-        d = b - a
-        inner.sort(key=lambda p: (p - a).dot(d))
-        chain = [a, *inner, b]
-        for j in range(1, len(chain) - 1):
-            poofagon = frozenset((idx[a], idx[chain[j]], idx[chain[j + 1]]))
+        rev = (p, q) in reversed_edges  # P's edge q -> p, whose fan starts at q
+        fan = [idx[_point_on(line, t)] for t in ts[i:j]]
+        if (tp > tq) != rev:  # order the inner points from the fan's start
+            fan.reverse()
+        fan.append(idx[p if rev else q])
+        apex = idx[q if rev else p]
+        for k in range(len(fan) - 1):
+            poofagon = frozenset((apex, fan[k], fan[k + 1]))
             assert poofagon not in tris, "poofagon collides with an existing triangle"
             tris.add(poofagon)
+    del index, segments, lines, coords  # the disk is built without the index
 
     missing = [v for v in P.vertices if v not in idx]
     assert not missing, f"polygon corners {missing} are not dissection vertices"

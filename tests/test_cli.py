@@ -116,6 +116,22 @@ def test_verify_truncated_dissection(square_file, tmp_path, capsys):
     assert names["area-sum"] is False
 
 
+@pytest.mark.parametrize("triangles", [
+    [[[0, 0], [2, 0], [2, 2]], [[0, 0], [2, 0], [2, 2]]],
+    [[[0, 0], [2, 0], [2, 2]], [[0, 0], [2, 0], [0, 2]]],
+    [[[0, 0], [0, 0], [2, 2]], [[0, 0], [2, 0], [2, 2]], [[0, 0], [2, 2], [0, 2]]],
+], ids=["two-copies", "crossed-halves", "repeated-vertex"])
+@pytest.mark.parametrize("mode", ["any", "integral", "unit"])
+def test_verify_rejects_overlap_and_degenerate(triangles, mode, tmp_path, capsys):
+    poly = tmp_path / "square2.json"
+    poly.write_text("[[0,0],[2,0],[2,2],[0,2]]")
+    diss = tmp_path / "d.json"
+    diss.write_text(json.dumps({"triangles": triangles}))
+    assert main(["verify", str(poly), str(diss), "--mode", mode]) == 11
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False
+
+
 def test_witness(square_file, tmp_path, capsys):
     diss = tmp_path / "half.json"
     diss.write_text(HALF_SPLIT)

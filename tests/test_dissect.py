@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,9 +16,11 @@ from latticediss.dissect import (
     split_with_point,
     unit_dissection,
 )
+from latticediss.gen import random_convex_polygon, random_dissection
 from latticediss.geometry import (
     LatticePoint,
     LatticeTriangle,
+    as_point,
     as_triangle,
     boundary_word,
     color_of,
@@ -292,3 +295,76 @@ def test_dissection_json_rejects_bad_shapes():
         parse_dissection_json('{"triangles": [[[0,0],[1,0]]]}')
     with pytest.raises(ValueError):
         parse_dissection_json('[1,2,3]')
+
+
+def test_dissection_to_json_text_unchanged():
+    # the text of the former encoder, which copied every point into a list
+    cases = [(validate_convex([(0, 0), (4, 0), (0, 1)]), None)]
+    for seed in range(6):
+        P = random_convex_polygon(3 + seed, 15, seed=seed)
+        cases.append((P, random_dissection(P, depth=5, seed=seed)))
+    for P, D in cases:
+        D = D or unit_dissection(P)
+        old = json.dumps({
+            "polygon": [[v.x, v.y] for v in P.vertices],
+            "triangles": [[[v.x, v.y] for v in t] for t in D.triangles],
+        })
+        assert dissection_to_json(P, D) == old
+
+
+def reference_parse(text):
+    """The per-vertex parse loop: every point through as_point."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
+        raise ValueError('dissection JSON must be an object with a "triangles" array')
+    polygon = data.get("polygon", [])
+    if not isinstance(polygon, list):
+        raise ValueError('dissection JSON "polygon" must be an array of [x, y] pairs')
+    entry = None
+    try:
+        poly = []
+        for entry in polygon:
+            poly.append(as_point(entry))
+        tris = []
+        for entry in data["triangles"]:
+            if len(entry) != 3:
+                raise ValueError(f"triangle {entry!r} does not have 3 vertices")
+            tris.append(LatticeTriangle(*(as_point(p) for p in entry)))
+    except TypeError:
+        raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None
+    return poly, tris
+
+
+@pytest.mark.parametrize("text", [
+    '{"triangles": []}',
+    '{"polygon": [[0,0],[1,0],[1,1]], "triangles": [[[0,0],[1,0],[1,1]], [[1,1],[0,0],[1,0]]]}',
+    '{"triangles": [5]}', '{"triangles": [[null, [1, 0], [1, 1]]]}',
+    '{"triangles": [[[0,0],[1,0]]]}', '{"triangles": [[[0,0],[1,0],[1.5,1]]]}',
+    '{"triangles": [[[0,0],[1,0],[1,1,1]]]}', '{"triangles": [[[0,0],[1,0],"ab"]]}',
+    '{"triangles": ["abc"]}', '{"triangles": [{"a":1,"b":2,"c":3}]}',
+    # a float or bool equal to a point already seen must not pass as that point
+    '{"triangles": [[[1,0],[0,0],[1,0.0]]]}', '{"triangles": [[[1,0],[0,0],[true,0]]]}',
+    '{"triangles": [[[0,0],[1,0],[1,1]], 7]}', '{"triangles": [[[0,0],[1,0],null]]}',
+    '{"polygon": [[0,0],[1]], "triangles": [[[0,0],[1,0],[1,1]]]}',
+    '{"polygon": [3], "triangles": [5]}',
+], ids=lambda t: t[:48])
+def test_parse_dissection_json_matches_reference(text):
+    def outcome(parse):
+        try:
+            poly, tris = parse(text)
+        except ValueError as e:
+            return "error", str(e)
+        return poly, tuple(tris)
+
+    expected = outcome(reference_parse)
+    got = outcome(lambda t: (lambda poly, D: (poly, D.triangles))(*parse_dissection_json(t)))
+    assert got == expected
+
+
+def test_parse_dissection_json_shares_points():
+    P = validate_convex([(0, 0), (4, 0), (0, 2)])
+    _, D = parse_dissection_json(dissection_to_json(P, unit_dissection(P)))
+    points = {}
+    for v in (v for t in D.triangles for v in t):
+        assert type(v) is LatticePoint and points.setdefault(v, v) is v
+    assert len(points) < 3 * len(D)

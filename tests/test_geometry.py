@@ -12,7 +12,6 @@ from latticediss.geometry import (
     boundary_word,
     collinear,
     color_of,
-    contains_point,
     parse_polygon_json,
     polygon_area2,
     polygon_to_json,
@@ -140,15 +139,6 @@ def test_polygon_area2():
     assert polygon_area2(validate_convex([(0, 0), (1, 0), (1, 1), (0, 1)])) == 2
     assert polygon_area2(validate_convex([(0, 0), (3, 0), (3, 5), (0, 5)])) == 30
     assert polygon_area2(validate_convex([(0, 0), (2, 0), (1, 1)])) == 2
-
-
-def test_contains_point():
-    P = validate_convex([(0, 0), (4, 0), (4, 4), (0, 4)])
-    assert contains_point(P, LatticePoint(2, 2))
-    assert contains_point(P, LatticePoint(0, 0))
-    assert contains_point(P, LatticePoint(4, 2))
-    assert not contains_point(P, LatticePoint(5, 2))
-    assert not contains_point(P, LatticePoint(-1, 0))
 
 
 def test_polygon_json_roundtrip():

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latticediss.errors import InvalidDissection, PreconditionViolated
 from latticediss.combi import boundary_word_of
@@ -8,13 +9,16 @@ from latticediss.dissect import Dissection, split_with_point, unit_dissection
 from latticediss.gen import random_convex_polygon, random_dissection, realize_word
 from latticediss.geometry import (
     LatticePoint,
+    LatticeTriangle,
     as_triangle,
     boundary_word,
     color_of,
+    orient,
     signed_area2,
     validate_convex,
 )
 from latticediss.verify import (
+    MODES,
     poof,
     proper_crossings,
     verify_dissection,
@@ -52,7 +56,7 @@ def test_report_json_stable():
     data = json.loads(rep.to_json())
     assert list(data.keys()) == ["valid", "triangle_count", "doubled_area_total", "checks"]
     assert [c["name"] for c in data["checks"]] == [
-        "orientation", "containment", "area-sum", "mode-areas", "integer-coords",
+        "orientation", "boundary-chain", "area-sum", "mode-areas", "integer-coords",
     ]
 
 
@@ -73,13 +77,13 @@ def test_escaping_triangle_fails_containment():
         as_triangle(((0, 0), (2, 1), (0, 1))),
     ))
     rep = verify_dissection(UNIT_SQUARE, D, "any")
-    assert "containment" in failed_names(rep)
+    assert "boundary-chain" in failed_names(rep)
 
 
 def test_missing_piece_fails_area_sum():
     D = Dissection((HALF_SPLIT.triangles[0],))
     rep = verify_dissection(UNIT_SQUARE, D, "any")
-    assert failed_names(rep) == ["area-sum"]
+    assert failed_names(rep) == ["boundary-chain", "area-sum"]
 
 
 def test_clockwise_triangle_fails_orientation():
@@ -109,6 +113,87 @@ def test_crossing_diagnostic_on_invalid_report():
     rep = verify_dissection(P, bad, "any", diagnostics=True)
     assert not rep.valid and "area-sum" in failed_names(rep)
     assert rep.checks[-1].name == "edge-crossings" and not rep.checks[-1].passed
+
+
+# --- soundness: overlaps that the doubled-area sum cannot see ------------------
+
+SQUARE2 = validate_convex([(0, 0), (2, 0), (2, 2), (0, 2)])
+TWO_COPIES = Dissection((as_triangle(((0, 0), (2, 0), (2, 2))),) * 2)
+CROSSED_HALVES = Dissection((
+    as_triangle(((0, 0), (2, 0), (2, 2))),
+    as_triangle(((0, 0), (2, 0), (0, 2))),
+))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("D", [TWO_COPIES, CROSSED_HALVES], ids=["two-copies", "crossed-halves"])
+def test_overlapping_halves_fail_every_mode(D, mode):
+    rep = verify_dissection(SQUARE2, D, mode)
+    assert rep.doubled_area_total == 8  # the area sum alone is fooled
+    assert not rep.valid and "boundary-chain" in failed_names(rep)
+
+
+def test_boundary_chain_detail_names_interval_and_triangles():
+    chain = verify_dissection(SQUARE2, TWO_COPIES).checks[1]
+    assert chain.name == "boundary-chain"
+    assert chain.detail == (
+        "segment (2,0)-(2,2) is covered +1 times in direction (0,1) by triangle sides "
+        "net of the polygon's edges; triangles with a side there: 0, 1")
+    gap = verify_dissection(UNIT_SQUARE, Dissection((HALF_SPLIT.triangles[0],))).checks[1]
+    assert gap.detail.startswith("segment (0,0)-(0,1) is covered +1 times")
+    assert gap.detail.endswith("triangles with a side there: none")
+    # coverage counts multiplicity: three copies of a half over one polygon edge
+    triple = Dissection((HALF_SPLIT.triangles[0],) * 3)
+    assert verify_dissection(UNIT_SQUARE, triple).checks[1].detail.startswith(
+        "segment (1,0)-(1,1) is covered +2 times in direction (0,1)")
+
+
+def test_witness_rejects_overlapping_halves():
+    for D in (TWO_COPIES, CROSSED_HALVES):
+        with pytest.raises(PreconditionViolated):
+            witness_noninteger(SQUARE2, D)
+    # In the unit square (word ABCD) only the verification can refuse.
+    half = as_triangle(((0, 0), (1, 0), (1, 1)))
+    for D in (Dissection((half, half)),
+              Dissection((half, as_triangle(((0, 0), (1, 0), (0, 1)))))):
+        with pytest.raises(PreconditionViolated, match="does not verify"):
+            witness_noninteger(UNIT_SQUARE, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.data())
+def test_copy_of_equal_area_triangle_is_rejected(pseed, dseed, data):
+    P = random_convex_polygon(3 + pseed % 6, 20, seed=pseed)
+    tris = list(random_dissection(P, depth=6, seed=dseed).triangles)
+    by_area: dict[int, list[int]] = {}
+    for k, t in enumerate(tris):
+        by_area.setdefault(signed_area2(t), []).append(k)
+    pairs = [ks for ks in by_area.values() if len(ks) > 1]
+    assume(pairs)
+    i, j = data.draw(st.permutations(data.draw(st.sampled_from(pairs))))[:2]
+    tris[i] = tris[j]
+    rep = verify_dissection(P, Dissection(tuple(tris)), "any")
+    assert failed_names(rep) == ["boundary-chain"]
+
+
+def test_repeated_vertex_fails_orientation_not_gcd():
+    for t in (((0, 0), (0, 0), (1, 1)), ((1, 1), (1, 1), (1, 1))):
+        D = Dissection((as_triangle(t), *HALF_SPLIT.triangles))
+        assert failed_names(verify_dissection(UNIT_SQUARE, D)) == ["orientation"]
+    D = Dissection((as_triangle(((1, 1), (1, 1), (1, 1))),))
+    assert failed_names(verify_dissection(UNIT_SQUARE, D)) == [
+        "orientation", "boundary-chain", "area-sum"]
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True])
+def test_non_integer_coordinates_skip_the_chain(bad):
+    t = LatticeTriangle(LatticePoint(0, 0), LatticePoint(1, 0), LatticePoint(bad, 1))
+    D = Dissection((t, HALF_SPLIT.triangles[1]))
+    rep = verify_dissection(UNIT_SQUARE, D)
+    assert "integer-coords" in failed_names(rep)
+    chain = rep.checks[1]
+    assert chain.name == "boundary-chain" and not chain.passed
+    assert chain.detail.startswith("not run")
 
 
 # --- poof ---------------------------------------------------------------------
@@ -204,6 +289,37 @@ def test_poof_random_dissections():
             if signed_area2(as_triangle([vmap[i] for i in sorted(tri)])) != 0
         ]
         assert len(nondegen) == len(D.triangles)
+
+
+def reference_poof(P, D):
+    """The quadratic poof: (triangles, corners, vertex map) from testing every
+    dissection point against every triangle side and polygon edge."""
+    pts = sorted({v for t in D.triangles for v in t})
+    idx = {p: i for i, p in enumerate(pts)}
+    tris = {frozenset(idx[v] for v in t) for t in D.triangles}
+    sides = [(t[k], t[(k + 1) % 3]) for t in D.triangles for k in range(3)] + P.edges()
+    for a, b in sides:
+        d = b - a
+        inner = sorted((p for p in pts if orient(a, p, b) == 0 and 0 < (p - a).dot(d) < d.dot(d)),
+                       key=lambda p: (p - a).dot(d))
+        chain = [a, *inner, b]
+        tris.update(frozenset((idx[a], idx[chain[j]], idx[chain[j + 1]]))
+                    for j in range(1, len(chain) - 1))
+    return tris, tuple(idx[v] for v in P.vertices), {i: p for p, i in idx.items()}
+
+
+def test_poof_matches_reference():
+    cases = [pentagon_fig2(), square_fig7()]
+    for seed in range(40):
+        P = random_convex_polygon(3 + seed % 7, 12 + seed, seed=seed)
+        cases.append((P, random_dissection(P, depth=4 + seed % 12, seed=seed)))
+    poofagons = 0
+    for P, D in cases:
+        T, vmap = poof(P, D)
+        tris, corners, ref_vmap = reference_poof(P, D)
+        assert (T.triangles, T.corners, vmap) == (tris, corners, ref_vmap)
+        poofagons += len(T.triangles) - len(D.triangles)
+    assert poofagons >= 100  # the inputs do subdivide sides and edges
 
 
 # --- witness ---------------------------------------------------------------------
