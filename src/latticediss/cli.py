@@ -81,9 +81,13 @@ def cmd_decide(args) -> int:
         print(f"word {w}")
     else:
         w = _parse_word(args.word)
-    ok, _ = decide_contractible(w)
-    print("contractible" if ok else "not-contractible")
-    return EXIT_OK if ok else EXIT_IMPOSSIBLE
+    ok, stuck = decide_contractible(w)
+    if ok:
+        print("contractible")
+        return EXIT_OK
+    print("not-contractible")
+    print(f"stuck: {stuck}", file=sys.stderr)
+    return EXIT_IMPOSSIBLE
 
 
 def cmd_dissect(args) -> int:
@@ -172,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decide", help="decide whether a word (or a polygon's boundary word) is contractible")
+    p = sub.add_parser("decide", help="decide whether a word (or a polygon's boundary word) "
+                       "is contractible; if not, print its stuck word to stderr")
     p.add_argument("word", nargs="?", help="cyclic word over A-Z, e.g. ABCDACBADC")
     p.add_argument("--polygon", help="polygon JSON file instead of a word (- for stdin)")
     p.set_defaults(fn=cmd_decide)

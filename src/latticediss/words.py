@@ -5,16 +5,18 @@ A letter may be deleted ("contracting step") when it and its two cyclic
 neighbors are not three pairwise distinct labels; a word is contractible when
 such steps can shrink it to length < 3.  This module provides:
 
-* decide_contractible — the production decider: one linear stack pass plus a
-  seam pass across the wrap-around, O(n) total, returning a replayable
-  deletion trace on success and the stuck cyclically-reduced word on failure;
+* decide_contractible — the production decider: one linear verdict pass that
+  freely reduces the word's letter codes on a stack and then across the
+  wrap-around, O(n) total, recording nothing.  On failure it returns the
+  stuck cyclically-reduced word; on success a ContractionTrace, which
+  computes the replayable deletion sequence on first use;
 * exhaustive_contractible — an independent oracle searching every step order;
-* free_reduction_contractible — a second independent oracle that reduces the
-  word's edge loop in the complete graph on its labels and tests whether the
-  loop cancels away entirely.
+* free_reduction_contractible — a second oracle that reduces the word's edge
+  loop in the complete graph on its labels and tests whether the loop cancels
+  away entirely.
 
-Words are stored as ASCII strings, so the decider hands the kernel the
-word's bytes as its color codes.
+Words are stored as ASCII strings, so the decider works on the word's bytes
+as its color codes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .errors import BoundExceeded, IllegalStep, WordTooShort
 def active_kernel() -> str:
     """Name of the decider kernel, recorded in benchmark results.
 
-    The package has one kernel, written in pure Python.
+    The verdict pass and the recording kernel behind traces are both written
+    in pure Python.
     """
     return "pure"
 
@@ -129,42 +132,70 @@ class Step(NamedTuple):
 
 
 class ContractionTrace:
-    """The deletion sequence a successful decision produced.
+    """The deletion sequence that contracts a word, computed on first use.
 
-    Contains exactly n - len(terminal) steps; terminal lists the (at most 2)
-    surviving original positions.  The flat step storage is kept as produced
-    by the kernel and materialized into Step triples on demand.
+    decide_contractible returns one for a contractible word without recording
+    anything: the trace keeps the word's letter codes and runs the recording
+    kernel, _reduce_cyclic, once, the first time steps, terminal, iteration or
+    replay is used.  len() needs no kernel run: a word of n letters takes
+    max(n - 2, 0) steps.  The steps contract the word to terminal, the (at
+    most 2) surviving original positions.  from_steps wraps a given step
+    sequence, so that replay can check it.
     """
 
-    __slots__ = ("_flat", "terminal", "_steps")
+    __slots__ = ("_codes", "_flat", "_terminal", "_steps")
 
-    def __init__(self, flat, terminal: tuple[int, ...]):
-        if len(flat) % 3:
-            raise ValueError("flat step storage must hold index triples")
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "terminal", tuple(terminal))
+    def __init__(self, codes: bytes):
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_flat", None)
+        object.__setattr__(self, "_terminal", None)
         object.__setattr__(self, "_steps", None)
+
+    @classmethod
+    def from_steps(cls, steps: Iterable[Step], terminal: Iterable[int]) -> "ContractionTrace":
+        """A trace of the given (deleted, left, right) steps and survivors,
+        checked only when replayed."""
+        t = cls(b"")
+        object.__setattr__(t, "_flat", [i for d, l, r in steps for i in (d, l, r)])
+        object.__setattr__(t, "_terminal", tuple(terminal))
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("ContractionTrace is immutable")
+
+    def _recorded(self) -> list[int]:
+        f = self._flat
+        if f is None:
+            ok, f, final = _reduce_cyclic(self._codes)
+            if not ok:
+                raise IllegalStep("the word of this trace is not contractible")
+            object.__setattr__(self, "_flat", f)
+            object.__setattr__(self, "_terminal", tuple(final))
+        return f
+
+    @property
+    def terminal(self) -> tuple[int, ...]:
+        self._recorded()
+        return self._terminal
 
     @property
     def steps(self) -> tuple[Step, ...]:
         s = self._steps
         if s is None:
-            f = self._flat
+            f = self._recorded()
             s = tuple(Step(f[i], f[i + 1], f[i + 2]) for i in range(0, len(f), 3))
             object.__setattr__(self, "_steps", s)
         return s
 
     def __len__(self) -> int:
-        return len(self._flat) // 3
+        f = self._flat
+        return max(len(self._codes) - 2, 0) if f is None else len(f) // 3
 
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)
 
     def __repr__(self) -> str:
-        return f"ContractionTrace({len(self)} steps, terminal={self.terminal})"
+        return f"ContractionTrace({len(self)} steps)"
 
     def replay(self, w: "CyclicWord") -> None:
         """Re-execute the deletions against w, checking each one is legal.
@@ -173,13 +204,13 @@ class ContractionTrace:
         live word or would delete a letter from an all-distinct window, or if
         the survivors differ from terminal.
         """
+        f = self._recorded()
         letters = w.letters
         n = len(letters)
         nxt = [(i + 1) % n for i in range(n)]
         prv = [(i - 1) % n for i in range(n)]
         alive = n
         dead = [False] * n
-        f = self._flat
         for k in range(0, len(f), 3):
             d, l, r = f[k], f[k + 1], f[k + 2]
             if dead[d] or prv[d] != l or nxt[d] != r:
@@ -224,7 +255,7 @@ def apply_step(w: CyclicWord, i: int) -> CyclicWord:
 
 
 def _reduce_cyclic(codes: bytes) -> tuple[bool, list[int], list[int]]:
-    """The linear stack reduction behind decide_contractible.
+    """The recording stack reduction behind ContractionTrace.
 
     Works on the word's letter codes and returns (contractible, steps, final):
     steps is a flat sequence of (deleted, left, right) index triples in
@@ -292,18 +323,54 @@ def _reduce_cyclic(codes: bytes) -> tuple[bool, list[int], list[int]]:
     return ok, steps if ok else [], final
 
 
-def decide_contractible(w: CyclicWord) -> tuple[bool, ContractionTrace | CyclicWord]:
-    """Decide contractibility in linear time.
+def _stuck_codes(codes: bytes) -> bytes | None:
+    """The verdict pass: None when the word is contractible, else the codes
+    of its stuck word.
 
-    Returns (True, trace) where trace replays the full deletion sequence down
-    to at most two letters, or (False, stuck) where stuck is the live cyclic
-    word at the point no contracting step applies anywhere.
+    The reduction of _reduce_cyclic on codes alone, with no positions and no
+    steps.  A code equal to the stack top is skipped, and one equal to the
+    code below the top pops the top (x,y,x -> x); the stack then holds the
+    freely reduced word, and the same seam pass runs across the wrap-around.
+    On failure the stack holds the same codes as _reduce_cyclic's survivors.
     """
-    letters = w.letters
-    ok, flat, final = _reduce_cyclic(letters.encode("ascii"))
-    if ok:
-        return True, ContractionTrace(flat, tuple(final))
-    return False, CyclicWord("".join([letters[i] for i in final]))
+    # Slots 0 and 1 hold sentinel codes that equal no byte; top and below
+    # mirror the last two slots.
+    stack = [-1, -2]
+    push, pop = stack.append, stack.pop
+    below, top = -1, -2
+    for c in codes:
+        if c == top:
+            continue
+        if c == below:
+            pop()
+            top, below = c, stack[-2]
+        else:
+            push(c)
+            below, top = top, c
+
+    head, tail = 2, len(stack) - 1
+    while tail - head + 1 > 2:
+        if stack[tail] == stack[head] or stack[tail] == stack[head + 1]:
+            head += 1
+        elif stack[tail - 1] == stack[head]:
+            tail -= 1
+        else:
+            return bytes(stack[head : tail + 1])
+    return None
+
+
+def decide_contractible(w: CyclicWord) -> tuple[bool, ContractionTrace | CyclicWord]:
+    """Decide contractibility in linear time, with one verdict pass.
+
+    Returns (True, trace), where trace computes the full deletion sequence
+    down to at most two letters on first use, or (False, stuck), where stuck
+    is the live cyclic word at the point no contracting step applies anywhere.
+    """
+    codes = w.letters.encode("ascii")
+    stuck = _stuck_codes(codes)
+    if stuck is None:
+        return True, ContractionTrace(codes)
+    return False, CyclicWord(stuck.decode("ascii"))
 
 
 def exhaustive_contractible(
@@ -350,7 +417,10 @@ def free_reduction_contractible(w: CyclicWord) -> bool:
     Consecutive distinct letters contribute a directed edge; the word is
     contractible iff that cyclic edge path freely cancels to nothing.  A
     backtrack (u -> v -> u) removes two entries of the vertex sequence; the
-    loop is trivial iff the sequence shrinks below 3 entries.
+    loop is trivial iff the sequence shrinks below 3 entries.  This is the
+    free reduction that decide_contractible's verdict pass also runs, written
+    over labels and with backtracks removed whole; exhaustive_contractible and
+    ContractionTrace.replay are the checks that share no algorithm with it.
     """
     # Collapse cyclically-adjacent equal letters: same-label runs visit one
     # graph vertex, contributing no edges.

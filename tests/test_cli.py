@@ -35,6 +35,15 @@ def test_decide_words(capsys):
     assert capsys.readouterr().out.strip() == "contractible"
 
 
+def test_decide_reports_stuck_word(capsys):
+    assert main(["decide", "AABCADBCD"]) == 10
+    out, err = capsys.readouterr()
+    assert out == "not-contractible\n"
+    assert err == "stuck: ABCADBCD\n"
+    assert main(["decide", "ABABCCDCBBDB"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_decide_polygon(square_file, capsys):
     assert main(["decide", "--polygon", square_file]) == 10
     out = capsys.readouterr().out

@@ -1,12 +1,16 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latticediss import words
 from latticediss.errors import BoundExceeded, IllegalStep, WordTooShort
 from latticediss.words import (
     ContractionTrace,
     CyclicWord,
+    Step,
+    _reduce_cyclic,
     apply_step,
     contracting_positions,
     decide_contractible,
@@ -167,11 +171,92 @@ def test_tampered_trace_rejected():
     w = CyclicWord("AABB")
     ok, trace = decide_contractible(w)
     assert ok
-    flat = list(trace._flat)
-    flat[0] = (flat[0] + 1) % len(w)  # corrupt the deleted index
-    bad = ContractionTrace(flat, trace.terminal)
+    steps = list(trace.steps)
+    ContractionTrace.from_steps(steps, trace.terminal).replay(w)
+    d, l, r = steps[0]
+    steps[0] = Step((d + 1) % len(w), l, r)  # corrupt the deleted index
+    bad = ContractionTrace.from_steps(steps, trace.terminal)
     with pytest.raises(IllegalStep):
         bad.replay(w)
+
+
+# --- the verdict pass against the recording kernel -----------------------------
+#
+# decide_contractible runs the same free reduction as
+# free_reduction_contractible, so these tests hold it to a check it does not
+# share: the recording kernel, whose every step is replayed.
+
+def tree_walk_word(rng, n, alphabet):
+    """About n letters: the colors of a closed walk on a random tree whose
+    adjacent nodes have distinct colors, a quarter of the visits written
+    twice.  Contractible by construction."""
+    out, path = [], [rng.choice(alphabet)]
+    while True:
+        out.append(path[-1] * rng.choice((1, 1, 1, 2)))
+        if len(out) + len(path) >= n:
+            break
+        if len(path) > 1 and rng.random() < 0.5:
+            path.pop()
+        else:
+            path.append(rng.choice([c for c in alphabet if c != path[-1]]))
+    out.extend(reversed(path[:-1]))
+    return "".join(out)
+
+
+def check_against_recording_kernel(w):
+    ok, payload = decide_contractible(w)
+    ok_ref, _, final = _reduce_cyclic(w.letters.encode("ascii"))
+    assert ok == ok_ref, w
+    if not ok:
+        assert payload.letters == "".join(w.letters[i] for i in final), w
+        return ok
+    n = len(w)
+    assert len(payload) == max(n - 2, 0)  # before the trace is computed
+    assert len(payload) == len(payload.steps) == n - len(payload.terminal)
+    payload.replay(w)
+    return ok
+
+
+def test_verdict_pass_matches_recording_kernel_all_short_words():
+    for n in range(1, 10):
+        for tup in itertools.product(ABCD, repeat=n):
+            check_against_recording_kernel(CyclicWord(tup))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_verdict_pass_matches_recording_kernel_long_words(k):
+    rng = random.Random(f"verdict-pass:{k}")
+    alphabet = "ABCDEF"[:k]
+    for _ in range(20):
+        n = round(10 ** rng.uniform(1, 4))
+        assert check_against_recording_kernel(CyclicWord(tree_walk_word(rng, n, alphabet)))
+        check_against_recording_kernel(CyclicWord("".join(rng.choices(alphabet, k=n))))
+
+
+@pytest.mark.parametrize("use", ["steps", "terminal", "iter", "replay"])
+def test_trace_runs_recording_kernel_once_on_first_use(monkeypatch, use):
+    calls = []
+    real = words._reduce_cyclic
+
+    def counting(codes):
+        calls.append(codes)
+        return real(codes)
+
+    monkeypatch.setattr(words, "_reduce_cyclic", counting)
+    w = CyclicWord("ABABCCDCBBDB")
+    ok, trace = decide_contractible(w)
+    assert ok and len(trace) == 10
+    assert not decide_contractible(CyclicWord("ABCDACBADC"))[0]
+    assert calls == []
+    for _ in range(2):
+        if use == "replay":
+            trace.replay(w)
+        elif use == "iter":
+            assert len(list(trace)) == 10
+        else:
+            getattr(trace, use)
+    assert len(trace.steps) == 10 and len(trace.terminal) == 2
+    assert calls == [b"ABABCCDCBBDB"]
 
 
 # --- oracles ----------------------------------------------------------------
