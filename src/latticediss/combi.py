@@ -21,9 +21,11 @@ class Triangulation:
     """An abstract simplicial triangulation of a disk.
 
     vertex_colors maps vertex id -> color label, triangles is a set of
-    unordered id triples, corners is the boundary cycle.  The constructor
-    checks only local shape (3 distinct ids per triangle); run validate_disk
-    for the full topological contract.
+    unordered id triples, corners is the boundary cycle.  A triangle given
+    as a frozenset is kept as it is; any other iterable is frozen.  The
+    constructor checks only local shape, 3 distinct int ids per triangle
+    (a bool is not an id), and raises ValueError naming the triangle as
+    given; run validate_disk for the full topological contract.
     """
 
     __slots__ = ("vertex_colors", "triangles", "corners")
@@ -36,9 +38,10 @@ class Triangulation:
     ):
         tris = set()
         for t in triangles:
-            tt = frozenset(t)
-            if len(tt) != 3 or not all(isinstance(v, int) for v in tt):
-                raise ValueError(f"triangle {sorted(tt)!r} is not 3 distinct vertex ids")
+            tt = t if type(t) is frozenset else frozenset(t)
+            x, y, z = tt if len(tt) == 3 else (None, None, None)
+            if not type(x) is type(y) is type(z) is int:
+                raise ValueError(f"triangle {t!r} is not 3 distinct int vertex ids")
             tris.add(tt)
         object.__setattr__(self, "vertex_colors", dict(vertex_colors))
         object.__setattr__(self, "triangles", frozenset(tris))
@@ -54,50 +57,58 @@ class Triangulation:
         return sorted(tuple(sorted(t)) for t in self.triangles)
 
 
-def _edge_faces(T: Triangulation) -> dict[frozenset, list[frozenset]]:
-    out: dict[frozenset, list[frozenset]] = {}
-    for tri in T.triangles:
-        a, b, c = sorted(tri)
-        for e in (frozenset((a, b)), frozenset((b, c)), frozenset((a, c))):
-            out.setdefault(e, []).append(tri)
-    return out
-
-
-def _cyclic_variants(seq: tuple) -> set[tuple]:
-    n = len(seq)
-    out = set()
-    for s in (seq, tuple(reversed(seq))):
-        for k in range(n):
-            out.add(s[k:] + s[:k])
-    return out
+def _same_cycle(cycle: list[int], corners: tuple) -> bool:
+    """Whether corners is cycle (distinct ids) up to rotation and reflection."""
+    if len(corners) != len(cycle) or not corners or corners[0] not in cycle:
+        return False
+    k = cycle.index(corners[0])
+    return corners in (tuple(cycle[k:] + cycle[:k]), tuple(cycle[k::-1] + cycle[:k:-1]))
 
 
 def disk_errors(T: Triangulation) -> list[str]:
-    """All violations of the disk contract, one message per condition."""
-    errors: list[str] = []
-    used = {v for tri in T.triangles for v in tri}
+    """All violations of the disk contract, one message per condition.
+
+    The per-vertex fan walk runs last and only if an earlier check failed,
+    so a valid disk costs linear time.  It cannot fail once every edge has
+    at most two faces, the boundary is one cycle matching the corners, the
+    faces are edge-connected and V - E + F = 1: splitting each vertex into
+    its c link components gives a connected surface with boundary and
+    Euler characteristic 1 + sum(c - 1), which is at most 1 and equals 1
+    only for the disk, so every c is 1.
+    """
     if not T.triangles:
         return ["triangulation has no triangles"]
-    for v in sorted(used):
-        if v not in T.vertex_colors:
-            errors.append(f"vertex {v} has no color")
-    for v in sorted(T.vertex_colors):
-        if v not in used:
-            errors.append(f"vertex {v} lies in no triangle")
+    used = set().union(*T.triangles)
+    errors = [f"vertex {v} has no color" for v in sorted(used.difference(T.vertex_colors))]
+    errors += [f"vertex {v} lies in no triangle" for v in sorted(T.vertex_colors.keys() - used)]
 
-    edge_faces = _edge_faces(T)
-    for e, faces in sorted(edge_faces.items(), key=lambda kv: sorted(kv[0])):
-        if len(faces) > 2:
-            names = ", ".join(str(sorted(f)) for f in faces)
-            errors.append(f"edge {sorted(e)} lies in {len(faces)} triangles: {names}")
+    # edge (a, b) with a < b -> its triangles, in order of first appearance
+    edge_faces: dict[tuple[int, int], list[frozenset]] = {}
+    faces_of = edge_faces.setdefault
+    for tri in T.triangles:
+        a, b, c = sorted(tri)
+        faces_of((a, b), []).append(tri)
+        faces_of((b, c), []).append(tri)
+        faces_of((a, c), []).append(tri)
+    for e in sorted(e for e, faces in edge_faces.items() if len(faces) > 2):
+        faces = edge_faces[e]
+        names = ", ".join(str(sorted(f)) for f in faces)
+        errors.append(f"edge {list(e)} lies in {len(faces)} triangles: {names}")
     if errors:
         return errors  # topology below assumes a sane edge complex
 
-    # boundary edges must chain into one closed cycle
-    boundary = [e for e, faces in edge_faces.items() if len(faces) == 1]
+    # boundary edges must chain into one closed cycle; the others join faces
+    boundary = []
+    adjacent: dict[frozenset, list[frozenset]] = {}
+    for e, faces in edge_faces.items():
+        if len(faces) == 1:
+            boundary.append(e)
+        else:
+            f, g = faces
+            adjacent.setdefault(f, []).append(g)
+            adjacent.setdefault(g, []).append(f)
     nbr: dict[int, list[int]] = {}
-    for e in boundary:
-        a, b = sorted(e)
+    for a, b in boundary:
         nbr.setdefault(a, []).append(b)
         nbr.setdefault(b, []).append(a)
     bad_deg = [v for v, ns in nbr.items() if len(ns) != 2]
@@ -119,64 +130,54 @@ def disk_errors(T: Triangulation) -> list[str]:
                 break
         if len(cycle) != len(boundary):
             errors.append("boundary edges form more than one cycle")
-        elif tuple(T.corners) not in _cyclic_variants(tuple(cycle)):
+        elif not _same_cycle(cycle, T.corners):
             errors.append(f"boundary cycle {cycle} does not match corners {list(T.corners)}")
 
-    # the face-adjacency graph (shared edges) must be connected
-    tris = list(T.triangles)
-    index = {t: i for i, t in enumerate(tris)}
-    seen = {0}
-    todo = [tris[0]]
+    # the face-adjacency graph must be connected
+    first = next(iter(T.triangles))
+    seen = {first}
+    todo = [first]
     while todo:
-        tri = todo.pop()
-        a, b, c = sorted(tri)
-        for e in (frozenset((a, b)), frozenset((b, c)), frozenset((a, c))):
-            for other in edge_faces[e]:
-                if index[other] not in seen:
-                    seen.add(index[other])
-                    todo.append(other)
-    if len(seen) != len(tris):
-        stray = tris[next(i for i in range(len(tris)) if i not in seen)]
+        for other in adjacent.get(todo.pop(), ()):
+            if other not in seen:
+                seen.add(other)
+                todo.append(other)
+    if len(seen) != len(T.triangles):
+        stray = next(t for t in T.triangles if t not in seen)
         errors.append(f"triangle {sorted(stray)} is disconnected from the rest")
 
     V, E, F = len(used), len(edge_faces), len(T.triangles)
     if V - E + F != 1:
         errors.append(f"Euler characteristic V-E+F = {V}-{E}+{F} = {V - E + F}, expected 1")
+    if not errors:
+        return errors  # a disk: the fan walk below cannot fail (see the docstring)
 
     # each vertex's incident triangles must form a single fan:
     # closed (cycle) for interior vertices, open (path) for boundary ones
-    boundary_vertices = {v for e in boundary for v in e}
+    boundary_vertices = set().union(*boundary)
     star: dict[int, list[frozenset]] = {}
     for tri in T.triangles:
         for v in tri:
             star.setdefault(v, []).append(tri)
     for v in sorted(used):
         link: dict[int, list[int]] = {}
-        cnt = len(star[v])
         for tri in star[v]:
-            a, b = sorted(tri - {v})
+            a, b = tri - {v}
             link.setdefault(a, []).append(b)
             link.setdefault(b, []).append(a)
-        degs = sorted(len(ns) for ns in link.values())
-        ends = [u for u, ns in link.items() if len(ns) == 1]
-        # connectivity of the link graph
-        stack = [next(iter(link))]
+        stack = [next(iter(link))]  # walk the link graph
         seen_l = set(stack)
         while stack:
-            u = stack.pop()
-            for x in link[u]:
+            for x in link[stack.pop()]:
                 if x not in seen_l:
                     seen_l.add(x)
                     stack.append(x)
-        connected = len(seen_l) == len(link)
-        if v in boundary_vertices:
-            ok = connected and len(ends) == 2 and all(d <= 2 for d in degs) and cnt == len(link) - 1
-            kind = "open"
-        else:
-            ok = connected and not ends and all(d == 2 for d in degs) and cnt == len(link)
-            kind = "closed"
-        if not ok:
-            errors.append(f"triangles around vertex {v} do not form one {kind} fan")
+        degs = [len(ns) for ns in link.values()]
+        is_open = v in boundary_vertices
+        if (len(seen_l) != len(link) or degs.count(1) != 2 * is_open or max(degs) > 2
+                or len(star[v]) != len(link) - is_open):
+            errors.append(f"triangles around vertex {v} do not form one "
+                          f"{'open' if is_open else 'closed'} fan")
     return errors
 
 

@@ -292,7 +292,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     idx = {p: i for i, p in enumerate(pts)}
     tris: set[frozenset[int]] = set()
     for t in D.triangles:
-        tris.add(frozenset(idx[v] for v in t))
+        tris.add(frozenset(map(idx.__getitem__, t)))
 
     # P's edges are in the index reversed; their fans start at the edge's start.
     reversed_edges = {(b, a) for a, b in P.edges()}

@@ -1,9 +1,17 @@
 import math
+import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import disk_reference
+from latticediss.dissect import parse_dissection_json
 from latticediss.errors import BoundExceeded, NotADisk, TooSmall
+from latticediss.geometry import parse_polygon_json
+from latticediss.verify import poof
 from latticediss.combi import (
     Triangulation,
     boundary_word_of,
@@ -16,11 +24,40 @@ from latticediss.combi import (
 )
 from latticediss.words import CyclicWord, decide_contractible, exhaustive_contractible
 
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench import inputs  # noqa: E402
+
 QUAD_STAR = [(1, 2, 5), (2, 3, 5), (3, 4, 5), (4, 1, 5)]
 
 
 def quad_star(colors):
     return Triangulation(dict(zip((1, 2, 3, 4, 5), colors)), QUAD_STAR, (1, 2, 3, 4))
+
+
+def _annulus():
+    outer = [0, 1, 2, 3]
+    inner = [4, 5, 6, 7]
+    tris = []
+    for i in range(4):
+        a, b = outer[i], outer[(i + 1) % 4]
+        c, d = inner[i], inner[(i + 1) % 4]
+        tris += [(a, b, c), (b, d, c)]
+    return Triangulation({i: "A" for i in range(8)}, tris, tuple(outer))
+
+
+# Complexes that break the disk contract, shared with the differential test.
+MALFORMED = {
+    "overused-edge": Triangulation(
+        {i: "A" for i in range(1, 6)}, [(1, 2, 3), (1, 2, 4), (1, 2, 5)], (3, 4, 5)),
+    "wrong-corners": Triangulation(dict(zip((1, 2, 3, 4, 5), "ABABA")), QUAD_STAR, (1, 2, 4, 3)),
+    "pinched": Triangulation({i: "A" for i in range(1, 6)}, [(1, 2, 3), (1, 4, 5)], (2, 3, 4, 5)),
+    "annulus": _annulus(),
+    "missing-color-stray-vertex": Triangulation(
+        {1: "A", 2: "B", 3: "C", 9: "D"}, [(1, 2, 3), (2, 3, 4)], (1, 2, 4, 3)),
+    "no-triangles": Triangulation({1: "A"}, [], (1,)),
+}
 
 
 def catalan(m):
@@ -38,9 +75,7 @@ def test_validate_disk_single_triangle_ok():
 
 
 def test_validate_disk_overused_edge():
-    T = Triangulation(
-        {i: "A" for i in range(1, 6)}, [(1, 2, 3), (1, 2, 4), (1, 2, 5)], (3, 4, 5)
-    )
+    T = MALFORMED["overused-edge"]
     errs = disk_errors(T)
     assert any("edge [1, 2] lies in 3 triangles" in e for e in errs)
     with pytest.raises(NotADisk):
@@ -48,8 +83,7 @@ def test_validate_disk_overused_edge():
 
 
 def test_validate_disk_catches_wrong_corners():
-    T = Triangulation(dict(zip((1, 2, 3, 4, 5), "ABABA")), QUAD_STAR, (1, 2, 4, 3))
-    assert any("does not match corners" in e for e in disk_errors(T))
+    assert any("does not match corners" in e for e in disk_errors(MALFORMED["wrong-corners"]))
 
 
 def test_validate_disk_corners_up_to_rotation_reflection():
@@ -59,10 +93,7 @@ def test_validate_disk_corners_up_to_rotation_reflection():
 
 def test_validate_disk_two_triangles_sharing_vertex():
     # passes Euler but is not a disk: pinched at vertex 1
-    T = Triangulation(
-        {i: "A" for i in range(1, 6)}, [(1, 2, 3), (1, 4, 5)], (2, 3, 4, 5)
-    )
-    errs = disk_errors(T)
+    errs = disk_errors(MALFORMED["pinched"])
     assert errs  # fan check and adjacency both fail
     assert any("fan" in e for e in errs)
     assert any("disconnected" in e for e in errs)
@@ -70,23 +101,123 @@ def test_validate_disk_two_triangles_sharing_vertex():
 
 def test_validate_disk_annulus_fails():
     # triangulated annulus: two boundary cycles
-    outer = [0, 1, 2, 3]
-    inner = [4, 5, 6, 7]
-    tris = []
-    for i in range(4):
-        a, b = outer[i], outer[(i + 1) % 4]
-        c, d = inner[i], inner[(i + 1) % 4]
-        tris += [(a, b, c), (b, d, c)]
-    T = Triangulation({i: "A" for i in range(8)}, tris, tuple(outer))
-    errs = disk_errors(T)
+    errs = disk_errors(MALFORMED["annulus"])
     assert any("Euler" in e for e in errs) or any("cycle" in e for e in errs)
 
 
 def test_validate_disk_missing_color_and_stray_vertex():
-    T = Triangulation({1: "A", 2: "B", 3: "C", 9: "D"}, [(1, 2, 3), (2, 3, 4)], (1, 2, 4, 3))
-    errs = disk_errors(T)
+    errs = disk_errors(MALFORMED["missing-color-stray-vertex"])
     assert any("vertex 4 has no color" in e for e in errs)
     assert any("vertex 9 lies in no triangle" in e for e in errs)
+
+
+@pytest.mark.parametrize("tri", [(1, "a", 2), (1, True, 3), (True, 2, 3), (1, 2), (1, 2, 3, 4)])
+def test_triangulation_rejects_bad_triangle(tri):
+    # a str or bool id, and (1, True, 3), which collapses to {1, 3}
+    with pytest.raises(ValueError, match=rf"triangle {re.escape(repr(tri))} is not 3 distinct"):
+        Triangulation({}, [(4, 5, 6), tri], ())
+
+
+def test_triangulation_keeps_given_frozensets():
+    tri = frozenset((1, 2, 3))
+    T = Triangulation({1: "A", 2: "B", 3: "C"}, [tri], (1, 2, 3))
+    assert next(iter(T.triangles)) is tri
+
+
+def _fan(n, corners=None):
+    return Triangulation({i: "A" for i in range(n)}, [(0, i, i + 1) for i in range(1, n - 1)],
+                         tuple(range(n)) if corners is None else corners)
+
+
+def _corner_variants(n, rng):
+    k = rng.randrange(1, n)
+    i, j = rng.sample(range(n), 2)
+    swapped = list(range(n))
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    ring = list(range(n))
+    return {
+        "rotated": tuple(ring[k:] + ring[:k]),
+        "reflected": tuple(reversed(ring[k:] + ring[:k])),
+        "swapped": tuple(swapped),
+    }
+
+
+def test_disk_errors_large_fan_linear_corner_matching():
+    n = 4000
+    validate_disk(_fan(n))
+    variants = _corner_variants(n, random.Random(4000))
+    validate_disk(_fan(n, variants["rotated"]))
+    validate_disk(_fan(n, variants["reflected"]))
+    assert disk_errors(_fan(n, variants["swapped"])) == [
+        f"boundary cycle {list(range(n))} does not match corners {list(variants['swapped'])}"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 300])
+def test_disk_errors_corners_match_reference(n):
+    rng = random.Random(n)
+    for name, corners in _corner_variants(n, rng).items():
+        T = _fan(n, corners)
+        assert disk_errors(T) == disk_reference.disk_errors(T), name
+    for corners in [(), (0,), tuple(range(n)) + (0,), tuple(range(1, n + 1))]:
+        T = _fan(n, corners)
+        assert disk_errors(T) == disk_reference.disk_errors(T), corners
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_disk_errors_matches_reference_on_malformed(name):
+    T = MALFORMED[name]
+    assert disk_errors(T) == disk_reference.disk_errors(T)
+
+
+def _damaged_disks(T, rng):
+    """Seeded damage of a valid disk, one Triangulation per kind."""
+    tris = T.sorted_triangles()
+    colors, corners = T.vertex_colors, list(T.corners)
+    fresh = max(colors) + 1
+    out = {}
+    for k in (1, 3):
+        keep = tris[:]
+        for _ in range(k):
+            del keep[rng.randrange(len(keep))]
+        out[f"drop{k}"] = Triangulation(colors, keep, corners)
+    faces = {}
+    for t in tris:
+        for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
+            faces[e] = faces.get(e, 0) + 1
+    a, b = rng.choice(sorted(e for e, c in faces.items() if c == 2))
+    out["third-face"] = Triangulation({**colors, fresh: "A"}, tris + [(a, b, fresh)], corners)
+    # pinch: relabel vertex u as a vertex v that shares no triangle with it
+    u = rng.choice(sorted(colors))
+    star = {w for t in tris if u in t for w in t}
+    v = rng.choice(sorted(set(colors) - star))
+    pinched = [tuple(v if w == u else w for w in t) for t in tris]
+    out["pinch"] = Triangulation(colors, pinched, [v if w == u else w for w in corners])
+    for kind, cs in _corner_variants(len(corners), rng).items():
+        ring = [corners[i] for i in cs]
+        out[kind] = Triangulation(colors, tris, ring)
+    lost = rng.choice(sorted(colors))
+    recolored = {w: c for w, c in colors.items() if w != lost}
+    recolored[fresh] = "B"
+    out["missing-color-stray-vertex"] = Triangulation(recolored, tris, corners)
+    return out
+
+
+@pytest.mark.parametrize("count", [30, 60, 120, 250, 600])
+def test_disk_errors_matches_reference_on_damaged_poofed_disks(count):
+    for seed in range(10):
+        rng = random.Random(count * 100 + seed)
+        req = inputs.foreign_request(rng, count, "valid", seed % 2 == 0)
+        P = parse_polygon_json(req.polygon_text)
+        _, D = parse_dissection_json(req.dissection_text)
+        T, _ = poof(P, D)
+        assert disk_errors(T) == disk_reference.disk_errors(T) == []
+        for kind, bad in _damaged_disks(T, rng).items():
+            errs = disk_errors(bad)
+            assert errs == disk_reference.disk_errors(bad), (count, seed, kind)
+            if kind in ("rotated", "reflected"):
+                assert errs == [], (count, seed, kind)
+            elif kind != "swapped":  # a swap of two of three corners is a reflection
+                assert errs, (count, seed, kind)
 
 
 # --- boundary words and tricolors -------------------------------------------
