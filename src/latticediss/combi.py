@@ -59,7 +59,7 @@ class Triangulation:
 
 def _same_cycle(cycle: list[int], corners: tuple) -> bool:
     """Whether corners is cycle (distinct ids) up to rotation and reflection."""
-    if len(corners) != len(cycle) or not corners or corners[0] not in cycle:
+    if len(corners) != len(cycle) or corners[0] not in cycle:
         return False
     k = cycle.index(corners[0])
     return corners in (tuple(cycle[k:] + cycle[:k]), tuple(cycle[k::-1] + cycle[:k:-1]))
