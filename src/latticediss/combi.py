@@ -38,7 +38,10 @@ class Triangulation:
     ):
         tris = set()
         for t in triangles:
-            tt = t if type(t) is frozenset else frozenset(t)
+            try:
+                tt = t if type(t) is frozenset else frozenset(t)
+            except TypeError:  # not iterable, or an unhashable id
+                tt = frozenset()
             x, y, z = tt if len(tt) == 3 else (None, None, None)
             if not type(x) is type(y) is type(z) is int:
                 raise ValueError(f"triangle {t!r} is not 3 distinct int vertex ids")

@@ -21,8 +21,8 @@ depends only on the triangle and its chosen edge v0 -> v1, and can be
 written straight in the triangle's own coordinates: with (a, b) = v1 - v0,
 d = gcd(a, b) and u = (a, b)/d, the points (2,0) and (1,0) are v0 + 2u and
 v0 + u, and only the d = 2, q odd case runs the extended Euclidean algorithm
-to place (1,1) or (2,1).  normalize, split_with_point and
-UnimodularAffineMap spell out the same rule with explicit maps.
+to place (1,1) or (2,1).  tests/refine_reference.py spells out the same
+rule with explicit maps, and refine_triangle must match it piece for piece.
 """
 
 from __future__ import annotations
@@ -31,16 +31,14 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from typing import NamedTuple
 
-from .errors import Degenerate, IsVertex, NotIntegerArea, OddArea, OutsideTriangle
+from .errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from .geometry import (
     ConvexLatticePolygon,
     LatticePoint,
     LatticeTriangle,
     as_point,
     boundary_word,
-    color_of,
     load_json,
     orient,
     polygon_area2,
@@ -66,73 +64,6 @@ class Dissection:
         return [signed_area2(t) for t in self.triangles]
 
 
-@dataclass(frozen=True)
-class UnimodularAffineMap:
-    """x -> M x + t with integer M of determinant +-1 and integer t.
-
-    Bijects the lattice; preserves doubled areas up to the sign of det(M)
-    and preserves equality of parity colors in both directions.
-    """
-
-    m00: int
-    m01: int
-    m10: int
-    m11: int
-    tx: int = 0
-    ty: int = 0
-
-    def __post_init__(self):
-        if self.det not in (1, -1):
-            raise ValueError(f"matrix determinant must be +-1, got {self.det}")
-
-    @property
-    def det(self) -> int:
-        return self.m00 * self.m11 - self.m01 * self.m10
-
-    @classmethod
-    def translation(cls, tx: int, ty: int) -> "UnimodularAffineMap":
-        return cls(1, 0, 0, 1, tx, ty)
-
-    def apply(self, p) -> LatticePoint:
-        x, y = p
-        return LatticePoint(self.m00 * x + self.m01 * y + self.tx,
-                            self.m10 * x + self.m11 * y + self.ty)
-
-    def compose(self, other: "UnimodularAffineMap") -> "UnimodularAffineMap":
-        """The map sending x to self(other(x))."""
-        return UnimodularAffineMap(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-            self.m00 * other.tx + self.m01 * other.ty + self.tx,
-            self.m10 * other.tx + self.m11 * other.ty + self.ty,
-        )
-
-    def inverse(self) -> "UnimodularAffineMap":
-        s = self.det  # +-1, so the adjugate divided by det stays integral
-        i00, i01 = s * self.m11, -s * self.m01
-        i10, i11 = -s * self.m10, s * self.m00
-        return UnimodularAffineMap(
-            i00, i01, i10, i11,
-            -(i00 * self.tx + i01 * self.ty),
-            -(i10 * self.tx + i11 * self.ty),
-        )
-
-
-class NormalizedTriangle(NamedTuple):
-    """Normal form (0,0), (d,0), (p,q) with d > 0, q >= 1, 1 <= p <= q."""
-
-    d: int
-    p: int
-    q: int
-
-    @property
-    def vertices(self) -> LatticeTriangle:
-        return LatticeTriangle(LatticePoint(0, 0), LatticePoint(self.d, 0),
-                               LatticePoint(self.p, self.q))
-
-
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, r, s) with r*a + s*b == g == gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -146,47 +77,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def normalize(t: LatticeTriangle) -> tuple[UnimodularAffineMap, NormalizedTriangle]:
-    """Map a triangle of even positive doubled area to its normal form.
-
-    Picks the first same-colored vertex pair (which exists because the
-    doubled area is even) as the pair sent to (0,0) and (d,0); d comes out
-    even.  Returns the full affine map M with M(v0)=(0,0), M(v1)=(d,0),
-    M(v2)=(p,q), det(M) = +1.
-    """
-    area2 = signed_area2(t)
-    if area2 == 0:
-        raise Degenerate("cannot normalize a degenerate triangle")
-    if area2 % 2:
-        raise NotIntegerArea(f"doubled area {area2} is odd")
-
-    cols = [color_of(v) for v in t]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if cols[i] == cols[j]:
-            k = 3 - i - j
-            break
-    else:  # impossible: even doubled area forces a repeated color
-        raise AssertionError("even-area triangle without a repeated color")
-    v0, v1, v2 = t[i], t[j], t[k]
-    if orient(v0, v1, v2) < 0:
-        v0, v1 = v1, v0
-
-    a, b = v1[0] - v0[0], v1[1] - v0[1]
-    d, r, s = _egcd(a, b)
-    first = UnimodularAffineMap(r, s, -b // d, a // d)  # det +1, sends (a,b) to (d,0)
-    shift = UnimodularAffineMap.translation(-v0.x, -v0.y)
-    tq = first.apply(v2 - v0)
-    t_, q = tq
-    assert q == abs(area2) // d > 0
-    p = (t_ - 1) % q + 1
-    k_ = (p - t_) // q
-    shear = UnimodularAffineMap(1, k_, 0, 1)
-    M = shear.compose(first).compose(shift)
-    assert d % 2 == 0 and 1 <= p <= q
-    assert M.apply(v0) == (0, 0) and M.apply(v1) == (d, 0) and M.apply(v2) == (p, q)
-    return M, NormalizedTriangle(d, p, q)
 
 
 def split_with_point(t: LatticeTriangle, x: LatticePoint) -> list[LatticeTriangle]:
@@ -233,41 +123,47 @@ def refine_triangle(t: LatticeTriangle) -> Dissection:
     if area2 % 2:
         raise NotIntegerArea(f"doubled area {area2} is odd")
 
+    # tuple.__new__ skips the Python-level __new__ of the NamedTuple classes.
+    new = tuple.__new__
     out: list[LatticeTriangle] = []
     work = [(area2, *t)]  # (doubled area, counterclockwise vertices)
     while work:
         a2, u0, u1, u2 = work.pop()
         if a2 == 2:
-            out.append(LatticeTriangle(u0, u1, u2))
+            out.append(new(LatticeTriangle, (u0, u1, u2)))
             continue
+        x0, y0 = u0
+        x1, y1 = u1
+        x2, y2 = u2
         # The first same-colored pair, taken in counterclockwise order, is the
-        # edge v0 -> v1 that the normal form sends to (0,0) -> (d,0).
-        if not ((u0.x ^ u1.x) | (u0.y ^ u1.y)) & 1:
-            v0, v1, v2 = u0, u1, u2
-        elif not ((u0.x ^ u2.x) | (u0.y ^ u2.y)) & 1:
-            v0, v1, v2 = u2, u0, u1
+        # edge v0 -> v1 that the normal form sends to (0,0) -> (d,0); v0 is
+        # (px, py), v1 - v0 is (a, b) and v2 is (cx, cy).
+        if not ((x0 ^ x1) | (y0 ^ y1)) & 1:
+            px, py, a, b, cx, cy = x0, y0, x1 - x0, y1 - y0, x2, y2
+        elif not ((x0 ^ x2) | (y0 ^ y2)) & 1:
+            px, py, a, b, cx, cy = x2, y2, x0 - x2, y0 - y2, x1, y1
         else:
-            v0, v1, v2 = u1, u2, u0
-        a, b = v1.x - v0.x, v1.y - v0.y
+            px, py, a, b, cx, cy = x1, y1, x2 - x1, y2 - y1, x0, y0
         d = gcd(a, b)
         q = a2 // d
         assert d % 2 == 0 and d * q == a2
         ua, ub = a // d, b // d  # primitive direction of the edge
         if d > 2:  # split at (2,0)
-            x = LatticePoint(v0.x + 2 * ua, v0.y + 2 * ub)
+            sx, sy = px + 2 * ua, py + 2 * ub
         elif q % 2 == 0:  # split at (1,0)
-            x = LatticePoint(v0.x + ua, v0.y + ub)
+            sx, sy = px + ua, py + ub
         else:
             # Normal coordinates of v2 are (p, q) with 1 <= p <= q; the map
             # back sends (X, Y) to v0 + (X - k*Y)*(ua, ub) + Y*(-s, r).
             _, r, s = _egcd(a, b)
-            tq = r * (v2.x - v0.x) + s * (v2.y - v0.y)
+            tq = r * (cx - px) + s * (cy - py)
             p = (tq - 1) % q + 1
             k = (p - tq) // q
             m = (1 if p % 2 else 2) - k  # split at (1,1) or (2,1)
-            x = LatticePoint(v0.x + m * ua - s, v0.y + m * ub + r)
-        o0 = orient(u0, u1, x)
-        o1 = orient(u1, u2, x)
+            sx, sy = px + m * ua - s, py + m * ub + r
+        x = new(LatticePoint, (sx, sy))
+        o0 = (x1 - x0) * (sy - y0) - (sx - x0) * (y1 - y0)  # orient(u0, u1, x)
+        o1 = (x2 - x1) * (sy - y1) - (sx - x1) * (y2 - y1)  # orient(u1, u2, x)
         o2 = a2 - o0 - o1  # orient(u2, u0, x)
         if o0 < 0 or o1 < 0 or o2 < 0:
             raise OutsideTriangle(f"{tuple(x)} lies outside the triangle")
@@ -319,8 +215,6 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
     if diag is None:
         return None
     total = polygon_area2(P)
-    if total % 2:
-        raise OddArea(f"polygon doubled area {total} is odd")  # unreachable for valid P
     pieces: list[LatticeTriangle] = []
     for tri in diag.triangles:
         pieces.extend(refine_triangle(tri).triangles)
@@ -330,9 +224,16 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
 
 # --- dissection JSON ----------------------------------------------------------
 
+_TRIANGLE_JSON = "[[%s, %s], [%s, %s], [%s, %s]]"
+
+
 def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
-    # Points and triangles are tuples, which json writes as arrays: no copy.
-    return json.dumps({"polygon": P.vertices, "triangles": D.triangles})
+    # The same text as json.dumps({"polygon": ..., "triangles": ...}), with the
+    # triangles formatted by one template each.  %s writes an int as json.dumps
+    # does, and a finite float too, where %d would truncate it.
+    triangles = ", ".join([_TRIANGLE_JSON % (a[0], a[1], b[0], b[1], c[0], c[1])
+                           for a, b, c in D.triangles])
+    return '{"polygon": %s, "triangles": [%s]}' % (json.dumps(P.vertices), triangles)
 
 
 def parse_dissection_json(text: str) -> tuple[list[LatticePoint], Dissection]:

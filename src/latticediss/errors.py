@@ -77,10 +77,6 @@ class IsVertex(LatticeDissError):
     pass
 
 
-class OddArea(LatticeDissError):
-    pass
-
-
 # --- verification ----------------------------------------------------------
 
 class InvalidDissection(LatticeDissError):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 from latticediss.bench import BenchRow, format_table, linear_fit, random_word, run_bench
 
 
@@ -23,3 +26,20 @@ def test_format_table_contains_ratios():
     rows = [BenchRow(100, 1e-4), BenchRow(1000, 1e-3)]
     table = format_table(rows)
     assert "time(1000)/time(100)" in table and "10.00" in table
+
+
+def test_bench_pipeline_records_name_revision_workload_and_command():
+    root = Path(__file__).resolve().parent.parent
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    metrics = {m["name"] for m in benchmark["end_to_end"]}
+    records = json.loads((root / "BENCH_pipeline.json").read_text())["records"]
+    assert records
+    for r in records:
+        assert isinstance(r["revision"], str) and r["revision"]
+        assert r["workload"] in workloads
+        assert r["command"].startswith("python3 perfbench/run.py ")
+        assert f"--workload {r['workload']} " in r["command"]
+        assert set(r["end_to_end"]) == metrics
+        for m in r["end_to_end"].values():
+            assert m["q1"] <= m["median"] <= m["q3"]

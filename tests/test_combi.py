@@ -111,9 +111,11 @@ def test_validate_disk_missing_color_and_stray_vertex():
     assert any("vertex 9 lies in no triangle" in e for e in errs)
 
 
-@pytest.mark.parametrize("tri", [(1, "a", 2), (1, True, 3), (True, 2, 3), (1, 2), (1, 2, 3, 4)])
+@pytest.mark.parametrize("tri", [(1, "a", 2), (1, True, 3), (True, 2, 3), (1, 2), (1, 2, 3, 4),
+                                 (1, [2], 3), 5])
 def test_triangulation_rejects_bad_triangle(tri):
-    # a str or bool id, and (1, True, 3), which collapses to {1, 3}
+    # a str or bool id, (1, True, 3), which collapses to {1, 3}, an unhashable
+    # id and a triangle that is not iterable
     with pytest.raises(ValueError, match=rf"triangle {re.escape(repr(tri))} is not 3 distinct"):
         Triangulation({}, [(4, 5, 6), tri], ())
 

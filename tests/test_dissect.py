@@ -6,11 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from latticediss.errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from latticediss.dissect import (
-    NormalizedTriangle,
-    UnimodularAffineMap,
+    Dissection,
     diagonal_dissection,
     dissection_to_json,
-    normalize,
     parse_dissection_json,
     refine_triangle,
     split_with_point,
@@ -30,6 +28,7 @@ from latticediss.geometry import (
 )
 from latticediss.verify import verify_dissection
 from latticediss.words import CyclicWord, decide_contractible
+from refine_reference import NormalizedTriangle, UnimodularAffineMap, normalize, reference_refine
 
 coords = st.integers(min_value=-60, max_value=60)
 pts = st.tuples(coords, coords).map(lambda t: LatticePoint(*t))
@@ -191,31 +190,10 @@ def test_refine_properties(t):
     assert verify_dissection(P, d, "unit").valid
 
 
-def _reference_refine(t):
-    """The refinement rule spelled out with the public normal-form helpers."""
-    if signed_area2(t) < 0:
-        t = LatticeTriangle(t.v0, t.v2, t.v1)
-    out, work = [], [t]
-    while work:
-        u = work.pop()
-        if signed_area2(u) == 2:
-            out.append(u)
-            continue
-        M, (d, p, q) = normalize(u)
-        if d > 2:
-            xn = (2, 0)
-        elif q % 2 == 0:
-            xn = (1, 0)
-        else:
-            xn = (1, 1) if p % 2 else (2, 1)
-        work.extend(split_with_point(u, M.inverse().apply(xn)))
-    return tuple(out)
-
-
 @settings(max_examples=100, deadline=None)
 @given(even_triangles)
 def test_refine_matches_reference_exactly(t):
-    assert refine_triangle(t).triangles == _reference_refine(t)
+    assert refine_triangle(t).triangles == reference_refine(t)
 
 
 def test_refine_matches_reference_on_criterion_6_triangles():
@@ -226,8 +204,25 @@ def test_refine_matches_reference_on_criterion_6_triangles():
         a2 = signed_area2(t)
         if a2 == 0 or a2 % 2:
             continue
-        assert refine_triangle(t).triangles == _reference_refine(t)
+        assert refine_triangle(t).triangles == reference_refine(t)
         done += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_triangles)
+def test_refine_far_from_origin_matches_reference_and_shares_points(t):
+    # 2**70 is even, so the shift keeps every color, and it is far beyond
+    # machine integers.
+    big = 2 ** 70
+    t = LatticeTriangle(*(LatticePoint(v.x + big, v.y - big) for v in t))
+    pieces = refine_triangle(t).triangles
+    assert pieces == reference_refine(t)
+    corners = {v: v for v in t}
+    for piece in pieces:
+        assert type(piece) is LatticeTriangle
+        assert all(type(v) is LatticePoint for v in piece)
+        # a corner of the input is the input's own point object
+        assert all(corners.get(v, v) is v for v in piece)
 
 
 # --- diagonal and unit dissections --------------------------------------------------
@@ -299,12 +294,23 @@ def test_dissection_json_rejects_bad_shapes():
 
 def test_dissection_to_json_text_unchanged():
     # the text of the former encoder, which copied every point into a list
-    cases = [(validate_convex([(0, 0), (4, 0), (0, 1)]), None)]
+    tri = validate_convex([(0, 0), (4, 0), (0, 1)])
+    big = 2 ** 64 + 1
+    far = LatticeTriangle(LatticePoint(-big, 3), LatticePoint(big, -big), LatticePoint(7, big))
+    cases = [
+        (tri, None),
+        (tri, Dissection(())),
+        (validate_convex([(-9, -1), (-5, -1), (-9, -2)]), None),
+        (validate_convex(far), Dissection((far,))),
+        # %d would write 2.5 as 2
+        (tri, Dissection((LatticeTriangle(LatticePoint(0, 0), LatticePoint(2.5, 0),
+                                          LatticePoint(0, -1e20)),))),
+    ]
     for seed in range(6):
         P = random_convex_polygon(3 + seed, 15, seed=seed)
         cases.append((P, random_dissection(P, depth=5, seed=seed)))
     for P, D in cases:
-        D = D or unit_dissection(P)
+        D = unit_dissection(P) if D is None else D
         old = json.dumps({
             "polygon": [[v.x, v.y] for v in P.vertices],
             "triangles": [[[v.x, v.y] for v in t] for t in D.triangles],
