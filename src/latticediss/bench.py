@@ -29,11 +29,10 @@ def _repeats(n: int) -> int:
     return max(3, min(20, 2_000_000 // max(n, 1)))
 
 
-def time_decide(w: CyclicWord, repeats: int | None = None) -> float:
+def time_decide(w: CyclicWord) -> float:
     """Best-of-N wall time of one decision, in seconds."""
-    reps = repeats if repeats is not None else _repeats(len(w))
     best = float("inf")
-    for _ in range(reps):
+    for _ in range(_repeats(len(w))):
         t0 = time.perf_counter()
         decide_contractible(w)
         best = min(best, time.perf_counter() - t0)

@@ -23,7 +23,7 @@ from .dissect import (
 )
 from .errors import LatticeDissError, PreconditionViolated
 from .geometry import boundary_word, parse_polygon_json, polygon_to_json, signed_area2
-from .verify import verify_dissection, witness_noninteger
+from .verify import MODES, verify_dissection, witness_noninteger
 from .words import CyclicWord, decide_contractible
 
 EXIT_OK = 0
@@ -104,7 +104,7 @@ def cmd_dissect(args) -> int:
 def cmd_verify(args) -> int:
     P = _load_polygon(args.polygon)
     D = _load_dissection(args.dissection)
-    report = verify_dissection(P, D, args.mode, diagnostics=args.diagnostics)
+    report = verify_dissection(P, D, args.mode)
     print(report.to_json())
     return EXIT_OK if report.valid else EXIT_INVALID
 
@@ -193,9 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a dissection file against a polygon file")
     p.add_argument("polygon")
     p.add_argument("dissection")
-    p.add_argument("--mode", choices=("integral", "unit", "any"), default="any")
-    p.add_argument("--diagnostics", action="store_true",
-                   help="scan for properly crossing edges when verification fails")
+    p.add_argument("--mode", choices=MODES, default="any")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("witness", help="exhibit a non-integer-area triangle in a dissection")
@@ -208,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sperner)
 
     p = sub.add_parser("render", help="render a polygon (and optional dissection) as SVG")
-    p.add_argument("polygon")
+    p.add_argument("polygon", help=f"polygon JSON file, at most {svg.MAX_SPAN} lattice "
+                   "units wide and tall (the grid draws a line per unit)")
     p.add_argument("dissection", nargs="?")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_render)
@@ -221,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="find a convex lattice polygon with a given boundary word")
     p.add_argument("word")
-    p.add_argument("--bound", type=int, default=None,
-                   help="coordinate bound (default: LATTICEDISS_BOUND or 50)")
+    p.add_argument("--bound", type=int, default=gen.DEFAULT_BOUND,
+                   help=f"coordinate bound (default {gen.DEFAULT_BOUND})")
     p.add_argument("-o", "--output", help="output file (default stdout)")
     p.set_defaults(fn=cmd_realize)
 

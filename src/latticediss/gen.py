@@ -2,14 +2,13 @@
 dissections.
 
 Everything is deterministic per seed (random.Random, whose core generator is
-stable across platforms).  The default coordinate bound comes from the
-LATTICEDISS_BOUND environment variable, falling back to 50.
+stable across platforms).  The polygon generators keep every coordinate
+within coord_bound in absolute value, DEFAULT_BOUND = 50 unless given.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 
 from .dissect import Dissection, split_with_point
@@ -29,10 +28,6 @@ from .words import CyclicWord
 DEFAULT_BOUND = 50
 
 
-def default_bound() -> int:
-    return int(os.environ.get("LATTICEDISS_BOUND", DEFAULT_BOUND))
-
-
 def _center_shift(vals: list[int]) -> int:
     return -((min(vals) + max(vals)) // 2)
 
@@ -47,7 +42,7 @@ def _direction_count(k: int) -> int:
 
 
 def random_convex_polygon(
-    n: int, coord_bound: int | None = None, seed: int = 0, max_tries: int = 800
+    n: int, coord_bound: int = DEFAULT_BOUND, seed: int = 0, max_tries: int = 800
 ) -> ConvexLatticePolygon:
     """A strictly convex lattice n-gon with |coordinates| <= coord_bound.
 
@@ -57,14 +52,13 @@ def random_convex_polygon(
     """
     if n < 3:
         raise ValueError(f"polygons need n >= 3 vertices, got {n}")
-    bound = coord_bound if coord_bound is not None else default_bound()
     rng = random.Random(seed)
     # radius must offer at least n distinct directions, and should scale
     # with the coordinate budget so polygons do not degenerate
     k = 1
     while k < 8 and _direction_count(k) < n:
         k += 1
-    k = max(k, (3 * bound) // (2 * n))
+    k = max(k, (3 * coord_bound) // (2 * n))
     def direction(v: LatticePoint) -> tuple[int, int]:
         g = math.gcd(v.x, v.y)
         return (v.x // g, v.y // g)
@@ -95,11 +89,11 @@ def random_convex_polygon(
             ys.append(ys[-1] + v.y)
         dx, dy = _center_shift(xs), _center_shift(ys)
         pts = [LatticePoint(x + dx, y + dy) for x, y in zip(xs, ys)]
-        if any(abs(p.x) > bound or abs(p.y) > bound for p in pts):
+        if any(abs(p.x) > coord_bound or abs(p.y) > coord_bound for p in pts):
             continue
         return validate_convex(pts)
     raise GenerationFailed(
-        f"no convex {n}-gon within bound {bound} after {max_tries} tries (seed {seed})"
+        f"no convex {n}-gon within bound {coord_bound} after {max_tries} tries (seed {seed})"
     )
 
 
@@ -107,7 +101,7 @@ _PARITY = {c.name: c.value for c in Color}
 
 
 def realize_word(
-    w: CyclicWord, coord_bound: int | None = None, node_budget: int = 400_000
+    w: CyclicWord, coord_bound: int = DEFAULT_BOUND, node_budget: int = 400_000
 ) -> ConvexLatticePolygon | None:
     """A strictly convex lattice polygon whose boundary word equals w, or None.
 
@@ -119,7 +113,6 @@ def realize_word(
     n = len(w)
     if n < 3:
         raise ValueError("realizable words need at least 3 letters")
-    bound = coord_bound if coord_bound is not None else default_bound()
     letters = w.letters
     if any(l not in _PARITY for l in letters):
         return None
@@ -132,7 +125,7 @@ def realize_word(
         suffix[i] = ((suffix[i + 1][0] + deltas[i][0]) % 2,
                      (suffix[i + 1][1] + deltas[i][1]) % 2)
 
-    max_radius = max(2, min(8, bound))
+    max_radius = max(2, min(8, coord_bound))
     for radius in range(2, max_radius + 1):
         pool = [
             LatticePoint(x, y)
@@ -190,7 +183,7 @@ def realize_word(
             dx += (par[0][0] - dx) % 2
             dy += (par[0][1] - dy) % 2
             pts = [LatticePoint(x + dx, y + dy) for x, y in zip(xs, ys)]
-            if any(abs(p.x) > bound or abs(p.y) > bound for p in pts):
+            if any(abs(p.x) > coord_bound or abs(p.y) > coord_bound for p in pts):
                 continue
             P = validate_convex(pts)
             assert boundary_word(P) == w

@@ -3,7 +3,9 @@
 One lattice unit is 40 px, the y axis is flipped for screen orientation, and
 vertices are colored by parity (A black, B red, C blue, D green) with a
 legend.  All emitted coordinates are integers and iteration orders are
-sorted, so output bytes are stable for fixed input.
+sorted, so output bytes are stable for fixed input.  The background grid
+draws one line per lattice unit, so polygons wider or taller than MAX_SPAN
+units are refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -15,11 +17,16 @@ UNIT = 40
 LEGEND_H = 50
 VERTEX_R = 6
 FILL = {"A": "black", "B": "red", "C": "blue", "D": "green"}
+MAX_SPAN = 1000
 
 
 def render_svg(P: ConvexLatticePolygon, D: Dissection | None = None) -> str:
     xs = [v.x for v in P.vertices]
     ys = [v.y for v in P.vertices]
+    w, h = max(xs) - min(xs), max(ys) - min(ys)
+    if max(w, h) > MAX_SPAN:
+        raise ValueError(f"polygon spans {w} x {h} lattice units; "
+                         f"render draws at most {MAX_SPAN} in each direction")
     minx, maxx = min(xs) - 1, max(xs) + 1
     miny, maxy = min(ys) - 1, max(ys) + 1
 

@@ -7,10 +7,12 @@ Equal doubled-area sums alone prove nothing (two copies of one half of a
 square have the square's area), and neither does every vertex lying in P.
 The chain test rules out overlaps, gaps and pieces outside P at once, in
 integers only: each side is cancelled against its exact reverse, and what
-is left is added up line by line (see _segment_index).  poof rebuilds a
-dissection as an abstract disk triangulation, inserting degenerate
-"poofagon" triangles wherever collinear vertices subdivide a triangle side
-or a polygon edge; it finds those vertices in the same per-line index.
+is left is added up line by line (see _segment_index).  When the check
+fails, its detail names the first line interval of nonzero coverage and the
+triangles with a side on it.  poof rebuilds a dissection as an abstract
+disk triangulation, inserting degenerate "poofagon" triangles wherever
+collinear vertices subdivide a triangle side or a polygon edge; it finds
+those vertices in the same per-line index.
 witness_noninteger exhibits a tricolor (hence non-integer-area) triangle in
 any valid dissection of a polygon whose boundary word is not contractible.
 """
@@ -33,7 +35,6 @@ from .geometry import (
     LatticeTriangle,
     boundary_word,
     color_of,
-    orient,
     polygon_area2,
     signed_area2,
 )
@@ -67,30 +68,13 @@ class VerifyReport:
         })
 
 
-def _fmt_indices(idxs: list[int], limit: int = 8) -> str:
-    shown = ", ".join(map(str, idxs[:limit]))
-    more = f" (+{len(idxs) - limit} more)" if len(idxs) > limit else ""
+_SHOWN = 8  # indices listed in a check's detail before "(+k more)"
+
+
+def _fmt_indices(idxs: list[int]) -> str:
+    shown = ", ".join(map(str, idxs[:_SHOWN]))
+    more = f" (+{len(idxs) - _SHOWN} more)" if len(idxs) > _SHOWN else ""
     return shown + more
-
-
-def proper_crossings(D: Dissection) -> list[tuple[int, int]]:
-    """Pairs of triangle indices with properly crossing edges (diagnostic)."""
-
-    def crosses(a, b, c, d):
-        o1, o2 = orient(a, b, c), orient(a, b, d)
-        o3, o4 = orient(c, d, a), orient(c, d, b)
-        return (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0 \
-            and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0
-
-    out = []
-    tris = D.triangles
-    for i in range(len(tris)):
-        ei = [(tris[i][k], tris[i][(k + 1) % 3]) for k in range(3)]
-        for j in range(i + 1, len(tris)):
-            ej = [(tris[j][k], tris[j][(k + 1) % 3]) for k in range(3)]
-            if any(crosses(a, b, c, d) for a, b in ei for c, d in ej):
-                out.append((i, j))
-    return out
 
 
 # --- the boundary chain, indexed by line ----------------------------------------
@@ -179,8 +163,8 @@ def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
             f"side there: {_fmt_indices(hits) or 'none'}")
 
 
-def _verify(P: ConvexLatticePolygon, D: Dissection, mode: str,
-            diagnostics: bool) -> tuple[VerifyReport, _Index | None]:
+def _verify(P: ConvexLatticePolygon, D: Dissection,
+            mode: str) -> tuple[VerifyReport, _Index | None]:
     """verify_dissection, also returning the segment index it built (None when
     the coordinates are not all integers)."""
     if mode not in MODES:
@@ -244,27 +228,16 @@ def _verify(P: ConvexLatticePolygon, D: Dissection, mode: str,
         else f"non-integer coordinates at triangles {_fmt_indices(bad_coords)}"))
 
     valid = all(c.passed for c in checks)
-    if diagnostics and not valid:
-        pairs = proper_crossings(D)
-        checks.append(CheckResult(
-            "edge-crossings", not pairs,
-            "no properly crossing triangle edges" if not pairs
-            else f"edges cross properly for triangle pairs {_fmt_indices([f'{i}-{j}' for i, j in pairs])}"))
     return VerifyReport(valid, tuple(checks), len(tris), total), index
 
 
-def verify_dissection(
-    P: ConvexLatticePolygon,
-    D: Dissection,
-    mode: str = "any",
-    diagnostics: bool = False,
-) -> VerifyReport:
+def verify_dissection(P: ConvexLatticePolygon, D: Dissection, mode: str = "any") -> VerifyReport:
     """Exact verification that D dissects P; mode adds area constraints.
 
     mode "integral" requires every doubled area even, "unit" requires every
     doubled area exactly 2, "any" only the dissection structure itself.
     """
-    return _verify(P, D, mode, diagnostics)[0]
+    return _verify(P, D, mode)[0]
 
 
 def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[int, LatticePoint]]:
@@ -284,7 +257,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     segment finds its inner vertices by bisection in its line's sorted
     coordinates.
     """
-    rep, index = _verify(P, D, "any", False)
+    rep, index = _verify(P, D, "any")
     if not rep.valid:
         raise InvalidDissection("; ".join(c.detail for c in rep.checks if not c.passed))
 

@@ -10,10 +10,11 @@ such steps can shrink it to length < 3.  This module provides:
   wrap-around, O(n) total, recording nothing.  On failure it returns the
   stuck cyclically-reduced word; on success a ContractionTrace, which
   computes the replayable deletion sequence on first use;
-* exhaustive_contractible — an independent oracle searching every step order;
-* free_reduction_contractible — a second oracle that reduces the word's edge
-  loop in the complete graph on its labels and tests whether the loop cancels
-  away entirely.
+* exhaustive_contractible — an independent oracle searching every step order,
+  for words of at most 12 letters;
+* matrix_contractible — an independent oracle for words of any length: it
+  multiplies out the image of the word's edge loop in SL(2, Z) under a
+  faithful map and compares it with the identity, with no cancellation.
 
 Words are stored as ASCII strings, so the decider works on the word's bytes
 as its color codes.
@@ -21,6 +22,7 @@ as its color codes.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BoundExceeded, IllegalStep, WordTooShort
@@ -411,45 +413,35 @@ def exhaustive_contractible(
     return go(canon(w.letters))
 
 
-def free_reduction_contractible(w: CyclicWord) -> bool:
-    """Oracle via loops in the complete graph on the word's labels.
+def _mat_mul(m: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
+    a, b, c, d = m
+    e, f, g, h = k
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
-    Consecutive distinct letters contribute a directed edge; the word is
-    contractible iff that cyclic edge path freely cancels to nothing.  A
-    backtrack (u -> v -> u) removes two entries of the vertex sequence; the
-    loop is trivial iff the sequence shrinks below 3 entries.  This is the
-    free reduction that decide_contractible's verdict pass also runs, written
-    over labels and with backtracks removed whole; exhaustive_contractible and
-    ContractionTrace.replay are the checks that share no algorithm with it.
+
+def matrix_contractible(w: CyclicWord) -> bool:
+    """Oracle via the image of the word's loop in SL(2, Z).
+
+    The cyclic letter pairs of w trace a loop in the complete graph on its
+    labels, and w is contractible iff the loop is null-homotopic.  The
+    graph's fundamental group is free on the edges x -> y, x < y, off the
+    star at the least label.  The k-th such edge in lexicographic order maps
+    to b^k a b^-k (its reverse to the inverse, edges in the star to 1), with
+    Sanov's a = [[1, 2], [0, 1]] and b = [[1, 0], [2, 1]]; these conjugates
+    freely generate a subgroup of SL(2, Z), so the loop is trivial iff its
+    product of edge matrices is the identity.  No cancellation, no code
+    shared with the deciders; entries grow exponentially with the loop's
+    reduced length, so it is a test oracle, not a verdict path.
     """
-    # Collapse cyclically-adjacent equal letters: same-label runs visit one
-    # graph vertex, contributing no edges.
-    seq: list[str] = []
-    for l in w.letters:
-        if not seq or seq[-1] != l:
-            seq.append(l)
-    while len(seq) > 1 and seq[0] == seq[-1]:
-        seq.pop()
-    if len(seq) <= 2:
-        return True
-
-    # Linear pass: remove backtracks x,y,x.
-    stack: list[str] = []
-    for v in seq:
-        stack.append(v)
-        while len(stack) >= 3 and stack[-1] == stack[-3]:
-            stack.pop()
-            stack.pop()
-    # Seam pass across the wrap-around.
-    head, tail = 0, len(stack) - 1
-    while tail - head + 1 >= 3:
-        if stack[tail] == stack[head + 1]:
-            # backtrack centered on the front entry
-            head += 1
-            tail -= 1
-        elif stack[tail - 1] == stack[head]:
-            # backtrack centered on the back entry
-            tail -= 2
-        else:
-            break
-    return tail - head + 1 <= 2
+    letters = w.letters
+    edges = {}
+    conj = (1, 2, 0, 1)  # a, row by row
+    for x, y in combinations(sorted(set(letters))[1:], 2):
+        p, q, r, s = edges[x, y] = conj
+        edges[y, x] = (s, -q, -r, p)
+        conj = _mat_mul(_mat_mul((1, 0, 2, 1), conj), (1, 0, -2, 1))  # b conj b^-1
+    m = (1, 0, 0, 1)
+    for pair in zip(letters, letters[1:] + letters[0]):
+        if pair in edges:
+            m = _mat_mul(m, edges[pair])
+    return m == (1, 0, 0, 1)

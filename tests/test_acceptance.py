@@ -38,7 +38,7 @@ from latticediss.words import (
     contracting_positions,
     decide_contractible,
     exhaustive_contractible,
-    free_reduction_contractible,
+    matrix_contractible,
 )
 
 ABCD = "ABCD"
@@ -94,14 +94,14 @@ def test_criterion_1_oracle_equivalence(exh_memo):
     rand_total = rand_disagree = 0
     for _ in range(100_000):
         w = CyclicWord("".join(rng.choices(ABCD, k=rng.randint(1, 50))))
-        if _ok(w) != free_reduction_contractible(w):
+        if _ok(w) != matrix_contractible(w):
             rand_disagree += 1
         rand_total += 1
     elapsed = time.time() - t0
     assert disagreements == 0 and rand_disagree == 0
     assert elapsed < 120, f"criterion 1 took {elapsed:.1f}s (budget 120s)"
     print(f"\n[criterion 1] PASS: decide==exhaustive on {total} words (len 3-9), "
-          f"decide==free-reduction on {rand_total} random words (len<=50), "
+          f"decide==matrix oracle on {rand_total} random words (len<=50), "
           f"0 disagreements, {elapsed:.1f}s")
 
 

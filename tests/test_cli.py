@@ -195,23 +195,38 @@ def test_render_golden_pentagon(tmp_path):
     ["realize", "ABCD", "-o", "UNWRITABLE"],
     ["verify", "SQUARE", "DEEP"],
     ["decide", "--polygon", "DEEP"],
+    ["render", "[[0,0],[1000000000,0],[0,1]]", "-o", "OUT"],
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
-        "verify-deep-json", "decide-deep-json"])
+        "verify-deep-json", "decide-deep-json", "render-huge-polygon"])
 def test_malformed_input_exits_2(args, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
     for i, a in enumerate(args):
-        if a in files or a.startswith("{"):
+        if a in files or a.startswith(("{", "[")):
             path = tmp_path / f"in{i}.json"
             path.write_text(files.get(a, a))
             a = str(path)
         elif a == "UNWRITABLE":
             a = str(tmp_path / "no-such-dir" / "out")
+        elif a == "OUT":
+            a = str(tmp_path / "out")
         argv.append(a)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_render_refuses_polygons_beyond_max_span(tmp_path, capsys):
+    for span, code in [(1000, 0), (1001, 2)]:
+        poly, out = tmp_path / f"p{span}.json", tmp_path / f"p{span}.svg"
+        poly.write_text(json.dumps([[0, 0], [0, -span], [1, 0]]))
+        assert main(["render", str(poly), "-o", str(out)]) == code
+        assert out.exists() == (code == 0)
+    err = capsys.readouterr().err
+    assert err == ("error: polygon spans 1 x 1001 lattice units; "
+                   "render draws at most 1000 in each direction\n")
 
 
 def test_render_bad_file(tmp_path, capsys):

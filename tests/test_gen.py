@@ -1,12 +1,10 @@
+import inspect
+
 import pytest
 
+from latticediss.cli import build_parser
 from latticediss.errors import GenerationFailed
-from latticediss.gen import (
-    default_bound,
-    random_convex_polygon,
-    random_dissection,
-    realize_word,
-)
+from latticediss.gen import random_convex_polygon, random_dissection, realize_word
 from latticediss.geometry import boundary_word, polygon_area2, validate_convex
 from latticediss.verify import verify_dissection
 from latticediss.words import CyclicWord
@@ -118,8 +116,7 @@ def test_random_dissection_splits_stop_gracefully():
     assert len(D) == 1
 
 
-def test_default_bound_env(monkeypatch):
-    monkeypatch.delenv("LATTICEDISS_BOUND", raising=False)
-    assert default_bound() == 50
-    monkeypatch.setenv("LATTICEDISS_BOUND", "17")
-    assert default_bound() == 17
+def test_generators_and_realize_default_to_bound_50():
+    for fn in (random_convex_polygon, realize_word):
+        assert inspect.signature(fn).parameters["coord_bound"].default == 50
+    assert build_parser().parse_args(["realize", "ABCD"]).bound == 50

@@ -1,11 +1,20 @@
 import json
+import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latticediss.errors import InvalidDissection, PreconditionViolated
 from latticediss.combi import boundary_word_of
-from latticediss.dissect import Dissection, split_with_point, unit_dissection
+from latticediss.dissect import (
+    Dissection,
+    parse_dissection_json,
+    split_with_point,
+    unit_dissection,
+)
 from latticediss.gen import random_convex_polygon, random_dissection, realize_word
 from latticediss.geometry import (
     LatticePoint,
@@ -14,17 +23,17 @@ from latticediss.geometry import (
     boundary_word,
     color_of,
     orient,
+    parse_polygon_json,
     signed_area2,
     validate_convex,
 )
-from latticediss.verify import (
-    MODES,
-    poof,
-    proper_crossings,
-    verify_dissection,
-    witness_noninteger,
-)
+from latticediss.verify import MODES, poof, verify_dissection, witness_noninteger
 from latticediss.words import CyclicWord
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench import inputs  # noqa: E402
 
 UNIT_SQUARE = validate_convex([(0, 0), (1, 0), (1, 1), (0, 1)])
 HALF_SPLIT = Dissection((
@@ -95,24 +104,19 @@ def test_clockwise_triangle_fails_orientation():
     assert "orientation" in failed_names(rep)
 
 
-def test_proper_crossings_detects_overlap():
-    overlapping = Dissection((
-        as_triangle(((0, 0), (2, 0), (2, 2))),
-        as_triangle(((0, 0), (2, 1), (0, 2))),
-    ))
-    assert proper_crossings(overlapping) == [(0, 1)]
-    assert proper_crossings(HALF_SPLIT) == []
-
-
-def test_crossing_diagnostic_on_invalid_report():
+def test_crossing_triangles_fail_area_sum_and_boundary_chain():
     P = validate_convex([(0, 0), (2, 0), (2, 2), (0, 2)])
     bad = Dissection((
         as_triangle(((0, 0), (2, 0), (2, 2))),
         as_triangle(((0, 0), (2, 1), (0, 1))),
     ))
-    rep = verify_dissection(P, bad, "any", diagnostics=True)
-    assert not rep.valid and "area-sum" in failed_names(rep)
-    assert rep.checks[-1].name == "edge-crossings" and not rep.checks[-1].passed
+    rep = verify_dissection(P, bad, "any")
+    assert not rep.valid and failed_names(rep) == ["boundary-chain", "area-sum"]
+    assert [c.name for c in rep.checks] == [
+        "orientation", "boundary-chain", "area-sum", "mode-areas", "integer-coords",
+    ]
+    assert rep.checks[1].detail.startswith("segment (0,1)-(0,2) is covered +1 times")
+    assert rep.checks[1].detail.endswith("triangles with a side there: none")
 
 
 # --- soundness: overlaps that the doubled-area sum cannot see ------------------
@@ -146,6 +150,43 @@ def test_boundary_chain_detail_names_interval_and_triangles():
     triple = Dissection((HALF_SPLIT.triangles[0],) * 3)
     assert verify_dissection(UNIT_SQUARE, triple).checks[1].detail.startswith(
         "segment (1,0)-(1,1) is covered +2 times in direction (0,1)")
+
+
+_CHAIN_DETAIL = re.compile(
+    r"segment \((-?\d+),(-?\d+)\)-\((-?\d+),(-?\d+)\) is covered [+-]\d+ times "
+    r"in direction \(-?\d+,-?\d+\) by triangle sides net of the polygon's edges; "
+    r"triangles with a side there: (none|\d+(?:, \d+)*)(?: \(\+\d+ more\))?")
+
+
+@pytest.mark.parametrize("label", ["drop", "overlap"])
+def test_boundary_chain_detail_is_truthful_on_benchmark_failures(label):
+    # the benchmark's failing classes: every triangle the detail names has a
+    # side on the named segment's line overlapping it in more than a point
+    rng = random.Random(f"chain-detail:{label}")
+    for _ in range(30):
+        count = rng.randint(50, 300)
+        req = inputs.foreign_request(rng, count, label, rng.random() < 0.5)
+        P = parse_polygon_json(req.polygon_text)
+        _, D = parse_dissection_json(req.dissection_text)
+        chain = verify_dissection(P, D).checks[1]
+        assert chain.name == "boundary-chain" and not chain.passed
+        m = _CHAIN_DETAIL.fullmatch(chain.detail)
+        assert m, chain.detail
+        ax, ay, bx, by = map(int, m.groups()[:4])
+        a, b = LatticePoint(ax, ay), LatticePoint(bx, by)
+        dx, dy = bx - ax, by - ay
+        length2 = dx * dx + dy * dy
+        assert length2 > 0
+        named = [] if m[5] == "none" else [int(i) for i in m[5].split(", ")]
+        for i in named:
+            t = D.triangles[i]
+            overlaps = []
+            for p, q in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+                if orient(a, b, p) == 0 == orient(a, b, q):
+                    tp = (p.x - ax) * dx + (p.y - ay) * dy
+                    tq = (q.x - ax) * dx + (q.y - ay) * dy
+                    overlaps.append(min(tp, tq) < length2 and max(tp, tq) > 0)
+            assert any(overlaps), (label, count, chain.detail, i, t)
 
 
 def test_witness_rejects_overlapping_halves():

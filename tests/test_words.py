@@ -15,7 +15,7 @@ from latticediss.words import (
     contracting_positions,
     decide_contractible,
     exhaustive_contractible,
-    free_reduction_contractible,
+    matrix_contractible,
 )
 
 ABCD = "ABCD"
@@ -182,9 +182,8 @@ def test_tampered_trace_rejected():
 
 # --- the verdict pass against the recording kernel -----------------------------
 #
-# decide_contractible runs the same free reduction as
-# free_reduction_contractible, so these tests hold it to a check it does not
-# share: the recording kernel, whose every step is replayed.
+# These tests hold the verdict pass to the recording kernel, whose every
+# step is replayed.
 
 def tree_walk_word(rng, n, alphabet):
     """About n letters: the colors of a closed walk on a random tree whose
@@ -271,15 +270,18 @@ def test_exhaustive_examples():
 
 
 def test_free_reduction_examples():
-    assert not free_reduction_contractible(CyclicWord("ABCABC"))
-    assert free_reduction_contractible(CyclicWord("ABBA"))
-    assert not free_reduction_contractible(CyclicWord("ABCDACBADC"))
-    assert free_reduction_contractible(CyclicWord("A"))
-    assert free_reduction_contractible(CyclicWord("ABAB"))
+    # words whose edge loops do or do not freely cancel, by both the decider
+    # and the matrix oracle
+    for lets, expect in [("ABCABC", False), ("ABBA", True), ("ABCDACBADC", False),
+                         ("A", True), ("ABAB", True), ("ABCD", False),
+                         ("BCDBDC", True), ("ABCBDCBD", False)]:
+        w = CyclicWord(lets)
+        assert decide_contractible(w)[0] is expect, lets
+        assert matrix_contractible(w) is expect, lets
 
 
 def test_oracle_agreement_small_words():
-    # decide == exhaustive == free reduction on every 4-color word
+    # decide == exhaustive == matrix oracle on every 4-color word
     # up to length 7 (lengths 8-9 are covered by the acceptance suite)
     memo = {}
     for n in range(1, 8):
@@ -287,7 +289,7 @@ def test_oracle_agreement_small_words():
             w = CyclicWord(tup)
             ok, _ = decide_contractible(w)
             assert ok == exhaustive_contractible(w, memo=memo), w
-            assert ok == free_reduction_contractible(w), w
+            assert ok == matrix_contractible(w), w
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,9 +306,30 @@ def test_diamond_lemma_sampled(w):
 
 @settings(max_examples=300, deadline=None)
 @given(medium_words)
-def test_decide_agrees_with_free_reduction_random(w):
+def test_decide_agrees_with_matrix_oracle_random(w):
     ok, _ = decide_contractible(w)
-    assert ok == free_reduction_contractible(w)
+    assert ok == matrix_contractible(w)
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_matrix_oracle_agrees_on_long_words(k):
+    # 10^3-10^4 letters, far beyond exhaustive_contractible: tree walks
+    # (contractible), uniform words (almost never) and tree walks with one
+    # letter changed (either verdict)
+    rng = random.Random(f"matrix-oracle:{k}")
+    alphabet = "ABCDEF"[:k]
+    verdicts = set()
+    for _ in range(8):
+        n = round(10 ** rng.uniform(3, 4))
+        walk = tree_walk_word(rng, n, alphabet)
+        i = rng.randrange(len(walk))
+        mutant = walk[:i] + rng.choice(alphabet) + walk[i + 1:]
+        for lets in (walk, "".join(rng.choices(alphabet, k=n)), mutant):
+            w = CyclicWord(lets)
+            ok, _ = decide_contractible(w)
+            assert ok == matrix_contractible(w), lets
+            verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_exhaustive_memo_is_shared_correctly():
