@@ -2,13 +2,14 @@
 
 Exit codes: 0 success/contractible, 10 impossible (no dissection or no
 realization, or word not contractible), 11 verification failed, 2 usage or
-parse errors.
+parse errors and output that cannot be written, a closed stdout included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -163,7 +164,12 @@ def cmd_realize(args) -> int:
     w = _parse_word(args.word)
     P = gen.realize_word(w, coord_bound=args.bound)
     if P is None:
-        print(f"no convex lattice polygon realizing {w} found within bound", file=sys.stderr)
+        colorless = "".join(sorted(set(str(w)) - set("ABCD")))
+        if colorless:
+            print(f"no lattice polygon realizes {w}: letters {colorless} have no parity color "
+                  "(the colors are A-D)", file=sys.stderr)
+        else:
+            print(f"no convex lattice polygon realizing {w} found within bound", file=sys.stderr)
         return EXIT_IMPOSSIBLE
     _write(args.output, polygon_to_json(P))
     return EXIT_OK
@@ -234,7 +240,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "decide" and bool(args.word) == bool(args.polygon):
         parser.error("decide needs exactly one of WORD or --polygon FILE")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as e:
+        # Send what is still buffered, and the flush at exit, to os.devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (_CliError, LatticeDissError, ValueError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

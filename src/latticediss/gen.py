@@ -4,6 +4,9 @@ dissections.
 Everything is deterministic per seed (random.Random, whose core generator is
 stable across platforms).  The polygon generators keep every coordinate
 within coord_bound in absolute value, DEFAULT_BOUND = 50 unless given.
+Their search effort is fixed: random_convex_polygon draws at most
+POLYGON_TRIES = 800 edge-vector sets, and realize_word visits at most
+SEARCH_NODES = 400,000 search nodes per radius.
 """
 
 from __future__ import annotations
@@ -15,17 +18,19 @@ from .dissect import Dissection, split_with_point
 from .errors import GenerationFailed
 from .geometry import (
     ConvexLatticePolygon,
-    Color,
     LatticePoint,
     LatticeTriangle,
     angle_key,
     boundary_word,
+    color_of,
     orient,
     validate_convex,
 )
 from .words import CyclicWord
 
 DEFAULT_BOUND = 50
+POLYGON_TRIES = 800
+SEARCH_NODES = 400_000
 
 
 def _center_shift(vals: list[int]) -> int:
@@ -42,7 +47,7 @@ def _direction_count(k: int) -> int:
 
 
 def random_convex_polygon(
-    n: int, coord_bound: int = DEFAULT_BOUND, seed: int = 0, max_tries: int = 800
+    n: int, coord_bound: int = DEFAULT_BOUND, seed: int = 0
 ) -> ConvexLatticePolygon:
     """A strictly convex lattice n-gon with |coordinates| <= coord_bound.
 
@@ -63,7 +68,7 @@ def random_convex_polygon(
         g = math.gcd(v.x, v.y)
         return (v.x // g, v.y // g)
 
-    for _ in range(max_tries):
+    for _ in range(POLYGON_TRIES):
         vecs: list[LatticePoint] = []
         dirs: set[tuple[int, int]] = set()
         for _ in range(n - 1):
@@ -93,16 +98,14 @@ def random_convex_polygon(
             continue
         return validate_convex(pts)
     raise GenerationFailed(
-        f"no convex {n}-gon within bound {coord_bound} after {max_tries} tries (seed {seed})"
+        f"no convex {n}-gon within bound {coord_bound} after {POLYGON_TRIES} tries (seed {seed})"
     )
 
 
-_PARITY = {c.name: c.value for c in Color}
+_PARITY = {color_of((x, y)): (x, y) for x in (0, 1) for y in (0, 1)}
 
 
-def realize_word(
-    w: CyclicWord, coord_bound: int = DEFAULT_BOUND, node_budget: int = 400_000
-) -> ConvexLatticePolygon | None:
+def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatticePolygon | None:
     """A strictly convex lattice polygon whose boundary word equals w, or None.
 
     Iterative-deepening search over angle-sorted edge vectors whose parities
@@ -141,7 +144,7 @@ def realize_word(
             klass[i] = klass[i - 1] if same else klass[i - 1] + 1
         parities = [(v.x % 2, v.y % 2) for v in pool]
 
-        budget = node_budget
+        budget = SEARCH_NODES
         chosen: list[LatticePoint] = []
 
         def dfs(slot: int, start: int, last_klass: int, sx: int, sy: int) -> bool:

@@ -11,7 +11,6 @@ its doubled area is 2.
 
 from __future__ import annotations
 
-import enum
 import functools
 import json
 from dataclasses import dataclass
@@ -24,30 +23,6 @@ from .words import CyclicWord
 class LatticePoint(NamedTuple):
     x: int
     y: int
-
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(self.x - other.x, self.y - other.y)
-
-    def cross(self, other: "LatticePoint") -> int:
-        return self.x * other.y - self.y * other.x
-
-    def dot(self, other: "LatticePoint") -> int:
-        return self.x * other.x + self.y * other.y
-
-
-class Color(enum.Enum):
-    """Parity class of a lattice point: (x mod 2, y mod 2)."""
-
-    A = (0, 0)
-    B = (1, 0)
-    C = (1, 1)
-    D = (0, 1)
-
-
-_COLOR_BY_PARITY = {c.value: c for c in Color}
 
 
 class LatticeTriangle(NamedTuple):
@@ -69,9 +44,10 @@ def as_triangle(t) -> LatticeTriangle:
     return LatticeTriangle(as_point(a), as_point(b), as_point(c))
 
 
-def color_of(p: LatticePoint) -> Color:
-    """Parity color of a lattice point."""
-    return _COLOR_BY_PARITY[(p[0] % 2, p[1] % 2)]
+def color_of(p: LatticePoint) -> str:
+    """Parity color of a lattice point, as the letter of boundary words:
+    A = (even, even), B = (odd, even), C = (odd, odd), D = (even, odd)."""
+    return "ADBC"[2 * (p[0] % 2) + p[1] % 2]
 
 
 def signed_area2(t: LatticeTriangle) -> int:
@@ -118,32 +94,19 @@ def _direction_half(v: LatticePoint) -> int:
     return 1
 
 
-@functools.total_ordering
-class _AngleKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __eq__(self, other):
-        a, b = self.v, other.v
-        return _direction_half(a) == _direction_half(b) and a[0] * b[1] - a[1] * b[0] == 0
-
-    def __lt__(self, other):
-        a, b = self.v, other.v
-        ha, hb = _direction_half(a), _direction_half(b)
-        if ha != hb:
-            return ha < hb
-        return a[0] * b[1] - a[1] * b[0] > 0
+def _angle_cmp(a: LatticePoint, b: LatticePoint) -> int:
+    ha, hb = _direction_half(a), _direction_half(b)
+    if ha != hb:
+        return ha - hb
+    cross = a[0] * b[1] - a[1] * b[0]
+    return (cross < 0) - (cross > 0)
 
 
-def angle_key(v: LatticePoint) -> _AngleKey:
-    """Sort key ordering nonzero integer vectors by angle from the +x axis.
-
-    Exact: vectors compare by half-plane first, then by cross product within
-    a half.  Equal directions compare equal (ties broken by callers).
-    """
-    return _AngleKey(v)
+# Sort key ordering nonzero integer vectors by angle from the +x axis, in
+# [0, 2*pi).  Exact: vectors compare by half-plane first, then by cross
+# product within a half.  Equal directions compare equal (ties broken by
+# callers).
+angle_key = functools.cmp_to_key(_angle_cmp)
 
 
 def validate_convex(points: Iterable) -> ConvexLatticePolygon:
@@ -173,11 +136,12 @@ def validate_convex(points: Iterable) -> ConvexLatticePolygon:
         vs.reverse()
     elif not all(c > 0 for c in crosses):
         raise NotStrictlyConvex("mixed turn directions: polygon is not convex")
-    # All turns are now left turns; still reject cycles that wind around
-    # more than once (e.g. pentagrams), which are self-intersecting.
-    edges = [vs[(i + 1) % n] - vs[i] for i in range(n)]
-    keys = [angle_key(e) for e in edges]
-    wraps = sum(1 for i in range(n) if keys[(i + 1) % n] < keys[i])
+    # All turns are now left turns, each less than a half turn, so the edge
+    # direction passes the +x axis exactly where it moves from the lower
+    # half-plane to the upper one.  Reject cycles that do so more than once:
+    # they wind around more than once (e.g. pentagrams) and self-intersect.
+    halves = [_direction_half((q[0] - p[0], q[1] - p[1])) for p, q in zip(vs, vs[1:] + vs[:1])]
+    wraps = sum(1 for i in range(n) if halves[i - 1] > halves[i])
     if wraps != 1:
         raise NotStrictlyConvex("edge directions wind around more than once")
     return ConvexLatticePolygon(tuple(vs))
@@ -192,7 +156,7 @@ def polygon_area2(P: ConvexLatticePolygon) -> int:
 
 def boundary_word(P: ConvexLatticePolygon) -> CyclicWord:
     """Cyclic word of corner parity colors, counterclockwise."""
-    return CyclicWord("".join([color_of(v).name for v in P.vertices]))
+    return CyclicWord("".join([color_of(v) for v in P.vertices]))
 
 
 # --- polygon file format ----------------------------------------------------

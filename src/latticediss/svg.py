@@ -77,7 +77,7 @@ def render_svg(P: ConvexLatticePolygon, D: Dissection | None = None) -> str:
 
     for v in sorted(vertices):
         out.append(f'<circle cx="{px(v.x)}" cy="{py(v.y)}" r="{VERTEX_R}" '
-                   f'fill="{FILL[color_of(v).name]}"/>')
+                   f'fill="{FILL[color_of(v)]}"/>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -294,7 +294,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     missing = [v for v in P.vertices if v not in idx]
     assert not missing, f"polygon corners {missing} are not dissection vertices"
     T = Triangulation(
-        {i: color_of(p).name for p, i in idx.items()},
+        {i: color_of(p) for p, i in idx.items()},
         tris,
         tuple(idx[v] for v in P.vertices),
     )

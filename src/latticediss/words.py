@@ -11,7 +11,7 @@ such steps can shrink it to length < 3.  This module provides:
   stuck cyclically-reduced word; on success a ContractionTrace, which
   computes the replayable deletion sequence on first use;
 * exhaustive_contractible — an independent oracle searching every step order,
-  for words of at most 12 letters;
+  for words of at most EXHAUSTIVE_BOUND = 12 letters;
 * matrix_contractible — an independent oracle for words of any length: it
   multiplies out the image of the word's edge loop in SL(2, Z) under a
   faithful map and compares it with the identity, with no cancellation.
@@ -141,8 +141,8 @@ class ContractionTrace:
     kernel, _reduce_cyclic, once, the first time steps, terminal, iteration or
     replay is used.  len() needs no kernel run: a word of n letters takes
     max(n - 2, 0) steps.  The steps contract the word to terminal, the (at
-    most 2) surviving original positions.  from_steps wraps a given step
-    sequence, so that replay can check it.
+    most 2) surviving original positions; replay checks the kernel's output
+    against the word.
     """
 
     __slots__ = ("_codes", "_flat", "_terminal", "_steps")
@@ -152,15 +152,6 @@ class ContractionTrace:
         object.__setattr__(self, "_flat", None)
         object.__setattr__(self, "_terminal", None)
         object.__setattr__(self, "_steps", None)
-
-    @classmethod
-    def from_steps(cls, steps: Iterable[Step], terminal: Iterable[int]) -> "ContractionTrace":
-        """A trace of the given (deleted, left, right) steps and survivors,
-        checked only when replayed."""
-        t = cls(b"")
-        object.__setattr__(t, "_flat", [i for d, l, r in steps for i in (d, l, r)])
-        object.__setattr__(t, "_terminal", tuple(terminal))
-        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("ContractionTrace is immutable")
@@ -190,8 +181,7 @@ class ContractionTrace:
         return s
 
     def __len__(self) -> int:
-        f = self._flat
-        return max(len(self._codes) - 2, 0) if f is None else len(f) // 3
+        return max(len(self._codes) - 2, 0)
 
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)
@@ -375,18 +365,20 @@ def decide_contractible(w: CyclicWord) -> tuple[bool, ContractionTrace | CyclicW
     return False, CyclicWord(stuck.decode("ascii"))
 
 
-def exhaustive_contractible(
-    w: CyclicWord, max_len: int = 12, memo: dict | None = None
-) -> bool:
+EXHAUSTIVE_BOUND = 12
+
+
+def exhaustive_contractible(w: CyclicWord, memo: dict | None = None) -> bool:
     """Search every contracting-step order; True iff some order reaches
     length <= 2.
 
-    Independent of decide_contractible.  memo (keyed by canonical rotation)
-    defaults to a fresh dict per call; pass a shared dict to amortize bulk
-    enumerations.
+    Independent of decide_contractible.  The search is exponential in the
+    word's length, so words longer than EXHAUSTIVE_BOUND raise
+    BoundExceeded.  memo (keyed by canonical rotation) defaults to a fresh
+    dict per call; pass a shared dict to amortize bulk enumerations.
     """
-    if len(w) > max_len:
-        raise BoundExceeded(f"word of length {len(w)} exceeds the bound {max_len}")
+    if len(w) > EXHAUSTIVE_BOUND:
+        raise BoundExceeded(f"word of length {len(w)} exceeds the bound {EXHAUSTIVE_BOUND}")
     if memo is None:
         memo = {}
 

@@ -115,7 +115,7 @@ def normalize(t: LatticeTriangle) -> tuple[UnimodularAffineMap, NormalizedTriang
     d, r, s = _egcd(a, b)
     first = UnimodularAffineMap(r, s, -b // d, a // d)  # det +1, sends (a,b) to (d,0)
     shift = UnimodularAffineMap.translation(-v0.x, -v0.y)
-    tq = first.apply(v2 - v0)
+    tq = first.apply((v2.x - v0.x, v2.y - v0.y))
     t_, q = tq
     assert q == abs(area2) // d > 0
     p = (t_ - 1) % q + 1

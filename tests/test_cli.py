@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import latticediss
 from latticediss.cli import main
+from latticediss.dissect import dissection_to_json, unit_dissection
 from latticediss.geometry import boundary_word, parse_polygon_json
 from latticediss.words import CyclicWord
 
@@ -85,6 +88,14 @@ def test_dissect_verify_roundtrip(tmp_path, capsys):
     assert main(["verify", str(poly), str(out), "--mode", "unit"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["valid"] is True
+
+
+def test_dissect_without_output_writes_stdout(tmp_path, capsys):
+    poly = tmp_path / "tri.json"
+    poly.write_text(TRIANGLE)
+    assert main(["dissect", str(poly), "--unit"]) == 0
+    P = parse_polygon_json(TRIANGLE)
+    assert capsys.readouterr().out == dissection_to_json(P, unit_dissection(P)) + "\n"
 
 
 def test_dissect_integral_dodecagon(tmp_path, capsys):
@@ -196,9 +207,10 @@ def test_render_golden_pentagon(tmp_path):
     ["verify", "SQUARE", "DEEP"],
     ["decide", "--polygon", "DEEP"],
     ["render", "[[0,0],[1000000000,0],[0,1]]", "-o", "OUT"],
+    ["decide", "--polygon", "[[0,0],[1],[0,1]]"],
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
-        "verify-deep-json", "decide-deep-json", "render-huge-polygon"])
+        "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair"])
 def test_malformed_input_exits_2(args, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
@@ -216,6 +228,30 @@ def test_malformed_input_exits_2(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [["dissect", "TRIANGLE", "--unit"], ["verify", "SQUARE", "HALF_SPLIT"]],
+                         ids=["dissect", "verify"])
+def test_closed_stdout_exits_2(args, unbuffered, tmp_path):
+    # a pipe whose read end is closed, as after `latticediss ... | head`
+    for name, text in {"TRIANGLE": TRIANGLE, "SQUARE": SQUARE, "HALF_SPLIT": HALF_SPLIT}.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.isupper() else a for a in args]
+    env = dict(os.environ, PYTHONPATH=str(Path(latticediss.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "latticediss.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to stdout") and proc.stderr.count("\n") == 1, \
+        proc.stderr
 
 
 def test_render_refuses_polygons_beyond_max_span(tmp_path, capsys):
@@ -248,9 +284,10 @@ def test_realize_cli(tmp_path, capsys):
     assert main(["realize", "ABCD", "-o", str(out)]) == 0
     P = parse_polygon_json(out.read_text())
     assert boundary_word(P) == CyclicWord("ABCD")
-    # unrealizable letters give the impossible exit code
+    # letters without a parity color give the impossible exit code
     assert main(["realize", "XYZW"]) == 10
-    capsys.readouterr()
+    assert capsys.readouterr().err == ("no lattice polygon realizes XYZW: letters WXYZ have "
+                                       "no parity color (the colors are A-D)\n")
 
 
 @pytest.mark.skipif(shutil.which("latticediss") is None, reason="console script not on PATH")

@@ -57,6 +57,8 @@ MALFORMED = {
     "missing-color-stray-vertex": Triangulation(
         {1: "A", 2: "B", 3: "C", 9: "D"}, [(1, 2, 3), (2, 3, 4)], (1, 2, 4, 3)),
     "no-triangles": Triangulation({1: "A"}, [], (1,)),
+    "tetrahedron": Triangulation(dict(zip((1, 2, 3, 4), "ABCD")),
+                                 [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)], (1, 2, 3)),
 }
 
 
@@ -109,6 +111,14 @@ def test_validate_disk_missing_color_and_stray_vertex():
     errs = disk_errors(MALFORMED["missing-color-stray-vertex"])
     assert any("vertex 4 has no color" in e for e in errs)
     assert any("vertex 9 lies in no triangle" in e for e in errs)
+
+
+def test_validate_disk_closed_surface_has_no_boundary():
+    # the four faces of a tetrahedron: every edge lies in two triangles
+    assert disk_errors(MALFORMED["tetrahedron"]) == [
+        "no boundary edges: not a disk with boundary",
+        "Euler characteristic V-E+F = 4-6+4 = 2, expected 1",
+    ]
 
 
 @pytest.mark.parametrize("tri", [(1, "a", 2), (1, True, 3), (True, 2, 3), (1, 2), (1, 2, 3, 4),

@@ -136,6 +136,16 @@ def test_split_on_edge():
     assert [signed_area2(p) for p in parts] == [2, 2]
 
 
+def test_split_clockwise_triangle():
+    # a clockwise triangle is split as its counterclockwise reordering
+    cw = as_triangle(((0, 0), (1, 2), (2, 0)))
+    ccw = as_triangle(((0, 0), (2, 0), (1, 2)))
+    for x in (LatticePoint(1, 1), LatticePoint(1, 0)):
+        parts = split_with_point(cw, x)
+        assert parts == split_with_point(ccw, x)
+        assert all(signed_area2(p) > 0 for p in parts)
+
+
 def test_split_errors():
     t = as_triangle(((0, 0), (2, 0), (1, 2)))
     with pytest.raises(OutsideTriangle):

@@ -36,7 +36,7 @@ def test_random_polygon_respects_bound():
 
 def test_random_polygon_impossible_bound():
     with pytest.raises(GenerationFailed):
-        random_convex_polygon(12, 2, seed=0, max_tries=50)
+        random_convex_polygon(12, 2, seed=0)
 
 
 def test_random_polygon_many_seeds():
@@ -71,7 +71,7 @@ def test_realize_word_random_words():
     realized = 0
     for _ in range(25):
         s = "".join(rng.choice("ABCD") for _ in range(rng.randint(3, 8)))
-        P = realize_word(CyclicWord(s), node_budget=100_000)
+        P = realize_word(CyclicWord(s))
         if P is not None:
             realized += 1
             assert boundary_word(P) == CyclicWord(s)

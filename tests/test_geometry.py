@@ -1,13 +1,14 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from latticediss.errors import NotStrictlyConvex, RepeatedVertex, TooFewVertices
 from latticediss.geometry import (
-    Color,
     LatticePoint,
     LatticeTriangle,
+    angle_key,
     as_triangle,
     boundary_word,
     collinear,
@@ -35,10 +36,10 @@ def det3(t):
 
 
 def test_color_table():
-    assert color_of(LatticePoint(0, 0)) is Color.A
-    assert color_of(LatticePoint(1, 1)) is Color.C
-    assert color_of(LatticePoint(-3, 4)) is Color.B
-    assert color_of(LatticePoint(2, 7)) is Color.D
+    assert color_of(LatticePoint(0, 0)) == "A"
+    assert color_of(LatticePoint(1, 1)) == "C"
+    assert color_of(LatticePoint(-3, 4)) == "B"
+    assert color_of(LatticePoint(2, 7)) == "D"
 
 
 def test_signed_area2_examples():
@@ -133,6 +134,24 @@ def test_validate_convex_rejects_star_cycle():
     vs = [(0, 0), (3, 1), (0, 3), (1, 0), (3, 3)]
     with pytest.raises(NotStrictlyConvex):
         validate_convex(vs)
+
+
+def test_angle_key_orders_like_atan2():
+    # every nonzero vector in [-8, 8]^2, against its angle in [0, 2*pi);
+    # vectors with the same primitive direction must tie
+    vecs = [LatticePoint(x, y) for x in range(-8, 9) for y in range(-8, 9) if (x, y) != (0, 0)]
+
+    def direction(v):
+        g = math.gcd(v.x, v.y)
+        return v.x // g, v.y // g
+
+    angle = {v: math.atan2(v.y, v.x) % (2 * math.pi) for v in vecs}
+    for a, b in itertools.product(vecs, repeat=2):
+        ka, kb = angle_key(a), angle_key(b)
+        if direction(a) == direction(b):
+            assert ka == kb and not ka < kb, (a, b)
+        else:
+            assert (ka < kb) == (angle[a] < angle[b]) and ka != kb, (a, b)
 
 
 def test_polygon_area2():

@@ -340,9 +340,13 @@ def reference_poof(P, D):
     tris = {frozenset(idx[v] for v in t) for t in D.triangles}
     sides = [(t[k], t[(k + 1) % 3]) for t in D.triangles for k in range(3)] + P.edges()
     for a, b in sides:
-        d = b - a
-        inner = sorted((p for p in pts if orient(a, p, b) == 0 and 0 < (p - a).dot(d) < d.dot(d)),
-                       key=lambda p: (p - a).dot(d))
+        dx, dy = b.x - a.x, b.y - a.y
+
+        def along(p):
+            return (p.x - a.x) * dx + (p.y - a.y) * dy
+
+        inner = sorted((p for p in pts if orient(a, p, b) == 0 and 0 < along(p) < along(b)),
+                       key=along)
         chain = [a, *inner, b]
         tris.update(frozenset((idx[a], idx[chain[j]], idx[chain[j + 1]]))
                     for j in range(1, len(chain) - 1))

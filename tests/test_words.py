@@ -9,7 +9,6 @@ from latticediss.errors import BoundExceeded, IllegalStep, WordTooShort
 from latticediss.words import (
     ContractionTrace,
     CyclicWord,
-    Step,
     _reduce_cyclic,
     apply_step,
     contracting_positions,
@@ -167,17 +166,39 @@ def test_decide_is_rotation_invariant(w, k):
     assert ok1 == ok2
 
 
-def test_tampered_trace_rejected():
-    w = CyclicWord("AABB")
+def _trace_from_kernel(monkeypatch, w, kernel):
+    """w's trace, its steps computed by kernel(codes, real_output) in place
+    of the recording kernel: replay must catch a wrong kernel output."""
+    monkeypatch.setattr(words, "_reduce_cyclic", lambda codes: kernel(codes, _reduce_cyclic(codes)))
     ok, trace = decide_contractible(w)
     assert ok
-    steps = list(trace.steps)
-    ContractionTrace.from_steps(steps, trace.terminal).replay(w)
-    d, l, r = steps[0]
-    steps[0] = Step((d + 1) % len(w), l, r)  # corrupt the deleted index
-    bad = ContractionTrace.from_steps(steps, trace.terminal)
-    with pytest.raises(IllegalStep):
-        bad.replay(w)
+    return trace
+
+
+def test_tampered_trace_rejected(monkeypatch):
+    w = CyclicWord("AABB")
+    _trace_from_kernel(monkeypatch, w, lambda codes, out: out).replay(w)
+
+    def corrupt(codes, out):
+        ok, f, final = out
+        f[0] = (f[0] + 1) % len(codes)  # corrupt the first deleted index
+        return ok, f, final
+
+    with pytest.raises(IllegalStep, match="does not match the live word"):
+        _trace_from_kernel(monkeypatch, w, corrupt).replay(w)
+
+
+@pytest.mark.parametrize("word, output, message", [
+    # after deleting 0 from AAB, positions 1 and 2 are each other's neighbors
+    ("AAB", (True, [0, 2, 1, 1, 2, 2], [2]), "shorter than 3"),
+    ("ABCB", (True, [1, 0, 2, 2, 0, 3], [0, 3]), "all-distinct window"),
+    ("AABB", (True, [1, 0, 2, 2, 0, 3], [2, 3]), "differ from terminal"),
+])
+def test_replay_rejects_illegal_kernel_output(monkeypatch, word, output, message):
+    w = CyclicWord(word)
+    trace = _trace_from_kernel(monkeypatch, w, lambda codes, out: output)
+    with pytest.raises(IllegalStep, match=message):
+        trace.replay(w)
 
 
 # --- the verdict pass against the recording kernel -----------------------------
@@ -266,7 +287,6 @@ def test_exhaustive_examples():
     assert not exhaustive_contractible(CyclicWord("ABCDACBADC"))
     with pytest.raises(BoundExceeded):
         exhaustive_contractible(CyclicWord("A" * 13))
-    assert exhaustive_contractible(CyclicWord("A" * 13), max_len=13)
 
 
 def test_free_reduction_examples():
