@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/contractible, 10 impossible (no dissection or no
 realization, or word not contractible), 11 verification failed, 2 usage or
-parse errors and output that cannot be written, a closed stdout included.
+parse errors and output that cannot be written, to a file or to stdout (a
+closed pipe or a full disk).
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ class _CliError(Exception):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
@@ -87,6 +88,7 @@ def cmd_decide(args) -> int:
         print("contractible")
         return EXIT_OK
     print("not-contractible")
+    sys.stdout.flush()  # a stdout that cannot take the verdict fails before the stuck line
     print(f"stuck: {stuck}", file=sys.stderr)
     return EXIT_IMPOSSIBLE
 
@@ -152,9 +154,6 @@ def cmd_render(args) -> int:
 
 def cmd_bench(args) -> int:
     lengths = [int(x) for x in args.lengths.split(",") if x.strip()] if args.lengths else []
-    if not lengths:
-        print(format_table([]))
-        return EXIT_OK
     rows = run_bench(lengths, seed=args.seed)
     print(format_table(rows))
     return EXIT_OK
@@ -243,8 +242,10 @@ def main(argv: list[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
-    except BrokenPipeError as e:
-        # Send what is still buffered, and the flush at exit, to os.devnull.
+    except OSError as e:
+        # Every read and every file write wraps its OSError in _CliError, so
+        # this one came from stdout: a closed pipe or a full disk.  Send what
+        # is still buffered, and the flush at exit, to os.devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write to stdout: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,7 +33,10 @@ class LatticeTriangle(NamedTuple):
 
 def as_point(p) -> LatticePoint:
     """Coerce an (x, y) pair of exact integers to a LatticePoint."""
-    x, y = p
+    try:
+        x, y = p
+    except ValueError:
+        raise ValueError(f"lattice point {p!r} is not an [x, y] pair") from None
     if isinstance(x, bool) or isinstance(y, bool) or not isinstance(x, int) or not isinstance(y, int):
         raise ValueError(f"lattice point coordinates must be integers, got {p!r}")
     return LatticePoint(x, y)

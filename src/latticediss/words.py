@@ -9,7 +9,8 @@ such steps can shrink it to length < 3.  This module provides:
   freely reduces the word's letter codes on a stack and then across the
   wrap-around, O(n) total, recording nothing.  On failure it returns the
   stuck cyclically-reduced word; on success a ContractionTrace, which
-  computes the replayable deletion sequence on first use;
+  computes the replayable deletion sequence on first use with the same pass,
+  each letter's original position kept next to its code;
 * exhaustive_contractible — an independent oracle searching every step order,
   for words of at most EXHAUSTIVE_BOUND = 12 letters;
 * matrix_contractible — an independent oracle for words of any length: it
@@ -37,8 +38,8 @@ def active_kernel() -> str:
     return "pure"
 
 
-def _least_rotation(seq) -> int:
-    """Booth's algorithm: start index of the lexicographically least rotation."""
+def _least_rotation(seq):
+    """Booth's algorithm: the lexicographically least rotation of seq."""
     n = len(seq)
     s = seq + seq
     f = [-1] * (2 * n)
@@ -56,7 +57,7 @@ def _least_rotation(seq) -> int:
             f[j - k] = -1
         else:
             f[j - k] = i + 1
-    return k
+    return seq[k:] + seq[:k]
 
 
 class CyclicWord:
@@ -90,8 +91,7 @@ class CyclicWord:
     def canonical(self) -> str:
         c = self._canon
         if c is None:
-            k = _least_rotation(self.letters)
-            c = self.letters[k:] + self.letters[:k]
+            c = _least_rotation(self.letters)
             object.__setattr__(self, "_canon", c)
         return c
 
@@ -145,40 +145,33 @@ class ContractionTrace:
     against the word.
     """
 
-    __slots__ = ("_codes", "_flat", "_terminal", "_steps")
+    __slots__ = ("_codes", "_run")
 
     def __init__(self, codes: bytes):
         object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_flat", None)
-        object.__setattr__(self, "_terminal", None)
-        object.__setattr__(self, "_steps", None)
+        object.__setattr__(self, "_run", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ContractionTrace is immutable")
 
-    def _recorded(self) -> list[int]:
-        f = self._flat
-        if f is None:
-            ok, f, final = _reduce_cyclic(self._codes)
+    def _recorded(self) -> tuple[tuple[Step, ...], tuple[int, ...]]:
+        run = self._run
+        if run is None:
+            ok, flat, final = _reduce_cyclic(self._codes)
             if not ok:
                 raise IllegalStep("the word of this trace is not contractible")
-            object.__setattr__(self, "_flat", f)
-            object.__setattr__(self, "_terminal", tuple(final))
-        return f
+            it = iter(flat)
+            run = (tuple(map(Step, it, it, it)), tuple(final))
+            object.__setattr__(self, "_run", run)
+        return run
 
     @property
     def terminal(self) -> tuple[int, ...]:
-        self._recorded()
-        return self._terminal
+        return self._recorded()[1]
 
     @property
     def steps(self) -> tuple[Step, ...]:
-        s = self._steps
-        if s is None:
-            f = self._recorded()
-            s = tuple(Step(f[i], f[i + 1], f[i + 2]) for i in range(0, len(f), 3))
-            object.__setattr__(self, "_steps", s)
-        return s
+        return self._recorded()[0]
 
     def __len__(self) -> int:
         return max(len(self._codes) - 2, 0)
@@ -196,15 +189,14 @@ class ContractionTrace:
         live word or would delete a letter from an all-distinct window, or if
         the survivors differ from terminal.
         """
-        f = self._recorded()
+        steps, terminal = self._recorded()
         letters = w.letters
         n = len(letters)
         nxt = [(i + 1) % n for i in range(n)]
         prv = [(i - 1) % n for i in range(n)]
         alive = n
         dead = [False] * n
-        for k in range(0, len(f), 3):
-            d, l, r = f[k], f[k + 1], f[k + 2]
+        for d, l, r in steps:
             if dead[d] or prv[d] != l or nxt[d] != r:
                 raise IllegalStep(f"step ({d},{l},{r}) does not match the live word")
             if alive < 3:
@@ -217,8 +209,8 @@ class ContractionTrace:
             dead[d] = True
             alive -= 1
         survivors = [i for i in range(n) if not dead[i]]
-        if tuple(survivors) != self.terminal:
-            raise IllegalStep(f"survivors {survivors} differ from terminal {list(self.terminal)}")
+        if tuple(survivors) != terminal:
+            raise IllegalStep(f"survivors {survivors} differ from terminal {list(terminal)}")
 
 
 def _window_repeats(a: str, b: str, c: str) -> bool:
@@ -247,83 +239,66 @@ def apply_step(w: CyclicWord, i: int) -> CyclicWord:
 
 
 def _reduce_cyclic(codes: bytes) -> tuple[bool, list[int], list[int]]:
-    """The recording stack reduction behind ContractionTrace.
+    """The recording kernel behind ContractionTrace: _stuck_codes's reduction
+    with positions.
 
     Works on the word's letter codes and returns (contractible, steps, final):
     steps is a flat sequence of (deleted, left, right) index triples in
     original-letter positions and final lists the surviving positions in
-    order.  Reduction stops as soon as the live word has length 2 (or 1), so
-    on success steps has exactly n - len(final) triples and every triple
-    names three distinct positions.  On failure steps comes back empty:
-    callers only need the stuck word, and large inputs stay cheap.
+    order.  The stack of _stuck_codes becomes two parallel lists, the codes
+    col and the original positions pos, and each pop or skipped code records
+    the deleted letter with its two live neighbors.  Reduction stops as soon
+    as the live word has length 2 (or 1), so on success steps has exactly
+    n - len(final) triples and every triple names three distinct positions.
+    On failure steps comes back empty: callers only need the stuck word, and
+    large inputs stay cheap.
     """
     n = len(codes)
-    if n <= 2:
-        return True, [], list(range(n))
-
-    # The stack holds each live letter's original position (pos) and code
-    # (col).  Slots 0 and 1 hold sentinel codes that equal no byte, so the
-    # comparisons below need no bounds checks; letters start at slot 2, and
-    # the live length is top - 1 plus the last - i letters not yet pushed.
-    pos = [-1, -1] + [0] * n
-    col = [-1, -2] + [0] * n
-    top = 1
-    last = n - 1
+    # Slots 0 and 1 hold sentinel codes that equal no byte; live counts the
+    # letters not deleted, those on the stack and those still to come.
+    col = [-1, -2]
+    pos = [-1, -1]
+    live = n
     steps: list[int] = []
-
     for i, c in enumerate(codes):
-        top += 1
-        pos[top] = i
-        col[top] = c
-        # c stays the code of the stack top through both deletions below.
-        while True:
-            if c == col[top - 1]:
-                # adjacent equal pair: drop the newer letter
-                if top - 1 + last - i <= 2:
-                    break
-                top -= 1
-                steps += (pos[top + 1], pos[top], i + 1 if i < last else pos[2])
-            elif c == col[top - 2]:
-                # x,y,x: the middle letter's neighbors repeat; drop it and
-                # let the loop re-enter on the equal pair left behind
-                if top - 1 + last - i <= 2:
-                    break
-                steps += (pos[top - 1], pos[top - 2], pos[top])
-                top -= 1
-                pos[top] = pos[top + 1]
-                col[top] = c
-            else:
-                break
+        if live > 2 and c == col[-2]:
+            # x,y,x: the middle letter's neighbors repeat; drop it
+            steps += (pos[-1], pos[-2], i)
+            col.pop()
+            pos.pop()
+            live -= 1
+        if live > 2 and c == col[-1]:
+            # equal pair: drop the newer letter
+            steps += (i, pos[-1], i + 1 if i + 1 < n else pos[2])
+            live -= 1
+        else:
+            col.append(c)
+            pos.append(i)
 
-    # Seam pass: the linear stack is fully reduced in its interior, so the
-    # only candidate deletions sit next to the wrap-around.
-    head, tail = 2, top
+    # Seam pass: the stack is fully reduced in its interior, so the only
+    # candidate deletions sit next to the wrap-around.
+    head, tail = 2, len(col) - 1
     while tail - head + 1 > 2:
-        f, b = pos[head], pos[tail]
         if col[tail] == col[head] or col[tail] == col[head + 1]:
-            steps += (f, b, pos[head + 1])
+            steps += (pos[head], pos[tail], pos[head + 1])
             head += 1
-            continue
-        if col[tail - 1] == col[head]:
-            steps += (b, pos[tail - 1], f)
+        elif col[tail - 1] == col[head]:
+            steps += (pos[tail], pos[tail - 1], pos[head])
             tail -= 1
-            continue
-        break
-
-    final = pos[head : tail + 1]
-    ok = tail - head + 1 <= 2
-    return ok, steps if ok else [], final
+        else:
+            return False, [], pos[head : tail + 1]
+    return True, steps, pos[head : tail + 1]
 
 
 def _stuck_codes(codes: bytes) -> bytes | None:
     """The verdict pass: None when the word is contractible, else the codes
     of its stuck word.
 
-    The reduction of _reduce_cyclic on codes alone, with no positions and no
-    steps.  A code equal to the stack top is skipped, and one equal to the
-    code below the top pops the top (x,y,x -> x); the stack then holds the
-    freely reduced word, and the same seam pass runs across the wrap-around.
-    On failure the stack holds the same codes as _reduce_cyclic's survivors.
+    A code equal to the stack top is skipped, and one equal to the code below
+    the top pops the top (x,y,x -> x); the stack then holds the freely
+    reduced word, and a seam pass runs across the wrap-around.
+    _reduce_cyclic is this pass with positions and recorded deletions; on
+    failure the stack holds the same codes as its survivors.
     """
     # Slots 0 and 1 hold sentinel codes that equal no byte; top and below
     # mirror the last two slots.
@@ -382,10 +357,6 @@ def exhaustive_contractible(w: CyclicWord, memo: dict | None = None) -> bool:
     if memo is None:
         memo = {}
 
-    def canon(lets: str) -> str:
-        k = _least_rotation(lets)
-        return lets[k:] + lets[:k]
-
     def go(lets: str) -> bool:
         if len(lets) <= 2:
             return True
@@ -396,13 +367,13 @@ def exhaustive_contractible(w: CyclicWord, memo: dict | None = None) -> bool:
         res = False
         for i in range(n):
             if _window_repeats(lets[i - 1], lets[i], lets[(i + 1) % n]):
-                if go(canon(lets[:i] + lets[i + 1 :])):
+                if go(_least_rotation(lets[:i] + lets[i + 1 :])):
                     res = True
                     break
         memo[lets] = res
         return res
 
-    return go(canon(w.letters))
+    return go(_least_rotation(w.letters))
 
 
 def _mat_mul(m: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:

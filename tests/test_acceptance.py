@@ -62,8 +62,7 @@ def diag_exists():
     memo: dict[tuple, bool] = {}
 
     def query(lets: tuple) -> bool:
-        k = _least_rotation(lets)
-        key = lets[k:] + lets[:k]
+        key = _least_rotation(lets)
         hit = memo.get(key)
         if hit is not None:
             return hit

@@ -196,22 +196,26 @@ def test_render_golden_pentagon(tmp_path):
     assert out.read_bytes() == (GOLDEN / "pentagon.svg").read_bytes()
 
 
-@pytest.mark.parametrize("args", [
-    ["verify", "SQUARE", '{"triangles": [5]}'],
-    ["verify", "SQUARE", '{"triangles": 5}'],
-    ["verify", "SQUARE", '{"triangles": [[null, [1, 0], [1, 1]]]}'],
-    ["verify", "SQUARE", '{"polygon": 5, "triangles": []}'],
-    ["dissect", "TRIANGLE", "-o", "UNWRITABLE"],
-    ["render", "SQUARE", "-o", "UNWRITABLE"],
-    ["realize", "ABCD", "-o", "UNWRITABLE"],
-    ["verify", "SQUARE", "DEEP"],
-    ["decide", "--polygon", "DEEP"],
-    ["render", "[[0,0],[1000000000,0],[0,1]]", "-o", "OUT"],
-    ["decide", "--polygon", "[[0,0],[1],[0,1]]"],
+# Each case gives the argv and a piece of text its error message must contain.
+@pytest.mark.parametrize("args, named", [
+    (["verify", "SQUARE", '{"triangles": [5]}'], "entry 5 "),
+    (["verify", "SQUARE", '{"triangles": 5}'], '"triangles"'),
+    (["verify", "SQUARE", '{"triangles": [[null, [1, 0], [1, 1]]]}'], "[None, [1, 0], [1, 1]]"),
+    (["verify", "SQUARE", '{"polygon": 5, "triangles": []}'], '"polygon"'),
+    (["dissect", "TRIANGLE", "-o", "UNWRITABLE"], "no-such-dir"),
+    (["render", "SQUARE", "-o", "UNWRITABLE"], "no-such-dir"),
+    (["realize", "ABCD", "-o", "UNWRITABLE"], "no-such-dir"),
+    (["verify", "SQUARE", "DEEP"], "nested too deeply"),
+    (["decide", "--polygon", "DEEP"], "nested too deeply"),
+    (["render", "[[0,0],[1000000000,0],[0,1]]", "-o", "OUT"], "1000000000 x 1"),
+    (["decide", "--polygon", "[[0,0],[1],[0,1]]"], "[1] "),
+    (["verify", "SQUARE", '{"triangles": [[[0,0],[2,0],[2,2,5]]]}'], "[2, 2, 5]"),
+    (["verify", "SQUARE", '{"polygon": [[0,0,1]], "triangles": []}'], "[0, 0, 1]"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
-        "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair"])
-def test_malformed_input_exits_2(args, tmp_path, capsys):
+        "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
+        "triangle-vertex-not-pair", "polygon-vertex-not-pair"])
+def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
     for i, a in enumerate(args):
@@ -226,32 +230,54 @@ def test_malformed_input_exits_2(args, tmp_path, capsys):
         argv.append(a)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("args", [["dissect", "TRIANGLE", "--unit"], ["verify", "SQUARE", "HALF_SPLIT"]],
-                         ids=["dissect", "verify"])
-def test_closed_stdout_exits_2(args, unbuffered, tmp_path):
-    # a pipe whose read end is closed, as after `latticediss ... | head`
-    for name, text in {"TRIANGLE": TRIANGLE, "SQUARE": SQUARE, "HALF_SPLIT": HALF_SPLIT}.items():
+def _run_cli_to(stdout, args, tmp_path, unbuffered=False):
+    """Run the CLI as a module with stdout sent to the file descriptor stdout."""
+    files = {"TRIANGLE": TRIANGLE, "SQUARE": SQUARE, "HALF_SPLIT": HALF_SPLIT}
+    for name, text in files.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a.isupper() else a for a in args]
+    argv = [str(tmp_path / a) if a in files else a for a in args]
     env = dict(os.environ, PYTHONPATH=str(Path(latticediss.__file__).resolve().parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "latticediss.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
-    finally:
-        os.close(write_end)
+    return subprocess.run([sys.executable, "-m", "latticediss.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+
+def _assert_stdout_error(proc):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write to stdout") and proc.stderr.count("\n") == 1, \
         proc.stderr
+
+
+CLI_WRITES = pytest.mark.parametrize(
+    "args", [["dissect", "TRIANGLE", "--unit"], ["verify", "SQUARE", "HALF_SPLIT"], ["decide", "ABCD"]],
+    ids=["dissect", "verify", "decide"])
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@CLI_WRITES
+def test_closed_stdout_exits_2(args, unbuffered, tmp_path):
+    # a pipe whose read end is closed, as after `latticediss ... | head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli_to(write_end, args, tmp_path, unbuffered)
+    finally:
+        os.close(write_end)
+    _assert_stdout_error(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@CLI_WRITES
+def test_full_stdout_exits_2(args, tmp_path):
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    with open("/dev/full", "w") as full:
+        _assert_stdout_error(_run_cli_to(full, args, tmp_path))
 
 
 def test_render_refuses_polygons_beyond_max_span(tmp_path, capsys):

@@ -253,6 +253,19 @@ def test_verdict_pass_matches_recording_kernel_long_words(k):
         check_against_recording_kernel(CyclicWord("".join(rng.choices(alphabet, k=n))))
 
 
+@pytest.mark.parametrize("word, output", [
+    ("ABABCCDCBBDB", (True, [1, 0, 2, 2, 0, 3, 5, 4, 6, 6, 4, 7, 7, 4, 8, 4, 3, 8, 8, 3, 9,
+                             9, 3, 10, 10, 3, 11, 11, 3, 0], [0, 3])),
+    ("BCDBDC", (True, [3, 2, 4, 4, 2, 5, 2, 1, 5, 5, 1, 0], [0, 1])),
+    ("AAB", (True, [1, 0, 2], [0, 2])),
+    ("ABAB", (True, [1, 0, 2, 2, 0, 3], [0, 3])),
+    ("ABCDACBADC", (False, [], list(range(10)))),
+])
+def test_recording_kernel_deletion_order(word, output):
+    # The dissection JSON follows this order, so it is pinned exactly.
+    assert _reduce_cyclic(word.encode("ascii")) == output
+
+
 @pytest.mark.parametrize("use", ["steps", "terminal", "iter", "replay"])
 def test_trace_runs_recording_kernel_once_on_first_use(monkeypatch, use):
     calls = []
