@@ -121,7 +121,7 @@ def cmd_witness(args) -> int:
         raise _CliError(str(e)) from e
     a2 = signed_area2(t)
     print(json.dumps({
-        "triangle": [[v.x, v.y] for v in t],
+        "triangle": t,
         "doubled_area": a2,
         "area": str(Fraction(a2, 2)),
     }))
@@ -153,7 +153,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lengths = [int(x) for x in args.lengths.split(",") if x.strip()] if args.lengths else []
+    lengths = []
+    for item in filter(None, map(str.strip, args.lengths.split(","))):
+        if not item.isdecimal() or int(item) < 1:
+            raise _CliError(f"--lengths must be positive integers, got {item!r}")
+        lengths.append(int(item))
     rows = run_bench(lengths, seed=args.seed)
     print(format_table(rows))
     return EXIT_OK
@@ -161,6 +165,8 @@ def cmd_bench(args) -> int:
 
 def cmd_realize(args) -> int:
     w = _parse_word(args.word)
+    if args.bound < 1:
+        raise _CliError(f"--bound must be at least 1, got {args.bound}")
     P = gen.realize_word(w, coord_bound=args.bound)
     if P is None:
         colorless = "".join(sorted(set(str(w)) - set("ABCD")))

@@ -35,9 +35,10 @@ from math import gcd
 from .errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from .geometry import (
     ConvexLatticePolygon,
-    LatticePoint,
-    LatticeTriangle,
+    Point,
+    Triangle,
     as_point,
+    as_triangle,
     boundary_word,
     load_json,
     orient,
@@ -55,7 +56,7 @@ class Dissection:
     business; this type only carries the pieces.
     """
 
-    triangles: tuple[LatticeTriangle, ...]
+    triangles: tuple[Triangle, ...]
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -79,7 +80,7 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def split_with_point(t: LatticeTriangle, x: LatticePoint) -> list[LatticeTriangle]:
+def split_with_point(t: Triangle, x: Point) -> list[Triangle]:
     """Dissect the triangle using a lattice point of it that is not a vertex.
 
     Three pieces when x is strictly interior, two when x lies in the
@@ -89,48 +90,45 @@ def split_with_point(t: LatticeTriangle, x: LatticePoint) -> list[LatticeTriangl
     if signed_area2(t) == 0:
         raise Degenerate("cannot split a degenerate triangle")
     if signed_area2(t) < 0:
-        t = LatticeTriangle(t.v0, t.v2, t.v1)
+        t = (t[0], t[2], t[1])
     if x in t:
-        raise IsVertex(f"{tuple(x)} is a vertex of the triangle")
-    v = (t.v0, t.v1, t.v2)
-    o = [orient(v[i], v[(i + 1) % 3], x) for i in range(3)]
+        raise IsVertex(f"{x} is a vertex of the triangle")
+    o = [orient(t[i], t[(i + 1) % 3], x) for i in range(3)]
     if any(side < 0 for side in o):
-        raise OutsideTriangle(f"{tuple(x)} lies outside the triangle")
+        raise OutsideTriangle(f"{x} lies outside the triangle")
     zeros = [i for i in range(3) if o[i] == 0]
     if not zeros:
-        return [LatticeTriangle(v[i], v[(i + 1) % 3], x) for i in range(3)]
+        return [(t[i], t[(i + 1) % 3], x) for i in range(3)]
     assert len(zeros) == 1  # two zero sides would make x a vertex
     i = zeros[0]
     return [
-        LatticeTriangle(v[i], x, v[(i + 2) % 3]),
-        LatticeTriangle(x, v[(i + 1) % 3], v[(i + 2) % 3]),
+        (t[i], x, t[(i + 2) % 3]),
+        (x, t[(i + 1) % 3], t[(i + 2) % 3]),
     ]
 
 
-def refine_triangle(t: LatticeTriangle) -> Dissection:
+def refine_triangle(t: Triangle) -> Dissection:
     """Cut a lattice triangle of even doubled area into unit-area pieces.
 
     Returns exactly doubled-area/2 triangles of doubled area 2.  Input
     orientation does not matter; pieces come out counterclockwise.  The
-    pieces share the LatticePoint objects of the triangles they came from.
+    pieces share the point tuples of the triangles they came from.
     """
     area2 = signed_area2(t)
     if area2 == 0:
         raise Degenerate("cannot refine a degenerate triangle")
     if area2 < 0:
-        t = LatticeTriangle(t.v0, t.v2, t.v1)
+        t = (t[0], t[2], t[1])
         area2 = -area2
     if area2 % 2:
         raise NotIntegerArea(f"doubled area {area2} is odd")
 
-    # tuple.__new__ skips the Python-level __new__ of the NamedTuple classes.
-    new = tuple.__new__
-    out: list[LatticeTriangle] = []
+    out: list[Triangle] = []
     work = [(area2, *t)]  # (doubled area, counterclockwise vertices)
     while work:
         a2, u0, u1, u2 = work.pop()
         if a2 == 2:
-            out.append(new(LatticeTriangle, (u0, u1, u2)))
+            out.append((u0, u1, u2))
             continue
         x0, y0 = u0
         x1, y1 = u1
@@ -161,12 +159,12 @@ def refine_triangle(t: LatticeTriangle) -> Dissection:
             k = (p - tq) // q
             m = (1 if p % 2 else 2) - k  # split at (1,1) or (2,1)
             sx, sy = px + m * ua - s, py + m * ub + r
-        x = new(LatticePoint, (sx, sy))
+        x = (sx, sy)
         o0 = (x1 - x0) * (sy - y0) - (sx - x0) * (y1 - y0)  # orient(u0, u1, x)
         o1 = (x2 - x1) * (sy - y1) - (sx - x1) * (y2 - y1)  # orient(u1, u2, x)
         o2 = a2 - o0 - o1  # orient(u2, u0, x)
         if o0 < 0 or o1 < 0 or o2 < 0:
-            raise OutsideTriangle(f"{tuple(x)} lies outside the triangle")
+            raise OutsideTriangle(f"{x} lies outside the triangle")
         if o0 and o1 and o2:
             pieces = ((o0, u0, u1, x), (o1, u1, u2, x), (o2, u2, u0, x))
         elif o1 and o2:  # x inside edge u0 u1
@@ -176,7 +174,7 @@ def refine_triangle(t: LatticeTriangle) -> Dissection:
         elif o0 and o1:  # x inside edge u2 u0
             pieces = ((o1, u2, x, u1), (o0, x, u0, u1))
         else:
-            raise IsVertex(f"{tuple(x)} is a vertex of the triangle")
+            raise IsVertex(f"{x} is a vertex of the triangle")
         for piece in pieces:
             pa = piece[0]
             assert 0 < pa < a2 and pa % 2 == 0
@@ -198,7 +196,7 @@ def diagonal_dissection(P: ConvexLatticePolygon) -> Dissection | None:
     vs = P.vertices
     tris = []
     for step in trace.steps:
-        tri = LatticeTriangle(vs[step.left], vs[step.deleted], vs[step.right])
+        tri = (vs[step.left], vs[step.deleted], vs[step.right])
         a2 = signed_area2(tri)
         assert a2 > 0 and a2 % 2 == 0  # convexity and the parity of good triangles
         tris.append(tri)
@@ -215,7 +213,7 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
     if diag is None:
         return None
     total = polygon_area2(P)
-    pieces: list[LatticeTriangle] = []
+    pieces: list[Triangle] = []
     for tri in diag.triangles:
         pieces.extend(refine_triangle(tri).triangles)
     assert len(pieces) == total // 2
@@ -236,11 +234,11 @@ def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
     return '{"polygon": %s, "triangles": [%s]}' % (json.dumps(P.vertices), triangles)
 
 
-def parse_dissection_json(text: str) -> tuple[list[LatticePoint], Dissection]:
+def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     """Parse dissection JSON; returns the stated polygon vertices (not yet
     validated) and the triangle list.
 
-    Each distinct vertex becomes one LatticePoint, shared by the triangles
+    Each distinct vertex becomes one (x, y) tuple, shared by the triangles
     that name it.
     """
     data = load_json(text)
@@ -259,9 +257,9 @@ def parse_dissection_json(text: str) -> tuple[list[LatticePoint], Dissection]:
     except TypeError:
         well_formed = False
     if well_formed:
-        points = {p: p for p in map(LatticePoint._make, set(map(tuple, vertices)))}
+        points = {p: p for p in set(map(tuple, vertices))}
         it = map(points.__getitem__, map(tuple, vertices))
-        tris = tuple(map(LatticeTriangle._make, zip(it, it, it)))
+        tris = tuple(zip(it, it, it))
     entry = None
     try:
         poly = []
@@ -272,7 +270,7 @@ def parse_dissection_json(text: str) -> tuple[list[LatticePoint], Dissection]:
             for entry in raw:
                 if len(entry) != 3:
                     raise ValueError(f"triangle {entry!r} does not have 3 vertices")
-                tris.append(LatticeTriangle(*(as_point(p) for p in entry)))
+                tris.append(as_triangle(entry))
     except TypeError:
         # a number or null where a pair or a vertex list belongs
         raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None

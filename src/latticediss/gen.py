@@ -18,8 +18,8 @@ from .dissect import Dissection, split_with_point
 from .errors import GenerationFailed
 from .geometry import (
     ConvexLatticePolygon,
-    LatticePoint,
-    LatticeTriangle,
+    Point,
+    Triangle,
     angle_key,
     boundary_word,
     color_of,
@@ -64,17 +64,17 @@ def random_convex_polygon(
     while k < 8 and _direction_count(k) < n:
         k += 1
     k = max(k, (3 * coord_bound) // (2 * n))
-    def direction(v: LatticePoint) -> tuple[int, int]:
-        g = math.gcd(v.x, v.y)
-        return (v.x // g, v.y // g)
+    def direction(v: Point) -> tuple[int, int]:
+        g = math.gcd(*v)
+        return (v[0] // g, v[1] // g)
 
     for _ in range(POLYGON_TRIES):
-        vecs: list[LatticePoint] = []
+        vecs: list[Point] = []
         dirs: set[tuple[int, int]] = set()
         for _ in range(n - 1):
             # a few inner draws to dodge direction collisions
             for _ in range(24):
-                v = LatticePoint(rng.randint(-k, k), rng.randint(-k, k))
+                v = (rng.randint(-k, k), rng.randint(-k, k))
                 if v != (0, 0) and direction(v) not in dirs:
                     vecs.append(v)
                     dirs.add(direction(v))
@@ -83,18 +83,18 @@ def random_convex_polygon(
                 break
         if len(vecs) != n - 1:
             continue
-        last = LatticePoint(-sum(v.x for v in vecs), -sum(v.y for v in vecs))
+        last = (-sum(v[0] for v in vecs), -sum(v[1] for v in vecs))
         if last == (0, 0) or direction(last) in dirs:
             continue
         vecs.append(last)
         vecs.sort(key=angle_key)
         xs, ys = [0], [0]
         for v in vecs[:-1]:
-            xs.append(xs[-1] + v.x)
-            ys.append(ys[-1] + v.y)
+            xs.append(xs[-1] + v[0])
+            ys.append(ys[-1] + v[1])
         dx, dy = _center_shift(xs), _center_shift(ys)
-        pts = [LatticePoint(x + dx, y + dy) for x, y in zip(xs, ys)]
-        if any(abs(p.x) > coord_bound or abs(p.y) > coord_bound for p in pts):
+        pts = [(x + dx, y + dy) for x, y in zip(xs, ys)]
+        if any(abs(x) > coord_bound or abs(y) > coord_bound for x, y in pts):
             continue
         return validate_convex(pts)
     raise GenerationFailed(
@@ -131,21 +131,21 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
     max_radius = max(2, min(8, coord_bound))
     for radius in range(2, max_radius + 1):
         pool = [
-            LatticePoint(x, y)
+            (x, y)
             for x in range(-radius, radius + 1)
             for y in range(-radius, radius + 1)
             if (x, y) != (0, 0)
         ]
-        pool.sort(key=lambda v: (angle_key(v), max(abs(v.x), abs(v.y))))
+        pool.sort(key=lambda v: (angle_key(v), max(abs(v[0]), abs(v[1]))))
         # group equal directions so the search can force strictly increasing angles
         klass = [0] * len(pool)
         for i in range(1, len(pool)):
             same = not (angle_key(pool[i - 1]) < angle_key(pool[i]))
             klass[i] = klass[i - 1] if same else klass[i - 1] + 1
-        parities = [(v.x % 2, v.y % 2) for v in pool]
+        parities = [(x % 2, y % 2) for x, y in pool]
 
         budget = SEARCH_NODES
-        chosen: list[LatticePoint] = []
+        chosen: list[Point] = []
 
         def dfs(slot: int, start: int, last_klass: int, sx: int, sy: int) -> bool:
             nonlocal budget
@@ -167,7 +167,7 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
                     continue
                 v = pool[idx]
                 chosen.append(v)
-                if dfs(slot + 1, idx + 1, klass[idx], sx + v.x, sy + v.y):
+                if dfs(slot + 1, idx + 1, klass[idx], sx + v[0], sy + v[1]):
                     return True
                 chosen.pop()
                 if budget <= 0:
@@ -177,16 +177,16 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
         if dfs(0, 0, -1, 0, 0):
             xs, ys = [0], [0]
             for v in chosen[:-1]:
-                xs.append(xs[-1] + v.x)
-                ys.append(ys[-1] + v.y)
+                xs.append(xs[-1] + v[0])
+                ys.append(ys[-1] + v[1])
             # even translation keeps every parity color; also pin vertex 0
             # to the color of the first letter
             dx = _center_shift(xs)
             dy = _center_shift(ys)
             dx += (par[0][0] - dx) % 2
             dy += (par[0][1] - dy) % 2
-            pts = [LatticePoint(x + dx, y + dy) for x, y in zip(xs, ys)]
-            if any(abs(p.x) > coord_bound or abs(p.y) > coord_bound for p in pts):
+            pts = [(x + dx, y + dy) for x, y in zip(xs, ys)]
+            if any(abs(x) > coord_bound or abs(y) > coord_bound for x, y in pts):
                 continue
             P = validate_convex(pts)
             assert boundary_word(P) == w
@@ -194,18 +194,17 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
     return None
 
 
-def _lattice_points_inside(t: LatticeTriangle) -> list[LatticePoint]:
+def _lattice_points_inside(t: Triangle) -> list[Point]:
     """Lattice points in the closed triangle, excluding its vertices."""
-    xs = [v.x for v in t]
-    ys = [v.y for v in t]
+    a, b, c = t
+    xs, ys = zip(*t)
     out = []
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
-            p = LatticePoint(x, y)
+            p = (x, y)
             if p in t:
                 continue
-            if (orient(t.v0, t.v1, p) >= 0 and orient(t.v1, t.v2, p) >= 0
-                    and orient(t.v2, t.v0, p) >= 0):
+            if orient(a, b, p) >= 0 and orient(b, c, p) >= 0 and orient(c, a, p) >= 0:
                 out.append(p)
     return out
 
@@ -218,7 +217,7 @@ def random_dissection(P: ConvexLatticePolygon, depth: int = 0, seed: int = 0) ->
     """
     rng = random.Random(seed)
     vs = P.vertices
-    tris = [LatticeTriangle(vs[0], vs[i], vs[i + 1]) for i in range(1, len(vs) - 1)]
+    tris = [(vs[0], vs[i], vs[i + 1]) for i in range(1, len(vs) - 1)]
     for _ in range(depth):
         order = list(range(len(tris)))
         rng.shuffle(order)

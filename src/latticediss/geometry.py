@@ -14,46 +14,39 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import NotStrictlyConvex, RepeatedVertex, TooFewVertices
 from .words import CyclicWord
 
-
-class LatticePoint(NamedTuple):
-    x: int
-    y: int
-
-
-class LatticeTriangle(NamedTuple):
-    v0: LatticePoint
-    v1: LatticePoint
-    v2: LatticePoint
+# Names for annotations only: a point is a plain (x, y) tuple of ints.
+Point = tuple[int, int]
+Triangle = tuple[Point, Point, Point]
 
 
-def as_point(p) -> LatticePoint:
-    """Coerce an (x, y) pair of exact integers to a LatticePoint."""
+def as_point(p) -> Point:
+    """Coerce an (x, y) pair of exact integers to an (x, y) tuple."""
     try:
         x, y = p
     except ValueError:
         raise ValueError(f"lattice point {p!r} is not an [x, y] pair") from None
     if isinstance(x, bool) or isinstance(y, bool) or not isinstance(x, int) or not isinstance(y, int):
         raise ValueError(f"lattice point coordinates must be integers, got {p!r}")
-    return LatticePoint(x, y)
+    return (x, y)
 
 
-def as_triangle(t) -> LatticeTriangle:
+def as_triangle(t) -> Triangle:
     a, b, c = t
-    return LatticeTriangle(as_point(a), as_point(b), as_point(c))
+    return (as_point(a), as_point(b), as_point(c))
 
 
-def color_of(p: LatticePoint) -> str:
+def color_of(p: Point) -> str:
     """Parity color of a lattice point, as the letter of boundary words:
     A = (even, even), B = (odd, even), C = (odd, odd), D = (even, odd)."""
     return "ADBC"[2 * (p[0] % 2) + p[1] % 2]
 
 
-def signed_area2(t: LatticeTriangle) -> int:
+def signed_area2(t: Triangle) -> int:
     """Twice the signed area of a triangle.
 
     Positive iff the vertices run counterclockwise, zero iff they are
@@ -63,12 +56,12 @@ def signed_area2(t: LatticeTriangle) -> int:
     return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
 
 
-def orient(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
+def orient(a: Point, b: Point, c: Point) -> int:
     """Doubled signed area of the point triple (a, b, c)."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
 
 
-def collinear(p: LatticePoint, q: LatticePoint, r: LatticePoint) -> bool:
+def collinear(p: Point, q: Point, r: Point) -> bool:
     return orient(p, q, r) == 0
 
 
@@ -79,17 +72,17 @@ class ConvexLatticePolygon:
     Construct through validate_convex; the constructor itself does not check.
     """
 
-    vertices: tuple[LatticePoint, ...]
+    vertices: tuple[Point, ...]
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edges(self) -> list[tuple[LatticePoint, LatticePoint]]:
+    def edges(self) -> list[tuple[Point, Point]]:
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
 
-def _direction_half(v: LatticePoint) -> int:
+def _direction_half(v: Point) -> int:
     # 0 for the upper half-plane (including the positive x-axis),
     # 1 for the lower half (including the negative x-axis).
     if v[1] > 0 or (v[1] == 0 and v[0] > 0):
@@ -97,7 +90,7 @@ def _direction_half(v: LatticePoint) -> int:
     return 1
 
 
-def _angle_cmp(a: LatticePoint, b: LatticePoint) -> int:
+def _angle_cmp(a: Point, b: Point) -> int:
     ha, hb = _direction_half(a), _direction_half(b)
     if ha != hb:
         return ha - hb
@@ -126,14 +119,14 @@ def validate_convex(points: Iterable) -> ConvexLatticePolygon:
         seen = set()
         for p in vs:
             if p in seen:
-                raise RepeatedVertex(f"vertex {tuple(p)} appears more than once")
+                raise RepeatedVertex(f"vertex {p} appears more than once")
             seen.add(p)
     n = len(vs)
     crosses = [orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) for i in range(n)]
     if any(c == 0 for c in crosses):
         i = crosses.index(0)
         raise NotStrictlyConvex(
-            f"vertices {tuple(vs[i])}, {tuple(vs[(i + 1) % n])}, {tuple(vs[(i + 2) % n])} are collinear"
+            f"vertices {vs[i]}, {vs[(i + 1) % n]}, {vs[(i + 2) % n]} are collinear"
         )
     if all(c < 0 for c in crosses):
         vs.reverse()
@@ -186,4 +179,4 @@ def parse_polygon_json(text: str) -> ConvexLatticePolygon:
 
 
 def polygon_to_json(P: ConvexLatticePolygon) -> str:
-    return json.dumps([[v.x, v.y] for v in P.vertices])
+    return json.dumps(P.vertices)

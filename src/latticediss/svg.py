@@ -21,8 +21,7 @@ MAX_SPAN = 1000
 
 
 def render_svg(P: ConvexLatticePolygon, D: Dissection | None = None) -> str:
-    xs = [v.x for v in P.vertices]
-    ys = [v.y for v in P.vertices]
+    xs, ys = zip(*P.vertices)
     w, h = max(xs) - min(xs), max(ys) - min(ys)
     if max(w, h) > MAX_SPAN:
         raise ValueError(f"polygon spans {w} x {h} lattice units; "
@@ -69,14 +68,14 @@ def render_svg(P: ConvexLatticePolygon, D: Dissection | None = None) -> str:
                 a, b = t[k], t[(k + 1) % 3]
                 segments.add((min(a, b), max(a, b)))
         for a, b in sorted(segments):
-            out.append(f'<line x1="{px(a.x)}" y1="{py(a.y)}" x2="{px(b.x)}" y2="{py(b.y)}" '
+            out.append(f'<line x1="{px(a[0])}" y1="{py(a[1])}" x2="{px(b[0])}" y2="{py(b[1])}" '
                        f'stroke="#555555" stroke-width="2"/>')
 
-    points = " ".join(f"{px(v.x)},{py(v.y)}" for v in P.vertices)
+    points = " ".join(f"{px(x)},{py(y)}" for x, y in P.vertices)
     out.append(f'<polygon points="{points}" fill="none" stroke="black" stroke-width="3"/>')
 
     for v in sorted(vertices):
-        out.append(f'<circle cx="{px(v.x)}" cy="{py(v.y)}" r="{VERTEX_R}" '
+        out.append(f'<circle cx="{px(v[0])}" cy="{py(v[1])}" r="{VERTEX_R}" '
                    f'fill="{FILL[color_of(v)]}"/>')
 
     out.append("</svg>")

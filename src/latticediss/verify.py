@@ -31,8 +31,8 @@ from .dissect import Dissection
 from .errors import InvalidDissection, PreconditionViolated, TheoremViolation
 from .geometry import (
     ConvexLatticePolygon,
-    LatticePoint,
-    LatticeTriangle,
+    Point,
+    Triangle,
     boundary_word,
     color_of,
     polygon_area2,
@@ -80,7 +80,7 @@ def _fmt_indices(idxs: list[int]) -> str:
 # --- the boundary chain, indexed by line ----------------------------------------
 
 _Line = tuple[int, int, int]
-_Index = tuple[list[tuple[LatticePoint, LatticePoint, _Line, int, int]], dict[_Line, dict[int, int]]]
+_Index = tuple[list[tuple[Point, Point, _Line, int, int]], dict[_Line, dict[int, int]]]
 
 
 def _segment_index(P: ConvexLatticePolygon, triangles) -> _Index:
@@ -130,11 +130,11 @@ def _segment_index(P: ConvexLatticePolygon, triangles) -> _Index:
     return segments, lines
 
 
-def _point_on(line: _Line, t: int) -> LatticePoint:
+def _point_on(line: _Line, t: int) -> Point:
     """The point with coordinate t on the line (ux, uy, u x p)."""
     ux, uy, off = line
     n = ux * ux + uy * uy
-    return LatticePoint((ux * t - uy * off) // n, (uy * t + ux * off) // n)
+    return ((ux * t - uy * off) // n, (uy * t + ux * off) // n)
 
 
 def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
@@ -158,7 +158,7 @@ def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
                     hits.append(i)
                     break
     a, b = _point_on(line, lo), _point_on(line, hi)
-    return (f"segment ({a.x},{a.y})-({b.x},{b.y}) is covered {cover:+d} times in direction "
+    return (f"segment ({a[0]},{a[1]})-({b[0]},{b[1]}) is covered {cover:+d} times in direction "
             f"({ux},{uy}) by triangle sides net of the polygon's edges; triangles with a "
             f"side there: {_fmt_indices(hits) or 'none'}")
 
@@ -240,7 +240,7 @@ def verify_dissection(P: ConvexLatticePolygon, D: Dissection, mode: str = "any")
     return _verify(P, D, mode)[0]
 
 
-def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[int, LatticePoint]]:
+def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[int, Point]]:
     """Rebuild a valid dissection as an abstract disk triangulation.
 
     Vertices of the triangulation biject with the dissection's vertices and
@@ -302,7 +302,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     return T, {i: p for p, i in idx.items()}
 
 
-def witness_noninteger(P: ConvexLatticePolygon, D: Dissection) -> LatticeTriangle:
+def witness_noninteger(P: ConvexLatticePolygon, D: Dissection) -> Triangle:
     """A tricolor (odd doubled area) triangle of D.
 
     Requires that P's boundary word is not contractible and that D verifies;

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from latticediss.dissect import _egcd, split_with_point
 from latticediss.errors import Degenerate, NotIntegerArea
-from latticediss.geometry import LatticePoint, LatticeTriangle, color_of, orient, signed_area2
+from latticediss.geometry import Point, Triangle, color_of, orient, signed_area2
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,10 @@ class UnimodularAffineMap:
     def translation(cls, tx: int, ty: int) -> "UnimodularAffineMap":
         return cls(1, 0, 0, 1, tx, ty)
 
-    def apply(self, p) -> LatticePoint:
+    def apply(self, p) -> Point:
         x, y = p
-        return LatticePoint(self.m00 * x + self.m01 * y + self.tx,
-                            self.m10 * x + self.m11 * y + self.ty)
+        return (self.m00 * x + self.m01 * y + self.tx,
+                self.m10 * x + self.m11 * y + self.ty)
 
     def compose(self, other: "UnimodularAffineMap") -> "UnimodularAffineMap":
         """The map sending x to self(other(x))."""
@@ -81,12 +81,11 @@ class NormalizedTriangle(NamedTuple):
     q: int
 
     @property
-    def vertices(self) -> LatticeTriangle:
-        return LatticeTriangle(LatticePoint(0, 0), LatticePoint(self.d, 0),
-                               LatticePoint(self.p, self.q))
+    def vertices(self) -> Triangle:
+        return ((0, 0), (self.d, 0), (self.p, self.q))
 
 
-def normalize(t: LatticeTriangle) -> tuple[UnimodularAffineMap, NormalizedTriangle]:
+def normalize(t: Triangle) -> tuple[UnimodularAffineMap, NormalizedTriangle]:
     """Map a triangle of even positive doubled area to its normal form.
 
     Picks the first same-colored vertex pair (which exists because the
@@ -114,8 +113,8 @@ def normalize(t: LatticeTriangle) -> tuple[UnimodularAffineMap, NormalizedTriang
     a, b = v1[0] - v0[0], v1[1] - v0[1]
     d, r, s = _egcd(a, b)
     first = UnimodularAffineMap(r, s, -b // d, a // d)  # det +1, sends (a,b) to (d,0)
-    shift = UnimodularAffineMap.translation(-v0.x, -v0.y)
-    tq = first.apply((v2.x - v0.x, v2.y - v0.y))
+    shift = UnimodularAffineMap.translation(-v0[0], -v0[1])
+    tq = first.apply((v2[0] - v0[0], v2[1] - v0[1]))
     t_, q = tq
     assert q == abs(area2) // d > 0
     p = (t_ - 1) % q + 1
@@ -127,10 +126,10 @@ def normalize(t: LatticeTriangle) -> tuple[UnimodularAffineMap, NormalizedTriang
     return M, NormalizedTriangle(d, p, q)
 
 
-def reference_refine(t: LatticeTriangle) -> tuple[LatticeTriangle, ...]:
+def reference_refine(t: Triangle) -> tuple[Triangle, ...]:
     """The refinement rule spelled out with the normal-form helpers."""
     if signed_area2(t) < 0:
-        t = LatticeTriangle(t.v0, t.v2, t.v1)
+        t = (t[0], t[2], t[1])
     out, work = [], [t]
     while work:
         u = work.pop()

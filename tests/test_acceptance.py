@@ -20,7 +20,6 @@ from latticediss.combi import (
 from latticediss.dissect import Dissection, split_with_point, unit_dissection
 from latticediss.gen import random_convex_polygon, random_dissection
 from latticediss.geometry import (
-    LatticePoint,
     as_triangle,
     boundary_word,
     polygon_area2,
@@ -248,7 +247,7 @@ def _pentagon_instance():
         as_triangle(((2, 4), (0, 0), (4, 0))),
         as_triangle(((2, 4), (4, 0), (5, 2))),
     ]
-    pieces = split_with_point(fan[1], LatticePoint(2, 0))
+    pieces = split_with_point(fan[1], (2, 0))
     return P, Dissection((fan[0], *pieces, fan[2])), 1
 
 

@@ -156,9 +156,8 @@ def test_witness(square_file, tmp_path, capsys):
     diss = tmp_path / "half.json"
     diss.write_text(HALF_SPLIT)
     assert main(["witness", square_file, str(diss)]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["area"] == "1/2" and data["doubled_area"] == 1
-    assert len(data["triangle"]) == 3
+    assert capsys.readouterr().out == (
+        '{"triangle": [[0, 0], [1, 0], [1, 1]], "doubled_area": 1, "area": "1/2"}\n')
 
 
 def test_witness_contractible_polygon_rejected(tmp_path, capsys):
@@ -211,10 +210,14 @@ def test_render_golden_pentagon(tmp_path):
     (["decide", "--polygon", "[[0,0],[1],[0,1]]"], "[1] "),
     (["verify", "SQUARE", '{"triangles": [[[0,0],[2,0],[2,2,5]]]}'], "[2, 2, 5]"),
     (["verify", "SQUARE", '{"polygon": [[0,0,1]], "triangles": []}'], "[0, 0, 1]"),
+    (["bench", "--lengths", "0"], "--lengths"),
+    (["bench", "--lengths", "abc"], "--lengths"),
+    (["realize", "ABCD", "--bound", "-1"], "--bound"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
-        "triangle-vertex-not-pair", "polygon-vertex-not-pair"])
+        "triangle-vertex-not-pair", "polygon-vertex-not-pair", "bench-lengths-zero",
+        "bench-lengths-not-int", "realize-bound-negative"])
 def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
@@ -310,6 +313,8 @@ def test_realize_cli(tmp_path, capsys):
     assert main(["realize", "ABCD", "-o", str(out)]) == 0
     P = parse_polygon_json(out.read_text())
     assert boundary_word(P) == CyclicWord("ABCD")
+    assert main(["realize", "ABCD"]) == 0
+    assert capsys.readouterr().out == "[[0, 0], [1, 0], [3, 1], [2, 1]]\n"
     # letters without a parity color give the impossible exit code
     assert main(["realize", "XYZW"]) == 10
     assert capsys.readouterr().err == ("no lattice polygon realizes XYZW: letters WXYZ have "

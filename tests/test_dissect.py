@@ -16,8 +16,6 @@ from latticediss.dissect import (
 )
 from latticediss.gen import random_convex_polygon, random_dissection
 from latticediss.geometry import (
-    LatticePoint,
-    LatticeTriangle,
     as_point,
     as_triangle,
     boundary_word,
@@ -31,7 +29,7 @@ from latticediss.words import CyclicWord, decide_contractible
 from refine_reference import NormalizedTriangle, UnimodularAffineMap, normalize, reference_refine
 
 coords = st.integers(min_value=-60, max_value=60)
-pts = st.tuples(coords, coords).map(lambda t: LatticePoint(*t))
+pts = st.tuples(coords, coords)
 
 unimods = st.builds(
     lambda sh1, sh2, swap, tx, ty: _build_map(sh1, sh2, swap, tx, ty),
@@ -47,7 +45,7 @@ def _build_map(sh1, sh2, swap, tx, ty):
     return UnimodularAffineMap(m.m00, m.m01, m.m10, m.m11, tx, ty)
 
 
-even_triangles = st.tuples(pts, pts, pts).map(lambda t: LatticeTriangle(*t)).filter(
+even_triangles = st.tuples(pts, pts, pts).filter(
     lambda t: signed_area2(t) != 0 and signed_area2(t) % 2 == 0
 )
 
@@ -75,8 +73,8 @@ def test_map_compose(m1, m2, p):
 
 @given(unimods, pts, pts, pts)
 def test_map_scales_area_by_det(m, a, b, c):
-    t = LatticeTriangle(a, b, c)
-    mt = LatticeTriangle(m.apply(a), m.apply(b), m.apply(c))
+    t = (a, b, c)
+    mt = (m.apply(a), m.apply(b), m.apply(c))
     assert signed_area2(mt) == m.det * signed_area2(t)
 
 
@@ -118,21 +116,21 @@ def test_normalize_properties(t):
     assert d * q == abs(signed_area2(t))
     assert M.det == 1
     images = {M.apply(v) for v in t}
-    assert images == {LatticePoint(0, 0), LatticePoint(d, 0), LatticePoint(p, q)}
+    assert images == {(0, 0), (d, 0), (p, q)}
 
 
 # --- split_with_point ------------------------------------------------------------
 
 def test_split_interior():
     t = as_triangle(((0, 0), (2, 0), (1, 2)))
-    parts = split_with_point(t, LatticePoint(1, 1))
+    parts = split_with_point(t, (1, 1))
     assert len(parts) == 3
     assert sorted(signed_area2(p) for p in parts) == [1, 1, 2]
 
 
 def test_split_on_edge():
     t = as_triangle(((0, 0), (4, 0), (0, 1)))
-    parts = split_with_point(t, LatticePoint(2, 0))
+    parts = split_with_point(t, (2, 0))
     assert [signed_area2(p) for p in parts] == [2, 2]
 
 
@@ -140,7 +138,7 @@ def test_split_clockwise_triangle():
     # a clockwise triangle is split as its counterclockwise reordering
     cw = as_triangle(((0, 0), (1, 2), (2, 0)))
     ccw = as_triangle(((0, 0), (2, 0), (1, 2)))
-    for x in (LatticePoint(1, 1), LatticePoint(1, 0)):
+    for x in ((1, 1), (1, 0)):
         parts = split_with_point(cw, x)
         assert parts == split_with_point(ccw, x)
         assert all(signed_area2(p) > 0 for p in parts)
@@ -149,17 +147,16 @@ def test_split_clockwise_triangle():
 def test_split_errors():
     t = as_triangle(((0, 0), (2, 0), (1, 2)))
     with pytest.raises(OutsideTriangle):
-        split_with_point(t, LatticePoint(5, 5))
+        split_with_point(t, (5, 5))
     with pytest.raises(IsVertex):
-        split_with_point(t, LatticePoint(2, 0))
+        split_with_point(t, (2, 0))
     with pytest.raises(Degenerate):
-        split_with_point(as_triangle(((0, 0), (1, 0), (2, 0))), LatticePoint(1, 0))
+        split_with_point(as_triangle(((0, 0), (1, 0), (2, 0))), (1, 0))
 
 
 @settings(max_examples=300)
 @given(st.tuples(pts, pts, pts), pts)
-def test_split_partitions_area(tv, x):
-    t = LatticeTriangle(*tv)
+def test_split_partitions_area(t, x):
     assume(signed_area2(t) > 0)
     assume(x not in t)
     try:
@@ -195,7 +192,7 @@ def test_refine_properties(t):
     assert len(d) == a2 // 2
     assert all(a == 2 for a in d.doubled_areas())
     # pieces form a genuine dissection of the triangle
-    tv = t if signed_area2(t) > 0 else LatticeTriangle(t.v0, t.v2, t.v1)
+    tv = t if signed_area2(t) > 0 else (t[0], t[2], t[1])
     P = validate_convex(tv)
     assert verify_dissection(P, d, "unit").valid
 
@@ -224,13 +221,13 @@ def test_refine_far_from_origin_matches_reference_and_shares_points(t):
     # 2**70 is even, so the shift keeps every color, and it is far beyond
     # machine integers.
     big = 2 ** 70
-    t = LatticeTriangle(*(LatticePoint(v.x + big, v.y - big) for v in t))
+    t = tuple((x + big, y - big) for x, y in t)
     pieces = refine_triangle(t).triangles
     assert pieces == reference_refine(t)
     corners = {v: v for v in t}
     for piece in pieces:
-        assert type(piece) is LatticeTriangle
-        assert all(type(v) is LatticePoint for v in piece)
+        assert type(piece) is tuple
+        assert all(type(v) is tuple for v in piece)
         # a corner of the input is the input's own point object
         assert all(corners.get(v, v) is v for v in piece)
 
@@ -306,15 +303,14 @@ def test_dissection_to_json_text_unchanged():
     # the text of the former encoder, which copied every point into a list
     tri = validate_convex([(0, 0), (4, 0), (0, 1)])
     big = 2 ** 64 + 1
-    far = LatticeTriangle(LatticePoint(-big, 3), LatticePoint(big, -big), LatticePoint(7, big))
+    far = ((-big, 3), (big, -big), (7, big))
     cases = [
         (tri, None),
         (tri, Dissection(())),
         (validate_convex([(-9, -1), (-5, -1), (-9, -2)]), None),
         (validate_convex(far), Dissection((far,))),
         # %d would write 2.5 as 2
-        (tri, Dissection((LatticeTriangle(LatticePoint(0, 0), LatticePoint(2.5, 0),
-                                          LatticePoint(0, -1e20)),))),
+        (tri, Dissection((((0, 0), (2.5, 0), (0, -1e20)),))),
     ]
     for seed in range(6):
         P = random_convex_polygon(3 + seed, 15, seed=seed)
@@ -322,8 +318,8 @@ def test_dissection_to_json_text_unchanged():
     for P, D in cases:
         D = unit_dissection(P) if D is None else D
         old = json.dumps({
-            "polygon": [[v.x, v.y] for v in P.vertices],
-            "triangles": [[[v.x, v.y] for v in t] for t in D.triangles],
+            "polygon": [[x, y] for x, y in P.vertices],
+            "triangles": [[[x, y] for x, y in t] for t in D.triangles],
         })
         assert dissection_to_json(P, D) == old
 
@@ -345,7 +341,7 @@ def reference_parse(text):
         for entry in data["triangles"]:
             if len(entry) != 3:
                 raise ValueError(f"triangle {entry!r} does not have 3 vertices")
-            tris.append(LatticeTriangle(*(as_point(p) for p in entry)))
+            tris.append(tuple(as_point(p) for p in entry))
     except TypeError:
         raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None
     return poly, tris
@@ -382,5 +378,5 @@ def test_parse_dissection_json_shares_points():
     _, D = parse_dissection_json(dissection_to_json(P, unit_dissection(P)))
     points = {}
     for v in (v for t in D.triangles for v in t):
-        assert type(v) is LatticePoint and points.setdefault(v, v) is v
+        assert type(v) is tuple and points.setdefault(v, v) is v
     assert len(points) < 3 * len(D)

@@ -31,7 +31,7 @@ def test_random_polygon_deterministic():
 def test_random_polygon_respects_bound():
     for seed in range(50):
         P = random_convex_polygon(3 + seed % 10, 12, seed=seed)
-        assert all(abs(v.x) <= 12 and abs(v.y) <= 12 for v in P.vertices)
+        assert all(abs(x) <= 12 and abs(y) <= 12 for x, y in P.vertices)
 
 
 def test_random_polygon_impossible_bound():

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from latticediss.errors import NotStrictlyConvex, RepeatedVertex, TooFewVertices
 from latticediss.geometry import (
-    LatticePoint,
-    LatticeTriangle,
     angle_key,
     as_triangle,
     boundary_word,
@@ -22,7 +20,7 @@ from latticediss.geometry import (
 from latticediss.words import CyclicWord
 
 coords = st.integers(min_value=-1000, max_value=1000)
-points = st.tuples(coords, coords).map(lambda t: LatticePoint(*t))
+points = st.tuples(coords, coords)
 
 
 def det3(t):
@@ -36,10 +34,10 @@ def det3(t):
 
 
 def test_color_table():
-    assert color_of(LatticePoint(0, 0)) == "A"
-    assert color_of(LatticePoint(1, 1)) == "C"
-    assert color_of(LatticePoint(-3, 4)) == "B"
-    assert color_of(LatticePoint(2, 7)) == "D"
+    assert color_of((0, 0)) == "A"
+    assert color_of((1, 1)) == "C"
+    assert color_of((-3, 4)) == "B"
+    assert color_of((2, 7)) == "D"
 
 
 def test_signed_area2_examples():
@@ -53,33 +51,33 @@ def test_signed_area2_examples():
 
 @given(points, points, points)
 def test_signed_area2_matches_determinant(a, b, c):
-    assert signed_area2(LatticeTriangle(a, b, c)) == det3((a, b, c))
+    assert signed_area2((a, b, c)) == det3((a, b, c))
 
 
 @given(points, points, points)
 def test_signed_area2_symmetries(a, b, c):
-    t = signed_area2(LatticeTriangle(a, b, c))
-    assert signed_area2(LatticeTriangle(b, c, a)) == t
-    assert signed_area2(LatticeTriangle(c, a, b)) == t
-    assert signed_area2(LatticeTriangle(b, a, c)) == -t
+    t = signed_area2((a, b, c))
+    assert signed_area2((b, c, a)) == t
+    assert signed_area2((c, a, b)) == t
+    assert signed_area2((b, a, c)) == -t
 
 
 def test_parity_proposition_exhaustive_6x6():
-    grid = [LatticePoint(x, y) for x in range(6) for y in range(6)]
+    grid = [(x, y) for x in range(6) for y in range(6)]
     for a, b, c in itertools.product(grid, repeat=3):
-        t = LatticeTriangle(a, b, c)
+        t = (a, b, c)
         even = signed_area2(t) % 2 == 0
         assert even == (len({color_of(a), color_of(b), color_of(c)}) < 3)
 
 
 def test_collinear_examples():
-    assert collinear(LatticePoint(0, 0), LatticePoint(1, 1), LatticePoint(2, 2))
-    assert not collinear(LatticePoint(0, 0), LatticePoint(1, 0), LatticePoint(0, 1))
-    assert collinear(LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(5, 0))
+    assert collinear((0, 0), (1, 1), (2, 2))
+    assert not collinear((0, 0), (1, 0), (0, 1))
+    assert collinear((0, 0), (2, 0), (5, 0))
 
 
 def test_collinear_corollary_exhaustive_8x8():
-    grid = [LatticePoint(x, y) for x in range(8) for y in range(8)]
+    grid = [(x, y) for x in range(8) for y in range(8)]
     for a, b, c in itertools.combinations(grid, 3):
         if collinear(a, b, c):
             cols = {color_of(a), color_of(b), color_of(c)}
@@ -107,11 +105,11 @@ def test_boundary_word_rotation():
 
 def test_validate_convex_accepts_and_orients():
     P = validate_convex([(0, 0), (1, 0), (1, 1), (0, 1)])
-    assert P.vertices == tuple(map(LatticePoint, (0, 1, 1, 0), (0, 0, 1, 1)))
+    assert P.vertices == ((0, 0), (1, 0), (1, 1), (0, 1))
     # clockwise input is reversed
     Q = validate_convex([(0, 0), (0, 1), (1, 1), (1, 0)])
     assert polygon_area2(Q) == 2
-    assert Q.vertices[0] == LatticePoint(1, 0) or polygon_area2(Q) > 0
+    assert Q.vertices[0] == (1, 0) or polygon_area2(Q) > 0
 
 
 def test_validate_convex_rejections():
@@ -139,13 +137,13 @@ def test_validate_convex_rejects_star_cycle():
 def test_angle_key_orders_like_atan2():
     # every nonzero vector in [-8, 8]^2, against its angle in [0, 2*pi);
     # vectors with the same primitive direction must tie
-    vecs = [LatticePoint(x, y) for x in range(-8, 9) for y in range(-8, 9) if (x, y) != (0, 0)]
+    vecs = [(x, y) for x in range(-8, 9) for y in range(-8, 9) if (x, y) != (0, 0)]
 
     def direction(v):
-        g = math.gcd(v.x, v.y)
-        return v.x // g, v.y // g
+        g = math.gcd(*v)
+        return v[0] // g, v[1] // g
 
-    angle = {v: math.atan2(v.y, v.x) % (2 * math.pi) for v in vecs}
+    angle = {v: math.atan2(v[1], v[0]) % (2 * math.pi) for v in vecs}
     for a, b in itertools.product(vecs, repeat=2):
         ka, kb = angle_key(a), angle_key(b)
         if direction(a) == direction(b):

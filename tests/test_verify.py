@@ -17,8 +17,6 @@ from latticediss.dissect import (
 )
 from latticediss.gen import random_convex_polygon, random_dissection, realize_word
 from latticediss.geometry import (
-    LatticePoint,
-    LatticeTriangle,
     as_triangle,
     boundary_word,
     color_of,
@@ -173,7 +171,7 @@ def test_boundary_chain_detail_is_truthful_on_benchmark_failures(label):
         m = _CHAIN_DETAIL.fullmatch(chain.detail)
         assert m, chain.detail
         ax, ay, bx, by = map(int, m.groups()[:4])
-        a, b = LatticePoint(ax, ay), LatticePoint(bx, by)
+        a, b = (ax, ay), (bx, by)
         dx, dy = bx - ax, by - ay
         length2 = dx * dx + dy * dy
         assert length2 > 0
@@ -183,8 +181,8 @@ def test_boundary_chain_detail_is_truthful_on_benchmark_failures(label):
             overlaps = []
             for p, q in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
                 if orient(a, b, p) == 0 == orient(a, b, q):
-                    tp = (p.x - ax) * dx + (p.y - ay) * dy
-                    tq = (q.x - ax) * dx + (q.y - ay) * dy
+                    tp = (p[0] - ax) * dx + (p[1] - ay) * dy
+                    tq = (q[0] - ax) * dx + (q[1] - ay) * dy
                     overlaps.append(min(tp, tq) < length2 and max(tp, tq) > 0)
             assert any(overlaps), (label, count, chain.detail, i, t)
 
@@ -228,7 +226,7 @@ def test_repeated_vertex_fails_orientation_not_gcd():
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, True])
 def test_non_integer_coordinates_skip_the_chain(bad):
-    t = LatticeTriangle(LatticePoint(0, 0), LatticePoint(1, 0), LatticePoint(bad, 1))
+    t = ((0, 0), (1, 0), (bad, 1))
     D = Dissection((t, HALF_SPLIT.triangles[1]))
     rep = verify_dissection(UNIT_SQUARE, D)
     assert "integer-coords" in failed_names(rep)
@@ -247,7 +245,7 @@ def pentagon_fig2():
         as_triangle(((2, 4), (0, 0), (4, 0))),
         as_triangle(((2, 4), (4, 0), (5, 2))),
     ]
-    pieces = split_with_point(fan[1], LatticePoint(2, 0))
+    pieces = split_with_point(fan[1], (2, 0))
     return P, Dissection((fan[0], *pieces, fan[2]))
 
 
@@ -289,7 +287,7 @@ def test_poof_pentagon_boundary_chain():
     # the degenerate triangle lies on the subdivided bottom edge
     degen = next(t for t in T.triangles
                  if signed_area2(as_triangle([vmap[i] for i in sorted(t)])) == 0)
-    assert {vmap[i] for i in degen} == {LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(4, 0)}
+    assert {vmap[i] for i in degen} == {(0, 0), (2, 0), (4, 0)}
 
 
 def test_poof_four_collinear_quadrilateral_poofagon():
@@ -340,10 +338,10 @@ def reference_poof(P, D):
     tris = {frozenset(idx[v] for v in t) for t in D.triangles}
     sides = [(t[k], t[(k + 1) % 3]) for t in D.triangles for k in range(3)] + P.edges()
     for a, b in sides:
-        dx, dy = b.x - a.x, b.y - a.y
+        dx, dy = b[0] - a[0], b[1] - a[1]
 
         def along(p):
-            return (p.x - a.x) * dx + (p.y - a.y) * dy
+            return (p[0] - a[0]) * dx + (p[1] - a[1]) * dy
 
         inner = sorted((p for p in pts if orient(a, p, b) == 0 and 0 < along(p) < along(b)),
                        key=along)
