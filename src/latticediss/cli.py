@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dissection")
     p.set_defaults(fn=cmd_witness)
 
-    p = sub.add_parser("sperner", help="exhaustive tricolor check over all diagonal triangulations")
+    p = sub.add_parser("sperner", help="tricolor check over all diagonal triangulations, counted "
+                       "by dynamic programming: 3-200 letters, under a second at 200")
     p.add_argument("word")
     p.set_defaults(fn=cmd_sperner)
 

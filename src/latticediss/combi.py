@@ -4,14 +4,16 @@ A combinatorial polygon is just a cyclic sequence of colored corners; a
 triangulation is a set of vertex-id triples that glue into a topological
 disk whose boundary is the polygon.  This module validates the disk
 structure, finds tricolor triangles, builds good (tricolor-free) diagonal
-dissections from contraction traces, enumerates all diagonal triangulations
-of an n-gon, and runs the exhaustive tricolor check for a boundary word.
+dissections from contraction traces, and checks the tricolor property over
+all diagonal triangulations of a boundary word's polygon by counting them
+with an interval recurrence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceeded, NotADisk, TheoremViolation, TooSmall
 from .words import ContractionTrace, CyclicWord, decide_contractible
@@ -225,31 +227,12 @@ def good_dissection(w: CyclicWord) -> Triangulation | None:
     return T
 
 
-def enumerate_diagonal_triangulations(n: int) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    """Every diagonal triangulation of the n-gon (corners 0..n-1), once each.
-
-    Yields shapes: tuples of ascending (i, k, j) corner triples.  The count
-    is the (n-2)nd Catalan number.  Bounded to n <= 14.
-    """
-    if not 3 <= n <= 14:
-        raise BoundExceeded(f"diagonal enumeration supports 3 <= n <= 14, got {n}")
-
-    def gen(i: int, j: int) -> Iterator[tuple]:
-        # triangulations of the fan i..j using base edge (i, j)
-        if j - i < 2:
-            yield ()
-            return
-        for k in range(i + 1, j):
-            for left in gen(i, k):
-                for right in gen(k, j):
-                    yield left + ((i, k, j),) + right
-
-    yield from gen(0, n - 1)
+SPERNER_BOUND = 200
 
 
 @dataclass
 class SpernerReport:
-    """Outcome of the exhaustive tricolor check for one boundary word."""
+    """Outcome of the tricolor check for one boundary word."""
 
     word: CyclicWord
     contractible: bool
@@ -259,15 +242,8 @@ class SpernerReport:
     star_tricolor: dict[str, bool]  # interior color -> star contains a tricolor triangle
 
 
-def _shape_is_tricolor_free(shape, cols) -> bool:
-    for i, k, j in shape:
-        if cols[i] != cols[k] and cols[k] != cols[j] and cols[i] != cols[j]:
-            return False
-    return True
-
-
 def sperner_check(w: CyclicWord) -> SpernerReport:
-    """Brute-force the tricolor property over all diagonal triangulations.
+    """Check the tricolor property over all diagonal triangulations.
 
     Counts triangulations of the |w|-gon colored by w that avoid tricolor
     triangles, asserts that at least one exists exactly when w is
@@ -275,24 +251,39 @@ def sperner_check(w: CyclicWord) -> SpernerReport:
     tricolor triangle (mandatory when w is not contractible).  Raises
     TheoremViolation if any of that fails — which would mean a bug, since
     both facts are theorems.
+
+    Every triangulation of corners i..j has one triangle (i, k, j) on the
+    edge (i, j), so free[i][j], the tricolor-free count, sums free[i][k] *
+    free[k][j] over good (i, k, j): O(n^3) exact-int steps.
     """
     n = len(w)
-    if n > 12:
-        raise BoundExceeded(f"sperner check supports words up to length 12, got {n}")
+    if n > SPERNER_BOUND:
+        raise BoundExceeded(f"sperner check supports words up to length {SPERNER_BOUND}, got {n}")
     if n < 3:
         raise BoundExceeded("sperner check needs a word of length at least 3")
     cols = w.letters
     contractible, _ = decide_contractible(w)
 
-    examined = 0
-    free_count = 0
-    example = None
-    for shape in enumerate_diagonal_triangulations(n):
-        examined += 1
-        if _shape_is_tricolor_free(shape, cols):
-            free_count += 1
-            if example is None:
-                example = shape
+    def apexes(i: int, j: int):  # the k that make (i, k, j) good
+        ci, cj = cols[i], cols[j]
+        return (k for k in range(i + 1, j) if ci == cj or cols[k] == ci or cols[k] == cj)
+
+    free = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    for span in range(2, n):
+        for i in range(n - span):
+            j = i + span
+            free[i][j] = sum(free[i][k] * free[k][j] for k in apexes(i, j))
+
+    def first_shape(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+        # the first tricolor-free shape in the order of least k, then left, then right
+        if j - i < 2:
+            return ()
+        k = next(k for k in apexes(i, j) if free[i][k] and free[k][j])
+        return first_shape(i, k) + ((i, k, j),) + first_shape(k, j)
+
+    examined = math.comb(2 * n - 4, n - 2) // (n - 1)  # Catalan(n - 2)
+    free_count = free[0][n - 1]
+    example = first_shape(0, n - 1) if free_count else None
 
     if (free_count > 0) != contractible:
         raise TheoremViolation(

@@ -85,8 +85,10 @@ def split_with_point(t: Triangle, x: Point) -> list[Triangle]:
 
     Three pieces when x is strictly interior, two when x lies in the
     interior of an edge; pieces are counterclockwise and their doubled areas
-    sum to the triangle's.
+    sum to the triangle's.  x may be any [x, y] pair of ints; anything else
+    raises ValueError.
     """
+    x = as_point(x)
     if signed_area2(t) == 0:
         raise Degenerate("cannot split a degenerate triangle")
     if signed_area2(t) < 0:

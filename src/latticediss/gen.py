@@ -105,6 +105,20 @@ def random_convex_polygon(
 _PARITY = {color_of((x, y)): (x, y) for x in (0, 1) for y in (0, 1)}
 
 
+def _placed(edges: list[Point], first: Point) -> list[Point]:
+    """The closed edge path's vertices, centred, with vertex 0 shifted to
+    first's parity (the edge parities then color every other vertex)."""
+    xs, ys = [0], [0]
+    for v in edges[:-1]:
+        xs.append(xs[-1] + v[0])
+        ys.append(ys[-1] + v[1])
+    dx = _center_shift(xs)
+    dy = _center_shift(ys)
+    dx += (first[0] - dx) % 2
+    dy += (first[1] - dy) % 2
+    return [(x + dx, y + dy) for x, y in zip(xs, ys)]
+
+
 def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatticePolygon | None:
     """A strictly convex lattice polygon whose boundary word equals w, or None.
 
@@ -153,7 +167,8 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
             if budget <= 0:
                 return False
             if slot == n:
-                return sx == 0 and sy == 0
+                return sx == 0 and sy == 0 and all(
+                    max(abs(x), abs(y)) <= coord_bound for x, y in _placed(chosen, par[0]))
             if (sx % 2, sy % 2) != suffix[slot]:
                 return False
             reach = radius * (n - slot)
@@ -175,20 +190,7 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
             return False
 
         if dfs(0, 0, -1, 0, 0):
-            xs, ys = [0], [0]
-            for v in chosen[:-1]:
-                xs.append(xs[-1] + v[0])
-                ys.append(ys[-1] + v[1])
-            # even translation keeps every parity color; also pin vertex 0
-            # to the color of the first letter
-            dx = _center_shift(xs)
-            dy = _center_shift(ys)
-            dx += (par[0][0] - dx) % 2
-            dy += (par[0][1] - dy) % 2
-            pts = [(x + dx, y + dy) for x, y in zip(xs, ys)]
-            if any(abs(x) > coord_bound or abs(y) > coord_bound for x, y in pts):
-                continue
-            P = validate_convex(pts)
+            P = validate_convex(_placed(chosen, par[0]))
             assert boundary_word(P) == w
             return P
     return None

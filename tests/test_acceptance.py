@@ -10,13 +10,9 @@ import time
 
 import pytest
 
+from catalan_reference import enumerate_diagonal_triangulations
 from latticediss.cli import main
-from latticediss.combi import (
-    boundary_word_of,
-    disk_errors,
-    enumerate_diagonal_triangulations,
-    sperner_check,
-)
+from latticediss.combi import boundary_word_of, disk_errors, sperner_check
 from latticediss.dissect import Dissection, split_with_point, unit_dissection
 from latticediss.gen import random_convex_polygon, random_dissection
 from latticediss.geometry import (

@@ -177,8 +177,8 @@ def test_sperner_cli(capsys):
     assert main(["sperner", "AAB"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["triangulations_examined"] == 1 and data["tricolor_free"] == 1
-    assert main(["sperner", "A" * 13]) == 2
-    capsys.readouterr()
+    assert main(["sperner", "A" * 201]) == 2
+    assert capsys.readouterr().err == "error: sperner check supports words up to length 200, got 201\n"
 
 
 def test_render_golden_square(square_file, tmp_path):
@@ -315,6 +315,9 @@ def test_realize_cli(tmp_path, capsys):
     assert boundary_word(P) == CyclicWord("ABCD")
     assert main(["realize", "ABCD"]) == 0
     assert capsys.readouterr().out == "[[0, 0], [1, 0], [3, 1], [2, 1]]\n"
+    # a small bound steers the search to a polygon that fits
+    assert main(["realize", "ABCD", "--bound", "1"]) == 0
+    assert capsys.readouterr().out == "[[0, 0], [1, 0], [1, 1], [0, 1]]\n"
     # letters without a parity color give the impossible exit code
     assert main(["realize", "XYZW"]) == 10
     assert capsys.readouterr().err == ("no lattice polygon realizes XYZW: letters WXYZ have "

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import disk_reference
+from catalan_reference import enumerate_diagonal_triangulations
 from latticediss.dissect import parse_dissection_json
 from latticediss.errors import BoundExceeded, NotADisk, TooSmall
 from latticediss.geometry import parse_polygon_json
@@ -16,7 +18,6 @@ from latticediss.combi import (
     Triangulation,
     boundary_word_of,
     disk_errors,
-    enumerate_diagonal_triangulations,
     find_tricolor,
     good_dissection,
     sperner_check,
@@ -348,10 +349,55 @@ def test_sperner_two_color_word():
 
 
 def test_sperner_bounds():
-    with pytest.raises(BoundExceeded):
-        sperner_check(CyclicWord("A" * 13))
+    with pytest.raises(BoundExceeded, match="up to length 200, got 201"):
+        sperner_check(CyclicWord("A" * 201))
     with pytest.raises(BoundExceeded):
         sperner_check(CyclicWord("AB"))
+
+
+def _enumerated_sperner(s, shapes):
+    """(count, tricolor-free count, first tricolor-free shape) by listing."""
+    free = [shape for shape in shapes
+            if all(s[i] == s[k] or s[k] == s[j] or s[i] == s[j] for i, k, j in shape)]
+    return len(shapes), len(free), free[0] if free else None
+
+
+def test_sperner_recurrence_matches_enumeration():
+    shapes = {n: list(enumerate_diagonal_triangulations(n)) for n in range(3, 11)}
+    rng = random.Random(12)
+    words = ["".join(t) for n in range(3, 8) for t in itertools.product("ABCD", repeat=n)]
+    words += ["".join(rng.choices("ABCD", k=n)) for n in (8, 9, 10) for _ in range(300)]
+    for s in words:
+        rep = sperner_check(CyclicWord(s))
+        got = (rep.triangulations_examined, rep.tricolor_free_count, rep.tricolor_free_example)
+        assert got == _enumerated_sperner(s, shapes[len(s)]), s
+
+
+def test_sperner_beyond_the_enumeration():
+    # both figures brute-forced over all 2,674,440 shapes of the 16-gon
+    rep = sperner_check(CyclicWord("ABABCCDCBBDBABAB"))
+    assert rep.triangulations_examined == 2_674_440
+    assert rep.tricolor_free_count == 145_224
+
+
+def test_sperner_verdict_matches_decider_up_to_200_letters():
+    # closed walks on trees are contractible, uniform words almost never
+    # are; tree_walk_word is not used, since below 500 letters it is one
+    # repeated letter
+    rng = random.Random(5)
+    words = []
+    while len(words) < 8:
+        w = inputs.closed_walk(rng, rng.randint(13, 200), rng.choice("ABCD"))
+        if 13 <= len(w) <= 200:
+            words.append(w)
+    words += [inputs.random_word(rng, rng.randint(13, 200)) for _ in range(8)]
+    verdicts = set()
+    for s in words:
+        w = CyclicWord(s)
+        rep = sperner_check(w)
+        assert (rep.tricolor_free_count > 0) == rep.contractible == decide_contractible(w)[0], s
+        verdicts.add(rep.contractible)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=60, deadline=None)

@@ -154,6 +154,18 @@ def test_split_errors():
         split_with_point(as_triangle(((0, 0), (1, 0), (2, 0))), (1, 0))
 
 
+def test_split_coerces_the_point():
+    # a list point is compared with the tuple vertices only after coercion,
+    # and a non-integer point is refused instead of giving non-lattice pieces
+    t = as_triangle(((0, 0), (2, 0), (1, 2)))
+    with pytest.raises(IsVertex):
+        split_with_point(t, [2, 0])
+    assert split_with_point(t, [1, 0]) == split_with_point(t, (1, 0))
+    assert all(type(p) is tuple for piece in split_with_point(t, [1, 0]) for p in piece)
+    with pytest.raises(ValueError):
+        split_with_point(t, [1.5, 0])
+
+
 @settings(max_examples=300)
 @given(st.tuples(pts, pts, pts), pts)
 def test_split_partitions_area(t, x):
