@@ -26,7 +26,7 @@ from .dissect import (
 from .errors import LatticeDissError, PreconditionViolated
 from .geometry import boundary_word, parse_polygon_json, polygon_to_json, signed_area2
 from .verify import MODES, verify_dissection, witness_noninteger
-from .words import CyclicWord, decide_contractible
+from .words import CyclicWord, _reduce_cyclic, decide_contractible
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,7 +89,12 @@ def cmd_decide(args) -> int:
         return EXIT_OK
     print("not-contractible")
     sys.stdout.flush()  # a stdout that cannot take the verdict fails before the stuck line
+    # The recording kernel runs only here: the stuck letters' original positions.
+    _, _, positions = _reduce_cyclic(w.letters.encode("ascii"))
     print(f"stuck: {stuck}", file=sys.stderr)
+    print("stuck positions:", *positions, file=sys.stderr)
+    if args.polygon:
+        print(f"stuck corners: {json.dumps([P.vertices[i] for i in positions])}", file=sys.stderr)
     return EXIT_IMPOSSIBLE
 
 

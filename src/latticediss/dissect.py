@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, tee
 from math import gcd
+from typing import Iterable
 
 from .errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from .geometry import (
@@ -224,31 +225,112 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
 
 # --- dissection JSON ----------------------------------------------------------
 
+# The layout that dissection_to_json writes, which is also what json.dumps
+# writes with its default separators: the polygon's JSON in the first slot and
+# the triangles, one _TRIANGLE_JSON each and joined by _TRIANGLE_SEP, in the
+# second.  _parse_written reads back exactly this layout.
+_DISSECTION_JSON = '{"polygon": %s, "triangles": [%s]}'
 _TRIANGLE_JSON = "[[%s, %s], [%s, %s], [%s, %s]]"
+_TRIANGLE_SEP = ", "
+_HEAD, _MIDDLE, _TAIL = _DISSECTION_JSON.split("%s")
+_SKELETON = _TRIANGLE_JSON % (("",) * 6)  # "[[, ], [, ], [, ]]"
+_TRIANGLE_BREAK = "]]" + _TRIANGLE_SEP + "[["
+_VERTEX_BREAK = "], ["  # between the pairs of _TRIANGLE_JSON
+_NUMERALS = str.maketrans("", "", "-0123456789")
+_DECODER = json.JSONDecoder()
 
 
 def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
     # The same text as json.dumps({"polygon": ..., "triangles": ...}), with the
     # triangles formatted by one template each.  %s writes an int as json.dumps
     # does, and a finite float too, where %d would truncate it.
-    triangles = ", ".join([_TRIANGLE_JSON % (a[0], a[1], b[0], b[1], c[0], c[1])
-                           for a, b, c in D.triangles])
-    return '{"polygon": %s, "triangles": [%s]}' % (json.dumps(P.vertices), triangles)
+    triangles = _TRIANGLE_SEP.join([_TRIANGLE_JSON % (a[0], a[1], b[0], b[1], c[0], c[1])
+                                    for a, b, c in D.triangles])
+    return _DISSECTION_JSON % (json.dumps(P.vertices), triangles)
+
+
+def _interned(points: Iterable[Point]) -> tuple[Triangle, ...]:
+    """Group a stream of points into triangles, with one tuple per distinct
+    point, shared by every triangle that names it."""
+    seen: dict[Point, Point] = {}
+    it = map(seen.setdefault, *tee(points))
+    return tuple(zip(it, it, it))
+
+
+def _polygon_points(polygon) -> list[Point]:
+    if not isinstance(polygon, list):
+        raise ValueError('dissection JSON "polygon" must be an array of [x, y] pairs')
+    poly = []
+    for entry in polygon:
+        try:
+            poly.append(as_point(entry))
+        except TypeError:  # a number or null where a pair belongs
+            raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None
+    return poly
+
+
+def _parse_written(text: str) -> tuple[list[Point], Dissection] | None:
+    """Read text in the layout of dissection_to_json without building a list
+    per triangle or vertex; None for any other text.
+
+    The string checks run in C.  Deleting the numerals from the triangles
+    array must leave _SKELETON once per triangle, joined by _TRIANGLE_SEP, so
+    every bracket, comma and space sits where the writer puts it.  Merging
+    the two separators into ", " then turns the array into one flat JSON list
+    of 6 ints per triangle: a numeral anywhere but a number slot breaks a
+    separator and leaves a bracket behind, and a malformed number fails
+    json.loads.  Both send the text to the general parser, which gives its
+    own result or message.
+    """
+    # Trailing whitespace is skipped, not stripped, so the text is not copied;
+    # only JSON's own whitespace counts, as in json.loads.
+    stop = len(text)
+    while stop and text[stop - 1] in " \t\n\r":
+        stop -= 1
+    if not (text.startswith(_HEAD) and text.endswith(_TAIL, 0, stop)):
+        return None
+    try:
+        polygon, end = _DECODER.raw_decode(text, len(_HEAD))
+    except (ValueError, RecursionError):
+        return None
+    if not text.startswith(_MIDDLE, end):
+        return None
+    body = text[end + len(_MIDDLE) : stop - len(_TAIL)]
+    n = body.count(_TRIANGLE_BREAK) + 1 if body else 0
+    if body.translate(_NUMERALS) != _TRIANGLE_SEP.join([_SKELETON] * n):
+        return None
+    # body is rebound and then deleted, so no copy of the array text outlives
+    # its use: the peak is the ints and the triangles.
+    body = body.replace(_TRIANGLE_BREAK, ", ").replace(_VERTEX_BREAK, ", ") or "[[]]"
+    if body.find("[", 2) != -1:  # a separator broken by a numeral
+        return None
+    try:
+        (ints,) = json.loads(body)
+    except ValueError:
+        return None
+    del body
+    if len(ints) != 6 * n:
+        return None
+    it = iter(ints)
+    return _polygon_points(polygon), Dissection(_interned(zip(it, it)))
 
 
 def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     """Parse dissection JSON; returns the stated polygon vertices (not yet
     validated) and the triangle list.
 
+    Text in the layout that dissection_to_json (or json.dumps) writes takes
+    a fast path; any other valid JSON gives the same result more slowly.
     Each distinct vertex becomes one (x, y) tuple, shared by the triangles
     that name it.
     """
+    written = _parse_written(text)
+    if written is not None:
+        return written
     data = load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
-    polygon = data.get("polygon", [])
-    if not isinstance(polygon, list):
-        raise ValueError('dissection JSON "polygon" must be an array of [x, y] pairs')
+    poly = _polygon_points(data.get("polygon", []))
     raw = data["triangles"]
     try:
         vertices = list(chain.from_iterable(raw))
@@ -259,20 +341,14 @@ def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     except TypeError:
         well_formed = False
     if well_formed:
-        points = {p: p for p in set(map(tuple, vertices))}
-        it = map(points.__getitem__, map(tuple, vertices))
-        tris = tuple(zip(it, it, it))
+        return poly, Dissection(_interned(map(tuple, vertices)))
     entry = None
-    try:
-        poly = []
-        for entry in polygon:
-            poly.append(as_point(entry))
-        if not well_formed:  # the checks below name the first bad entry
-            tris = []
-            for entry in raw:
-                if len(entry) != 3:
-                    raise ValueError(f"triangle {entry!r} does not have 3 vertices")
-                tris.append(as_triangle(entry))
+    tris = []
+    try:  # name the first bad entry
+        for entry in raw:
+            if len(entry) != 3:
+                raise ValueError(f"triangle {entry!r} does not have 3 vertices")
+            tris.append(as_triangle(entry))
     except TypeError:
         # a number or null where a pair or a vertex list belongs
         raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None

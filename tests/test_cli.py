@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -42,15 +43,34 @@ def test_decide_reports_stuck_word(capsys):
     assert main(["decide", "AABCADBCD"]) == 10
     out, err = capsys.readouterr()
     assert out == "not-contractible\n"
-    assert err == "stuck: ABCADBCD\n"
+    assert err == "stuck: ABCADBCD\nstuck positions: 0 2 3 4 5 6 7 8\n"
     assert main(["decide", "ABABCCDCBBDB"]) == 0
     assert capsys.readouterr().err == ""
 
 
+def test_decide_stuck_positions_spell_the_stuck_word(capsys):
+    rng = random.Random("stuck-positions")
+    seen = 0
+    for _ in range(300):
+        w = "".join(rng.choice("ABCD") for _ in range(rng.randint(3, 60)))
+        if main(["decide", w]) == 0:
+            capsys.readouterr()
+            continue
+        stuck_line, positions_line = capsys.readouterr().err.splitlines()
+        stuck = stuck_line.removeprefix("stuck: ")
+        positions = [int(i) for i in positions_line.removeprefix("stuck positions: ").split()]
+        assert "".join(w[i] for i in positions) == stuck
+        assert positions == sorted(set(positions))
+        seen += 1
+    assert seen > 100
+
+
 def test_decide_polygon(square_file, capsys):
     assert main(["decide", "--polygon", square_file]) == 10
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "word ABCD" in out and "not-contractible" in out
+    assert err == ("stuck: ABCD\nstuck positions: 0 1 2 3\n"
+                   "stuck corners: [[0, 0], [1, 0], [1, 1], [0, 1]]\n")
 
 
 def test_decide_rejects_bad_word(capsys):
@@ -213,11 +233,13 @@ def test_render_golden_pentagon(tmp_path):
     (["bench", "--lengths", "0"], "--lengths"),
     (["bench", "--lengths", "abc"], "--lengths"),
     (["realize", "ABCD", "--bound", "-1"], "--bound"),
+    (["verify", "SQUARE", '{"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], '
+      '"triangles": [[[0, 0], [1, 0], [1.5, 1]]]}'], "[1.5, 1]"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
         "triangle-vertex-not-pair", "polygon-vertex-not-pair", "bench-lengths-zero",
-        "bench-lengths-not-int", "realize-bound-negative"])
+        "bench-lengths-not-int", "realize-bound-negative", "written-layout-float"])
 def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []

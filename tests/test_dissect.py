@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from latticediss.errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from latticediss.dissect import (
     Dissection,
+    _parse_written,
     diagonal_dissection,
     dissection_to_json,
     parse_dissection_json,
@@ -27,6 +30,11 @@ from latticediss.geometry import (
 from latticediss.verify import verify_dissection
 from latticediss.words import CyclicWord, decide_contractible
 from refine_reference import NormalizedTriangle, UnimodularAffineMap, normalize, reference_refine
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench import inputs  # noqa: E402
 
 coords = st.integers(min_value=-60, max_value=60)
 pts = st.tuples(coords, coords)
@@ -373,16 +381,104 @@ def reference_parse(text):
     '{"polygon": [3], "triangles": [5]}',
 ], ids=lambda t: t[:48])
 def test_parse_dissection_json_matches_reference(text):
-    def outcome(parse):
-        try:
-            poly, tris = parse(text)
-        except ValueError as e:
-            return "error", str(e)
-        return poly, tuple(tris)
+    assert outcome(library_parse, text) == outcome(reference_parse, text)
 
-    expected = outcome(reference_parse)
-    got = outcome(lambda t: (lambda poly, D: (poly, D.triangles))(*parse_dissection_json(t)))
-    assert got == expected
+
+def outcome(parse, text):
+    try:
+        poly, tris = parse(text)
+    except ValueError as e:
+        return "error", str(e)
+    return poly, tuple(tris)
+
+
+def library_parse(text):
+    poly, D = parse_dissection_json(text)
+    return poly, D.triangles
+
+
+def written(triangles, polygon="[[0, 0], [2, 0], [2, 2], [0, 2]]", end=""):
+    """Dissection JSON in the layout of dissection_to_json, around the given
+    triangles array body."""
+    return '{"polygon": %s, "triangles": [%s]}%s' % (polygon, triangles, end)
+
+
+GOOD = "[[0, 0], [2, 0], [2, 2]], [[-142, 115], [2, 2], [0, 2]]"
+
+
+@pytest.mark.parametrize("text", [
+    written(GOOD),
+    written("[[0, 0], [-142, 115]99999, [2, 2]]"),  # a bracket merge
+    written("[[1, 2], 3[, 4], [5, 6]]"),  # a number moved across a bracket
+    written("[[1, 2, 3], [4], [5, 6]]"),  # separators in the wrong order
+    *[written("[[%s, 0], [1, 0], [1, 1]]" % token)
+      for token in ["01", "-", "--1", "-0", "1.5", "1e3", "true", "null", ""]],
+    written(""),
+    written(GOOD, end="\n"),
+    written(GOOD, end=" \t\r\n"),
+    # json.loads allows only JSON's own whitespace after the document
+    written(GOOD, end="\x0c"), written(GOOD, end="\xa0"), written(GOOD, end="\u2028"),
+    written(GOOD, polygon="5"),
+    written(GOOD, polygon='{"a": 1}'),
+    written(GOOD, polygon="[[true, 0], [1, 0], [1, 1]]"),
+    written(GOOD, polygon="[[0, 0], 7]"),
+    written("[[%s, 0], [1, 0], [1, 1]]" % ("1" * 5000)),
+    written(GOOD + "]"), written("5" + GOOD), written(GOOD + "5"),
+    written(GOOD).replace(", ", ","),
+], ids=lambda t: repr(t[-60:]))
+def test_written_layout_matches_reference(text):
+    assert outcome(library_parse, text) == outcome(reference_parse, text)
+
+
+def test_written_layout_deep_polygon():
+    deep = "[" * 10**5 + "]" * 10**5
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_dissection_json(written(GOOD, polygon=deep))
+
+
+def takes_written_path(text):
+    try:
+        return _parse_written(text) is not None
+    except ValueError:  # the written path names a bad polygon entry itself
+        return True
+
+
+def test_written_layout_is_read_without_the_general_parser():
+    P = validate_convex([(0, 0), (4, 0), (3, 2), (0, 2)])
+    text = dissection_to_json(P, unit_dissection(P))
+    req = inputs.foreign_request(random.Random(1), 60, "valid", True)
+    for t in [text, text + "\n", req.dissection_text, written("")]:
+        assert takes_written_path(t)
+        assert outcome(library_parse, t) == outcome(reference_parse, t)
+    compact = json.dumps(json.loads(text), separators=(",", ":"))
+    assert not takes_written_path(compact)
+    assert outcome(library_parse, compact) == outcome(library_parse, text)
+
+
+MUTATIONS = [*"0123456789", "-", "], [", "]], [[", "[", "]", ", ", "1.5", "true"]
+
+
+def test_written_layout_mutations_match_reference():
+    rng = random.Random("written-layout")
+    bases = []
+    for seed in range(8):
+        P = random_convex_polygon(3 + seed % 4, 6, seed=seed)
+        D = random_dissection(P, depth=2, seed=seed)
+        if len(D) <= 12:
+            bases.append(dissection_to_json(P, D))
+    assert bases
+    kinds = set()
+    for _ in range(20_000):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(text) + 1)
+            token = rng.choice(MUTATIONS)
+            text = text[:i] + token + text[i + rng.randint(0, 1):]
+        got = outcome(library_parse, text)
+        assert got == outcome(reference_parse, text), text
+        kinds.add((got[0] == "error", takes_written_path(text)))
+    # the written path took and declined texts, and both verdicts came out
+    assert kinds >= {(True, False), (False, False), (False, True)}
 
 
 def test_parse_dissection_json_shares_points():
