@@ -116,6 +116,11 @@ def refine_triangle(t: Triangle) -> Dissection:
     Returns exactly doubled-area/2 triangles of doubled area 2.  Input
     orientation does not matter; pieces come out counterclockwise.  The
     pieces share the point tuples of the triangles they came from.
+
+    The worklist pops the piece pushed last first, so a split's last pieces
+    of doubled area 2 go straight to the output, in the order they would be
+    popped, and only the pieces before them are pushed: the order of the
+    output is the plain worklist's.
     """
     area2 = signed_area2(t)
     if area2 == 0:
@@ -168,20 +173,36 @@ def refine_triangle(t: Triangle) -> Dissection:
         o2 = a2 - o0 - o1  # orient(u2, u0, x)
         if o0 < 0 or o1 < 0 or o2 < 0:
             raise OutsideTriangle(f"{x} lies outside the triangle")
+        # The pieces in push order, the last one popped first: the one before
+        # last is (ea, e0, e1, e2) and the last is (la, l0, l1, l2).
         if o0 and o1 and o2:
-            pieces = ((o0, u0, u1, x), (o1, u1, u2, x), (o2, u2, u0, x))
+            assert 0 < o0 < a2 and 0 < o1 < a2 and 0 < o2 < a2 and not (o0 | o1 | o2) & 1
+            if o2 == 2:
+                out.append((u2, u0, x))
+                ea, e0, e1, e2, la, l0, l1, l2 = o0, u0, u1, x, o1, u1, u2, x
+            else:
+                work.append((o0, u0, u1, x))
+                ea, e0, e1, e2, la, l0, l1, l2 = o1, u1, u2, x, o2, u2, u0, x
         elif o1 and o2:  # x inside edge u0 u1
-            pieces = ((o2, u0, x, u2), (o1, x, u1, u2))
+            assert 0 < o2 < a2 and 0 < o1 < a2 and not (o2 | o1) & 1
+            ea, e0, e1, e2, la, l0, l1, l2 = o2, u0, x, u2, o1, x, u1, u2
         elif o0 and o2:  # x inside edge u1 u2
-            pieces = ((o0, u1, x, u0), (o2, x, u2, u0))
+            assert 0 < o0 < a2 and 0 < o2 < a2 and not (o0 | o2) & 1
+            ea, e0, e1, e2, la, l0, l1, l2 = o0, u1, x, u0, o2, x, u2, u0
         elif o0 and o1:  # x inside edge u2 u0
-            pieces = ((o1, u2, x, u1), (o0, x, u0, u1))
+            assert 0 < o1 < a2 and 0 < o0 < a2 and not (o1 | o0) & 1
+            ea, e0, e1, e2, la, l0, l1, l2 = o1, u2, x, u1, o0, x, u0, u1
         else:
             raise IsVertex(f"{x} is a vertex of the triangle")
-        for piece in pieces:
-            pa = piece[0]
-            assert 0 < pa < a2 and pa % 2 == 0
-        work.extend(pieces)
+        if la != 2:
+            work.append((ea, e0, e1, e2))
+            work.append((la, l0, l1, l2))
+        else:
+            out.append((l0, l1, l2))
+            if ea == 2:
+                out.append((e0, e1, e2))
+            else:
+                work.append((ea, e0, e1, e2))
     assert len(out) == area2 // 2
     return Dissection(tuple(out))
 

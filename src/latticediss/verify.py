@@ -36,7 +36,6 @@ from .geometry import (
     boundary_word,
     color_of,
     polygon_area2,
-    signed_area2,
 )
 from .words import decide_contractible
 
@@ -98,16 +97,29 @@ def _segment_index(P: ConvexLatticePolygon, triangles) -> _Index:
     """
     # left holds the sides met so far that no reverse has cancelled yet, so
     # never both p -> q and q -> p.  P's edges v_i -> v_i+1 enter reversed.
+    # A triangle's three sides are written out in full, with no inner loop.
     vs = P.vertices
     left = dict.fromkeys(zip(vs[1:] + vs[:1], vs), 1)
     pop, get = left.pop, left.get
     for a, b, c in triangles:
-        for p, q in ((a, b), (b, c), (c, a)):
-            n = pop((q, p), 0)
-            if n > 1:
-                left[q, p] = n - 1
-            elif not n:
-                left[p, q] = get((p, q), 0) + 1
+        n = pop((b, a), 0)
+        if n > 1:
+            left[b, a] = n - 1
+        elif not n:
+            k = (a, b)
+            left[k] = get(k, 0) + 1
+        n = pop((c, b), 0)
+        if n > 1:
+            left[c, b] = n - 1
+        elif not n:
+            k = (b, c)
+            left[k] = get(k, 0) + 1
+        n = pop((a, c), 0)
+        if n > 1:
+            left[a, c] = n - 1
+        elif not n:
+            k = (c, a)
+            left[k] = get(k, 0) + 1
     segments = []
     lines: dict[_Line, dict[int, int]] = {}
     for (p, q), n in left.items():
@@ -171,13 +183,9 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tris = D.triangles
     checks: list[CheckResult] = []
-    areas = [signed_area2(t) for t in tris]
-
-    bad = [i for i, a in enumerate(areas) if a <= 0]
-    checks.append(CheckResult(
-        "orientation", not bad,
-        "all triangles counterclockwise with positive area" if not bad
-        else f"non-positive doubled area at triangles {_fmt_indices(bad)}"))
+    # signed_area2 of each triangle, inline.
+    areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+             for (x1, y1), (x2, y2), (x3, y3) in tris]
 
     # Only exact integers may reach gcd; a type scan settles the common case.
     if set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}:
@@ -187,6 +195,14 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
             i for i, t in enumerate(tris)
             if not all(isinstance(c, int) and not isinstance(c, bool) for v in t for c in v)
         ]
+
+    # min and count settle the common case; other numbers (NaN) take the scan.
+    bad = ([i for i, a in enumerate(areas) if a <= 0]
+           if bad_coords or min(areas, default=1) <= 0 else [])
+    checks.append(CheckResult(
+        "orientation", not bad,
+        "all triangles counterclockwise with positive area" if not bad
+        else f"non-positive doubled area at triangles {_fmt_indices(bad)}"))
 
     index = None
     if bad_coords:
@@ -214,7 +230,8 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
             "all doubled areas even" if not bad
             else f"odd doubled area at triangles {_fmt_indices(bad)}"))
     elif mode == "unit":
-        bad = [i for i, a in enumerate(areas) if a != 2]
+        bad = ([i for i, a in enumerate(areas) if a != 2]
+               if bad_coords or areas.count(2) != len(areas) else [])
         checks.append(CheckResult(
             "mode-areas", not bad,
             "all doubled areas equal 2" if not bad

@@ -29,6 +29,7 @@ from latticediss.geometry import (
 )
 from latticediss.verify import verify_dissection
 from latticediss.words import CyclicWord, decide_contractible
+import refine_reference
 from refine_reference import NormalizedTriangle, UnimodularAffineMap, normalize, reference_refine
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -250,6 +251,40 @@ def test_refine_far_from_origin_matches_reference_and_shares_points(t):
         assert all(type(v) is tuple for v in piece)
         # a corner of the input is the input's own point object
         assert all(corners.get(v, v) is v for v in piece)
+
+
+def test_refine_matches_reference_on_every_small_normal_form(monkeypatch):
+    # Every normal form of doubled area at most 48, moved by a seeded map, in
+    # all three rotations and both orientations.  refine_triangle writes the
+    # unit pieces at the end of a split straight out; the reference's splits
+    # must end in 0, 1, 2 and 3 unit pieces, so each such case is compared.
+    ends = set()
+    split = refine_reference.split_with_point
+
+    def recording_split(t, x):
+        pieces = split(t, x)
+        units = 0  # the unit pieces at the end, which the worklist pops first
+        while units < len(pieces) and signed_area2(pieces[-1 - units]) == 2:
+            units += 1
+        ends.add((len(pieces), units))
+        return pieces
+
+    monkeypatch.setattr(refine_reference, "split_with_point", recording_split)
+    rng = random.Random(48)
+    forms = 0
+    for d in range(2, 49, 2):
+        for q in range(1, 48 // d + 1):
+            for p in range(1, q + 1):
+                m = _build_map(rng.randint(-4, 4), rng.randint(-4, 4), rng.random() < 0.5,
+                               rng.randint(-50, 50), rng.randint(-50, 50))
+                t = tuple(map(m.apply, NormalizedTriangle(d, p, q).vertices))
+                for k in range(3):
+                    r = t[k:] + t[:k]
+                    for u in (r, (r[0], r[2], r[1])):
+                        assert refine_triangle(u).triangles == reference_refine(u), (d, p, q, u)
+                forms += 1
+    assert forms == 491
+    assert ends == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)}
 
 
 # --- diagonal and unit dissections --------------------------------------------------

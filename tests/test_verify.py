@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,10 @@ from latticediss.geometry import (
     signed_area2,
     validate_convex,
 )
-from latticediss.verify import MODES, poof, verify_dissection, witness_noninteger
+from latticediss.verify import MODES, _segment_index, poof, verify_dissection, witness_noninteger
 from latticediss.words import CyclicWord
+from chain_reference import segment_index as reference_segment_index
+from dissection_oracle import is_dissection
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -233,6 +236,133 @@ def test_non_integer_coordinates_skip_the_chain(bad):
     chain = rep.checks[1]
     assert chain.name == "boundary-chain" and not chain.passed
     assert chain.detail.startswith("not run")
+
+
+def test_nan_coordinate_does_not_hide_a_clockwise_triangle():
+    # min over doubled areas is no shortcut once a NaN is among them
+    t = ((0, 0), (1, 0), (float("nan"), 1))
+    D = Dissection((t, ((0, 0), (1, 1), (1, 0))))
+    orientation = verify_dissection(UNIT_SQUARE, D, "unit").checks[0]
+    assert orientation.detail == "non-positive doubled area at triangles 1"
+
+
+# --- the chain index against its reference and against the definition -----------
+
+def _index_in_order(index):
+    segments, lines = index
+    return segments, [(line, list(deltas.items())) for line, deltas in lines.items()]
+
+
+def _chain_index_cases():
+    cases = []
+    seed = 0
+    while len(cases) < 20:
+        P = random_convex_polygon(3 + seed % 6, 10 + seed % 30, seed=seed)
+        U = unit_dissection(P)
+        if U is not None:
+            cases.append((P, U.triangles))
+        seed += 1
+    rng = random.Random("chain-index")
+    for label in ("valid", "drop", "overlap") * 4:
+        req = inputs.foreign_request(rng, rng.randint(20, 300), label, rng.random() < 0.5)
+        _, D = parse_dissection_json(req.dissection_text)
+        cases.append((parse_polygon_json(req.polygon_text), D.triangles))
+    a, b, c, d = UNIT_SQUARE.vertices
+    lower, upper = HALF_SPLIT.triangles
+    cases += [
+        (UNIT_SQUARE, (lower, upper, lower)),  # a triangle listed twice
+        (UNIT_SQUARE, (upper, upper, lower)),  # side a -> c twice before c -> a
+        (UNIT_SQUARE, (upper, lower, (a, c, b), upper, (a, a, c), (c, c, c))),  # all mixed
+        (UNIT_SQUARE, ((a, a, c), (c, c, c), (a, b, b))),  # repeated vertices
+        (UNIT_SQUARE, ((a, c, b), (a, d, c))),  # clockwise
+        # along P's edges in P's own direction, once, twice and in part
+        (UNIT_SQUARE, ((a, b, c), (a, b, d), (b, c, d))),
+        (SQUARE2, ((a, b, c), (b, (2, 0), (2, 2)), (a, (2, 0), (2, 2)), ((2, 2), (0, 2), a))),
+    ]
+    return cases
+
+
+def test_segment_index_matches_reference_in_order():
+    for P, tris in _chain_index_cases():
+        expected = _index_in_order(reference_segment_index(P, tris))
+        assert _index_in_order(_segment_index(P, tris)) == expected, (P, tris)
+
+
+def _moved_vertex(rng, P, tris):
+    """Every occurrence of one dissection vertex, not a corner of P, moved
+    one lattice step."""
+    points = sorted({v for t in tris for v in t})
+    v = rng.choice([p for p in points if p not in P.vertices] or points)
+    dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+    return [tuple((v[0] + dx, v[1] + dy) if u == v else u for u in t) for t in tris]
+
+
+def _duplicated_and_dropped(rng, P, tris):
+    """A rotated copy of one triangle added and one triangle of the result
+    dropped, which may be the copy or its original."""
+    i = rng.randrange(len(tris))
+    out = [*tris, tris[i][1:] + tris[i][:1]]
+    del out[rng.randrange(len(out))]
+    return out
+
+
+def _sheared_copy(rng, P, tris):
+    """One triangle replaced by a copy of equal area, its third vertex moved
+    along its first side by -1, 0 or 1 lattice steps."""
+    i = rng.randrange(len(tris))
+    a, b, c = tris[i]
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    g = gcd(dx, dy)
+    k = rng.choice((-1, 0, 1))
+    out = list(tris)
+    out[i] = (a, b, (c[0] + k * dx // g, c[1] + k * dy // g))
+    return out
+
+
+def _flipped_diagonal(rng, P, tris):
+    """Two triangles that share a side swapped for the quadrilateral's other
+    diagonal, each turned counterclockwise: a dissection exactly when the
+    quadrilateral is strictly convex; None when no two triangles share a side."""
+    owner = {}
+    for k, (a, b, c) in enumerate(tris):
+        owner[a, b] = owner[b, c] = owner[c, a] = (k, c)
+    shared = sorted((side, o) for side, o in owner.items() if side[::-1] in owner)
+    if not shared:
+        return None
+    (a, b), (k, c) = rng.choice(shared)
+    m, d = owner[b, a]
+    out = [t for j, t in enumerate(tris) if j not in (k, m)]
+    for t in ((c, a, d), (d, b, c)):
+        out.append(t if signed_area2(t) >= 0 else (t[0], t[2], t[1]))
+    return out
+
+
+def test_verify_agrees_with_the_definition_of_a_dissection():
+    verdicts = {}
+
+    def judge(cls, P, tris):
+        assert len(tris) <= 300
+        verdict = verify_dissection(P, Dissection(tuple(tris)), "any").valid
+        assert verdict == is_dissection(P, tris), (cls, P, tris)
+        verdicts.setdefault(cls, set()).add(verdict)
+
+    rng = random.Random("oracle")
+    for label in ("valid", "drop", "overlap") * 8:
+        req = inputs.foreign_request(rng, rng.randint(10, 290), label, rng.random() < 0.5)
+        _, D = parse_dissection_json(req.dissection_text)
+        judge("foreign_request", parse_polygon_json(req.polygon_text), D.triangles)
+    for seed in range(100):
+        P = random_convex_polygon(3 + seed % 6, 10 + seed % 20, seed=seed)
+        tris = random_dissection(P, depth=2 + seed % 15, seed=seed).triangles
+        for near_miss in (_moved_vertex, _duplicated_and_dropped, _sheared_copy,
+                          _flipped_diagonal):
+            near = near_miss(rng, P, tris)
+            if near is not None:
+                judge(near_miss.__name__, P, near)
+    assert verdicts == dict.fromkeys(
+        ["foreign_request", "_moved_vertex", "_duplicated_and_dropped", "_sheared_copy",
+         "_flipped_diagonal"],
+        {True, False})
 
 
 # --- poof ---------------------------------------------------------------------
