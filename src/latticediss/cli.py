@@ -38,6 +38,11 @@ class _CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one `error: ...` line on stderr, no usage text
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _read(path: str) -> str:
     try:
         if path == "-":
@@ -186,7 +191,7 @@ def cmd_realize(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticediss",
         description="Dissect convex lattice polygons into lattice triangles of area 1.",
     )

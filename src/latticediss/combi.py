@@ -41,7 +41,7 @@ class Triangulation:
         tris = set()
         for t in triangles:
             try:
-                tt = t if type(t) is frozenset else frozenset(t)
+                tt = frozenset(t)
             except TypeError:  # not iterable, or an unhashable id
                 tt = frozenset()
             x, y, z = tt if len(tt) == 3 else (None, None, None)

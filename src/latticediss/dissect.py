@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, tee
+from itertools import tee
 from math import gcd
 from typing import Iterable
 
@@ -42,7 +42,6 @@ from .geometry import (
     as_triangle,
     boundary_word,
     load_json,
-    orient,
     polygon_area2,
     signed_area2,
 )
@@ -90,13 +89,14 @@ def split_with_point(t: Triangle, x: Point) -> list[Triangle]:
     raises ValueError.
     """
     x = as_point(x)
-    if signed_area2(t) == 0:
+    area2 = signed_area2(t)
+    if area2 == 0:
         raise Degenerate("cannot split a degenerate triangle")
-    if signed_area2(t) < 0:
+    if area2 < 0:
         t = (t[0], t[2], t[1])
     if x in t:
         raise IsVertex(f"{x} is a vertex of the triangle")
-    o = [orient(t[i], t[(i + 1) % 3], x) for i in range(3)]
+    o = [signed_area2((t[i], t[(i + 1) % 3], x)) for i in range(3)]
     if any(side < 0 for side in o):
         raise OutsideTriangle(f"{x} lies outside the triangle")
     zeros = [i for i in range(3) if o[i] == 0]
@@ -168,9 +168,9 @@ def refine_triangle(t: Triangle) -> Dissection:
             m = (1 if p % 2 else 2) - k  # split at (1,1) or (2,1)
             sx, sy = px + m * ua - s, py + m * ub + r
         x = (sx, sy)
-        o0 = (x1 - x0) * (sy - y0) - (sx - x0) * (y1 - y0)  # orient(u0, u1, x)
-        o1 = (x2 - x1) * (sy - y1) - (sx - x1) * (y2 - y1)  # orient(u1, u2, x)
-        o2 = a2 - o0 - o1  # orient(u2, u0, x)
+        o0 = (x1 - x0) * (sy - y0) - (sx - x0) * (y1 - y0)  # signed_area2((u0, u1, x))
+        o1 = (x2 - x1) * (sy - y1) - (sx - x1) * (y2 - y1)  # signed_area2((u1, u2, x))
+        o2 = a2 - o0 - o1  # signed_area2((u2, u0, x))
         if o0 < 0 or o1 < 0 or o2 < 0:
             raise OutsideTriangle(f"{x} lies outside the triangle")
         # The pieces in push order, the last one popped first: the one before
@@ -264,9 +264,14 @@ _DECODER = json.JSONDecoder()
 def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
     # The same text as json.dumps({"polygon": ..., "triangles": ...}), with the
     # triangles formatted by one template each.  %s writes an int as json.dumps
-    # does, and a finite float too, where %d would truncate it.
+    # does, and a finite float too, where %d would truncate it.  It writes a
+    # bool or a non-finite float as True, False, nan or inf, where json.dumps
+    # writes true, false, NaN or Infinity, and only those hold a T, F or n:
+    # such text is written by json.dumps itself.
     triangles = _TRIANGLE_SEP.join([_TRIANGLE_JSON % (a[0], a[1], b[0], b[1], c[0], c[1])
                                     for a, b, c in D.triangles])
+    if "n" in triangles or "T" in triangles or "F" in triangles:
+        return json.dumps({"polygon": P.vertices, "triangles": D.triangles})
     return _DISSECTION_JSON % (json.dumps(P.vertices), triangles)
 
 
@@ -352,25 +357,14 @@ def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
     poly = _polygon_points(data.get("polygon", []))
-    raw = data["triangles"]
-    try:
-        vertices = list(chain.from_iterable(raw))
-        # JSON holds lists, dicts, strings and scalars, so this admits only
-        # lists of three [x, y] lists of exact integers (a bool is not one).
-        well_formed = (set(map(len, raw)) <= {3} and set(map(len, vertices)) <= {2}
-                       and set(map(type, chain.from_iterable(vertices))) <= {int})
-    except TypeError:
-        well_formed = False
-    if well_formed:
-        return poly, Dissection(_interned(map(tuple, vertices)))
     entry = None
-    tris = []
+    points: list[Point] = []
     try:  # name the first bad entry
-        for entry in raw:
+        for entry in data["triangles"]:
             if len(entry) != 3:
                 raise ValueError(f"triangle {entry!r} does not have 3 vertices")
-            tris.append(as_triangle(entry))
+            points += as_triangle(entry)
     except TypeError:
         # a number or null where a pair or a vertex list belongs
         raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None
-    return poly, Dissection(tuple(tris))
+    return poly, Dissection(_interned(points))

@@ -23,7 +23,7 @@ from .geometry import (
     angle_key,
     boundary_word,
     color_of,
-    orient,
+    signed_area2,
     validate_convex,
 )
 from .words import CyclicWord
@@ -206,7 +206,7 @@ def _lattice_points_inside(t: Triangle) -> list[Point]:
             p = (x, y)
             if p in t:
                 continue
-            if orient(a, b, p) >= 0 and orient(b, c, p) >= 0 and orient(c, a, p) >= 0:
+            if min(signed_area2((a, b, p)), signed_area2((b, c, p)), signed_area2((c, a, p))) >= 0:
                 out.append(p)
     return out
 

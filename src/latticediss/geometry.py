@@ -56,13 +56,8 @@ def signed_area2(t: Triangle) -> int:
     return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
 
 
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Doubled signed area of the point triple (a, b, c)."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-
-
 def collinear(p: Point, q: Point, r: Point) -> bool:
-    return orient(p, q, r) == 0
+    return signed_area2((p, q, r)) == 0
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ def validate_convex(points: Iterable) -> ConvexLatticePolygon:
                 raise RepeatedVertex(f"vertex {p} appears more than once")
             seen.add(p)
     n = len(vs)
-    crosses = [orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) for i in range(n)]
+    crosses = [signed_area2((vs[i], vs[(i + 1) % n], vs[(i + 2) % n])) for i in range(n)]
     if any(c == 0 for c in crosses):
         i = crosses.index(0)
         raise NotStrictlyConvex(

@@ -19,7 +19,7 @@ normals of lattice sides are integer vectors, so every projection is exact.
 
 from __future__ import annotations
 
-from latticediss.geometry import ConvexLatticePolygon, orient, polygon_area2, signed_area2
+from latticediss.geometry import ConvexLatticePolygon, polygon_area2, signed_area2
 
 
 def _separated(s, t) -> bool:
@@ -41,7 +41,7 @@ def is_dissection(P: ConvexLatticePolygon, triangles) -> bool:
     if any(signed_area2(t) <= 0 for t in tris):
         return False
     edges = P.edges()
-    if any(orient(a, b, v) < 0 for t in tris for v in t for a, b in edges):
+    if any(signed_area2((a, b, v)) < 0 for t in tris for v in t for a, b in edges):
         return False
     if sum(map(signed_area2, tris)) != polygon_area2(P):
         return False

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from latticediss.dissect import _egcd, split_with_point
 from latticediss.errors import Degenerate, NotIntegerArea
-from latticediss.geometry import Point, Triangle, color_of, orient, signed_area2
+from latticediss.geometry import Point, Triangle, color_of, signed_area2
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def normalize(t: Triangle) -> tuple[UnimodularAffineMap, NormalizedTriangle]:
     else:  # impossible: even doubled area forces a repeated color
         raise AssertionError("even-area triangle without a repeated color")
     v0, v1, v2 = t[i], t[j], t[k]
-    if orient(v0, v1, v2) < 0:
+    if signed_area2((v0, v1, v2)) < 0:
         v0, v1 = v1, v0
 
     a, b = v1[0] - v0[0], v1[1] - v0[1]

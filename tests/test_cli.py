@@ -78,12 +78,30 @@ def test_decide_rejects_bad_word(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_decide_needs_exactly_one_input(square_file):
+def test_decide_needs_exactly_one_input(square_file, capsys):
+    for argv in (["decide", "ABCD", "--polygon", square_file], ["decide"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: decide needs exactly one of WORD or --polygon FILE\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--mode", "bogus", "a", "b"],
+    ["dissect"],
+    ["realize", "ABCD", "--bound", "x"],
+    ["frobnicate"],
+    [],
+    ["decide"],
+    ["decide", "ABCD", "--polygon", "p.json"],
+], ids=["verify-bad-mode", "dissect-no-polygon", "realize-bound-not-int", "unknown-command",
+        "no-command", "decide-neither", "decide-both"])
+def test_usage_error_is_one_line(args, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["decide", "ABCD", "--polygon", square_file])
+        main(args)
     assert exc.value.code == 2
-    with pytest.raises(SystemExit):
-        main(["decide"])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_decide_polygon_stdin(monkeypatch, capsys):

@@ -367,6 +367,10 @@ def test_dissection_to_json_text_unchanged():
         # %d would write 2.5 as 2
         (tri, Dissection((((0, 0), (2.5, 0), (0, -1e20)),))),
     ]
+    # %s would write True, False, nan, inf and -inf where json.dumps writes
+    # true, false, NaN, Infinity and -Infinity
+    for x in (True, False, float("nan"), float("inf"), float("-inf")):
+        cases.append((tri, Dissection((((0, 0), (x, 0), (0, 2)),))))
     for seed in range(6):
         P = random_convex_polygon(3 + seed, 15, seed=seed)
         cases.append((P, random_dissection(P, depth=5, seed=seed)))
@@ -518,8 +522,18 @@ def test_written_layout_mutations_match_reference():
 
 def test_parse_dissection_json_shares_points():
     P = validate_convex([(0, 0), (4, 0), (0, 2)])
-    _, D = parse_dissection_json(dissection_to_json(P, unit_dissection(P)))
-    points = {}
-    for v in (v for t in D.triangles for v in t):
-        assert type(v) is tuple and points.setdefault(v, v) is v
-    assert len(points) < 3 * len(D)
+    text = dissection_to_json(P, unit_dissection(P))
+    data = json.loads(text)
+    polygon, D = parse_dissection_json(text)
+    # compact and indented copies take the general parser, which must give
+    # the same result and intern its points too
+    copies = [json.dumps(data, separators=(",", ":")), json.dumps(data, indent=1)]
+    for copy in copies:
+        assert _parse_written(copy) is None
+        assert parse_dissection_json(copy) == (polygon, D)
+    for copy in [text, *copies]:
+        _, D = parse_dissection_json(copy)
+        points = {}
+        for v in (v for t in D.triangles for v in t):
+            assert type(v) is tuple and points.setdefault(v, v) is v
+        assert len(points) < 3 * len(D)

@@ -21,7 +21,6 @@ from latticediss.geometry import (
     as_triangle,
     boundary_word,
     color_of,
-    orient,
     parse_polygon_json,
     signed_area2,
     validate_convex,
@@ -183,7 +182,7 @@ def test_boundary_chain_detail_is_truthful_on_benchmark_failures(label):
             t = D.triangles[i]
             overlaps = []
             for p, q in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                if orient(a, b, p) == 0 == orient(a, b, q):
+                if signed_area2((a, b, p)) == 0 == signed_area2((a, b, q)):
                     tp = (p[0] - ax) * dx + (p[1] - ay) * dy
                     tq = (q[0] - ax) * dx + (q[1] - ay) * dy
                     overlaps.append(min(tp, tq) < length2 and max(tp, tq) > 0)
@@ -473,7 +472,7 @@ def reference_poof(P, D):
         def along(p):
             return (p[0] - a[0]) * dx + (p[1] - a[1]) * dy
 
-        inner = sorted((p for p in pts if orient(a, p, b) == 0 and 0 < along(p) < along(b)),
+        inner = sorted((p for p in pts if signed_area2((a, p, b)) == 0 and 0 < along(p) < along(b)),
                        key=along)
         chain = [a, *inner, b]
         tris.update(frozenset((idx[a], idx[chain[j]], idx[chain[j + 1]]))
