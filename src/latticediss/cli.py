@@ -23,7 +23,7 @@ from .dissect import (
     parse_dissection_json,
     unit_dissection,
 )
-from .errors import LatticeDissError, PreconditionViolated
+from .errors import LatticeDissError
 from .geometry import boundary_word, parse_polygon_json, polygon_to_json, signed_area2
 from .verify import MODES, verify_dissection, witness_noninteger
 from .words import CyclicWord, _reduce_cyclic, decide_contractible
@@ -81,6 +81,18 @@ def _load_dissection(path: str) -> Dissection:
     return D
 
 
+def _print_stuck(w: CyclicWord, stuck: CyclicWord, corners=None) -> None:
+    """Say on stderr where reduction of the non-contractible w stopped: the
+    stuck word, its letters' original positions and, given the polygon's
+    corners, theirs."""
+    # The recording kernel runs only here: the stuck letters' original positions.
+    _, _, positions = _reduce_cyclic(w.letters.encode("ascii"))
+    print(f"stuck: {stuck}", file=sys.stderr)
+    print("stuck positions:", *positions, file=sys.stderr)
+    if corners is not None:
+        print(f"stuck corners: {json.dumps([corners[i] for i in positions])}", file=sys.stderr)
+
+
 def cmd_decide(args) -> int:
     if args.polygon:
         P = _load_polygon(args.polygon)
@@ -94,12 +106,7 @@ def cmd_decide(args) -> int:
         return EXIT_OK
     print("not-contractible")
     sys.stdout.flush()  # a stdout that cannot take the verdict fails before the stuck line
-    # The recording kernel runs only here: the stuck letters' original positions.
-    _, _, positions = _reduce_cyclic(w.letters.encode("ascii"))
-    print(f"stuck: {stuck}", file=sys.stderr)
-    print("stuck positions:", *positions, file=sys.stderr)
-    if args.polygon:
-        print(f"stuck corners: {json.dumps([P.vertices[i] for i in positions])}", file=sys.stderr)
+    _print_stuck(w, stuck, P.vertices if args.polygon else None)
     return EXIT_IMPOSSIBLE
 
 
@@ -109,6 +116,7 @@ def cmd_dissect(args) -> int:
     if D is None:
         w = boundary_word(P)
         print(f"no integral dissection exists (word {w} not contractible)", file=sys.stderr)
+        _print_stuck(w, decide_contractible(w)[1], P.vertices)
         return EXIT_IMPOSSIBLE
     _write(args.output, dissection_to_json(P, D))
     return EXIT_OK
@@ -125,10 +133,7 @@ def cmd_verify(args) -> int:
 def cmd_witness(args) -> int:
     P = _load_polygon(args.polygon)
     D = _load_dissection(args.dissection)
-    try:
-        t = witness_noninteger(P, D)
-    except PreconditionViolated as e:
-        raise _CliError(str(e)) from e
+    t = witness_noninteger(P, D)
     a2 = signed_area2(t)
     print(json.dumps({
         "triangle": t,
@@ -140,10 +145,7 @@ def cmd_witness(args) -> int:
 
 def cmd_sperner(args) -> int:
     w = _parse_word(args.word)
-    try:
-        rep = combi.sperner_check(w)
-    except LatticeDissError as e:
-        raise _CliError(str(e)) from e
+    rep = combi.sperner_check(w)
     print(json.dumps({
         "word": str(w),
         "contractible": rep.contractible,
@@ -266,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write to stdout: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (_CliError, LatticeDissError, ValueError, json.JSONDecodeError) as e:
+    except (_CliError, LatticeDissError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

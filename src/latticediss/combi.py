@@ -221,7 +221,7 @@ def good_dissection(w: CyclicWord) -> Triangulation | None:
     if not ok:
         return None
     assert isinstance(trace, ContractionTrace)
-    tris = [frozenset((s.left, s.deleted, s.right)) for s in trace.steps]
+    tris = [frozenset(s) for s in trace.steps]
     T = Triangulation(dict(enumerate(w.letters)), tris, tuple(range(n)))
     assert len(T.triangles) == n - 2
     return T

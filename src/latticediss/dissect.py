@@ -20,7 +20,7 @@ objects.  Three non-collinear points fix an affine map, so the split point
 depends only on the triangle and its chosen edge v0 -> v1, and can be
 written straight in the triangle's own coordinates: with (a, b) = v1 - v0,
 d = gcd(a, b) and u = (a, b)/d, the points (2,0) and (1,0) are v0 + 2u and
-v0 + u, and only the d = 2, q odd case runs the extended Euclidean algorithm
+v0 + u, and only the d = 2, q odd case needs a Bezout pair of u, from pow,
 to place (1,1) or (2,1).  tests/refine_reference.py spells out the same
 rule with explicit maps, and refine_triangle must match it piece for piece.
 """
@@ -63,21 +63,6 @@ class Dissection:
 
     def doubled_areas(self) -> list[int]:
         return [signed_area2(t) for t in self.triangles]
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, r, s) with r*a + s*b == g == gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def split_with_point(t: Triangle, x: Point) -> list[Triangle]:
@@ -160,8 +145,13 @@ def refine_triangle(t: Triangle) -> Dissection:
             sx, sy = px + ua, py + ub
         else:
             # Normal coordinates of v2 are (p, q) with 1 <= p <= q; the map
-            # back sends (X, Y) to v0 + (X - k*Y)*(ua, ub) + Y*(-s, r).
-            _, r, s = _egcd(a, b)
+            # back sends (X, Y) to v0 + (X - k*Y)*(ua, ub) + Y*(-s, r), for
+            # any r*ua + s*ub == 1: k absorbs the choice, as (p, q) is unique.
+            if ub:
+                r = pow(ua, -1, ub)
+                s = (1 - r * ua) // ub
+            else:
+                r, s = ua, 0
             tq = r * (cx - px) + s * (cy - py)
             p = (tq - 1) % q + 1
             k = (p - tq) // q
@@ -219,8 +209,8 @@ def diagonal_dissection(P: ConvexLatticePolygon) -> Dissection | None:
     assert isinstance(trace, ContractionTrace)
     vs = P.vertices
     tris = []
-    for step in trace.steps:
-        tri = (vs[step.left], vs[step.deleted], vs[step.right])
+    for deleted, left, right in trace.steps:
+        tri = (vs[left], vs[deleted], vs[right])
         a2 = signed_area2(tri)
         assert a2 > 0 and a2 % 2 == 0  # convexity and the parity of good triangles
         tris.append(tri)
@@ -251,26 +241,28 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
 # the triangles, one _TRIANGLE_JSON each and joined by _TRIANGLE_SEP, in the
 # second.  _parse_written reads back exactly this layout.
 _DISSECTION_JSON = '{"polygon": %s, "triangles": [%s]}'
-_TRIANGLE_JSON = "[[%s, %s], [%s, %s], [%s, %s]]"
+_TRIANGLE_JSON = "[[%r, %r], [%r, %r], [%r, %r]]"
 _TRIANGLE_SEP = ", "
 _HEAD, _MIDDLE, _TAIL = _DISSECTION_JSON.split("%s")
-_SKELETON = _TRIANGLE_JSON % (("",) * 6)  # "[[, ], [, ], [, ]]"
+_SKELETON = _TRIANGLE_JSON.replace("%r", "")  # "[[, ], [, ], [, ]]"
 _TRIANGLE_BREAK = "]]" + _TRIANGLE_SEP + "[["
 _VERTEX_BREAK = "], ["  # between the pairs of _TRIANGLE_JSON
 _NUMERALS = str.maketrans("", "", "-0123456789")
+# Deletes all that _SKELETON and the repr of an int or a finite float hold.
+_NUMBER_TEXT = str.maketrans("", "", _SKELETON + "-+.0123456789e")
 _DECODER = json.JSONDecoder()
 
 
 def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
     # The same text as json.dumps({"polygon": ..., "triangles": ...}), with the
-    # triangles formatted by one template each.  %s writes an int as json.dumps
-    # does, and a finite float too, where %d would truncate it.  It writes a
-    # bool or a non-finite float as True, False, nan or inf, where json.dumps
-    # writes true, false, NaN or Infinity, and only those hold a T, F or n:
-    # such text is written by json.dumps itself.
+    # triangles formatted by one template each.  %r writes an int or a finite
+    # float as json.dumps does.  Any other coordinate (a bool, nan, inf, a str
+    # in its quotes, a Fraction) leaves a character that _NUMBER_TEXT keeps,
+    # and then json.dumps writes the text: it quotes a str and raises
+    # TypeError on a Fraction.
     triangles = _TRIANGLE_SEP.join([_TRIANGLE_JSON % (a[0], a[1], b[0], b[1], c[0], c[1])
                                     for a, b, c in D.triangles])
-    if "n" in triangles or "T" in triangles or "F" in triangles:
+    if triangles.translate(_NUMBER_TEXT):
         return json.dumps({"polygon": P.vertices, "triangles": D.triangles})
     return _DISSECTION_JSON % (json.dumps(P.vertices), triangles)
 

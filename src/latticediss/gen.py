@@ -46,6 +46,12 @@ def _direction_count(k: int) -> int:
     )
 
 
+def _direction(v: Point) -> Point:
+    """The primitive vector with v's direction; v is nonzero."""
+    g = math.gcd(*v)
+    return (v[0] // g, v[1] // g)
+
+
 def random_convex_polygon(
     n: int, coord_bound: int = DEFAULT_BOUND, seed: int = 0
 ) -> ConvexLatticePolygon:
@@ -64,10 +70,6 @@ def random_convex_polygon(
     while k < 8 and _direction_count(k) < n:
         k += 1
     k = max(k, (3 * coord_bound) // (2 * n))
-    def direction(v: Point) -> tuple[int, int]:
-        g = math.gcd(*v)
-        return (v[0] // g, v[1] // g)
-
     for _ in range(POLYGON_TRIES):
         vecs: list[Point] = []
         dirs: set[tuple[int, int]] = set()
@@ -75,16 +77,16 @@ def random_convex_polygon(
             # a few inner draws to dodge direction collisions
             for _ in range(24):
                 v = (rng.randint(-k, k), rng.randint(-k, k))
-                if v != (0, 0) and direction(v) not in dirs:
+                if v != (0, 0) and _direction(v) not in dirs:
                     vecs.append(v)
-                    dirs.add(direction(v))
+                    dirs.add(_direction(v))
                     break
             else:
                 break
         if len(vecs) != n - 1:
             continue
         last = (-sum(v[0] for v in vecs), -sum(v[1] for v in vecs))
-        if last == (0, 0) or direction(last) in dirs:
+        if last == (0, 0) or _direction(last) in dirs:
             continue
         vecs.append(last)
         vecs.sort(key=angle_key)
@@ -152,16 +154,13 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
         ]
         pool.sort(key=lambda v: (angle_key(v), max(abs(v[0]), abs(v[1]))))
         # group equal directions so the search can force strictly increasing angles
-        klass = [0] * len(pool)
-        for i in range(1, len(pool)):
-            same = not (angle_key(pool[i - 1]) < angle_key(pool[i]))
-            klass[i] = klass[i - 1] if same else klass[i - 1] + 1
+        klass = [_direction(v) for v in pool]
         parities = [(x % 2, y % 2) for x, y in pool]
 
         budget = SEARCH_NODES
         chosen: list[Point] = []
 
-        def dfs(slot: int, start: int, last_klass: int, sx: int, sy: int) -> bool:
+        def dfs(slot: int, start: int, last_klass: Point | None, sx: int, sy: int) -> bool:
             nonlocal budget
             budget -= 1
             if budget <= 0:
@@ -176,7 +175,7 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
                 return False
             want = deltas[slot]
             for idx in range(start, len(pool)):
-                if slot and klass[idx] == last_klass:
+                if klass[idx] == last_klass:
                     continue
                 if parities[idx] != want:
                     continue
@@ -189,7 +188,7 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
                     return False
             return False
 
-        if dfs(0, 0, -1, 0, 0):
+        if dfs(0, 0, None, 0, 0):
             P = validate_convex(_placed(chosen, par[0]))
             assert boundary_word(P) == w
             return P

@@ -24,7 +24,7 @@ as its color codes.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import BoundExceeded, IllegalStep, WordTooShort
 
@@ -38,38 +38,16 @@ def active_kernel() -> str:
     return "pure"
 
 
-def _least_rotation(seq):
-    """Booth's algorithm: the lexicographically least rotation of seq."""
-    n = len(seq)
-    s = seq + seq
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return seq[k:] + seq[:k]
-
-
 class CyclicWord:
     """A nonempty word of ASCII letters, equal to all of its rotations.
 
     Accepts a string (one letter per character) or an iterable of
-    one-character strings, which are joined; letters is always a str.
-    Equality and hashing go through the canonical (lexicographically least)
-    rotation, computed lazily.
+    one-character strings, which are joined; letters is always a str.  Two
+    words are equal when one is a rotation of the other, and the hash comes
+    from the sorted letters, which every rotation shares.
     """
 
-    __slots__ = ("letters", "_canon")
+    __slots__ = ("letters",)
 
     def __init__(self, letters: str | Iterable[str]):
         if not isinstance(letters, str):
@@ -82,18 +60,9 @@ class CyclicWord:
         if not letters.isascii():
             raise ValueError("labels must be ASCII characters")
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicWord is immutable")
-
-    @property
-    def canonical(self) -> str:
-        c = self._canon
-        if c is None:
-            c = _least_rotation(self.letters)
-            object.__setattr__(self, "_canon", c)
-        return c
 
     def rotate(self, k: int) -> "CyclicWord":
         n = len(self.letters)
@@ -112,25 +81,17 @@ class CyclicWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicWord):
             return NotImplemented
-        return len(self.letters) == len(other.letters) and self.canonical == other.canonical
+        a, b = self.letters, other.letters
+        return len(a) == len(b) and b in a + a
 
     def __hash__(self) -> int:
-        return hash(self.canonical)
+        return hash("".join(sorted(self.letters)))
 
     def __str__(self) -> str:
         return self.letters
 
     def __repr__(self) -> str:
         return f"CyclicWord({self.letters!r})"
-
-
-class Step(NamedTuple):
-    """One recorded deletion: original indices of the letter and its
-    cyclic neighbors at the moment it was removed."""
-
-    deleted: int
-    left: int
-    right: int
 
 
 class ContractionTrace:
@@ -140,9 +101,11 @@ class ContractionTrace:
     anything: the trace keeps the word's letter codes and runs the recording
     kernel, _reduce_cyclic, once, the first time steps, terminal, iteration or
     replay is used.  len() needs no kernel run: a word of n letters takes
-    max(n - 2, 0) steps.  The steps contract the word to terminal, the (at
-    most 2) surviving original positions; replay checks the kernel's output
-    against the word.
+    max(n - 2, 0) steps.  Each step is a (deleted, left, right) triple of
+    original positions: the letter removed and its two cyclic neighbors at
+    that moment.  The steps contract the word to terminal, the (at most 2)
+    surviving original positions; replay checks the kernel's output against
+    the word.
     """
 
     __slots__ = ("_codes", "_run")
@@ -154,14 +117,14 @@ class ContractionTrace:
     def __setattr__(self, name, value):
         raise AttributeError("ContractionTrace is immutable")
 
-    def _recorded(self) -> tuple[tuple[Step, ...], tuple[int, ...]]:
+    def _recorded(self) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
         run = self._run
         if run is None:
             ok, flat, final = _reduce_cyclic(self._codes)
             if not ok:
                 raise IllegalStep("the word of this trace is not contractible")
             it = iter(flat)
-            run = (tuple(map(Step, it, it, it)), tuple(final))
+            run = (tuple(zip(it, it, it)), tuple(final))
             object.__setattr__(self, "_run", run)
         return run
 
@@ -170,13 +133,13 @@ class ContractionTrace:
         return self._recorded()[1]
 
     @property
-    def steps(self) -> tuple[Step, ...]:
+    def steps(self) -> tuple[tuple[int, int, int], ...]:
         return self._recorded()[0]
 
     def __len__(self) -> int:
         return max(len(self._codes) - 2, 0)
 
-    def __iter__(self) -> Iterator[Step]:
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.steps)
 
     def __repr__(self) -> str:
@@ -349,13 +312,17 @@ def exhaustive_contractible(w: CyclicWord, memo: dict | None = None) -> bool:
 
     Independent of decide_contractible.  The search is exponential in the
     word's length, so words longer than EXHAUSTIVE_BOUND raise
-    BoundExceeded.  memo (keyed by canonical rotation) defaults to a fresh
-    dict per call; pass a shared dict to amortize bulk enumerations.
+    BoundExceeded.  memo (keyed by the lexicographically least rotation)
+    defaults to a fresh dict per call; pass a shared dict to amortize bulk
+    enumerations.
     """
     if len(w) > EXHAUSTIVE_BOUND:
         raise BoundExceeded(f"word of length {len(w)} exceeds the bound {EXHAUSTIVE_BOUND}")
     if memo is None:
         memo = {}
+
+    def least(lets: str) -> str:
+        return min(lets[k:] + lets[:k] for k in range(len(lets)))
 
     def go(lets: str) -> bool:
         if len(lets) <= 2:
@@ -367,13 +334,13 @@ def exhaustive_contractible(w: CyclicWord, memo: dict | None = None) -> bool:
         res = False
         for i in range(n):
             if _window_repeats(lets[i - 1], lets[i], lets[(i + 1) % n]):
-                if go(_least_rotation(lets[:i] + lets[i + 1 :])):
+                if go(least(lets[:i] + lets[i + 1 :])):
                     res = True
                     break
         memo[lets] = res
         return res
 
-    return go(_least_rotation(w.letters))
+    return go(least(w.letters))
 
 
 def _mat_mul(m: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:

@@ -14,9 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from latticediss.dissect import _egcd, split_with_point
+from latticediss.dissect import split_with_point
 from latticediss.errors import Degenerate, NotIntegerArea
 from latticediss.geometry import Point, Triangle, color_of, signed_area2
+
+
+def bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, r, s) with r*a + s*b == g == gcd(a, b) >= 0, by Euclid's recursion."""
+    if b == 0:
+        return abs(a), (a > 0) - (a < 0), 0
+    g, r, s = bezout(b, a % b)  # r*b + s*(a - (a//b)*b) == g
+    return g, s, r - (a // b) * s
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,7 @@ def normalize(t: Triangle) -> tuple[UnimodularAffineMap, NormalizedTriangle]:
         v0, v1 = v1, v0
 
     a, b = v1[0] - v0[0], v1[1] - v0[1]
-    d, r, s = _egcd(a, b)
+    d, r, s = bezout(a, b)
     first = UnimodularAffineMap(r, s, -b // d, a // d)  # det +1, sends (a,b) to (d,0)
     shift = UnimodularAffineMap.translation(-v0[0], -v0[1])
     tq = first.apply((v2[0] - v0[0], v2[1] - v0[1]))

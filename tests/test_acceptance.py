@@ -27,7 +27,6 @@ from latticediss.dissect import refine_triangle
 from latticediss.verify import poof, verify_dissection, witness_noninteger
 from latticediss.words import (
     CyclicWord,
-    _least_rotation,
     active_kernel,
     apply_step,
     contracting_positions,
@@ -51,13 +50,13 @@ def exh_memo():
 
 @pytest.fixture(scope="module")
 def diag_exists():
-    """canonical letters -> existence of an all-good diagonal triangulation,
+    """least rotation -> existence of an all-good diagonal triangulation,
     by full Catalan enumeration (independent of the decider)."""
     shapes_by_n = {n: list(enumerate_diagonal_triangulations(n)) for n in range(3, 9)}
     memo: dict[tuple, bool] = {}
 
     def query(lets: tuple) -> bool:
-        key = _least_rotation(lets)
+        key = min(lets[k:] + lets[:k] for k in range(len(lets)))
         hit = memo.get(key)
         if hit is not None:
             return hit

@@ -111,9 +111,13 @@ def test_decide_polygon_stdin(monkeypatch, capsys):
 
 
 def test_dissect_impossible(square_file, capsys):
-    assert main(["dissect", square_file, "--unit"]) == 10
-    err = capsys.readouterr().err
-    assert "no integral dissection exists" in err and "ABCD" in err
+    for unit in ([], ["--unit"]):
+        assert main(["dissect", square_file, *unit]) == 10
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("no integral dissection exists (word ABCD not contractible)\n"
+                       "stuck: ABCD\nstuck positions: 0 1 2 3\n"
+                       "stuck corners: [[0, 0], [1, 0], [1, 1], [0, 1]]\n")
 
 
 def test_dissect_verify_roundtrip(tmp_path, capsys):

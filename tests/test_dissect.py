@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -368,8 +369,8 @@ def test_dissection_to_json_text_unchanged():
         (tri, Dissection((((0, 0), (2.5, 0), (0, -1e20)),))),
     ]
     # %s would write True, False, nan, inf and -inf where json.dumps writes
-    # true, false, NaN, Infinity and -Infinity
-    for x in (True, False, float("nan"), float("inf"), float("-inf")):
+    # true, false, NaN, Infinity and -Infinity, and a str without its quotes
+    for x in (True, False, float("nan"), float("inf"), float("-inf"), "a", "", "1-2"):
         cases.append((tri, Dissection((((0, 0), (x, 0), (0, 2)),))))
     for seed in range(6):
         P = random_convex_polygon(3 + seed, 15, seed=seed)
@@ -381,6 +382,9 @@ def test_dissection_to_json_text_unchanged():
             "triangles": [[[x, y] for x, y in t] for t in D.triangles],
         })
         assert dissection_to_json(P, D) == old
+    # json.dumps cannot write a Fraction, and neither can the writer
+    with pytest.raises(TypeError):
+        dissection_to_json(tri, Dissection((((0, 0), (Fraction(1, 2), 0), (0, 2)),)))
 
 
 def reference_parse(text):

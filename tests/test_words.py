@@ -72,10 +72,16 @@ def test_word_indexing_is_cyclic():
     assert str(w) == "ABC"
 
 
-@given(st.text(alphabet=ABCD, min_size=1, max_size=12))
-def test_canonical_is_least_rotation(s):
-    w = CyclicWord(s)
-    assert w.canonical == brute_min_rotation(s)
+@given(st.text(alphabet="ABC", min_size=1, max_size=9), st.integers(0, 8),
+       st.text(alphabet="ABC", min_size=1, max_size=9))
+def test_equality_and_hash_follow_rotation(s, k, t):
+    # == against brute-force rotation, on a rotation of s and on any t; equal
+    # words hash equal
+    k %= len(s)
+    for u in (s[k:] + s[:k], t):
+        same = brute_min_rotation(s) == brute_min_rotation(u)
+        assert (CyclicWord(s) == CyclicWord(u)) is same
+        assert not same or hash(CyclicWord(s)) == hash(CyclicWord(u))
 
 
 # --- contracting steps ------------------------------------------------------
