@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceeded, NotADisk, TheoremViolation, TooSmall
@@ -70,22 +71,89 @@ def _same_cycle(cycle: list[int], corners: tuple) -> bool:
     return corners in (tuple(cycle[k:] + cycle[:k]), tuple(cycle[k::-1] + cycle[:k:-1]))
 
 
+def _boundary_error(boundary: list[tuple[int, int]], corners: tuple) -> str | None:
+    """Why the boundary edges are not one cycle matching the corners, or None."""
+    nbr: dict[int, list[int]] = {}
+    for a, b in boundary:
+        nbr.setdefault(a, []).append(b)
+        nbr.setdefault(b, []).append(a)
+    bad_deg = [v for v, ns in nbr.items() if len(ns) != 2]
+    if not boundary:
+        return "no boundary edges: not a disk with boundary"
+    if bad_deg:
+        return f"boundary vertex {bad_deg[0]} touches {len(nbr[bad_deg[0]])} boundary edges"
+    cycle = [min(nbr)]
+    prev = None
+    while True:
+        ns = nbr[cycle[-1]]
+        nxt = ns[0] if ns[0] != prev else ns[1]
+        if nxt == cycle[0]:
+            break
+        prev = cycle[-1]
+        cycle.append(nxt)
+        if len(cycle) > len(boundary):
+            break
+    if len(cycle) != len(boundary):
+        return "boundary edges form more than one cycle"
+    if not _same_cycle(cycle, corners):
+        return f"boundary cycle {cycle} does not match corners {list(corners)}"
+    return None
+
+
+def _is_disk(T: Triangulation, V: int) -> bool:
+    """Whether T, on V vertices, passes the counting checks of disk_errors.
+
+    One flat map takes each edge to its first face, then to None once a
+    second face has come; the faces of an inner edge are merged by
+    union-find.  The checks: no edge has a third face, the boundary is one
+    cycle matching the corners, the faces are connected and V - E + F = 1.
+    """
+    face_of: dict[tuple[int, int], int | None] = {}
+    first = face_of.setdefault
+    parent = list(range(len(T.triangles)))
+    for i, (a, b, c) in enumerate(map(sorted, T.triangles)):
+        for e in ((a, b), (b, c), (a, c)):
+            j = first(e, i)
+            if j == i:
+                continue
+            if j is None:
+                return False  # a third face
+            face_of[e] = None
+            k = i
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            while parent[k] != k:
+                parent[k] = k = parent[parent[k]]
+            parent[j] = k
+    boundary = [e for e, f in face_of.items() if f is not None]
+    return (_boundary_error(boundary, T.corners) is None
+            and sum(map(eq, parent, range(len(parent)))) == 1
+            and V - len(face_of) + len(parent) == 1)
+
+
 def disk_errors(T: Triangulation) -> list[str]:
     """All violations of the disk contract, one message per condition.
 
-    The per-vertex fan walk runs last and only if an earlier check failed,
-    so a valid disk costs linear time.  It cannot fail once every edge has
-    at most two faces, the boundary is one cycle matching the corners, the
-    faces are edge-connected and V - E + F = 1: splitting each vertex into
-    its c link components gives a connected surface with boundary and
-    Euler characteristic 1 + sum(c - 1), which is at most 1 and equals 1
-    only for the disk, so every c is 1.
+    A valid disk takes one counting pass (_is_disk), which builds no list
+    per edge or face.  Only when a count fails are the messages built, by
+    the checks below in order, and the per-vertex fan walk runs last and
+    only if an earlier check failed, so a valid disk costs linear time.
+    The fan walk cannot fail once every edge has at most two faces, the
+    boundary is one cycle matching the corners, the faces are
+    edge-connected and V - E + F = 1: splitting each vertex into its c link
+    components gives a connected surface with boundary and Euler
+    characteristic 1 + sum(c - 1), which is at most 1 and equals 1 only for
+    the disk, so every c is 1.  Face connectivity is not implied by the
+    other counts: a triangle beside a disjoint torus has one boundary cycle
+    and V - E + F = 1 + 0.
     """
     if not T.triangles:
         return ["triangulation has no triangles"]
     used = set().union(*T.triangles)
     errors = [f"vertex {v} has no color" for v in sorted(used.difference(T.vertex_colors))]
     errors += [f"vertex {v} lies in no triangle" for v in sorted(T.vertex_colors.keys() - used)]
+    if not errors and _is_disk(T, len(used)):
+        return errors
 
     # edge (a, b) with a < b -> its triangles, in order of first appearance
     edge_faces: dict[tuple[int, int], list[frozenset]] = {}
@@ -112,31 +180,9 @@ def disk_errors(T: Triangulation) -> list[str]:
             f, g = faces
             adjacent.setdefault(f, []).append(g)
             adjacent.setdefault(g, []).append(f)
-    nbr: dict[int, list[int]] = {}
-    for a, b in boundary:
-        nbr.setdefault(a, []).append(b)
-        nbr.setdefault(b, []).append(a)
-    bad_deg = [v for v, ns in nbr.items() if len(ns) != 2]
-    if not boundary:
-        errors.append("no boundary edges: not a disk with boundary")
-    elif bad_deg:
-        errors.append(f"boundary vertex {bad_deg[0]} touches {len(nbr[bad_deg[0]])} boundary edges")
-    else:
-        cycle = [min(nbr)]
-        prev = None
-        while True:
-            ns = nbr[cycle[-1]]
-            nxt = ns[0] if ns[0] != prev else ns[1]
-            if nxt == cycle[0]:
-                break
-            prev = cycle[-1]
-            cycle.append(nxt)
-            if len(cycle) > len(boundary):
-                break
-        if len(cycle) != len(boundary):
-            errors.append("boundary edges form more than one cycle")
-        elif not _same_cycle(cycle, T.corners):
-            errors.append(f"boundary cycle {cycle} does not match corners {list(T.corners)}")
+    error = _boundary_error(boundary, T.corners)
+    if error:
+        errors.append(error)
 
     # the face-adjacency graph must be connected
     first = next(iter(T.triangles))

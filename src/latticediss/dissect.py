@@ -28,7 +28,7 @@ rule with explicit maps, and refine_triangle must match it piece for piece.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import tee
 from math import gcd
 from typing import Iterable
@@ -53,10 +53,15 @@ class Dissection:
     """A list of positively oriented lattice triangles.
 
     Whether they actually dissect a given polygon is the verify module's
-    business; this type only carries the pieces.
+    business; this type only carries the pieces.  _verified belongs to the
+    verify module: the last valid mode-"any" verification of these very
+    triangles, kept only when they are immutable (see verify._verify).  It
+    is no part of the value: it is not an argument, not shown and not
+    compared.
     """
 
     triangles: tuple[Triangle, ...]
+    _verified: object = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.triangles)

@@ -15,6 +15,9 @@ collinear vertices subdivide a triangle side or a polygon edge; it finds
 those vertices in the same per-line index.
 witness_noninteger exhibits a tricolor (hence non-integer-area) triangle in
 any valid dissection of a polygon whose boundary word is not contractible.
+Both need a valid dissection, so both verify it first; a valid mode-"any"
+result is kept on the Dissection (see _verify), so checking a dissection and
+then poofing it, or taking its witness, verifies it once.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -151,7 +154,8 @@ def _point_on(line: _Line, t: int) -> Point:
 
 def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
     """The first line interval of nonzero coverage, and the triangles with a
-    side on it."""
+    side on it.  Only a triangle with two of its corners on the line can
+    have a side there, so only those take the per-side test."""
     line = min(k for k, deltas in lines.items() if any(deltas.values()))
     deltas = lines[line]
     ts = sorted(deltas)
@@ -161,34 +165,57 @@ def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
         if cover:
             break
     ux, uy, off = line
+    on = {p for p in set(chain.from_iterable(triangles)) if ux * p[1] - uy * p[0] == off}
     hits = []
-    for i, t in enumerate(triangles):
-        for p, q in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            if ux * p[1] - uy * p[0] == off == ux * q[1] - uy * q[0]:
-                tp, tq = ux * p[0] + uy * p[1], ux * q[0] + uy * q[1]
-                if min(tp, tq) < hi and max(tp, tq) > lo:
-                    hits.append(i)
-                    break
+    for i, (a, b, c) in enumerate(triangles):
+        if (a in on) + (b in on) + (c in on) >= 2:
+            for p, q in ((a, b), (b, c), (c, a)):
+                if p in on and q in on:
+                    tp, tq = ux * p[0] + uy * p[1], ux * q[0] + uy * q[1]
+                    if min(tp, tq) < hi and max(tp, tq) > lo:
+                        hits.append(i)
+                        break
     a, b = _point_on(line, lo), _point_on(line, hi)
     return (f"segment ({a[0]},{a[1]})-({b[0]},{b[1]}) is covered {cover:+d} times in direction "
             f"({ux},{uy}) by triangle sides net of the polygon's edges; triangles with a "
             f"side there: {_fmt_indices(hits) or 'none'}")
 
 
+def _int_pairs(points) -> bool:
+    """Whether points is a tuple of tuples of exact ints, so immutable."""
+    return (type(points) is tuple and set(map(type, points)) <= {tuple}
+            and set(map(type, chain.from_iterable(points))) <= {int})
+
+
 def _verify(P: ConvexLatticePolygon, D: Dissection,
             mode: str) -> tuple[VerifyReport, _Index | None]:
     """verify_dissection, also returning the segment index it built (None when
-    the coordinates are not all integers)."""
+    the coordinates are not all integers).
+
+    A valid mode-"any" result is kept in D._verified as (triangles,
+    polygon vertices, report, index) when D's triangles are immutable: a
+    tuple of tuples of tuples of exact ints.  A later mode-"any" call
+    returns it when D.triangles is the same object and P's vertices are a
+    tuple of tuples of exact ints equal to the kept ones (a tuple never
+    equals a list, so a vertex list kept and then changed never matches).
+    poof and witness_noninteger make that call after the caller's own
+    verify.  The index kept is only the sides left uncancelled, and its
+    users only read it.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    tris = D.triangles
+    tris, vs = D.triangles, P.vertices
+    kept = D._verified
+    if mode == "any" and kept is not None and kept[0] is tris and _int_pairs(vs) and kept[1] == vs:
+        return kept[2], kept[3]
     checks: list[CheckResult] = []
     # signed_area2 of each triangle, inline.
     areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
              for (x1, y1), (x2, y2), (x3, y3) in tris]
 
     # Only exact integers may reach gcd; a type scan settles the common case.
-    if set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}:
+    exact = set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}
+    if exact:
         bad_coords = []
     else:
         bad_coords = [
@@ -245,7 +272,12 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
         else f"non-integer coordinates at triangles {_fmt_indices(bad_coords)}"))
 
     valid = all(c.passed for c in checks)
-    return VerifyReport(valid, tuple(checks), len(tris), total), index
+    report = VerifyReport(valid, tuple(checks), len(tris), total)
+    if (valid and mode == "any" and exact and type(tris) is tuple
+            and set(map(type, tris)) <= {tuple}
+            and set(map(type, chain.from_iterable(tris))) <= {tuple}):
+        object.__setattr__(D, "_verified", (tris, vs, report, index))
+    return report, index
 
 
 def verify_dissection(P: ConvexLatticePolygon, D: Dissection, mode: str = "any") -> VerifyReport:
@@ -273,16 +305,19 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     of the line have their own sides ending there.  So each left-over
     segment finds its inner vertices by bisection in its line's sorted
     coordinates.
+
+    The verification is the one kept on D when D was just verified against
+    P (see _verify).  Vertex ids number the dissection's points in sorted
+    order; the ids, the frozen triangles, the colors and the returned point
+    map are each built in one pass of map, zip or dict.
     """
     rep, index = _verify(P, D, "any")
     if not rep.valid:
         raise InvalidDissection("; ".join(c.detail for c in rep.checks if not c.passed))
 
-    pts = sorted({v for t in D.triangles for v in t})
-    idx = {p: i for i, p in enumerate(pts)}
-    tris: set[frozenset[int]] = set()
-    for t in D.triangles:
-        tris.add(frozenset(map(idx.__getitem__, t)))
+    pts = sorted(set(chain.from_iterable(D.triangles)))
+    idx = dict(zip(pts, count()))
+    tris = set(map(frozenset, map(map, repeat(idx.__getitem__), D.triangles)))
 
     # P's edges are in the index reversed; their fans start at the edge's start.
     reversed_edges = {(b, a) for a, b in P.edges()}
@@ -306,17 +341,14 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
             poofagon = frozenset((apex, fan[k], fan[k + 1]))
             assert poofagon not in tris, "poofagon collides with an existing triangle"
             tris.add(poofagon)
-    del index, segments, lines, coords  # the disk is built without the index
+    del index, segments, lines, coords  # the disk is built without them
 
     missing = [v for v in P.vertices if v not in idx]
     assert not missing, f"polygon corners {missing} are not dissection vertices"
-    T = Triangulation(
-        {i: color_of(p) for p, i in idx.items()},
-        tris,
-        tuple(idx[v] for v in P.vertices),
-    )
+    T = Triangulation(dict(enumerate(map(color_of, pts))), tris,
+                      tuple(map(idx.__getitem__, P.vertices)))
     validate_disk(T)
-    return T, {i: p for p, i in idx.items()}
+    return T, dict(enumerate(pts))
 
 
 def witness_noninteger(P: ConvexLatticePolygon, D: Dissection) -> Triangle:

@@ -60,6 +60,12 @@ MALFORMED = {
     "no-triangles": Triangulation({1: "A"}, [], (1,)),
     "tetrahedron": Triangulation(dict(zip((1, 2, 3, 4), "ABCD")),
                                  [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)], (1, 2, 3)),
+    # one boundary cycle and V - E + F = 1 + 0: only face connectivity rejects it
+    "triangle-beside-torus": Triangulation(
+        {v: "A" for v in range(1, 11)},
+        [(1, 2, 3)] + [tuple(4 + (i + k) % 7 for k in face)
+                       for i in range(7) for face in ((0, 1, 3), (0, 2, 3))],
+        (1, 2, 3)),
 }
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import latticediss
+from latticediss.combi import Triangulation, disk_errors
 from latticediss.dissect import Dissection, dissection_to_json, unit_dissection
 from latticediss.geometry import validate_convex
 from latticediss.verify import poof, verify_dissection
@@ -83,6 +84,23 @@ def poof_stage(count):
     return poof, (validate_convex(req.polygon), Dissection(req.triangles)), len(req.triangles)
 
 
+def verify_failure_stage(count):
+    # one triangle dropped: the verdict runs _chain_failure
+    req = inputs.foreign_request(random.Random(count), count, "drop", True)
+    D = Dissection(req.triangles)
+    return verify_dissection, (validate_convex(req.polygon), D, "any"), len(D)
+
+
+def disk_failure_stage(count):
+    # a poofed disk with one triangle dropped: disk_errors builds its messages
+    # and walks the fans
+    req = inputs.foreign_request(random.Random(count), count, "valid", True)
+    T, _ = poof(validate_convex(req.polygon), Dissection(req.triangles))
+    tris = T.sorted_triangles()
+    del tris[random.Random(count).randrange(len(tris))]
+    return disk_errors, (Triangulation(T.vertex_colors, tris, T.corners),), len(tris)
+
+
 def decide_stage(letters):
     word = CyclicWord("".join(random.Random(letters).choices("ABCD", k=letters)))
     return decide_contractible, (word,), letters
@@ -95,6 +113,8 @@ STAGES = {
     "verify_unit": (verify_stage, 40, 2),
     "dissection_to_json": (to_json_stage, 40, 2),
     "poof": (poof_stage, 250, 4),
+    "verify_failure": (verify_failure_stage, 250, 4),
+    "disk_failure": (disk_failure_stage, 250, 4),
     "decide_contractible": (decide_stage, 4_000, 4),
 }
 

@@ -18,6 +18,7 @@ from latticediss.dissect import (
 )
 from latticediss.gen import random_convex_polygon, random_dissection, realize_word
 from latticediss.geometry import (
+    ConvexLatticePolygon,
     as_triangle,
     boundary_word,
     color_of,
@@ -485,13 +486,127 @@ def test_poof_matches_reference():
     for seed in range(40):
         P = random_convex_polygon(3 + seed % 7, 12 + seed, seed=seed)
         cases.append((P, random_dissection(P, depth=4 + seed % 12, seed=seed)))
-    poofagons = 0
+    poofagons = kept = 0
     for P, D in cases:
         T, vmap = poof(P, D)
         tris, corners, ref_vmap = reference_poof(P, D)
-        assert (T.triangles, T.corners, vmap) == (tris, corners, ref_vmap)
+        colors = {i: color_of(p) for i, p in ref_vmap.items()}
+        assert (T.triangles, T.corners, T.vertex_colors, vmap) == (tris, corners, colors, ref_vmap)
         poofagons += len(T.triangles) - len(D.triangles)
+        # again on a fresh Dissection that a verify has just checked
+        D = Dissection(D.triangles)
+        assert verify_dissection(P, D, "any").valid
+        kept += D._verified is not None
+        T2, vmap2 = poof(P, D)
+        assert (T2.triangles, T2.corners) == (tris, corners)
+        assert list(T2.vertex_colors.items()) == list(T.vertex_colors.items())
+        assert list(vmap2.items()) == list(vmap.items())
     assert poofagons >= 100  # the inputs do subdivide sides and edges
+    assert kept == len(cases)  # the second poofs reuse the verify's result
+
+
+# --- the verification kept on a Dissection -----------------------------------------
+
+def _checks(P, D):
+    """What verify, poof and witness say about D, as comparable values."""
+    try:
+        poofed = poof(P, D)[0].sorted_triangles()
+    except InvalidDissection as e:
+        poofed = str(e)
+    try:
+        witness = tuple(map(tuple, witness_noninteger(P, D)))
+    except PreconditionViolated as e:
+        witness = str(e)
+    return verify_dissection(P, D, "any"), poofed, witness
+
+
+def _fresh(D):
+    return Dissection(tuple(tuple(map(tuple, t)) for t in D.triangles))
+
+
+class _HashableList(list):
+    """A mutable vertex that can still key a dict."""
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+def test_kept_result_is_not_used_for_mutable_triangles():
+    # a list of triangles, and a tuple of triangles that are lists
+    for D in (Dissection(list(HALF_SPLIT.triangles)),
+              Dissection(tuple(map(list, HALF_SPLIT.triangles)))):
+        assert _checks(UNIT_SQUARE, D)[0].valid
+        assert _checks(UNIT_SQUARE, D) == _checks(UNIT_SQUARE, _fresh(D))
+        if isinstance(D.triangles, list):
+            D.triangles.pop()
+        else:
+            D.triangles[1][2] = (0, 2)
+        after = _checks(UNIT_SQUARE, D)
+        assert not after[0].valid
+        assert after == _checks(UNIT_SQUARE, _fresh(D))
+
+
+def test_kept_result_is_not_used_for_mutable_vertices():
+    # poof cannot run here: a tuple corner of P never equals a list vertex
+    D = Dissection(tuple(tuple(map(_HashableList, t)) for t in HALF_SPLIT.triangles))
+    assert verify_dissection(UNIT_SQUARE, D).valid
+    D.triangles[1][2][1] = 2  # (0, 1) becomes (0, 2)
+    after = verify_dissection(UNIT_SQUARE, D)
+    assert not after.valid
+    assert after == verify_dissection(UNIT_SQUARE, _fresh(D))
+
+
+def test_kept_result_is_not_used_for_swapped_triangles():
+    D = Dissection(HALF_SPLIT.triangles)
+    assert _checks(UNIT_SQUARE, D)[0].valid
+    assert D._verified is not None
+    object.__setattr__(D, "triangles", HALF_SPLIT.triangles[:1])
+    after = _checks(UNIT_SQUARE, D)
+    assert not after[0].valid
+    assert after == _checks(UNIT_SQUARE, _fresh(D))
+
+
+def test_kept_result_is_not_used_for_another_polygon():
+    D = Dissection(HALF_SPLIT.triangles)
+    assert _checks(UNIT_SQUARE, D)[0].valid
+    corner = validate_convex([(0, 0), (1, 0), (0, 1)])  # a non-contractible word, ABD
+    after = _checks(corner, D)
+    assert not after[0].valid
+    assert after == _checks(corner, _fresh(D))
+    # a polygon whose vertex list changes in place between two calls
+    P = ConvexLatticePolygon(list(UNIT_SQUARE.vertices))
+    assert _checks(P, D)[0].valid
+    P.vertices[:] = corner.vertices
+    assert _checks(P, D) == after
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_other_modes_after_a_kept_result_match_a_fresh_dissection(side):
+    P = validate_convex([(0, 0), (side, 0), (side, side), (0, side)])
+    D = HALF_SPLIT if side == 1 else unit_dissection(P)
+    D = Dissection(D.triangles)
+    assert verify_dissection(P, D, "any") is verify_dissection(P, D, "any")  # the kept report
+    for mode in ("unit", "integral"):
+        assert verify_dissection(P, D, mode) == verify_dissection(P, _fresh(D), mode)
+
+
+def test_invalid_results_and_other_modes_are_not_kept():
+    for mode in MODES:
+        D = Dissection(HALF_SPLIT.triangles[:1])
+        assert not verify_dissection(UNIT_SQUARE, D, mode).valid
+        assert D._verified is None
+    square = validate_convex([(0, 0), (2, 0), (2, 2), (0, 2)])
+    D = unit_dissection(square)
+    for mode in ("unit", "integral"):
+        assert verify_dissection(square, D, mode).valid
+        assert D._verified is None
+    assert verify_dissection(square, D, "any") == verify_dissection(square, _fresh(D), "any")
+    D = Dissection(HALF_SPLIT.triangles)
+    verify_dissection(UNIT_SQUARE, D, "any")
+    kept = D._verified
+    assert kept is not None
+    assert not verify_dissection(validate_convex([(0, 0), (2, 0), (0, 2)]), D, "any").valid
+    assert D._verified is kept
 
 
 # --- witness ---------------------------------------------------------------------
