@@ -100,13 +100,13 @@ def _boundary_error(boundary: list[tuple[int, int]], corners: tuple) -> str | No
     return None
 
 
-def _is_disk(T: Triangulation, V: int) -> bool:
-    """Whether T, on V vertices, passes the counting checks of disk_errors.
+def _count_edges(T: Triangulation) -> tuple[list, list[int], int] | None:
+    """One pass over T's edges: None if some edge has a third face, else
+    (boundary edges, union-find parents of the faces, number of edges).
 
-    One flat map takes each edge to its first face, then to None once a
-    second face has come; the faces of an inner edge are merged by
-    union-find.  The checks: no edge has a third face, the boundary is one
-    cycle matching the corners, the faces are connected and V - E + F = 1.
+    A flat map takes each edge (a, b), a < b, to its first face, then to
+    None once a second face has come, and the two faces are merged.  The
+    boundary edges come in order of first appearance over T.triangles.
     """
     face_of: dict[tuple[int, int], int | None] = {}
     first = face_of.setdefault
@@ -117,7 +117,7 @@ def _is_disk(T: Triangulation, V: int) -> bool:
             if j == i:
                 continue
             if j is None:
-                return False  # a third face
+                return None
             face_of[e] = None
             k = i
             while parent[j] != j:
@@ -125,25 +125,22 @@ def _is_disk(T: Triangulation, V: int) -> bool:
             while parent[k] != k:
                 parent[k] = k = parent[parent[k]]
             parent[j] = k
-    boundary = [e for e, f in face_of.items() if f is not None]
-    return (_boundary_error(boundary, T.corners) is None
-            and sum(map(eq, parent, range(len(parent)))) == 1
-            and V - len(face_of) + len(parent) == 1)
+    return [e for e, f in face_of.items() if f is not None], parent, len(face_of)
 
 
 def disk_errors(T: Triangulation) -> list[str]:
     """All violations of the disk contract, one message per condition.
 
-    A valid disk takes one counting pass (_is_disk), which builds no list
-    per edge or face.  Only when a count fails are the messages built, by
-    the checks below in order, and the per-vertex fan walk runs last and
-    only if an earlier check failed, so a valid disk costs linear time.
-    The fan walk cannot fail once every edge has at most two faces, the
-    boundary is one cycle matching the corners, the faces are
-    edge-connected and V - E + F = 1: splitting each vertex into its c link
-    components gives a connected surface with boundary and Euler
-    characteristic 1 + sum(c - 1), which is at most 1 and equals 1 only for
-    the disk, so every c is 1.  Face connectivity is not implied by the
+    One counting pass (_count_edges) builds no list per edge or face.  From
+    its results, in order: no edge has a third face, the boundary is one
+    cycle matching the corners, the faces are edge-connected and
+    V - E + F = 1.  Only a third face makes the edge -> faces lists, to
+    name the faces.  The per-vertex fan walk runs last and only if an
+    earlier check failed, so a valid disk costs linear time.  The fan walk
+    cannot fail once those four checks pass: splitting each vertex into its
+    c link components gives a connected surface with boundary and Euler
+    characteristic 1 + sum(c - 1), which is at most 1 and equals 1 only
+    for the disk, so every c is 1.  Face connectivity is not implied by the
     other counts: a triangle beside a disjoint torus has one boundary cycle
     and V - E + F = 1 + 0.
     """
@@ -152,52 +149,36 @@ def disk_errors(T: Triangulation) -> list[str]:
     used = set().union(*T.triangles)
     errors = [f"vertex {v} has no color" for v in sorted(used.difference(T.vertex_colors))]
     errors += [f"vertex {v} lies in no triangle" for v in sorted(T.vertex_colors.keys() - used)]
-    if not errors and _is_disk(T, len(used)):
-        return errors
-
-    # edge (a, b) with a < b -> its triangles, in order of first appearance
-    edge_faces: dict[tuple[int, int], list[frozenset]] = {}
-    faces_of = edge_faces.setdefault
-    for tri in T.triangles:
-        a, b, c = sorted(tri)
-        faces_of((a, b), []).append(tri)
-        faces_of((b, c), []).append(tri)
-        faces_of((a, c), []).append(tri)
-    for e in sorted(e for e, faces in edge_faces.items() if len(faces) > 2):
-        faces = edge_faces[e]
-        names = ", ".join(str(sorted(f)) for f in faces)
-        errors.append(f"edge {list(e)} lies in {len(faces)} triangles: {names}")
+    counted = _count_edges(T)
+    if counted is None:
+        # edge (a, b) with a < b -> its triangles, in order of first appearance
+        edge_faces: dict[tuple[int, int], list[frozenset]] = {}
+        for tri in T.triangles:
+            a, b, c = sorted(tri)
+            for e in ((a, b), (b, c), (a, c)):
+                edge_faces.setdefault(e, []).append(tri)
+        for e in sorted(e for e, faces in edge_faces.items() if len(faces) > 2):
+            faces = edge_faces[e]
+            names = ", ".join(str(sorted(f)) for f in faces)
+            errors.append(f"edge {list(e)} lies in {len(faces)} triangles: {names}")
     if errors:
         return errors  # topology below assumes a sane edge complex
 
-    # boundary edges must chain into one closed cycle; the others join faces
-    boundary = []
-    adjacent: dict[frozenset, list[frozenset]] = {}
-    for e, faces in edge_faces.items():
-        if len(faces) == 1:
-            boundary.append(e)
-        else:
-            f, g = faces
-            adjacent.setdefault(f, []).append(g)
-            adjacent.setdefault(g, []).append(f)
+    boundary, parent, E = counted
     error = _boundary_error(boundary, T.corners)
     if error:
         errors.append(error)
 
-    # the face-adjacency graph must be connected
-    first = next(iter(T.triangles))
-    seen = {first}
-    todo = [first]
-    while todo:
-        for other in adjacent.get(todo.pop(), ()):
-            if other not in seen:
-                seen.add(other)
-                todo.append(other)
-    if len(seen) != len(T.triangles):
-        stray = next(t for t in T.triangles if t not in seen)
+    if sum(map(eq, parent, range(len(parent)))) != 1:  # more than one root
+        def root(i: int) -> int:
+            while parent[i] != i:
+                i = parent[i]
+            return i
+        home = root(0)
+        stray = next(t for i, t in enumerate(T.triangles) if root(i) != home)
         errors.append(f"triangle {sorted(stray)} is disconnected from the rest")
 
-    V, E, F = len(used), len(edge_faces), len(T.triangles)
+    V, F = len(used), len(T.triangles)
     if V - E + F != 1:
         errors.append(f"Euler characteristic V-E+F = {V}-{E}+{F} = {V - E + F}, expected 1")
     if not errors:

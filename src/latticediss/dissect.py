@@ -55,9 +55,9 @@ class Dissection:
     Whether they actually dissect a given polygon is the verify module's
     business; this type only carries the pieces.  _verified belongs to the
     verify module: the last valid mode-"any" verification of these very
-    triangles, kept only when they are immutable (see verify._verify).  It
-    is no part of the value: it is not an argument, not shown and not
-    compared.
+    triangles, kept when they are a tuple and read back only while its
+    triangles and points are tuples too (see verify._verify).  It is no
+    part of the value: it is not an argument, not shown and not compared.
     """
 
     triangles: tuple[Triangle, ...]

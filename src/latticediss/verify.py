@@ -154,8 +154,7 @@ def _point_on(line: _Line, t: int) -> Point:
 
 def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
     """The first line interval of nonzero coverage, and the triangles with a
-    side on it.  Only a triangle with two of its corners on the line can
-    have a side there, so only those take the per-side test."""
+    side on it."""
     line = min(k for k, deltas in lines.items() if any(deltas.values()))
     deltas = lines[line]
     ts = sorted(deltas)
@@ -165,26 +164,28 @@ def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
         if cover:
             break
     ux, uy, off = line
-    on = {p for p in set(chain.from_iterable(triangles)) if ux * p[1] - uy * p[0] == off}
     hits = []
-    for i, (a, b, c) in enumerate(triangles):
-        if (a in on) + (b in on) + (c in on) >= 2:
-            for p, q in ((a, b), (b, c), (c, a)):
-                if p in on and q in on:
-                    tp, tq = ux * p[0] + uy * p[1], ux * q[0] + uy * q[1]
-                    if min(tp, tq) < hi and max(tp, tq) > lo:
-                        hits.append(i)
-                        break
+    for i, t in enumerate(triangles):
+        for p, q in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            if ux * p[1] - uy * p[0] == off == ux * q[1] - uy * q[0]:
+                tp, tq = ux * p[0] + uy * p[1], ux * q[0] + uy * q[1]
+                if min(tp, tq) < hi and max(tp, tq) > lo:
+                    hits.append(i)
+                    break
     a, b = _point_on(line, lo), _point_on(line, hi)
     return (f"segment ({a[0]},{a[1]})-({b[0]},{b[1]}) is covered {cover:+d} times in direction "
             f"({ux},{uy}) by triangle sides net of the polygon's edges; triangles with a "
             f"side there: {_fmt_indices(hits) or 'none'}")
 
 
+def _tuples_of(items, kind: type) -> bool:
+    """Whether every item is a tuple of objects of exactly the type kind."""
+    return set(map(type, items)) <= {tuple} and set(map(type, chain.from_iterable(items))) <= {kind}
+
+
 def _int_pairs(points) -> bool:
     """Whether points is a tuple of tuples of exact ints, so immutable."""
-    return (type(points) is tuple and set(map(type, points)) <= {tuple}
-            and set(map(type, chain.from_iterable(points))) <= {int})
+    return type(points) is tuple and _tuples_of(points, int)
 
 
 def _verify(P: ConvexLatticePolygon, D: Dissection,
@@ -193,20 +194,25 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
     the coordinates are not all integers).
 
     A valid mode-"any" result is kept in D._verified as (triangles,
-    polygon vertices, report, index) when D's triangles are immutable: a
-    tuple of tuples of tuples of exact ints.  A later mode-"any" call
-    returns it when D.triangles is the same object and P's vertices are a
-    tuple of tuples of exact ints equal to the kept ones (a tuple never
-    equals a list, so a vertex list kept and then changed never matches).
-    poof and witness_noninteger make that call after the caller's own
-    verify.  The index kept is only the sides left uncancelled, and its
-    users only read it.
+    polygon vertices, report, index) when D.triangles is a tuple; its
+    coordinates are then all exact ints.  A later mode-"any" call returns
+    it when D.triangles is the same object, its triangles and their points
+    are tuples, and P's vertices are a tuple of tuples of exact ints equal
+    to the kept ones (a tuple never equals a list, so a vertex list kept
+    and then changed never matches).  The same tuple holds the same
+    objects as when it was kept, and if they and their points are tuples,
+    nothing in it can have changed since.  So a lone verify pays nothing
+    for the keeping, and poof and witness_noninteger, which make that call
+    after the caller's own verify, pay one type scan in place of a verify.
+    The index kept is only the sides left uncancelled, and its users only
+    read it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tris, vs = D.triangles, P.vertices
     kept = D._verified
-    if mode == "any" and kept is not None and kept[0] is tris and _int_pairs(vs) and kept[1] == vs:
+    if (mode == "any" and kept is not None and kept[0] is tris and _tuples_of(tris, tuple)
+            and _int_pairs(vs) and kept[1] == vs):
         return kept[2], kept[3]
     checks: list[CheckResult] = []
     # signed_area2 of each triangle, inline.
@@ -273,9 +279,7 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
 
     valid = all(c.passed for c in checks)
     report = VerifyReport(valid, tuple(checks), len(tris), total)
-    if (valid and mode == "any" and exact and type(tris) is tuple
-            and set(map(type, tris)) <= {tuple}
-            and set(map(type, chain.from_iterable(tris))) <= {tuple}):
+    if valid and mode == "any" and exact and type(tris) is tuple:
         object.__setattr__(D, "_verified", (tris, vs, report, index))
     return report, index
 
