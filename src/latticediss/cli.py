@@ -34,10 +34,6 @@ EXIT_IMPOSSIBLE = 10
 EXIT_INVALID = 11
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one `error: ...` line on stderr, no usage text
         self.exit(EXIT_USAGE, f"error: {message}\n")
@@ -50,7 +46,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise _CliError(f"cannot read {path}: {e}") from e
+        raise ValueError(f"cannot read {path}: {e}") from e
 
 
 def _write(path: str | None, text: str) -> None:
@@ -63,12 +59,12 @@ def _write(path: str | None, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        raise _CliError(f"cannot write {path}: {e}") from e
+        raise ValueError(f"cannot write {path}: {e}") from e
 
 
 def _parse_word(s: str) -> CyclicWord:
     if not s or not all("A" <= ch <= "Z" for ch in s):
-        raise _CliError(f"words must be nonempty strings over A-Z, got {s!r}")
+        raise ValueError(f"words must be nonempty strings over A-Z, got {s!r}")
     return CyclicWord(s)
 
 
@@ -81,13 +77,15 @@ def _load_dissection(path: str) -> Dissection:
     return D
 
 
-def _print_stuck(w: CyclicWord, stuck: CyclicWord, corners=None) -> None:
+def _print_stuck(w: CyclicWord, corners=None) -> None:
     """Say on stderr where reduction of the non-contractible w stopped: the
     stuck word, its letters' original positions and, given the polygon's
     corners, theirs."""
-    # The recording kernel runs only here: the stuck letters' original positions.
+    # The recording kernel runs only here.  Its survivors are the stuck
+    # letters' original positions, and spelling them gives the stuck word,
+    # the same word the verdict pass's stack holds.
     _, _, positions = _reduce_cyclic(w.letters.encode("ascii"))
-    print(f"stuck: {stuck}", file=sys.stderr)
+    print("stuck:", "".join(w.letters[i] for i in positions), file=sys.stderr)
     print("stuck positions:", *positions, file=sys.stderr)
     if corners is not None:
         print(f"stuck corners: {json.dumps([corners[i] for i in positions])}", file=sys.stderr)
@@ -100,13 +98,12 @@ def cmd_decide(args) -> int:
         print(f"word {w}")
     else:
         w = _parse_word(args.word)
-    ok, stuck = decide_contractible(w)
-    if ok:
+    if decide_contractible(w)[0]:
         print("contractible")
         return EXIT_OK
     print("not-contractible")
     sys.stdout.flush()  # a stdout that cannot take the verdict fails before the stuck line
-    _print_stuck(w, stuck, P.vertices if args.polygon else None)
+    _print_stuck(w, P.vertices if args.polygon else None)
     return EXIT_IMPOSSIBLE
 
 
@@ -116,7 +113,7 @@ def cmd_dissect(args) -> int:
     if D is None:
         w = boundary_word(P)
         print(f"no integral dissection exists (word {w} not contractible)", file=sys.stderr)
-        _print_stuck(w, decide_contractible(w)[1], P.vertices)
+        _print_stuck(w, P.vertices)
         return EXIT_IMPOSSIBLE
     _write(args.output, dissection_to_json(P, D))
     return EXIT_OK
@@ -168,7 +165,7 @@ def cmd_bench(args) -> int:
     lengths = []
     for item in filter(None, map(str.strip, args.lengths.split(","))):
         if not item.isdecimal() or int(item) < 1:
-            raise _CliError(f"--lengths must be positive integers, got {item!r}")
+            raise ValueError(f"--lengths must be positive integers, got {item!r}")
         lengths.append(int(item))
     rows = run_bench(lengths, seed=args.seed)
     print(format_table(rows))
@@ -178,7 +175,7 @@ def cmd_bench(args) -> int:
 def cmd_realize(args) -> int:
     w = _parse_word(args.word)
     if args.bound < 1:
-        raise _CliError(f"--bound must be at least 1, got {args.bound}")
+        raise ValueError(f"--bound must be at least 1, got {args.bound}")
     P = gen.realize_word(w, coord_bound=args.bound)
     if P is None:
         colorless = "".join(sorted(set(str(w)) - set("ABCD")))
@@ -255,20 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "decide" and bool(args.word) == bool(args.polygon):
+    if args.command == "decide" and (args.word is not None) == bool(args.polygon):
         parser.error("decide needs exactly one of WORD or --polygon FILE")
     try:
         code = args.fn(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except OSError as e:
-        # Every read and every file write wraps its OSError in _CliError, so
-        # this one came from stdout: a closed pipe or a full disk.  Send what
+        # Every read and every file write wraps its OSError in a ValueError,
+        # so this one came from stdout: a closed pipe or a full disk.  Send what
         # is still buffered, and the flush at exit, to os.devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write to stdout: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (_CliError, LatticeDissError, ValueError) as e:
+    except (LatticeDissError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -82,6 +82,7 @@ def _boundary_error(boundary: list[tuple[int, int]], corners: tuple) -> str | No
         return "no boundary edges: not a disk with boundary"
     if bad_deg:
         return f"boundary vertex {bad_deg[0]} touches {len(nbr[bad_deg[0]])} boundary edges"
+    # every vertex has degree 2, so the walk comes back to its start
     cycle = [min(nbr)]
     prev = None
     while True:
@@ -91,8 +92,6 @@ def _boundary_error(boundary: list[tuple[int, int]], corners: tuple) -> str | No
             break
         prev = cycle[-1]
         cycle.append(nxt)
-        if len(cycle) > len(boundary):
-            break
     if len(cycle) != len(boundary):
         return "boundary edges form more than one cycle"
     if not _same_cycle(cycle, corners):
@@ -105,8 +104,11 @@ def _count_edges(T: Triangulation) -> tuple[list, list[int], int] | None:
     (boundary edges, union-find parents of the faces, number of edges).
 
     A flat map takes each edge (a, b), a < b, to its first face, then to
-    None once a second face has come, and the two faces are merged.  The
-    boundary edges come in order of first appearance over T.triangles.
+    None once a second face has come, and the two faces are merged: the
+    root of the earlier face is linked to face i, the face being scanned.
+    Face i is still a root then, since only earlier faces have been linked,
+    so it needs no find.  The boundary edges come in order of first
+    appearance over T.triangles.
     """
     face_of: dict[tuple[int, int], int | None] = {}
     first = face_of.setdefault
@@ -119,12 +121,9 @@ def _count_edges(T: Triangulation) -> tuple[list, list[int], int] | None:
             if j is None:
                 return None
             face_of[e] = None
-            k = i
             while parent[j] != j:
                 parent[j] = j = parent[parent[j]]
-            while parent[k] != k:
-                parent[k] = k = parent[parent[k]]
-            parent[j] = k
+            parent[j] = i
     return [e for e, f in face_of.items() if f is not None], parent, len(face_of)
 
 
@@ -204,9 +203,10 @@ def disk_errors(T: Triangulation) -> list[str]:
                 if x not in seen_l:
                     seen_l.add(x)
                     stack.append(x)
-        degs = [len(ns) for ns in link.values()]
         is_open = v in boundary_vertices
-        if (len(seen_l) != len(link) or degs.count(1) != 2 * is_open or max(degs) > 2
+        # The link graph is simple, so connected with degrees at most 2 and
+        # len(link) - is_open edges it is a path or a cycle, as it must be.
+        if (len(seen_l) != len(link) or max(map(len, link.values())) > 2
                 or len(star[v]) != len(link) - is_open):
             errors.append(f"triangles around vertex {v} do not form one "
                           f"{'open' if is_open else 'closed'} fan")

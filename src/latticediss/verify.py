@@ -63,10 +63,7 @@ class VerifyReport:
             "valid": self.valid,
             "triangle_count": self.triangle_count,
             "doubled_area_total": self.doubled_area_total,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
         })
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -9,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import latticediss
+from latticediss import cli, words
 from latticediss.cli import main
 from latticediss.dissect import dissection_to_json, unit_dissection
 from latticediss.geometry import boundary_word, parse_polygon_json
-from latticediss.words import CyclicWord
+from latticediss.words import CyclicWord, decide_contractible
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,11 +34,15 @@ def square_file(tmp_path):
     return str(p)
 
 
-def test_decide_words(capsys):
+def test_decide_words(tmp_path, capsys):
+    stuck = "stuck: ABCDACBADC\nstuck positions: 0 1 2 3 4 5 6 7 8 9\n"
     assert main(["decide", "ABCDACBADC"]) == 10
-    assert capsys.readouterr().out.strip() == "not-contractible"
+    assert capsys.readouterr() == ("not-contractible\n", stuck)
     assert main(["decide", "ABABCCDCBBDB"]) == 0
     assert capsys.readouterr().out.strip() == "contractible"
+    # the same refusal through the module entry point
+    proc = _run_cli_to(subprocess.PIPE, ["decide", "ABCDACBADC"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (10, "not-contractible\n", stuck)
 
 
 def test_decide_reports_stuck_word(capsys):
@@ -60,6 +66,8 @@ def test_decide_stuck_positions_spell_the_stuck_word(capsys):
         stuck = stuck_line.removeprefix("stuck: ")
         positions = [int(i) for i in positions_line.removeprefix("stuck positions: ").split()]
         assert "".join(w[i] for i in positions) == stuck
+        # spelled from the recording kernel's survivors, it is the verdict pass's word
+        assert str(decide_contractible(CyclicWord(w))[1]) == stuck
         assert positions == sorted(set(positions))
         seen += 1
     assert seen > 100
@@ -94,8 +102,9 @@ def test_decide_needs_exactly_one_input(square_file, capsys):
     [],
     ["decide"],
     ["decide", "ABCD", "--polygon", "p.json"],
+    ["verify", "--diagnostics", "a", "b"],
 ], ids=["verify-bad-mode", "dissect-no-polygon", "realize-bound-not-int", "unknown-command",
-        "no-command", "decide-neither", "decide-both"])
+        "no-command", "decide-neither", "decide-both", "verify-removed-flag"])
 def test_usage_error_is_one_line(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)
@@ -120,16 +129,55 @@ def test_dissect_impossible(square_file, capsys):
                        "stuck corners: [[0, 0], [1, 0], [1, 1], [0, 1]]\n")
 
 
+def test_dissect_refusal_decides_once(square_file, monkeypatch, capsys):
+    calls = {"verdict": 0, "recording": 0}
+
+    def counted(name, fn):
+        def wrapper(codes):
+            calls[name] += 1
+            return fn(codes)
+        return wrapper
+
+    monkeypatch.setattr(words, "_stuck_codes", counted("verdict", words._stuck_codes))
+    monkeypatch.setattr(cli, "_reduce_cyclic", counted("recording", cli._reduce_cyclic))
+    assert main(["dissect", square_file]) == 10
+    capsys.readouterr()
+    assert calls == {"verdict": 1, "recording": 1}
+
+
 def test_dissect_verify_roundtrip(tmp_path, capsys):
-    poly = tmp_path / "tri.json"
-    poly.write_text(TRIANGLE)
-    out = tmp_path / "diss.json"
-    assert main(["dissect", str(poly), "--unit", "-o", str(out)]) == 0
-    data = json.loads(out.read_text())
-    assert len(data["triangles"]) == 2
-    assert main(["verify", str(poly), str(out), "--mode", "unit"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["valid"] is True
+    # Each written file is pinned by its hash, so a change to refine's piece
+    # order or to the writer shows here.
+    for polygon, pieces, sha256 in [
+        (TRIANGLE, 2, "11ad3f2c76199770d938cfa7985affb0f972e346fa025a9fa2688a6bfd354b50"),
+        ("[[0, 0], [4, 0], [3, 2], [0, 2]]", 7,
+         "9059095c151889f43c8d4f8d69c5c150db6df52728cfe98dbd9016caceea9491"),
+    ]:
+        poly = tmp_path / "poly.json"
+        poly.write_text(polygon)
+        out = tmp_path / "diss.json"
+        assert main(["dissect", str(poly), "--unit", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        text = out.read_text()
+        assert len(json.loads(text)["triangles"]) == pieces
+        assert main(["dissect", str(poly), "--unit"]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == text + "\n"
+        # The copy from stdout keeps the writer's layout; copies in the layouts
+        # of `python -m json.tool` and of its --compact go through the general
+        # parser.  Every copy must give the same unit-mode report, which
+        # accepts the dissection.
+        data = json.loads(text)
+        copies = {"stdout.json": stdout, "pretty.json": json.dumps(data, indent=4) + "\n",
+                  "compact.json": json.dumps(data, separators=(",", ":")) + "\n"}
+        for name, copy in copies.items():
+            (tmp_path / name).write_text(copy)
+        reports = []
+        for name in ["diss.json", *copies]:
+            assert main(["verify", str(poly), str(tmp_path / name), "--mode", "unit"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports == [reports[0]] * 4
+        assert json.loads(reports[0])["valid"] is True
 
 
 def test_dissect_without_output_writes_stdout(tmp_path, capsys):
@@ -219,6 +267,12 @@ def test_sperner_cli(capsys):
     assert main(["sperner", "AAB"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["triangulations_examined"] == 1 and data["tricolor_free"] == 1
+    # a 16-gon, past the old 12-letter enumeration cap
+    assert main(["sperner", "ABABCCDCBBDBABAB"]) == 0
+    assert capsys.readouterr().out == (
+        '{"word": "ABABCCDCBBDBABAB", "contractible": true, "triangulations_examined": 2674440, '
+        '"tricolor_free": 145224, "biconditional": "ok", '
+        '"star_tricolor": {"A": true, "B": true, "C": true, "D": true}}\n')
     assert main(["sperner", "A" * 201]) == 2
     assert capsys.readouterr().err == "error: sperner check supports words up to length 200, got 201\n"
 
@@ -255,13 +309,15 @@ def test_render_golden_pentagon(tmp_path):
     (["bench", "--lengths", "0"], "--lengths"),
     (["bench", "--lengths", "abc"], "--lengths"),
     (["realize", "ABCD", "--bound", "-1"], "--bound"),
+    (["decide", ""], "words must be nonempty strings over A-Z, got ''"),
     (["verify", "SQUARE", '{"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], '
       '"triangles": [[[0, 0], [1, 0], [1.5, 1]]]}'], "[1.5, 1]"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
         "triangle-vertex-not-pair", "polygon-vertex-not-pair", "bench-lengths-zero",
-        "bench-lengths-not-int", "realize-bound-negative", "written-layout-float"])
+        "bench-lengths-not-int", "realize-bound-negative", "decide-empty-word",
+        "written-layout-float"])
 def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
@@ -362,6 +418,10 @@ def test_realize_cli(tmp_path, capsys):
     # a small bound steers the search to a polygon that fits
     assert main(["realize", "ABCD", "--bound", "1"]) == 0
     assert capsys.readouterr().out == "[[0, 0], [1, 0], [1, 1], [0, 1]]\n"
+    # pinned, so a change to the search order shows here
+    assert main(["realize", "ABABCCDCBBDB"]) == 0
+    assert capsys.readouterr().out == ("[[0, -4], [1, -4], [4, -2], [5, 0], [5, 1], [3, 3], "
+                                       "[0, 5], [-1, 5], [-3, 4], [-5, 2], [-4, -1], [-3, -2]]\n")
     # letters without a parity color give the impossible exit code
     assert main(["realize", "XYZW"]) == 10
     assert capsys.readouterr().err == ("no lattice polygon realizes XYZW: letters WXYZ have "

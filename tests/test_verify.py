@@ -68,6 +68,16 @@ def test_report_json_stable():
     assert [c["name"] for c in data["checks"]] == [
         "orientation", "boundary-chain", "area-sum", "mode-areas", "integer-coords",
     ]
+    assert rep.to_json() == (
+        '{"valid": true, "triangle_count": 2, "doubled_area_total": 2, "checks": ['
+        '{"name": "orientation", "passed": true, '
+        '"detail": "all triangles counterclockwise with positive area"}, '
+        '{"name": "boundary-chain", "passed": true, '
+        '"detail": "triangle sides add up to the polygon\'s edges"}, '
+        '{"name": "area-sum", "passed": true, '
+        '"detail": "doubled areas sum to 2, polygon doubled area is 2"}, '
+        '{"name": "mode-areas", "passed": true, "detail": "mode any: no area constraint"}, '
+        '{"name": "integer-coords", "passed": true, "detail": "all coordinates are integers"}]}')
 
 
 def test_bad_mode_rejected():
