@@ -8,8 +8,10 @@ per-decade time ratios stay near 10 and the fit is tight.
 from __future__ import annotations
 
 import random
-import time
+import statistics
+import timeit
 from dataclasses import dataclass
+from functools import partial
 
 from .words import CyclicWord, decide_contractible
 
@@ -30,13 +32,8 @@ def _repeats(n: int) -> int:
 
 
 def time_decide(w: CyclicWord) -> float:
-    """Best-of-N wall time of one decision, in seconds."""
-    best = float("inf")
-    for _ in range(_repeats(len(w))):
-        t0 = time.perf_counter()
-        decide_contractible(w)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    """Best-of-N wall time of one decision, in seconds, timed with the garbage collector off."""
+    return min(timeit.repeat(partial(decide_contractible, w), repeat=_repeats(len(w)), number=1))
 
 
 def run_bench(lengths: list[int], seed: int = 0) -> list[BenchRow]:
@@ -45,20 +42,13 @@ def run_bench(lengths: list[int], seed: int = 0) -> list[BenchRow]:
 
 def linear_fit(rows: list[BenchRow]) -> tuple[float, float, float]:
     """(slope seconds/letter, intercept seconds, r^2) over the rows."""
-    pts = [(r.length, r.seconds) for r in rows]
-    m = len(pts)
-    if m < 2:
-        return 0.0, pts[0][1] if pts else 0.0, 1.0
-    mean_n = sum(n for n, _ in pts) / m
-    mean_t = sum(t for _, t in pts) / m
-    sxx = sum((n - mean_n) ** 2 for n, _ in pts)
-    sxy = sum((n - mean_n) * (t - mean_t) for n, t in pts)
-    slope = sxy / sxx if sxx else 0.0
-    intercept = mean_t - slope * mean_n
-    ss_res = sum((t - (slope * n + intercept)) ** 2 for n, t in pts)
-    ss_tot = sum((t - mean_t) ** 2 for n, t in pts)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot else 1.0
-    return slope, intercept, r2
+    lengths = [r.length for r in rows]
+    times = [r.seconds for r in rows]
+    flat = len(set(times)) < 2  # at most one row or equal times: a flat line fits exactly
+    if len(set(lengths)) < 2:  # no slope to fit: the mean time
+        return 0.0, statistics.fmean(times) if times else 0.0, float(flat)
+    slope, intercept = statistics.linear_regression(lengths, times)
+    return slope, intercept, 1.0 if flat else statistics.correlation(lengths, times) ** 2
 
 
 def format_table(rows: list[BenchRow]) -> str:

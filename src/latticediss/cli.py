@@ -92,7 +92,7 @@ def _print_stuck(w: CyclicWord, corners=None) -> None:
 
 
 def cmd_decide(args) -> int:
-    if args.polygon:
+    if args.polygon is not None:
         P = _load_polygon(args.polygon)
         w = boundary_word(P)
         print(f"word {w}")
@@ -103,7 +103,7 @@ def cmd_decide(args) -> int:
         return EXIT_OK
     print("not-contractible")
     sys.stdout.flush()  # a stdout that cannot take the verdict fails before the stuck line
-    _print_stuck(w, P.vertices if args.polygon else None)
+    _print_stuck(w, P.vertices if args.polygon is not None else None)
     return EXIT_IMPOSSIBLE
 
 
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "decide" and (args.word is not None) == bool(args.polygon):
+    if args.command == "decide" and (args.word is None) == (args.polygon is None):
         parser.error("decide needs exactly one of WORD or --polygon FILE")
     try:
         code = args.fn(args)

@@ -283,13 +283,7 @@ def _interned(points: Iterable[Point]) -> tuple[Triangle, ...]:
 def _polygon_points(polygon) -> list[Point]:
     if not isinstance(polygon, list):
         raise ValueError('dissection JSON "polygon" must be an array of [x, y] pairs')
-    poly = []
-    for entry in polygon:
-        try:
-            poly.append(as_point(entry))
-        except TypeError:  # a number or null where a pair belongs
-            raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None
-    return poly
+    return [as_point(e) for e in polygon]
 
 
 def _parse_written(text: str) -> tuple[list[Point], Dissection] | None:
@@ -362,6 +356,6 @@ def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
                 raise ValueError(f"triangle {entry!r} does not have 3 vertices")
             points += as_triangle(entry)
     except TypeError:
-        # a number or null where a pair or a vertex list belongs
+        # a number or null where a vertex list belongs
         raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None
     return poly, Dissection(_interned(points))

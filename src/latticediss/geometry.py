@@ -25,10 +25,10 @@ Triangle = tuple[Point, Point, Point]
 
 
 def as_point(p) -> Point:
-    """Coerce an (x, y) pair of exact integers to an (x, y) tuple."""
+    """Coerce an (x, y) pair of exact integers to a tuple; anything else raises ValueError."""
     try:
         x, y = p
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValueError(f"lattice point {p!r} is not an [x, y] pair") from None
     if isinstance(x, bool) or isinstance(y, bool) or not isinstance(x, int) or not isinstance(y, int):
         raise ValueError(f"lattice point coordinates must be integers, got {p!r}")

@@ -23,6 +23,7 @@ as its color codes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -108,33 +109,27 @@ class ContractionTrace:
     the word.
     """
 
-    __slots__ = ("_codes", "_run")
-
     def __init__(self, codes: bytes):
         object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_run", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ContractionTrace is immutable")
 
+    @cached_property
     def _recorded(self) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-        run = self._run
-        if run is None:
-            ok, flat, final = _reduce_cyclic(self._codes)
-            if not ok:
-                raise IllegalStep("the word of this trace is not contractible")
-            it = iter(flat)
-            run = (tuple(zip(it, it, it)), tuple(final))
-            object.__setattr__(self, "_run", run)
-        return run
+        ok, flat, final = _reduce_cyclic(self._codes)
+        if not ok:
+            raise IllegalStep("the word of this trace is not contractible")
+        it = iter(flat)
+        return tuple(zip(it, it, it)), tuple(final)
 
     @property
     def terminal(self) -> tuple[int, ...]:
-        return self._recorded()[1]
+        return self._recorded[1]
 
     @property
     def steps(self) -> tuple[tuple[int, int, int], ...]:
-        return self._recorded()[0]
+        return self._recorded[0]
 
     def __len__(self) -> int:
         return max(len(self._codes) - 2, 0)
@@ -152,7 +147,7 @@ class ContractionTrace:
         live word or would delete a letter from an all-distinct window, or if
         the survivors differ from terminal.
         """
-        steps, terminal = self._recorded()
+        steps, terminal = self._recorded
         letters = w.letters
         n = len(letters)
         nxt = [(i + 1) % n for i in range(n)]

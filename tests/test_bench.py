@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from latticediss.bench import BenchRow, format_table, linear_fit, random_word, run_bench
 
 
@@ -20,6 +22,17 @@ def test_linear_fit_exact_line():
     slope, intercept, r2 = linear_fit(rows)
     assert abs(slope - 2e-9) < 1e-15
     assert r2 > 0.999999
+
+
+@pytest.mark.parametrize("pts, fit", [
+    ([], (0.0, 0.0, 1.0)),
+    ([(5, 1.0)], (0.0, 1.0, 1.0)),
+    ([(5, 1.0), (5, 2.0)], (0.0, 1.5, 0.0)),  # one length: no slope, nothing explained
+    ([(5, 1.0), (5, 1.0)], (0.0, 1.0, 1.0)),
+    ([(1, 1.0), (2, 1.0)], (0.0, 1.0, 1.0)),  # equal times: a flat line fits exactly
+], ids=["no-rows", "one-row", "one-length", "one-point-twice", "equal-times"])
+def test_linear_fit_degenerate_rows(pts, fit):
+    assert linear_fit([BenchRow(n, t) for n, t in pts]) == fit
 
 
 def test_format_table_contains_ratios():

@@ -87,7 +87,8 @@ def test_decide_rejects_bad_word(capsys):
 
 
 def test_decide_needs_exactly_one_input(square_file, capsys):
-    for argv in (["decide", "ABCD", "--polygon", square_file], ["decide"]):
+    for argv in (["decide", "ABCD", "--polygon", square_file], ["decide"],
+                 ["decide", "ABCD", "--polygon", ""]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -295,7 +296,7 @@ def test_render_golden_pentagon(tmp_path):
 @pytest.mark.parametrize("args, named", [
     (["verify", "SQUARE", '{"triangles": [5]}'], "entry 5 "),
     (["verify", "SQUARE", '{"triangles": 5}'], '"triangles"'),
-    (["verify", "SQUARE", '{"triangles": [[null, [1, 0], [1, 1]]]}'], "[None, [1, 0], [1, 1]]"),
+    (["verify", "SQUARE", '{"triangles": [[null, [1, 0], [1, 1]]]}'], "lattice point None "),
     (["verify", "SQUARE", '{"polygon": 5, "triangles": []}'], '"polygon"'),
     (["dissect", "TRIANGLE", "-o", "UNWRITABLE"], "no-such-dir"),
     (["render", "SQUARE", "-o", "UNWRITABLE"], "no-such-dir"),
@@ -312,12 +313,13 @@ def test_render_golden_pentagon(tmp_path):
     (["decide", ""], "words must be nonempty strings over A-Z, got ''"),
     (["verify", "SQUARE", '{"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], '
       '"triangles": [[[0, 0], [1, 0], [1.5, 1]]]}'], "[1.5, 1]"),
+    (["decide", "--polygon", ""], "cannot read "),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
         "triangle-vertex-not-pair", "polygon-vertex-not-pair", "bench-lengths-zero",
         "bench-lengths-not-int", "realize-bound-negative", "decide-empty-word",
-        "written-layout-float"])
+        "written-layout-float", "decide-empty-polygon-path"])
 def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
@@ -426,6 +428,10 @@ def test_realize_cli(tmp_path, capsys):
     assert main(["realize", "XYZW"]) == 10
     assert capsys.readouterr().err == ("no lattice polygon realizes XYZW: letters WXYZ have "
                                        "no parity color (the colors are A-D)\n")
+    # a colored word with no polygon inside the bound also gives it
+    assert main(["realize", "ABABCCDCB", "--bound", "1"]) == 10
+    assert capsys.readouterr() == ("", "no convex lattice polygon realizing ABABCCDCB found "
+                                       "within bound\n")
 
 
 @pytest.mark.skipif(shutil.which("latticediss") is None, reason="console script not on PATH")

@@ -73,6 +73,14 @@ def catalan(m):
     return math.comb(2 * m, m) // (m + 1)
 
 
+def test_triangulation_is_immutable():
+    T = quad_star("ABABA")
+    for name in ("vertex_colors", "triangles", "corners", "other"):
+        with pytest.raises(AttributeError):
+            setattr(T, name, None)
+    assert T.corners == (1, 2, 3, 4)
+
+
 # --- validate_disk -----------------------------------------------------------
 
 def test_validate_disk_quad_star_ok():

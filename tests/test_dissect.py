@@ -172,8 +172,9 @@ def test_split_coerces_the_point():
         split_with_point(t, [2, 0])
     assert split_with_point(t, [1, 0]) == split_with_point(t, (1, 0))
     assert all(type(p) is tuple for piece in split_with_point(t, [1, 0]) for p in piece)
-    with pytest.raises(ValueError):
-        split_with_point(t, [1.5, 0])
+    for bad in ([1.5, 0], None, 5):
+        with pytest.raises(ValueError):
+            split_with_point(t, bad)
 
 
 @settings(max_examples=300)

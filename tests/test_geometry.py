@@ -124,6 +124,9 @@ def test_validate_convex_rejections():
         validate_convex([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)])
     with pytest.raises(NotStrictlyConvex):
         validate_convex([(0, 0), (4, 0), (1, 1), (0, 4)])
+    # a vertex that is not a pair at all
+    with pytest.raises(ValueError, match="lattice point None is not an"):
+        validate_convex([(0, 0), (1, 0), None])
 
 
 def test_validate_convex_rejects_star_cycle():

@@ -65,6 +65,14 @@ def test_word_construction():
     assert contracting_positions(stuck) == []
 
 
+def test_word_is_immutable_and_unequal_to_its_string():
+    w = CyclicWord("AB")
+    with pytest.raises(AttributeError):
+        w.letters = "BA"
+    assert w.letters == "AB"
+    assert (w == "AB") is False
+
+
 def test_word_indexing_is_cyclic():
     w = CyclicWord("ABC")
     assert w[3] == "A" and w[-1] == "C" and w[7] == "B"
@@ -111,6 +119,8 @@ def test_apply_step_examples():
     for i in range(4):
         with pytest.raises(IllegalStep):
             apply_step(CyclicWord("ABCD"), i)
+    with pytest.raises(WordTooShort):
+        apply_step(CyclicWord("A"), 0)
 
 
 # --- decide_contractible ----------------------------------------------------
@@ -138,6 +148,19 @@ def test_trivially_contractible():
     for s in ("A", "AB", "AA", "AAAA", "ABABAB", "BBBBBBB"):
         ok, _ = decide_contractible(CyclicWord(s))
         assert ok, s
+
+
+def test_trace_is_immutable_before_and_after_it_records():
+    w = CyclicWord("ABACAD")
+    ok, trace = decide_contractible(w)
+    assert ok and isinstance(trace, ContractionTrace)
+    for _ in range(2):  # the second pass runs after steps has been read
+        for name in ("steps", "terminal", "_recorded", "_codes", "other"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, ())
+        steps = trace.steps
+    assert trace.steps == steps and len(steps) == len(w) - 2
+    trace.replay(w)
 
 
 @given(medium_words)
