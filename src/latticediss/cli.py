@@ -167,6 +167,8 @@ def cmd_bench(args) -> int:
         if not item.isdecimal() or int(item) < 1:
             raise ValueError(f"--lengths must be positive integers, got {item!r}")
         lengths.append(int(item))
+    if not lengths:
+        raise ValueError("--lengths must name at least one length")
     rows = run_bench(lengths, seed=args.seed)
     print(format_table(rows))
     return EXIT_OK

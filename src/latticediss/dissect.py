@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import tee
+from itertools import chain, tee
 from math import gcd
 from typing import Iterable
 
@@ -348,14 +348,4 @@ def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
     poly = _polygon_points(data.get("polygon", []))
-    entry = None
-    points: list[Point] = []
-    try:  # name the first bad entry
-        for entry in data["triangles"]:
-            if len(entry) != 3:
-                raise ValueError(f"triangle {entry!r} does not have 3 vertices")
-            points += as_triangle(entry)
-    except TypeError:
-        # a number or null where a vertex list belongs
-        raise ValueError(f"dissection entry {entry!r} is not made of [x, y] pairs") from None
-    return poly, Dissection(_interned(points))
+    return poly, Dissection(_interned(chain.from_iterable(map(as_triangle, data["triangles"]))))

@@ -33,8 +33,15 @@ POLYGON_TRIES = 800
 SEARCH_NODES = 400_000
 
 
-def _center_shift(vals: list[int]) -> int:
-    return -((min(vals) + max(vals)) // 2)
+def _centred(edges: list[Point]) -> list[Point]:
+    """The vertices of the closed edge path, in order from the first edge's
+    start, with their bounding box centred on the origin."""
+    xs, ys = [0], [0]
+    for v in edges[:-1]:
+        xs.append(xs[-1] + v[0])
+        ys.append(ys[-1] + v[1])
+    dx, dy = -((min(xs) + max(xs)) // 2), -((min(ys) + max(ys)) // 2)
+    return [(x + dx, y + dy) for x, y in zip(xs, ys)]
 
 
 def _direction_count(k: int) -> int:
@@ -90,12 +97,7 @@ def random_convex_polygon(
             continue
         vecs.append(last)
         vecs.sort(key=angle_key)
-        xs, ys = [0], [0]
-        for v in vecs[:-1]:
-            xs.append(xs[-1] + v[0])
-            ys.append(ys[-1] + v[1])
-        dx, dy = _center_shift(xs), _center_shift(ys)
-        pts = [(x + dx, y + dy) for x, y in zip(xs, ys)]
+        pts = _centred(vecs)
         if any(abs(x) > coord_bound or abs(y) > coord_bound for x, y in pts):
             continue
         return validate_convex(pts)
@@ -110,15 +112,9 @@ _PARITY = {color_of((x, y)): (x, y) for x in (0, 1) for y in (0, 1)}
 def _placed(edges: list[Point], first: Point) -> list[Point]:
     """The closed edge path's vertices, centred, with vertex 0 shifted to
     first's parity (the edge parities then color every other vertex)."""
-    xs, ys = [0], [0]
-    for v in edges[:-1]:
-        xs.append(xs[-1] + v[0])
-        ys.append(ys[-1] + v[1])
-    dx = _center_shift(xs)
-    dy = _center_shift(ys)
-    dx += (first[0] - dx) % 2
-    dy += (first[1] - dy) % 2
-    return [(x + dx, y + dy) for x, y in zip(xs, ys)]
+    pts = _centred(edges)
+    dx, dy = (first[0] - pts[0][0]) % 2, (first[1] - pts[0][1]) % 2
+    return [(x + dx, y + dy) for x, y in pts]
 
 
 def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatticePolygon | None:

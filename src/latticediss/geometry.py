@@ -30,13 +30,19 @@ def as_point(p) -> Point:
         x, y = p
     except (TypeError, ValueError):
         raise ValueError(f"lattice point {p!r} is not an [x, y] pair") from None
-    if isinstance(x, bool) or isinstance(y, bool) or not isinstance(x, int) or not isinstance(y, int):
+    if type(x) is not int or type(y) is not int:
         raise ValueError(f"lattice point coordinates must be integers, got {p!r}")
     return (x, y)
 
 
 def as_triangle(t) -> Triangle:
-    a, b, c = t
+    """Coerce three [x, y] pairs to a tuple of points; anything else raises ValueError."""
+    try:
+        a, b, c = t
+    except TypeError:  # a number or null where a vertex list belongs
+        raise ValueError(f"dissection entry {t!r} is not made of [x, y] pairs") from None
+    except ValueError:
+        raise ValueError(f"triangle {t!r} does not have 3 vertices") from None
     return (as_point(a), as_point(b), as_point(c))
 
 
@@ -165,12 +171,7 @@ def parse_polygon_json(text: str) -> ConvexLatticePolygon:
     data = load_json(text)
     if not isinstance(data, list):
         raise ValueError("polygon JSON must be an array of [x, y] pairs")
-    pts = []
-    for item in data:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ValueError(f"polygon entry {item!r} is not an [x, y] pair")
-        pts.append(as_point(item))
-    return validate_convex(pts)
+    return validate_convex(data)
 
 
 def polygon_to_json(P: ConvexLatticePolygon) -> str:

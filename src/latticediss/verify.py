@@ -223,7 +223,7 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
     else:
         bad_coords = [
             i for i, t in enumerate(tris)
-            if not all(isinstance(c, int) and not isinstance(c, bool) for v in t for c in v)
+            if not all(type(c) is int for v in t for c in v)
         ]
 
     # min and count settle the common case; other numbers (NaN) take the scan.

@@ -314,12 +314,16 @@ def test_render_golden_pentagon(tmp_path):
     (["verify", "SQUARE", '{"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], '
       '"triangles": [[[0, 0], [1, 0], [1.5, 1]]]}'], "[1.5, 1]"),
     (["decide", "--polygon", ""], "cannot read "),
+    (["decide", "--polygon", "[[0,0],5,[0,1]]"], "lattice point 5 "),
+    (["bench", "--lengths", ""], "--lengths must name at least one length"),
+    (["bench", "--lengths", ","], "--lengths must name at least one length"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
         "triangle-vertex-not-pair", "polygon-vertex-not-pair", "bench-lengths-zero",
         "bench-lengths-not-int", "realize-bound-negative", "decide-empty-word",
-        "written-layout-float", "decide-empty-polygon-path"])
+        "written-layout-float", "decide-empty-polygon-path", "polygon-entry-number",
+        "bench-lengths-empty", "bench-lengths-only-comma"])
 def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
@@ -405,9 +409,9 @@ def test_bench_cli(capsys):
     assert main(["bench", "--lengths", "500,1000", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "time(1000)/time(500)" in out and "least-squares fit" in out
-    assert main(["bench", "--lengths", ""]) == 0
-    out = capsys.readouterr().out
-    assert out.split() == ["length", "seconds", "ns/letter"]  # header-only table
+    # no length to time is an error, not a header-only table
+    assert main(["bench", "--lengths", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --lengths must name at least one length\n")
 
 
 def test_realize_cli(tmp_path, capsys):

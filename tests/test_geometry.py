@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from latticediss.errors import NotStrictlyConvex, RepeatedVertex, TooFewVertices
 from latticediss.geometry import (
     angle_key,
+    as_point,
     as_triangle,
     boundary_word,
     collinear,
@@ -164,6 +165,27 @@ def test_polygon_area2():
 def test_polygon_json_roundtrip():
     P = validate_convex([(0, 0), (4, 1), (5, 3), (2, 5), (-1, 3)])
     assert parse_polygon_json(polygon_to_json(P)).vertices == P.vertices
+
+
+def test_as_point_takes_exact_ints_only():
+    class Int(int):
+        pass
+
+    assert as_point([3, -4]) == (3, -4)
+    for p in [(Int(1), 0), (0, Int(1))]:
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            as_point(p)
+
+
+@pytest.mark.parametrize("t, named", [
+    (5, "dissection entry 5 is not made of [x, y] pairs"),
+    (None, "dissection entry None is not made of [x, y] pairs"),
+    ([(0, 0), (1, 0)], "triangle [(0, 0), (1, 0)] does not have 3 vertices"),
+])
+def test_as_triangle_names_a_malformed_triangle(t, named):
+    with pytest.raises(ValueError) as info:
+        as_triangle(t)
+    assert str(info.value) == named
 
 
 def test_polygon_json_rejects_non_integers():

@@ -248,6 +248,37 @@ def test_non_integer_coordinates_skip_the_chain(bad):
     assert chain.detail.startswith("not run")
 
 
+class Masked(int):
+    """An int that hashes and compares as another value, its mask."""
+
+    def __new__(cls, value, mask):
+        self = super().__new__(cls, value)
+        self.mask = mask
+        return self
+
+    def __hash__(self):
+        return hash(self.mask)
+
+    def __eq__(self, other):
+        return self.mask == other
+
+    def __ne__(self, other):
+        return self.mask != other
+
+
+def test_masked_int_subclass_fails_integer_coords():
+    # Two copies of one half of the unit square, the second one's corners
+    # masked as the other half's: an int subclass is no integer coordinate,
+    # so the chain never sees the masks.
+    t1 = ((0, 0), (1, 0), (1, 1))
+    t2 = tuple((Masked(x, mx), Masked(y, my))
+               for (x, y), (mx, my) in zip(t1, ((0, 0), (1, 1), (0, 1))))
+    rep = verify_dissection(UNIT_SQUARE, Dissection((t1, t2)), "any")
+    assert not rep.valid
+    assert "integer-coords" in failed_names(rep)
+    assert rep.checks[1].detail.startswith("not run")
+
+
 def test_nan_coordinate_does_not_hide_a_clockwise_triangle():
     # min over doubled areas is no shortcut once a NaN is among them
     t = ((0, 0), (1, 0), (float("nan"), 1))
