@@ -56,12 +56,16 @@ class Dissection:
     business; this type only carries the pieces.  _verified belongs to the
     verify module: the last valid mode-"any" verification of these very
     triangles, kept when they are a tuple and read back only while its
-    triangles and points are tuples too (see verify._verify).  It is no
-    part of the value: it is not an argument, not shown and not compared.
+    triangles and points are tuples too (see verify._verify).  _parsed is
+    the triangles tuple as parse_dissection_json built it, every coordinate
+    an exact int it made itself, and None on any Dissection it did not
+    build; verify skips its type scan while _parsed is triangles.  Neither
+    is part of the value: not an argument, not shown and not compared.
     """
 
     triangles: tuple[Triangle, ...]
     _verified: object = field(default=None, init=False, repr=False, compare=False)
+    _parsed: object = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -272,12 +276,16 @@ def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
     return _DISSECTION_JSON % (json.dumps(P.vertices), triangles)
 
 
-def _interned(points: Iterable[Point]) -> tuple[Triangle, ...]:
+def _interned(points: Iterable[Point]) -> Dissection:
     """Group a stream of points into triangles, with one tuple per distinct
-    point, shared by every triangle that names it."""
+    point, shared by every triangle that names it.  Both readers end here,
+    with exact ints only: _parse_written's json.loads sees only numerals and
+    as_point tests type(c) is int.  So the result records its triangles."""
     seen: dict[Point, Point] = {}
     it = map(seen.setdefault, *tee(points))
-    return tuple(zip(it, it, it))
+    D = Dissection(tuple(zip(it, it, it)))
+    object.__setattr__(D, "_parsed", D.triangles)
+    return D
 
 
 def _polygon_points(polygon) -> list[Point]:
@@ -329,7 +337,7 @@ def _parse_written(text: str) -> tuple[list[Point], Dissection] | None:
     if len(ints) != 6 * n:
         return None
     it = iter(ints)
-    return _polygon_points(polygon), Dissection(_interned(zip(it, it)))
+    return _polygon_points(polygon), _interned(zip(it, it))
 
 
 def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
@@ -348,4 +356,4 @@ def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
     poly = _polygon_points(data.get("polygon", []))
-    return poly, Dissection(_interned(chain.from_iterable(map(as_triangle, data["triangles"]))))
+    return poly, _interned(chain.from_iterable(map(as_triangle, data["triangles"])))

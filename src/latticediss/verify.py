@@ -17,7 +17,9 @@ witness_noninteger exhibits a tricolor (hence non-integer-area) triangle in
 any valid dissection of a polygon whose boundary word is not contractible.
 Both need a valid dissection, so both verify it first; a valid mode-"any"
 result is kept on the Dissection (see _verify), so checking a dissection and
-then poofing it, or taking its witness, verifies it once.
+then poofing it, or taking its witness, verifies it once.  A dissection that
+parse_dissection_json built skips the type scan of its coordinates: the
+reader made each one an exact int in a tuple nothing can change.
 """
 
 from __future__ import annotations
@@ -202,22 +204,26 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
     for the keeping, and poof and witness_noninteger, which make that call
     after the caller's own verify, pay one type scan in place of a verify.
     The index kept is only the sides left uncancelled, and its users only
-    read it.
+    read it.  While D._parsed is D.triangles, the tuple the reader built,
+    every coordinate is an exact int and every triangle and point a tuple,
+    so both type scans are skipped; any other triangles are scanned.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tris, vs = D.triangles, P.vertices
+    read = D._parsed is tris
     kept = D._verified
-    if (mode == "any" and kept is not None and kept[0] is tris and _tuples_of(tris, tuple)
-            and _int_pairs(vs) and kept[1] == vs):
+    if (mode == "any" and kept is not None and kept[0] is tris
+            and (read or _tuples_of(tris, tuple)) and _int_pairs(vs) and kept[1] == vs):
         return kept[2], kept[3]
     checks: list[CheckResult] = []
     # signed_area2 of each triangle, inline.
     areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
              for (x1, y1), (x2, y2), (x3, y3) in tris]
 
-    # Only exact integers may reach gcd; a type scan settles the common case.
-    exact = set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}
+    # Only exact integers may reach gcd; the reader's record or a type scan
+    # settles the common case.
+    exact = read or set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}
     if exact:
         bad_coords = []
     else:

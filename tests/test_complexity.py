@@ -14,6 +14,7 @@ Work inside C is invisible to this guard: a sort, a json.loads or an
 a timed harness sees that work.
 """
 
+import json
 import random
 import sys
 from pathlib import Path
@@ -22,7 +23,12 @@ import pytest
 
 import latticediss
 from latticediss.combi import Triangulation, disk_errors
-from latticediss.dissect import Dissection, dissection_to_json, unit_dissection
+from latticediss.dissect import (
+    Dissection,
+    dissection_to_json,
+    parse_dissection_json,
+    unit_dissection,
+)
 from latticediss.geometry import validate_convex
 from latticediss.verify import poof, verify_dissection
 from latticediss.words import CyclicWord, decide_contractible
@@ -74,6 +80,21 @@ def verify_stage(side):
     return verify_dissection, (P, D, "unit"), len(D)
 
 
+def verify_read_stage(side):
+    # a read dissection: verify trusts the reader's record, with no type scan
+    P, D = square(side)
+    _, D = parse_dissection_json(dissection_to_json(P, D))
+    return verify_dissection, (P, D, "unit"), len(D)
+
+
+def parse_general_stage(side):
+    # indented text takes the general reader, whose as_triangle runs in Python
+    # for each triangle
+    P, D = square(side)
+    text = json.dumps(json.loads(dissection_to_json(P, D)), indent=1)
+    return parse_dissection_json, (text,), len(D)
+
+
 def to_json_stage(side):
     P, D = square(side)
     return dissection_to_json, (P, D), len(D)
@@ -111,6 +132,8 @@ def decide_stage(letters):
 STAGES = {
     "unit_dissection": (unit_stage, 40, 2),
     "verify_unit": (verify_stage, 40, 2),
+    "verify_read": (verify_read_stage, 40, 2),
+    "parse_general": (parse_general_stage, 40, 2),
     "dissection_to_json": (to_json_stage, 40, 2),
     "poof": (poof_stage, 250, 4),
     "verify_failure": (verify_failure_stage, 250, 4),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -542,3 +543,57 @@ def test_parse_dissection_json_shares_points():
         for v in (v for t in D.triangles for v in t):
             assert type(v) is tuple and points.setdefault(v, v) is v
         assert len(points) < 3 * len(D)
+
+
+# --- the reader's record ----------------------------------------------------------
+
+def _exact(D):
+    """Whether D's triangles are a tuple of tuples of tuples of exact ints."""
+    return type(D.triangles) is tuple and all(
+        type(t) is tuple and all(type(v) is tuple and all(type(c) is int for c in v) for v in t)
+        for t in D.triangles)
+
+
+def test_reader_records_the_triangles_it_built():
+    P = validate_convex([(0, 0), (4, 0), (3, 2), (0, 2)])
+    built = unit_dissection(P)
+    text = dissection_to_json(P, built)
+    data = json.loads(text)
+    for copy in [text, json.dumps(data, separators=(",", ":")), json.dumps(data, indent=1)]:
+        _, D = parse_dissection_json(copy)
+        assert D._parsed is D.triangles and _exact(D)
+        # the record is no part of the value
+        plain = Dissection(D.triangles)
+        assert repr(D) == repr(plain) == repr(built)
+        assert D == plain == built and hash(D) == hash(plain) == hash(built)
+        assert plain._parsed is None
+        assert dataclasses.replace(D)._parsed is None
+        assert dataclasses.replace(D, triangles=D.triangles[1:])._parsed is None
+
+
+def test_builders_do_not_record():
+    P = validate_convex([(0, 0), (4, 0), (3, 2), (0, 2)])
+    for D in [unit_dissection(P), diagonal_dissection(P),
+              refine_triangle(((0, 0), (4, 0), (0, 2)))]:
+        assert D._parsed is None
+
+
+def test_every_mutated_text_read_is_recorded_and_exact():
+    # the record is sound only if every dissection the reader returns holds
+    # exact ints in tuples, on whichever path the text took
+    rng = random.Random("reader-record")
+    P = random_convex_polygon(5, 6, seed=3)
+    base = dissection_to_json(P, random_dissection(P, depth=2, seed=3))
+    paths = set()
+    for _ in range(3_000):
+        text = base
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(MUTATIONS) + text[i + rng.randint(0, 1):]
+        try:
+            _, D = parse_dissection_json(text)
+        except ValueError:
+            continue
+        assert D._parsed is D.triangles and _exact(D), text
+        paths.add(takes_written_path(text))
+    assert paths == {True, False}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -12,6 +13,7 @@ from latticediss.errors import InvalidDissection, PreconditionViolated
 from latticediss.combi import boundary_word_of
 from latticediss.dissect import (
     Dissection,
+    dissection_to_json,
     parse_dissection_json,
     split_with_point,
     unit_dissection,
@@ -648,6 +650,91 @@ def test_invalid_results_and_other_modes_are_not_kept():
     assert kept is not None
     assert not verify_dissection(validate_convex([(0, 0), (2, 0), (0, 2)]), D, "any").valid
     assert D._verified is kept
+
+
+
+# --- the reader's record: a read dissection skips the type scans -------------------
+
+def _read(P, D):
+    return parse_dissection_json(dissection_to_json(P, D))[1]
+
+
+def _everything(P, D, poof_first=False):
+    """verify in every mode, poof and witness on D, as comparable values."""
+    def poofed():
+        try:
+            T, vmap = poof(P, D)
+        except InvalidDissection as e:
+            return str(e)
+        return (T.triangles, T.corners, list(T.vertex_colors.items()), list(vmap.items()))
+
+    first = poofed() if poof_first else None
+    reports = [verify_dissection(P, D, mode) for mode in MODES]
+    try:
+        witness = witness_noninteger(P, D)
+    except PreconditionViolated as e:
+        witness = str(e)
+    return reports, first or poofed(), witness
+
+
+def test_dissections_not_read_report_as_the_read_one():
+    square = validate_convex([(0, 0), (4, 0), (4, 4), (0, 4)])
+    for P, D in [(UNIT_SQUARE, HALF_SPLIT), (square, unit_dissection(square)),
+                 (UNIT_SQUARE, Dissection(HALF_SPLIT.triangles[:1]))]:
+        read = _read(P, D)
+        assert read._parsed is read.triangles
+        others = [Dissection(read.triangles), dataclasses.replace(read),
+                  dataclasses.replace(read, triangles=tuple(read.triangles))]
+        for other in others:
+            assert other._parsed is None
+            for mode in MODES:
+                assert verify_dissection(P, other, mode) == verify_dissection(P, read, mode)
+
+
+def test_masked_triangles_swapped_into_a_read_dissection_fail_integer_coords():
+    # as in test_masked_int_subclass_fails_integer_coords, but behind a
+    # record and a kept result: the swapped tuple is not the one the reader
+    # built, so it is scanned
+    t1 = ((0, 0), (1, 0), (1, 1))
+    t2 = tuple((Masked(x, mx), Masked(y, my))
+               for (x, y), (mx, my) in zip(t1, ((0, 0), (1, 1), (0, 1))))
+    for verify_first in (False, True):
+        D = _read(UNIT_SQUARE, HALF_SPLIT)
+        if verify_first:
+            assert verify_dissection(UNIT_SQUARE, D, "any").valid
+            assert D._verified is not None
+        object.__setattr__(D, "triangles", (t1, t2))
+        for mode in MODES:
+            rep = verify_dissection(UNIT_SQUARE, D, mode)
+            assert not rep.valid
+            assert "integer-coords" in failed_names(rep)
+            assert rep.checks[1].detail.startswith("not run")
+        with pytest.raises(InvalidDissection, match="non-integer coordinates"):
+            poof(UNIT_SQUARE, D)
+
+
+def _differential_cases():
+    for count in (30, 100, 300):
+        for label in ("valid", "drop", "overlap"):
+            for contractible in (True, False):
+                req = inputs.foreign_request(random.Random(count), count, label, contractible)
+                yield validate_convex(req.polygon), req.dissection_text
+    for side in (2, 4, 6):
+        P = validate_convex([(0, 0), (side, 0), (side, side), (0, side)])
+        yield P, dissection_to_json(P, unit_dissection(P))
+
+
+def test_read_and_fresh_dissections_give_equal_results():
+    labels = set()
+    for P, text in _differential_cases():
+        D = parse_dissection_json(text)[1]
+        assert D._parsed is D.triangles
+        fresh = _everything(P, _fresh(D))
+        assert _everything(P, D) == fresh
+        assert _everything(P, parse_dissection_json(text)[1], poof_first=True) == fresh
+        labels.add((fresh[0][2].valid, isinstance(fresh[2], tuple)))
+    # valid and invalid dissections, with and without a witness
+    assert labels == {(True, True), (True, False), (False, False)}
 
 
 # --- witness ---------------------------------------------------------------------
