@@ -50,22 +50,20 @@ from .words import ContractionTrace, decide_contractible
 
 @dataclass(frozen=True)
 class Dissection:
-    """A list of positively oriented lattice triangles.
+    """A tuple of lattice triangles, each a tuple of three points.
 
-    Whether they actually dissect a given polygon is the verify module's
-    business; this type only carries the pieces.  _verified belongs to the
-    verify module: the last valid mode-"any" verification of these very
-    triangles, kept when they are a tuple and read back only while its
-    triangles and points are tuples too (see verify._verify).  _parsed is
-    the triangles tuple as parse_dissection_json built it, every coordinate
-    an exact int it made itself, and None on any Dissection it did not
-    build; verify skips its type scan while _parsed is triangles.  Neither
-    is part of the value: not an argument, not shown and not compared.
+    Whether they dissect a given polygon, and are positively oriented, is
+    the verify module's business; this type only carries the pieces.
+    _record is () on any Dissection that parse_dissection_json did not
+    build.  The reader sets it to (triangles,), the very tuple it built,
+    every coordinate an exact int it made itself; verify then skips its
+    type scan and may append its valid mode-"any" result (see
+    verify._verify).  It is no part of the value: not an argument, not
+    shown and not compared.
     """
 
     triangles: tuple[Triangle, ...]
-    _verified: object = field(default=None, init=False, repr=False, compare=False)
-    _parsed: object = field(default=None, init=False, repr=False, compare=False)
+    _record: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -284,7 +282,7 @@ def _interned(points: Iterable[Point]) -> Dissection:
     seen: dict[Point, Point] = {}
     it = map(seen.setdefault, *tee(points))
     D = Dissection(tuple(zip(it, it, it)))
-    object.__setattr__(D, "_parsed", D.triangles)
+    object.__setattr__(D, "_record", (D.triangles,))
     return D
 
 

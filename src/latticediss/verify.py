@@ -15,11 +15,11 @@ collinear vertices subdivide a triangle side or a polygon edge; it finds
 those vertices in the same per-line index.
 witness_noninteger exhibits a tricolor (hence non-integer-area) triangle in
 any valid dissection of a polygon whose boundary word is not contractible.
-Both need a valid dissection, so both verify it first; a valid mode-"any"
-result is kept on the Dissection (see _verify), so checking a dissection and
-then poofing it, or taking its witness, verifies it once.  A dissection that
-parse_dissection_json built skips the type scan of its coordinates: the
-reader made each one an exact int in a tuple nothing can change.
+Both need a valid dissection, so both verify it first.  On a dissection
+that parse_dissection_json built, verify skips the type scan of its
+coordinates and keeps a valid mode-"any" result in the reader's record (see
+_verify), so checking it and then poofing it, or taking its witness,
+verifies it once.
 """
 
 from __future__ import annotations
@@ -177,14 +177,10 @@ def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
             f"side there: {_fmt_indices(hits) or 'none'}")
 
 
-def _tuples_of(items, kind: type) -> bool:
-    """Whether every item is a tuple of objects of exactly the type kind."""
-    return set(map(type, items)) <= {tuple} and set(map(type, chain.from_iterable(items))) <= {kind}
-
-
 def _int_pairs(points) -> bool:
     """Whether points is a tuple of tuples of exact ints, so immutable."""
-    return type(points) is tuple and _tuples_of(points, int)
+    return (type(points) is tuple and set(map(type, points)) <= {tuple}
+            and set(map(type, chain.from_iterable(points))) <= {int})
 
 
 def _verify(P: ConvexLatticePolygon, D: Dissection,
@@ -192,30 +188,23 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
     """verify_dissection, also returning the segment index it built (None when
     the coordinates are not all integers).
 
-    A valid mode-"any" result is kept in D._verified as (triangles,
-    polygon vertices, report, index) when D.triangles is a tuple; its
-    coordinates are then all exact ints.  A later mode-"any" call returns
-    it when D.triangles is the same object, its triangles and their points
-    are tuples, and P's vertices are a tuple of tuples of exact ints equal
-    to the kept ones (a tuple never equals a list, so a vertex list kept
-    and then changed never matches).  The same tuple holds the same
-    objects as when it was kept, and if they and their points are tuples,
-    nothing in it can have changed since.  So a lone verify pays nothing
-    for the keeping, and poof and witness_noninteger, which make that call
-    after the caller's own verify, pay one type scan in place of a verify.
-    The index kept is only the sides left uncancelled, and its users only
-    read it.  While D._parsed is D.triangles, the tuple the reader built,
-    every coordinate is an exact int and every triangle and point a tuple,
-    so both type scans are skipped; any other triangles are scanned.
+    D._record holds the triangles tuple the reader built, every coordinate
+    an exact int in tuples nothing can change, so while it is D.triangles
+    the type scan is skipped; any other triangles are scanned.  A valid
+    mode-"any" result on those triangles is kept in the record as
+    (triangles, polygon vertices, report, index) when P's vertices are a
+    tuple of tuples of exact ints, and returned while both tuples are the
+    very objects kept: deep-immutable tuples hold the same values for as
+    long as they live.  The index kept is only the sides left uncancelled,
+    and its users only read it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tris, vs = D.triangles, P.vertices
-    read = D._parsed is tris
-    kept = D._verified
-    if (mode == "any" and kept is not None and kept[0] is tris
-            and (read or _tuples_of(tris, tuple)) and _int_pairs(vs) and kept[1] == vs):
-        return kept[2], kept[3]
+    rec = D._record
+    read = rec and rec[0] is tris
+    if mode == "any" and read and len(rec) > 1 and rec[1] is vs:
+        return rec[2], rec[3]
     checks: list[CheckResult] = []
     # signed_area2 of each triangle, inline.
     areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
@@ -282,8 +271,8 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
 
     valid = all(c.passed for c in checks)
     report = VerifyReport(valid, tuple(checks), len(tris), total)
-    if valid and mode == "any" and exact and type(tris) is tuple:
-        object.__setattr__(D, "_verified", (tris, vs, report, index))
+    if valid and mode == "any" and read and _int_pairs(vs):
+        object.__setattr__(D, "_record", (tris, vs, report, index))
     return report, index
 
 
@@ -313,8 +302,8 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     segment finds its inner vertices by bisection in its line's sorted
     coordinates.
 
-    The verification is the one kept on D when D was just verified against
-    P (see _verify).  Vertex ids number the dissection's points in sorted
+    The verification is the one kept on a read D just verified against P
+    (see _verify).  Vertex ids number the dissection's points in sorted
     order; the ids, the frozen triangles, the colors and the returned point
     map are each built in one pass of map, zip or dict.
     """

@@ -143,13 +143,17 @@ class ContractionTrace:
     def replay(self, w: "CyclicWord") -> None:
         """Re-execute the deletions against w, checking each one is legal.
 
-        Raises IllegalStep if any recorded step's neighbors do not match the
-        live word or would delete a letter from an all-distinct window, or if
-        the survivors differ from terminal.
+        Raises IllegalStep if w's length is not the traced word's, if any
+        recorded step's neighbors do not match the live word or would delete
+        a letter from an all-distinct window, or if the survivors differ from
+        terminal.
         """
         steps, terminal = self._recorded
         letters = w.letters
         n = len(letters)
+        if n != len(self._codes):
+            raise IllegalStep(f"trace of a {len(self._codes)}-letter word replayed "
+                              f"on a {n}-letter word")
         nxt = [(i + 1) % n for i in range(n)]
         prv = [(i - 1) % n for i in range(n)]
         alive = n

@@ -30,7 +30,7 @@ from latticediss.dissect import (
     unit_dissection,
 )
 from latticediss.geometry import validate_convex
-from latticediss.verify import poof, verify_dissection
+from latticediss.verify import poof, verify_dissection, witness_noninteger
 from latticediss.words import CyclicWord, decide_contractible
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,6 +105,21 @@ def poof_stage(count):
     return poof, (validate_convex(req.polygon), Dissection(req.triangles)), len(req.triangles)
 
 
+def foreign_read_stage(count):
+    # verify, then poof and the witness on one read dissection: the two later
+    # calls reuse the kept verification
+    req = inputs.foreign_request(random.Random(count), count, "valid", False)
+    P = validate_convex(req.polygon)
+    _, D = parse_dissection_json(req.dissection_text)
+
+    def check():
+        verify_dissection(P, D, "any")
+        poof(P, D)
+        witness_noninteger(P, D)
+
+    return check, (), len(D)
+
+
 def verify_failure_stage(count):
     # one triangle dropped: the verdict runs _chain_failure
     req = inputs.foreign_request(random.Random(count), count, "drop", True)
@@ -136,6 +151,7 @@ STAGES = {
     "parse_general": (parse_general_stage, 40, 2),
     "dissection_to_json": (to_json_stage, 40, 2),
     "poof": (poof_stage, 250, 4),
+    "foreign_read": (foreign_read_stage, 250, 4),
     "verify_failure": (verify_failure_stage, 250, 4),
     "disk_failure": (disk_failure_stage, 250, 4),
     "decide_contractible": (decide_stage, 4_000, 4),

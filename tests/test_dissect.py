@@ -561,21 +561,21 @@ def test_reader_records_the_triangles_it_built():
     data = json.loads(text)
     for copy in [text, json.dumps(data, separators=(",", ":")), json.dumps(data, indent=1)]:
         _, D = parse_dissection_json(copy)
-        assert D._parsed is D.triangles and _exact(D)
+        assert D._record[0] is D.triangles and _exact(D)
         # the record is no part of the value
         plain = Dissection(D.triangles)
         assert repr(D) == repr(plain) == repr(built)
         assert D == plain == built and hash(D) == hash(plain) == hash(built)
-        assert plain._parsed is None
-        assert dataclasses.replace(D)._parsed is None
-        assert dataclasses.replace(D, triangles=D.triangles[1:])._parsed is None
+        assert plain._record == ()
+        assert dataclasses.replace(D)._record == ()
+        assert dataclasses.replace(D, triangles=D.triangles[1:])._record == ()
 
 
 def test_builders_do_not_record():
     P = validate_convex([(0, 0), (4, 0), (3, 2), (0, 2)])
     for D in [unit_dissection(P), diagonal_dissection(P),
               refine_triangle(((0, 0), (4, 0), (0, 2)))]:
-        assert D._parsed is None
+        assert D._record == ()
 
 
 def test_every_mutated_text_read_is_recorded_and_exact():
@@ -594,6 +594,6 @@ def test_every_mutated_text_read_is_recorded_and_exact():
             _, D = parse_dissection_json(text)
         except ValueError:
             continue
-        assert D._parsed is D.triangles and _exact(D), text
+        assert D._record[0] is D.triangles and _exact(D), text
         paths.add(takes_written_path(text))
     assert paths == {True, False}

@@ -1,4 +1,5 @@
-"""Every module of the package and of the test suite uses each name it imports."""
+"""Every module of the package and of the test suite uses each name it
+imports, and the package reads each private name it defines at top level."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,49 @@ def test_no_unused_imports_in_src_and_tests():
              for path in sorted((ROOT / top).rglob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each private, non-dunder name bound by a top-level
+    def, class or assignment."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name the module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_private_definitions_and_loads_are_found():
+    source = ("_A = 1\n_b: int = 2\n_c, d = 3, 4\n__all__ = []\n"
+              "def _f():\n    _g = 5\nclass _K:\n    pass\nx.attr = y._h(_A)\n")
+    assert private_definitions(source) == [(1, "_A"), (2, "_b"), (3, "_c"), (5, "_f"), (7, "_K")]
+    assert loaded_names(source) == {"int", "x", "y", "_h", "_A"}
+
+
+def test_every_private_name_in_src_is_read():
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    loaded = set().union(*map(loaded_names, sources.values()))
+    defined = [(path, line, name) for path, source in sources.items()
+               for line, name in private_definitions(source)]
+    assert len(defined) > 40  # the check sees the package's helpers
+    assert [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path, line, name in defined if name not in loaded] == []

@@ -536,10 +536,10 @@ def test_poof_matches_reference():
         colors = {i: color_of(p) for i, p in ref_vmap.items()}
         assert (T.triangles, T.corners, T.vertex_colors, vmap) == (tris, corners, colors, ref_vmap)
         poofagons += len(T.triangles) - len(D.triangles)
-        # again on a fresh Dissection that a verify has just checked
-        D = Dissection(D.triangles)
+        # again on a read Dissection that a verify has just checked
+        D = _read(P, D)
         assert verify_dissection(P, D, "any").valid
-        kept += D._verified is not None
+        kept += len(D._record) > 1
         T2, vmap2 = poof(P, D)
         assert (T2.triangles, T2.corners) == (tris, corners)
         assert list(T2.vertex_colors.items()) == list(T.vertex_colors.items())
@@ -548,7 +548,11 @@ def test_poof_matches_reference():
     assert kept == len(cases)  # the second poofs reuse the verify's result
 
 
-# --- the verification kept on a Dissection -----------------------------------------
+# --- the verification kept on a read Dissection ------------------------------------
+
+def _read(P, D):
+    return parse_dissection_json(dissection_to_json(P, D))[1]
+
 
 def _checks(P, D):
     """What verify, poof and witness say about D, as comparable values."""
@@ -574,10 +578,20 @@ class _HashableList(list):
         return hash(tuple(self))
 
 
+def _kept(P, D):
+    """D read back, with a valid mode-"any" result against P kept."""
+    D = _read(P, D)
+    assert verify_dissection(P, D, "any").valid
+    assert len(D._record) > 1
+    return D
+
+
 def test_kept_result_is_not_used_for_mutable_triangles():
-    # a list of triangles, and a tuple of triangles that are lists
-    for D in (Dissection(list(HALF_SPLIT.triangles)),
-              Dissection(tuple(map(list, HALF_SPLIT.triangles)))):
+    # a list of triangles, and a tuple of triangles that are lists, swapped
+    # into a dissection with a kept result
+    for triangles in (list(HALF_SPLIT.triangles), tuple(map(list, HALF_SPLIT.triangles))):
+        D = _kept(UNIT_SQUARE, HALF_SPLIT)
+        object.__setattr__(D, "triangles", triangles)
         assert _checks(UNIT_SQUARE, D)[0].valid
         assert _checks(UNIT_SQUARE, D) == _checks(UNIT_SQUARE, _fresh(D))
         if isinstance(D.triangles, list):
@@ -591,7 +605,9 @@ def test_kept_result_is_not_used_for_mutable_triangles():
 
 def test_kept_result_is_not_used_for_mutable_vertices():
     # poof cannot run here: a tuple corner of P never equals a list vertex
-    D = Dissection(tuple(tuple(map(_HashableList, t)) for t in HALF_SPLIT.triangles))
+    D = _kept(UNIT_SQUARE, HALF_SPLIT)
+    object.__setattr__(D, "triangles",
+                       tuple(tuple(map(_HashableList, t)) for t in HALF_SPLIT.triangles))
     assert verify_dissection(UNIT_SQUARE, D).valid
     D.triangles[1][2][1] = 2  # (0, 1) becomes (0, 2)
     after = verify_dissection(UNIT_SQUARE, D)
@@ -600,9 +616,9 @@ def test_kept_result_is_not_used_for_mutable_vertices():
 
 
 def test_kept_result_is_not_used_for_swapped_triangles():
-    D = Dissection(HALF_SPLIT.triangles)
+    D = _read(UNIT_SQUARE, HALF_SPLIT)
     assert _checks(UNIT_SQUARE, D)[0].valid
-    assert D._verified is not None
+    assert len(D._record) > 1
     object.__setattr__(D, "triangles", HALF_SPLIT.triangles[:1])
     after = _checks(UNIT_SQUARE, D)
     assert not after[0].valid
@@ -610,7 +626,7 @@ def test_kept_result_is_not_used_for_swapped_triangles():
 
 
 def test_kept_result_is_not_used_for_another_polygon():
-    D = Dissection(HALF_SPLIT.triangles)
+    D = _read(UNIT_SQUARE, HALF_SPLIT)
     assert _checks(UNIT_SQUARE, D)[0].valid
     corner = validate_convex([(0, 0), (1, 0), (0, 1)])  # a non-contractible word, ABD
     after = _checks(corner, D)
@@ -626,8 +642,7 @@ def test_kept_result_is_not_used_for_another_polygon():
 @pytest.mark.parametrize("side", [1, 2])
 def test_other_modes_after_a_kept_result_match_a_fresh_dissection(side):
     P = validate_convex([(0, 0), (side, 0), (side, side), (0, side)])
-    D = HALF_SPLIT if side == 1 else unit_dissection(P)
-    D = Dissection(D.triangles)
+    D = _read(P, HALF_SPLIT if side == 1 else unit_dissection(P))
     assert verify_dissection(P, D, "any") is verify_dissection(P, D, "any")  # the kept report
     for mode in ("unit", "integral"):
         assert verify_dissection(P, D, mode) == verify_dissection(P, _fresh(D), mode)
@@ -635,29 +650,44 @@ def test_other_modes_after_a_kept_result_match_a_fresh_dissection(side):
 
 def test_invalid_results_and_other_modes_are_not_kept():
     for mode in MODES:
-        D = Dissection(HALF_SPLIT.triangles[:1])
+        D = _read(UNIT_SQUARE, Dissection(HALF_SPLIT.triangles[:1]))
         assert not verify_dissection(UNIT_SQUARE, D, mode).valid
-        assert D._verified is None
+        assert len(D._record) == 1
     square = validate_convex([(0, 0), (2, 0), (2, 2), (0, 2)])
-    D = unit_dissection(square)
+    D = _read(square, unit_dissection(square))
     for mode in ("unit", "integral"):
         assert verify_dissection(square, D, mode).valid
-        assert D._verified is None
+        assert len(D._record) == 1
     assert verify_dissection(square, D, "any") == verify_dissection(square, _fresh(D), "any")
-    D = Dissection(HALF_SPLIT.triangles)
+    D = _read(UNIT_SQUARE, HALF_SPLIT)
     verify_dissection(UNIT_SQUARE, D, "any")
-    kept = D._verified
-    assert kept is not None
+    kept = D._record
+    assert len(kept) > 1
     assert not verify_dissection(validate_convex([(0, 0), (2, 0), (0, 2)]), D, "any").valid
-    assert D._verified is kept
+    assert D._record is kept
 
+
+def test_dissections_not_read_keep_nothing():
+    square = validate_convex([(0, 0), (4, 0), (4, 4), (0, 4)])
+    for P, built in [(UNIT_SQUARE, HALF_SPLIT), (square, unit_dissection(square))]:
+        D = Dissection(built.triangles)
+        assert verify_dissection(P, D, "any").valid
+        assert D._record == () and built._record == ()
+        assert _everything(P, D) == _everything(P, _kept(P, built))
+
+
+def test_equal_polygon_of_other_tuples_is_verified_again():
+    P = validate_convex([(0, 0), (4, 0), (4, 4), (0, 4)])
+    D = _kept(P, unit_dissection(P))
+    kept = D._record
+    Q = validate_convex(P.vertices)
+    assert Q.vertices == P.vertices and Q.vertices is not P.vertices
+    report = verify_dissection(Q, D, "any")
+    assert report == kept[2] and report is not kept[2]
+    assert verify_dissection(P, D, "any") is not kept[2]  # Q's result is kept now
 
 
 # --- the reader's record: a read dissection skips the type scans -------------------
-
-def _read(P, D):
-    return parse_dissection_json(dissection_to_json(P, D))[1]
-
 
 def _everything(P, D, poof_first=False):
     """verify in every mode, poof and witness on D, as comparable values."""
@@ -682,11 +712,11 @@ def test_dissections_not_read_report_as_the_read_one():
     for P, D in [(UNIT_SQUARE, HALF_SPLIT), (square, unit_dissection(square)),
                  (UNIT_SQUARE, Dissection(HALF_SPLIT.triangles[:1]))]:
         read = _read(P, D)
-        assert read._parsed is read.triangles
+        assert read._record[0] is read.triangles
         others = [Dissection(read.triangles), dataclasses.replace(read),
                   dataclasses.replace(read, triangles=tuple(read.triangles))]
         for other in others:
-            assert other._parsed is None
+            assert other._record == ()
             for mode in MODES:
                 assert verify_dissection(P, other, mode) == verify_dissection(P, read, mode)
 
@@ -702,7 +732,7 @@ def test_masked_triangles_swapped_into_a_read_dissection_fail_integer_coords():
         D = _read(UNIT_SQUARE, HALF_SPLIT)
         if verify_first:
             assert verify_dissection(UNIT_SQUARE, D, "any").valid
-            assert D._verified is not None
+            assert len(D._record) > 1
         object.__setattr__(D, "triangles", (t1, t2))
         for mode in MODES:
             rep = verify_dissection(UNIT_SQUARE, D, mode)
@@ -728,7 +758,7 @@ def test_read_and_fresh_dissections_give_equal_results():
     labels = set()
     for P, text in _differential_cases():
         D = parse_dissection_json(text)[1]
-        assert D._parsed is D.triangles
+        assert D._record[0] is D.triangles
         fresh = _everything(P, _fresh(D))
         assert _everything(P, D) == fresh
         assert _everything(P, parse_dissection_json(text)[1], poof_first=True) == fresh

@@ -217,6 +217,13 @@ def test_tampered_trace_rejected(monkeypatch):
         _trace_from_kernel(monkeypatch, w, corrupt).replay(w)
 
 
+def test_replay_rejects_a_word_of_another_length():
+    _, trace = decide_contractible(CyclicWord("AABBAAB"))
+    for other in ("AAB", "AABBAABB"):
+        with pytest.raises(IllegalStep, match=f"7-letter word replayed on a {len(other)}-letter"):
+            trace.replay(CyclicWord(other))
+
+
 @pytest.mark.parametrize("word, output, message", [
     # after deleting 0 from AAB, positions 1 and 2 are each other's neighbors
     ("AAB", (True, [0, 2, 1, 1, 2, 2], [2]), "shorter than 3"),
