@@ -121,9 +121,9 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
     """A strictly convex lattice polygon whose boundary word equals w, or None.
 
     Iterative-deepening search over angle-sorted edge vectors whose parities
-    are pinned by consecutive letter colors; partial sums are pruned by reach
-    and by the parity the remaining edges are forced to contribute.  None
-    when the word uses letters outside A-D or the bounded search fails.
+    are pinned by consecutive letter colors; partial sums are pruned by
+    reach.  None when the word uses letters outside A-D or the bounded
+    search fails.
     """
     n = len(w)
     if n < 3:
@@ -134,11 +134,6 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
     par = [_PARITY[l] for l in letters]
     deltas = [((par[(i + 1) % n][0] - par[i][0]) % 2,
                (par[(i + 1) % n][1] - par[i][1]) % 2) for i in range(n)]
-    # parity that the edges from slot i onward must contribute, mod 2
-    suffix = [(0, 0)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = ((suffix[i + 1][0] + deltas[i][0]) % 2,
-                     (suffix[i + 1][1] + deltas[i][1]) % 2)
 
     max_radius = max(2, min(8, coord_bound))
     for radius in range(2, max_radius + 1):
@@ -164,8 +159,6 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
             if slot == n:
                 return sx == 0 and sy == 0 and all(
                     max(abs(x), abs(y)) <= coord_bound for x, y in _placed(chosen, par[0]))
-            if (sx % 2, sy % 2) != suffix[slot]:
-                return False
             reach = radius * (n - slot)
             if abs(sx) > reach or abs(sy) > reach:
                 return False

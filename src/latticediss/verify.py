@@ -28,7 +28,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, count, repeat
-from math import gcd
+from math import gcd, nan
 from typing import NamedTuple
 
 from .combi import Triangulation, validate_disk
@@ -41,6 +41,7 @@ from .geometry import (
     boundary_word,
     color_of,
     polygon_area2,
+    signed_area2,
 )
 from .words import decide_contractible
 
@@ -183,6 +184,15 @@ def _int_pairs(points) -> bool:
             and set(map(type, chain.from_iterable(points))) <= {int})
 
 
+def _area2_or_nan(t: Triangle) -> float:
+    """signed_area2 of a triangle, or NaN when a coordinate is no number
+    (None, a str, a list), so the report still says which checks fail."""
+    try:
+        return signed_area2(t)
+    except TypeError:
+        return nan
+
+
 def _verify(P: ConvexLatticePolygon, D: Dissection,
             mode: str) -> tuple[VerifyReport, _Index | None]:
     """verify_dissection, also returning the segment index it built (None when
@@ -206,20 +216,20 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
     if mode == "any" and read and len(rec) > 1 and rec[1] is vs:
         return rec[2], rec[3]
     checks: list[CheckResult] = []
-    # signed_area2 of each triangle, inline.
-    areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-             for (x1, y1), (x2, y2), (x3, y3) in tris]
-
     # Only exact integers may reach gcd; the reader's record or a type scan
     # settles the common case.
     exact = read or set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}
     if exact:
         bad_coords = []
+        # signed_area2 of each triangle, inline.
+        areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+                 for (x1, y1), (x2, y2), (x3, y3) in tris]
     else:
         bad_coords = [
             i for i, t in enumerate(tris)
             if not all(type(c) is int for v in t for c in v)
         ]
+        areas = list(map(_area2_or_nan, tris))
 
     # min and count settle the common case; other numbers (NaN) take the scan.
     bad = ([i for i, a in enumerate(areas) if a <= 0]

@@ -258,9 +258,10 @@ def test_refine_far_from_origin_matches_reference_and_shares_points(t):
 
 def test_refine_matches_reference_on_every_small_normal_form(monkeypatch):
     # Every normal form of doubled area at most 48, moved by a seeded map, in
-    # all three rotations and both orientations.  refine_triangle writes the
-    # unit pieces at the end of a split straight out; the reference's splits
-    # must end in 0, 1, 2 and 3 unit pieces, so each such case is compared.
+    # all three rotations and both orientations.  The worklist pops a split's
+    # last pieces first, so the order of the output turns on how many unit
+    # pieces end a split; the reference's splits must end in 0, 1, 2 and 3 of
+    # them, so each such case is compared.
     ends = set()
     split = refine_reference.split_with_point
 

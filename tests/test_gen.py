@@ -2,7 +2,8 @@ import inspect
 
 import pytest
 
-from latticediss.cli import build_parser
+from latticediss import gen
+from latticediss.cli import build_parser, main
 from latticediss.errors import GenerationFailed
 from latticediss.gen import random_convex_polygon, random_dissection, realize_word
 from latticediss.geometry import boundary_word, polygon_area2, validate_convex
@@ -76,6 +77,17 @@ def test_realize_word_random_words():
             realized += 1
             assert boundary_word(P) == CyclicWord(s)
     assert realized > 0
+
+
+def test_realize_word_gives_up_when_the_search_budget_runs_out(monkeypatch, capsys):
+    # ABCDACBADC is realized at the default budget (see the examples above);
+    # 20 nodes per radius run out both before a node and inside a slot's loop.
+    w = CyclicWord("ABCDACBADC")
+    monkeypatch.setattr(gen, "SEARCH_NODES", 20)
+    assert realize_word(w) is None
+    assert main(["realize", "ABCDACBADC"]) == 10
+    assert capsys.readouterr() == ("", "no convex lattice polygon realizing ABCDACBADC found "
+                                       "within bound\n")
 
 
 def test_realize_word_too_short():

@@ -239,7 +239,7 @@ def test_repeated_vertex_fails_orientation_not_gcd():
         "orientation", "boundary-chain", "area-sum"]
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, True])
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, None, "1", [0]])
 def test_non_integer_coordinates_skip_the_chain(bad):
     t = ((0, 0), (1, 0), (bad, 1))
     D = Dissection((t, HALF_SPLIT.triangles[1]))
@@ -248,6 +248,8 @@ def test_non_integer_coordinates_skip_the_chain(bad):
     chain = rep.checks[1]
     assert chain.name == "boundary-chain" and not chain.passed
     assert chain.detail.startswith("not run")
+    with pytest.raises(InvalidDissection, match="non-integer coordinates at triangles 0"):
+        poof(UNIT_SQUARE, D)
 
 
 class Masked(int):
