@@ -18,14 +18,15 @@ from . import combi, gen, svg
 from .bench import format_table, run_bench
 from .dissect import (
     Dissection,
+    _file_slices,
+    _json_chunks,
+    _unit_pieces,
     diagonal_dissection,
-    dissection_to_json,
     parse_dissection_json,
-    unit_dissection,
 )
 from .errors import LatticeDissError
 from .geometry import boundary_word, parse_polygon_json, polygon_to_json, signed_area2
-from .verify import MODES, verify_dissection, witness_noninteger
+from .verify import MODES, _verify_slices, verify_dissection, witness_noninteger
 from .words import CyclicWord, _reduce_cyclic, decide_contractible
 
 EXIT_OK = 0
@@ -49,15 +50,23 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {e}") from e
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, chunks) -> None:
+    """Write the text in chunks to path, or to stdout with a newline after
+    it.  A file that cannot be written whole is removed."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in chunks:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            try:
+                fh.writelines(chunks)
+            except BaseException:
+                os.remove(path)
+                raise
     except OSError as e:
         raise ValueError(f"cannot write {path}: {e}") from e
 
@@ -109,20 +118,31 @@ def cmd_decide(args) -> int:
 
 def cmd_dissect(args) -> int:
     P = _load_polygon(args.polygon)
-    D = unit_dissection(P) if args.unit else diagonal_dissection(P)
+    D = diagonal_dissection(P)
     if D is None:
         w = boundary_word(P)
         print(f"no integral dissection exists (word {w} not contractible)", file=sys.stderr)
         _print_stuck(w, P.vertices)
         return EXIT_IMPOSSIBLE
-    _write(args.output, dissection_to_json(P, D))
+    # The unit pieces are written as refinement makes them, a slice at a time.
+    _write(args.output, _json_chunks(P, _unit_pieces(D) if args.unit else D.triangles))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     P = _load_polygon(args.polygon)
-    D = _load_dissection(args.dissection)
-    report = verify_dissection(P, D, args.mode)
+    report = None
+    if args.dissection != "-":
+        # A file in the writer's layout is read a slice at a time, and read
+        # again only for a failing boundary-chain detail.
+        try:
+            report = _verify_slices(P, lambda: _file_slices(args.dissection), args.mode, True)[0]
+        except (OSError, ValueError):
+            pass
+    if report is None:
+        # Any other text, stdin, or a file that cannot be read so, is read
+        # whole, and the general parser gives its result or its message.
+        report = verify_dissection(P, _load_dissection(args.dissection), args.mode)
     print(report.to_json())
     return EXIT_OK if report.valid else EXIT_INVALID
 
@@ -157,7 +177,7 @@ def cmd_sperner(args) -> int:
 def cmd_render(args) -> int:
     P = _load_polygon(args.polygon)
     D = _load_dissection(args.dissection) if args.dissection else None
-    _write(args.output, svg.render_svg(P, D))
+    _write(args.output, (svg.render_svg(P, D),))
     return EXIT_OK
 
 
@@ -187,7 +207,7 @@ def cmd_realize(args) -> int:
         else:
             print(f"no convex lattice polygon realizing {w} found within bound", file=sys.stderr)
         return EXIT_IMPOSSIBLE
-    _write(args.output, polygon_to_json(P))
+    _write(args.output, (polygon_to_json(P),))
     return EXIT_OK
 
 
@@ -208,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("polygon", help="polygon JSON file (- for stdin)")
     p.add_argument("--unit", action="store_true",
                    help="refine to triangles of area exactly 1: writes exactly "
-                        "doubled-area/2 triangles, so the JSON grows linearly with the area")
+                        "doubled-area/2 triangles, so the JSON grows linearly with the area; "
+                        "memory does not, as pieces are refined and written about 64 KB at a "
+                        "time")
     p.add_argument("-o", "--output", help="output file (default stdout)")
     p.set_defaults(fn=cmd_dissect)
 

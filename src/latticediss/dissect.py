@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, tee
+from itertools import chain, islice, tee
 from math import gcd
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from .geometry import (
@@ -118,12 +118,19 @@ def refine_triangle(t: Triangle) -> Dissection:
     if area2 % 2:
         raise NotIntegerArea(f"doubled area {area2} is odd")
 
-    out: list[Triangle] = []
-    work = [(area2, *t)]  # (doubled area, counterclockwise vertices)
+    out = tuple(_refined(area2, *t))
+    assert len(out) == area2 // 2
+    return Dissection(out)
+
+
+def _refined(a2: int, u0: Point, u1: Point, u2: Point) -> Iterator[Triangle]:
+    """The unit pieces of the counterclockwise triangle (u0, u1, u2) of doubled
+    area a2, even and positive, one at a time, in refine_triangle's order."""
+    work = [(a2, u0, u1, u2)]  # (doubled area, counterclockwise vertices)
     while work:
         a2, u0, u1, u2 = work.pop()
         if a2 == 2:
-            out.append((u0, u1, u2))
+            yield (u0, u1, u2)
             continue
         x0, y0 = u0
         x1, y1 = u1
@@ -177,8 +184,6 @@ def refine_triangle(t: Triangle) -> Dissection:
             work += (o1, u2, x, u1), (o0, x, u0, u1)
         else:
             raise IsVertex(f"{x} is a vertex of the triangle")
-    assert len(out) == area2 // 2
-    return Dissection(tuple(out))
 
 
 def diagonal_dissection(P: ConvexLatticePolygon) -> Dissection | None:
@@ -210,12 +215,15 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
     diag = diagonal_dissection(P)
     if diag is None:
         return None
-    total = polygon_area2(P)
-    pieces: list[Triangle] = []
-    for tri in diag.triangles:
-        pieces.extend(refine_triangle(tri).triangles)
-    assert len(pieces) == total // 2
-    return Dissection(tuple(pieces))
+    pieces = tuple(_unit_pieces(diag))
+    assert len(pieces) == polygon_area2(P) // 2
+    return Dissection(pieces)
+
+
+def _unit_pieces(diag: Dissection) -> Iterator[Triangle]:
+    """The unit pieces of a diagonal dissection, one at a time: its triangles
+    are counterclockwise, of even doubled area."""
+    return chain.from_iterable(_refined(signed_area2(t), *t) for t in diag.triangles)
 
 
 # --- dissection JSON ----------------------------------------------------------
@@ -223,7 +231,9 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
 # The layout that dissection_to_json writes, which is also what json.dumps
 # writes with its default separators: the polygon's JSON in the first slot and
 # the triangles, one _TRIANGLE_JSON each and joined by _TRIANGLE_SEP, in the
-# second.  _parse_written reads back exactly this layout.
+# second.  _written reads back exactly this layout.  Both work on one slice of
+# the triangles array at a time, about _SLICE characters, so that neither
+# holds a copy of the whole array.
 _DISSECTION_JSON = '{"polygon": %s, "triangles": [%s]}'
 _TRIANGLE_JSON = "[[%r, %r], [%r, %r], [%r, %r]]"
 _TRIANGLE_SEP = ", "
@@ -235,30 +245,57 @@ _NUMERALS = str.maketrans("", "", "-0123456789")
 # Deletes all that _SKELETON and the repr of an int or a finite float hold.
 _NUMBER_TEXT = str.maketrans("", "", _SKELETON + "-+.0123456789e")
 _DECODER = json.JSONDecoder()
+_SLICE = 1 << 16
+
+
+def _json_chunks(P: ConvexLatticePolygon, triangles: Iterable[Triangle]) -> Iterator[str]:
+    """dissection_to_json's text, written a slice of triangles at a time.
+
+    Each slice is the text json.dumps writes for it, with the triangles
+    formatted by one template each.  %r writes an int or a finite float as
+    json.dumps does.  Any other coordinate (a bool, nan, inf, a str in its
+    quotes, a Fraction) leaves a character that _NUMBER_TEXT keeps, and a
+    point that is not a pair, or a triangle that is not three points, fails
+    to unpack; json.dumps then writes the slice as it is given: it quotes a
+    str and raises TypeError on a Fraction.
+    """
+    yield _HEAD + json.dumps(P.vertices) + _MIDDLE
+    it = iter(triangles)
+    sep = ""
+    size = max(1, _SLICE // 32)  # triangles in a slice: each takes about 32 characters
+    while part := list(islice(it, size)):
+        try:
+            text = _TRIANGLE_SEP.join([_TRIANGLE_JSON % (ax, ay, bx, by, cx, cy)
+                                       for (ax, ay), (bx, by), (cx, cy) in part])
+            numbers = not text.translate(_NUMBER_TEXT)
+        except (TypeError, ValueError):  # a point not a pair, a triangle not three points
+            numbers = False
+        if not numbers:
+            text = json.dumps(part)[1:-1]
+        yield sep
+        yield text
+        sep = _TRIANGLE_SEP
+        size = max(1, len(part) * _SLICE // len(text))  # the next slice's, to fit _SLICE
+    yield _TAIL
 
 
 def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
-    # The same text as json.dumps({"polygon": ..., "triangles": ...}), with the
-    # triangles formatted by one template each.  %r writes an int or a finite
-    # float as json.dumps does.  Any other coordinate (a bool, nan, inf, a str
-    # in its quotes, a Fraction) leaves a character that _NUMBER_TEXT keeps,
-    # and then json.dumps writes the text: it quotes a str and raises
-    # TypeError on a Fraction.
-    triangles = _TRIANGLE_SEP.join([_TRIANGLE_JSON % (a[0], a[1], b[0], b[1], c[0], c[1])
-                                    for a, b, c in D.triangles])
-    if triangles.translate(_NUMBER_TEXT):
-        return json.dumps({"polygon": P.vertices, "triangles": D.triangles})
-    return _DISSECTION_JSON % (json.dumps(P.vertices), triangles)
+    # The same text as json.dumps({"polygon": ..., "triangles": ...}).
+    return "".join(_json_chunks(P, D.triangles))
 
 
-def _interned(points: Iterable[Point]) -> Dissection:
-    """Group a stream of points into triangles, with one tuple per distinct
-    point, shared by every triangle that names it.  Both readers end here,
-    with exact ints only: _parse_written's json.loads sees only numerals and
-    as_point tests type(c) is int.  So the result records its triangles."""
+def _interned(parts: Iterable[Iterable[Point]]) -> Dissection:
+    """Group streams of points, each of whole triangles, into triangles, with
+    one tuple per distinct point, shared by every triangle that names it.
+    Both readers end here, with exact ints only: _slice_points's json.loads
+    sees only numerals and as_point tests type(c) is int.  So the result
+    records its triangles."""
     seen: dict[Point, Point] = {}
-    it = map(seen.setdefault, *tee(points))
-    D = Dissection(tuple(zip(it, it, it)))
+    triangles: list[Triangle] = []
+    for points in parts:
+        it = map(seen.setdefault, *tee(points))
+        triangles += zip(it, it, it)
+    D = Dissection(tuple(triangles))
     object.__setattr__(D, "_record", (D.triangles,))
     return D
 
@@ -269,50 +306,109 @@ def _polygon_points(polygon) -> list[Point]:
     return [as_point(e) for e in polygon]
 
 
+def _slice_points(part: str) -> Iterator[Point]:
+    """The points of one slice of the triangles array in the writer's layout,
+    whole triangles from "[[" to "]]"; ValueError for any other text.
+
+    The string checks run in C.  Deleting the numerals must leave _SKELETON
+    once per triangle, joined by _TRIANGLE_SEP, so every bracket, comma and
+    space sits where the writer puts it.  Merging the two separators into
+    ", " then turns the slice into one flat JSON list of 6 ints per triangle:
+    a numeral anywhere but a number slot breaks a separator and leaves a
+    bracket behind, and a malformed number fails json.loads.
+    """
+    n = part.count(_TRIANGLE_BREAK) + 1
+    if part.translate(_NUMERALS) != _TRIANGLE_SEP.join([_SKELETON] * n):
+        raise ValueError("not the writer's layout")
+    part = part.replace(_TRIANGLE_BREAK, ", ").replace(_VERTEX_BREAK, ", ")
+    if part.find("[", 2) != -1:  # a separator broken by a numeral
+        raise ValueError("not the writer's layout")
+    (ints,) = json.loads(part)
+    if len(ints) != 6 * n:
+        raise ValueError("not the writer's layout")
+    it = iter(ints)
+    return zip(it, it)
+
+
+def _written(read: Callable[[int], str]) -> tuple[list[Point], Iterator[Iterator[Point]]]:
+    """Read dissection JSON in the layout of dissection_to_json from read(n),
+    which returns up to n characters and "" at the end: the polygon's points,
+    and the points of the triangles array one slice at a time.
+
+    Each slice ends on a _TRIANGLE_BREAK, so every slice is whole triangles,
+    and goes through _slice_points; trailing JSON whitespace is skipped, as in
+    json.loads.  Any text outside the layout raises ValueError, from here or
+    from the slices as they are read, and so does a bad polygon entry: the
+    general parser then reads the whole text and gives its own result or
+    message, which for a bad polygon is the same.
+    """
+    buf = read(_SLICE)
+    start = 0
+    # Read on to the end of the polygon, which _MIDDLE follows, and no further.
+    while buf.startswith(_HEAD[:len(buf)]) and buf.find(_MIDDLE, start) == -1:
+        more = read(max(_SLICE, len(buf)))
+        if not more:
+            raise ValueError("not the writer's layout")
+        start = max(0, len(buf) - len(_MIDDLE) + 1)
+        buf += more
+    if not buf.startswith(_HEAD):
+        raise ValueError("not the writer's layout")
+    try:
+        polygon, end = _DECODER.raw_decode(buf, len(_HEAD))
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    if not buf.startswith(_MIDDLE, end):
+        raise ValueError("not the writer's layout")
+    return _polygon_points(polygon), _written_slices(read, buf, end + len(_MIDDLE))
+
+
+def _written_slices(read: Callable[[int], str], buf: str, pos: int) -> Iterator[Iterator[Point]]:
+    """_written's slices of the triangles array, which starts at buf[pos]."""
+    first = True
+    while True:
+        cut = buf.find(_TRIANGLE_BREAK, pos + _SLICE)
+        if cut != -1:
+            yield _slice_points(buf[pos:cut + 2])
+            pos, first = cut + 4, False
+            continue
+        # Reading at least as much as is left keeps the copies linear when a
+        # long stretch holds no break.
+        more = read(max(_SLICE, len(buf) - pos))
+        if not more:
+            break
+        buf, pos = buf[pos:] + more, 0
+    stop = len(buf)
+    while stop > pos and buf[stop - 1] in " \t\n\r":
+        stop -= 1
+    if not buf.endswith(_TAIL, pos, stop):
+        raise ValueError("not the writer's layout")
+    if first and stop - len(_TAIL) == pos:  # an empty array
+        return
+    yield _slice_points(buf[pos:stop - len(_TAIL)])
+
+
 def _parse_written(text: str) -> tuple[list[Point], Dissection] | None:
     """Read text in the layout of dissection_to_json without building a list
-    per triangle or vertex; None for any other text.
+    per triangle or vertex, a slice at a time; None for any other text.
 
-    The string checks run in C.  Deleting the numerals from the triangles
-    array must leave _SKELETON once per triangle, joined by _TRIANGLE_SEP, so
-    every bracket, comma and space sits where the writer puts it.  Merging
-    the two separators into ", " then turns the array into one flat JSON list
-    of 6 ints per triangle: a numeral anywhere but a number slot breaks a
-    separator and leaves a bracket behind, and a malformed number fails
-    json.loads.  Both send the text to the general parser, which gives its
-    own result or message.
+    All slices intern their points into one shared dict, and no copy of the
+    whole triangles array, nor a list of all its ints, is ever alive.
     """
-    # Trailing whitespace is skipped, not stripped, so the text is not copied;
-    # only JSON's own whitespace counts, as in json.loads.
-    stop = len(text)
-    while stop and text[stop - 1] in " \t\n\r":
-        stop -= 1
-    if not (text.startswith(_HEAD) and text.endswith(_TAIL, 0, stop)):
-        return None
+    pieces = iter((text,))
     try:
-        polygon, end = _DECODER.raw_decode(text, len(_HEAD))
-    except (ValueError, RecursionError):
-        return None
-    if not text.startswith(_MIDDLE, end):
-        return None
-    body = text[end + len(_MIDDLE) : stop - len(_TAIL)]
-    n = body.count(_TRIANGLE_BREAK) + 1 if body else 0
-    if body.translate(_NUMERALS) != _TRIANGLE_SEP.join([_SKELETON] * n):
-        return None
-    # body is rebound and then deleted, so no copy of the array text outlives
-    # its use: the peak is the ints and the triangles.
-    body = body.replace(_TRIANGLE_BREAK, ", ").replace(_VERTEX_BREAK, ", ") or "[[]]"
-    if body.find("[", 2) != -1:  # a separator broken by a numeral
-        return None
-    try:
-        (ints,) = json.loads(body)
+        polygon, slices = _written(lambda n: next(pieces, ""))
+        return polygon, _interned(slices)
     except ValueError:
         return None
-    del body
-    if len(ints) != 6 * n:
-        return None
-    it = iter(ints)
-    return _polygon_points(polygon), _interned(zip(it, it))
+
+
+def _file_slices(path: str) -> Iterator[tuple[Triangle, ...]]:
+    """The triangles of a dissection file in the writer's layout, read in
+    pieces of _SLICE characters, one slice at a time; ValueError or OSError
+    when the file cannot be read so."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for points in _written(fh.read)[1]:
+            yield tuple(zip(points, points, points))
 
 
 def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
@@ -331,4 +427,4 @@ def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
     poly = _polygon_points(data.get("polygon", []))
-    return poly, _interned(chain.from_iterable(map(as_triangle, data["triangles"])))
+    return poly, _interned([chain.from_iterable(map(as_triangle, data["triangles"]))])

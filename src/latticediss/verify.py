@@ -9,10 +9,12 @@ The chain test rules out overlaps, gaps and pieces outside P at once, in
 integers only: each side is cancelled against its exact reverse, and what
 is left is added up line by line (see _segment_index).  When the check
 fails, its detail names the first line interval of nonzero coverage and the
-triangles with a side on it.  poof rebuilds a dissection as an abstract
-disk triangulation, inserting degenerate "poofagon" triangles wherever
-collinear vertices subdivide a triangle side or a polygon edge; it finds
-those vertices in the same per-line index.
+triangles with a side on it.  The check is one pass over the triangles,
+a slice at a time, that keeps counters and the uncancelled sides, so the
+CLI feeds it a file a slice at a time (see _verify_slices).  poof rebuilds
+a dissection as an abstract disk triangulation, inserting degenerate
+"poofagon" triangles wherever collinear vertices subdivide a triangle side
+or a polygon edge; it finds those vertices in the same per-line index.
 witness_noninteger exhibits a tricolor (hence non-integer-area) triangle in
 any valid dissection of a polygon whose boundary word is not contractible.
 Both need a valid dissection, so both verify it first.  On a dissection
@@ -29,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from math import gcd, nan
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .combi import Triangulation, validate_disk
 from .dissect import Dissection
@@ -73,70 +75,91 @@ class VerifyReport:
 _SHOWN = 8  # indices listed in a check's detail before "(+k more)"
 
 
-def _fmt_indices(idxs: list[int]) -> str:
-    shown = ", ".join(map(str, idxs[:_SHOWN]))
-    more = f" (+{len(idxs) - _SHOWN} more)" if len(idxs) > _SHOWN else ""
-    return shown + more
+class _Indices:
+    """The indices of the triangles that fail a check, as a detail shows
+    them: the first _SHOWN, and how many there are in all."""
+
+    def __init__(self) -> None:
+        self.shown: list[int] = []
+        self.count = 0
+
+    def add(self, idxs: list[int]) -> None:
+        self.shown += idxs[:_SHOWN - len(self.shown)]
+        self.count += len(idxs)
+
+    def __bool__(self) -> bool:
+        return self.count > 0
+
+    def __str__(self) -> str:
+        more = f" (+{self.count - _SHOWN} more)" if self.count > _SHOWN else ""
+        return ", ".join(map(str, self.shown)) + more
 
 
 # --- the boundary chain, indexed by line ----------------------------------------
 
 _Line = tuple[int, int, int]
-_Index = tuple[list[tuple[Point, Point, _Line, int, int]], dict[_Line, dict[int, int]]]
+_Side = tuple[int, int, int, int]  # p -> q as (px, py, qx, qy)
+_Index = tuple[list[tuple[_Side, _Line, int, int]], dict[_Line, dict[int, int]]]
 
 
-def _segment_index(P: ConvexLatticePolygon, triangles) -> _Index:
-    """The sides of the triangles minus the edges of P, as a signed 1-chain.
+def _add_sides(left: dict[_Side, int], triangles) -> None:
+    """Add the triangles' sides to the signed 1-chain left, each cancelled
+    against its exact reverse, so left never holds both p -> q and q -> p.
+    A side p -> q is keyed by its four coordinates (px, py, qx, qy), one
+    small tuple that holds no point, and a triangle's three sides are written
+    out in full, with no inner loop."""
+    pop, get = left.pop, left.get
+    for (ax, ay), (bx, by), (cx, cy) in triangles:
+        n = pop((bx, by, ax, ay), 0)
+        if n > 1:
+            left[bx, by, ax, ay] = n - 1
+        elif not n:
+            k = (ax, ay, bx, by)
+            left[k] = get(k, 0) + 1
+        n = pop((cx, cy, bx, by), 0)
+        if n > 1:
+            left[cx, cy, bx, by] = n - 1
+        elif not n:
+            k = (bx, by, cx, cy)
+            left[k] = get(k, 0) + 1
+        n = pop((ax, ay, cx, cy), 0)
+        if n > 1:
+            left[ax, ay, cx, cy] = n - 1
+        elif not n:
+            k = (cx, cy, ax, ay)
+            left[k] = get(k, 0) + 1
+
+
+def _segment_index(left: dict[_Side, int]) -> _Index:
+    """The sides left by _add_sides, which started from P's edges reversed,
+    indexed by line: the triangles' sides minus P's edges as a signed 1-chain.
 
     Returns (segments, lines).  segments holds each directed side p -> q
-    left over after cancelling sides against their exact reverses, with its
-    line and the coordinates u.p and u.q on it.  lines maps a line to
-    {coordinate: delta}: a side p -> q of multiplicity n adds +n at u.p and
-    -n at u.q, which has the right sign whichever way the side runs along
-    u.  The chain is zero, i.e. the triangles' boundaries add up to the
-    polygon's, exactly when every delta is zero; the signed coverage of a
-    line interval is the sum of the deltas before it.  Every coordinate
-    must be an integer.
+    left over after cancelling sides against their exact reverses, as its
+    key (px, py, qx, qy), with its line and the coordinates u.p and u.q on
+    it.  lines maps a line to {coordinate: delta}: a side p -> q of
+    multiplicity n adds +n at u.p and -n at u.q, which has the right sign
+    whichever way the side runs along u.  The chain is zero, i.e. the
+    triangles' boundaries add up to the polygon's, exactly when every delta
+    is zero; the signed coverage of a line interval is the sum of the deltas
+    before it.  Every coordinate must be an integer.
     """
-    # left holds the sides met so far that no reverse has cancelled yet, so
-    # never both p -> q and q -> p.  P's edges v_i -> v_i+1 enter reversed.
-    # A triangle's three sides are written out in full, with no inner loop.
-    vs = P.vertices
-    left = dict.fromkeys(zip(vs[1:] + vs[:1], vs), 1)
-    pop, get = left.pop, left.get
-    for a, b, c in triangles:
-        n = pop((b, a), 0)
-        if n > 1:
-            left[b, a] = n - 1
-        elif not n:
-            k = (a, b)
-            left[k] = get(k, 0) + 1
-        n = pop((c, b), 0)
-        if n > 1:
-            left[c, b] = n - 1
-        elif not n:
-            k = (b, c)
-            left[k] = get(k, 0) + 1
-        n = pop((a, c), 0)
-        if n > 1:
-            left[a, c] = n - 1
-        elif not n:
-            k = (c, a)
-            left[k] = get(k, 0) + 1
     segments = []
     lines: dict[_Line, dict[int, int]] = {}
-    for (p, q), n in left.items():
-        if p == q:  # a side of a triangle with a repeated vertex: the zero chain
+    shared: dict[_Line, _Line] = {}
+    for side, n in left.items():
+        px, py, qx, qy = side
+        if px == qx and py == qy:  # a side of a triangle with a repeated vertex: the zero chain
             continue
-        (px, py), (qx, qy) = p, q
         dx, dy = qx - px, qy - py
         g = gcd(dx, dy)
         if dx < 0 or (dx == 0 and dy < 0):
             g = -g
         ux, uy = dx // g, dy // g
         line = (ux, uy, ux * py - uy * px)
+        line = shared.setdefault(line, line)  # one tuple per line, shared by its segments
         tp, tq = ux * px + uy * py, ux * qx + uy * qy
-        segments.append((p, q, line, tp, tq))
+        segments.append((side, line, tp, tq))
         deltas = lines.get(line)
         if deltas is None:
             deltas = lines[line] = {}
@@ -164,18 +187,18 @@ def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
         if cover:
             break
     ux, uy, off = line
-    hits = []
+    hits = _Indices()
     for i, t in enumerate(triangles):
         for p, q in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
             if ux * p[1] - uy * p[0] == off == ux * q[1] - uy * q[0]:
                 tp, tq = ux * p[0] + uy * p[1], ux * q[0] + uy * q[1]
                 if min(tp, tq) < hi and max(tp, tq) > lo:
-                    hits.append(i)
+                    hits.add([i])
                     break
     a, b = _point_on(line, lo), _point_on(line, hi)
     return (f"segment ({a[0]},{a[1]})-({b[0]},{b[1]}) is covered {cover:+d} times in direction "
             f"({ux},{uy}) by triangle sides net of the polygon's edges; triangles with a "
-            f"side there: {_fmt_indices(hits) or 'none'}")
+            f"side there: {hits or 'none'}")
 
 
 def _int_pairs(points) -> bool:
@@ -184,19 +207,117 @@ def _int_pairs(points) -> bool:
             and set(map(type, chain.from_iterable(points))) <= {int})
 
 
-def _area2_or_nan(t: Triangle) -> float:
-    """signed_area2 of a triangle, or NaN when a coordinate is no number
-    (None, a str, a list), so the report still says which checks fail."""
+def _area2_or_nan(t) -> float:
+    """signed_area2 of a triangle, or NaN when it is not three pairs of
+    numbers (a coordinate None, a str or a list, a point not a pair), so the
+    report still says which checks fail."""
     try:
         return signed_area2(t)
-    except TypeError:
+    except (TypeError, ValueError):
         return nan
+
+
+def _int_triangle(t) -> bool:
+    """Whether t is three pairs of exact ints."""
+    try:
+        (x1, y1), (x2, y2), (x3, y3) = t
+    except (TypeError, ValueError):
+        return False
+    return all(type(c) is int for c in (x1, y1, x2, y2, x3, y3))
+
+
+def _verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequence[Triangle]]],
+                   mode: str, exact: bool) -> tuple[VerifyReport, _Index | None]:
+    """The report on the triangles that slices() gives, slice after slice, and
+    the segment index it built (None when the coordinates are not all
+    integers).
+
+    One pass keeps only counters, the first _SHOWN indices each check names
+    and the sides that _add_sides has not cancelled yet.  Only a failing
+    boundary-chain detail calls slices() a second time.  exact says that
+    every coordinate is an exact int in tuples, as the reader makes them,
+    so the type scan is skipped.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    vs = P.vertices
+    # The chain starts from P's edges v_i -> v_i+1, reversed: (v_i+1, v_i) as one tuple.
+    left: dict | None = dict.fromkeys(map(tuple.__add__, vs[1:] + vs[:1], vs), 1)
+    flipped, off, bad_coords = _Indices(), _Indices(), _Indices()
+    n = total = 0
+    for tris in slices():
+        # Only exact integers may reach gcd; exact or a type scan settles the
+        # common case, and signed_area2 of each triangle is inline.
+        try:
+            areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+                     for (x1, y1), (x2, y2), (x3, y3) in tris]
+            ints = exact or set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}
+        except (TypeError, ValueError):
+            ints = False
+        if not ints:
+            bad_coords.add([n + i for i, t in enumerate(tris) if not _int_triangle(t)])
+            areas = list(map(_area2_or_nan, tris))
+        if bad_coords:
+            left = None
+        elif left is not None:
+            _add_sides(left, tris)
+        # min and count settle the common case; other numbers (NaN) take the scan.
+        if not ints or min(areas, default=1) <= 0:
+            flipped.add([n + i for i, a in enumerate(areas) if a <= 0])
+        if mode == "integral":
+            off.add([n + i for i, a in enumerate(areas) if a % 2])
+        elif mode == "unit" and (not ints or areas.count(2) != len(areas)):
+            off.add([n + i for i, a in enumerate(areas) if a != 2])
+        total += sum(areas)
+        n += len(tris)
+
+    checks = [CheckResult(
+        "orientation", not flipped,
+        "all triangles counterclockwise with positive area" if not flipped
+        else f"non-positive doubled area at triangles {flipped}")]
+
+    index = None
+    if left is None:
+        checks.append(CheckResult(
+            "boundary-chain", False, "not run: coordinates are not all integers"))
+    else:
+        index = _segment_index(left)
+        _, lines = index
+        closed = not any(d for deltas in lines.values() for d in deltas.values())
+        checks.append(CheckResult(
+            "boundary-chain", closed,
+            "triangle sides add up to the polygon's edges" if closed
+            else _chain_failure(lines, chain.from_iterable(slices()))))
+
+    target = polygon_area2(P)
+    checks.append(CheckResult(
+        "area-sum", total == target,
+        f"doubled areas sum to {total}, polygon doubled area is {target}"))
+
+    if mode == "integral":
+        checks.append(CheckResult(
+            "mode-areas", not off,
+            "all doubled areas even" if not off else f"odd doubled area at triangles {off}"))
+    elif mode == "unit":
+        checks.append(CheckResult(
+            "mode-areas", not off,
+            "all doubled areas equal 2" if not off
+            else f"doubled area differs from 2 at triangles {off}"))
+    else:
+        checks.append(CheckResult("mode-areas", True, "mode any: no area constraint"))
+
+    checks.append(CheckResult(
+        "integer-coords", not bad_coords,
+        "all coordinates are integers" if not bad_coords
+        else f"non-integer coordinates at triangles {bad_coords}"))
+
+    return VerifyReport(all(c.passed for c in checks), tuple(checks), n, total), index
 
 
 def _verify(P: ConvexLatticePolygon, D: Dissection,
             mode: str) -> tuple[VerifyReport, _Index | None]:
-    """verify_dissection, also returning the segment index it built (None when
-    the coordinates are not all integers).
+    """verify_dissection on D.triangles as one slice, also returning the
+    segment index it built (None when the coordinates are not all integers).
 
     D._record holds the triangles tuple the reader built, every coordinate
     an exact int in tuples nothing can change, so while it is D.triangles
@@ -208,80 +329,13 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
     long as they live.  The index kept is only the sides left uncancelled,
     and its users only read it.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tris, vs = D.triangles, P.vertices
     rec = D._record
-    read = rec and rec[0] is tris
+    read = bool(rec) and rec[0] is tris
     if mode == "any" and read and len(rec) > 1 and rec[1] is vs:
         return rec[2], rec[3]
-    checks: list[CheckResult] = []
-    # Only exact integers may reach gcd; the reader's record or a type scan
-    # settles the common case.
-    exact = read or set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}
-    if exact:
-        bad_coords = []
-        # signed_area2 of each triangle, inline.
-        areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-                 for (x1, y1), (x2, y2), (x3, y3) in tris]
-    else:
-        bad_coords = [
-            i for i, t in enumerate(tris)
-            if not all(type(c) is int for v in t for c in v)
-        ]
-        areas = list(map(_area2_or_nan, tris))
-
-    # min and count settle the common case; other numbers (NaN) take the scan.
-    bad = ([i for i, a in enumerate(areas) if a <= 0]
-           if bad_coords or min(areas, default=1) <= 0 else [])
-    checks.append(CheckResult(
-        "orientation", not bad,
-        "all triangles counterclockwise with positive area" if not bad
-        else f"non-positive doubled area at triangles {_fmt_indices(bad)}"))
-
-    index = None
-    if bad_coords:
-        checks.append(CheckResult(
-            "boundary-chain", False, "not run: coordinates are not all integers"))
-    else:
-        index = _segment_index(P, tris)
-        _, lines = index
-        closed = not any(d for deltas in lines.values() for d in deltas.values())
-        checks.append(CheckResult(
-            "boundary-chain", closed,
-            "triangle sides add up to the polygon's edges" if closed
-            else _chain_failure(lines, tris)))
-
-    total = sum(areas)
-    target = polygon_area2(P)
-    checks.append(CheckResult(
-        "area-sum", total == target,
-        f"doubled areas sum to {total}, polygon doubled area is {target}"))
-
-    if mode == "integral":
-        bad = [i for i, a in enumerate(areas) if a % 2]
-        checks.append(CheckResult(
-            "mode-areas", not bad,
-            "all doubled areas even" if not bad
-            else f"odd doubled area at triangles {_fmt_indices(bad)}"))
-    elif mode == "unit":
-        bad = ([i for i, a in enumerate(areas) if a != 2]
-               if bad_coords or areas.count(2) != len(areas) else [])
-        checks.append(CheckResult(
-            "mode-areas", not bad,
-            "all doubled areas equal 2" if not bad
-            else f"doubled area differs from 2 at triangles {_fmt_indices(bad)}"))
-    else:
-        checks.append(CheckResult("mode-areas", True, "mode any: no area constraint"))
-
-    checks.append(CheckResult(
-        "integer-coords", not bad_coords,
-        "all coordinates are integers" if not bad_coords
-        else f"non-integer coordinates at triangles {_fmt_indices(bad_coords)}"))
-
-    valid = all(c.passed for c in checks)
-    report = VerifyReport(valid, tuple(checks), len(tris), total)
-    if valid and mode == "any" and read and _int_pairs(vs):
+    report, index = _verify_slices(P, lambda: (tris,), mode, read)
+    if report.valid and mode == "any" and read and _int_pairs(vs):
         object.__setattr__(D, "_record", (tris, vs, report, index))
     return report, index
 
@@ -329,7 +383,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     reversed_edges = {(b, a) for a, b in P.edges()}
     coords: dict[_Line, list[int]] = {}
     segments, lines = index
-    for p, q, line, tp, tq in segments:
+    for side, line, tp, tq in segments:
         ts = coords.get(line)
         if ts is None:
             ts = coords[line] = sorted(lines[line])
@@ -337,6 +391,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
         i, j = bisect_right(ts, lo), bisect_left(ts, hi)
         if i == j:
             continue
+        p, q = side[:2], side[2:]
         rev = (p, q) in reversed_edges  # P's edge q -> p, whose fan starts at q
         fan = [idx[_point_on(line, t)] for t in ts[i:j]]
         if (tp > tq) != rev:  # order the inner points from the fan's start

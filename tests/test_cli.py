@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import latticediss
-from latticediss import cli, words
+from latticediss import cli, dissect, words
 from latticediss.cli import main
 from latticediss.dissect import dissection_to_json, unit_dissection
 from latticediss.geometry import boundary_word, parse_polygon_json
@@ -445,3 +446,107 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 10
     assert proc.stdout.strip() == "not-contractible"
+
+
+# --- slices: dissect --unit writes, and verify reads, a slice at a time ---------------
+
+RECT46 = "[[0, 0], [4, 0], [4, 6], [0, 6]]"
+
+
+def _verify_out(argv, capsys, stdin=None, monkeypatch=None):
+    """(exit status, stdout, stderr) of one verify run."""
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("size", [1, 7, 24, 25, 60, 1 << 16])
+def test_slices_give_the_whole_text_results(size, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dissect, "_SLICE", size)
+    for polygon in (SQUARE, TRIANGLE, "[[0, 0], [4, 0], [3, 2], [0, 2]]"):
+        poly = tmp_path / "poly.json"
+        poly.write_text(polygon)
+        out = tmp_path / "diss.json"
+        assert main(["dissect", str(poly), "--unit", "-o", str(out)]) in (0, 10)
+        capsys.readouterr()
+        if not out.exists():
+            continue
+        P = parse_polygon_json(polygon)
+        D = unit_dissection(P)
+        assert out.read_text() == json.dumps({"polygon": P.vertices, "triangles": D.triangles})
+        text = out.read_text()
+        # whole, one triangle dropped (a failing chain), and one flipped
+        tris = json.loads(text)["triangles"]
+        variants = [text, json.dumps({"polygon": P.vertices, "triangles": tris[1:]}),
+                    json.dumps({"polygon": P.vertices,
+                                "triangles": [tris[0][::-1], *tris[1:]]}) + "\n"]
+        for variant in variants:
+            out.write_text(variant)
+            for mode in ("any", "integral", "unit"):
+                argv = ["verify", str(poly), str(out), "--mode", mode]
+                assert _verify_out(argv, capsys) == _verify_out(
+                    argv[:2] + ["-"] + argv[3:], capsys, variant, monkeypatch)
+
+
+def test_verify_reads_a_file_again_only_for_a_failing_chain(tmp_path, monkeypatch, capsys):
+    poly = tmp_path / "poly.json"
+    poly.write_text(RECT46)
+    out = tmp_path / "diss.json"
+    assert main(["dissect", str(poly), "--unit", "-o", str(out)]) == 0
+    reads = []
+    monkeypatch.setattr(cli, "_file_slices", lambda path: reads.append(path) or
+                        dissect._file_slices(path))
+    data = json.loads(out.read_text())
+    for triangles, expected in [(data["triangles"], 1), (data["triangles"][:-1], 2),
+                                ([t[::-1] for t in data["triangles"]], 2)]:
+        out.write_text(json.dumps({"polygon": data["polygon"], "triangles": triangles}))
+        reads.clear()
+        code = main(["verify", str(poly), str(out), "--mode", "unit"])
+        capsys.readouterr()
+        assert len(reads) == expected and code == (0 if expected == 1 else 11)
+
+
+@pytest.mark.parametrize("size", [3, 40, 1 << 16])
+def test_verify_mutated_files_as_stdin(size, tmp_path, monkeypatch, capsys):
+    # The mutated-text differential through the CLI: a file read a slice at a
+    # time gives the report, exit status and message of the same text read
+    # whole from stdin.
+    monkeypatch.setattr(dissect, "_SLICE", size)
+    rng = random.Random(f"cli-mutations-{size}")
+    poly = tmp_path / "poly.json"
+    poly.write_text(RECT46)
+    P = parse_polygon_json(RECT46)
+    base = dissection_to_json(P, unit_dissection(P))
+    diss = tmp_path / "diss.json"
+    codes = set()
+    for _ in range(300):
+        text = base
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(text) + 1)
+            token = rng.choice([*"0123456789", "-", "], [", "]], [[", "[", "]", ", ", "1.5"])
+            text = text[:i] + token + text[i + rng.randint(0, 1):]
+        diss.write_text(text)
+        mode = rng.choice(["any", "integral", "unit"])
+        argv = ["verify", str(poly), str(diss), "--mode", mode]
+        got = _verify_out(argv, capsys)
+        assert got == _verify_out(argv[:2] + ["-"] + argv[3:], capsys, text, monkeypatch), text
+        codes.add(got[0])
+    assert codes == {0, 2, 11}
+
+
+def test_dissect_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    # a failure after the first slice is written removes the file
+    def failing(D):
+        yield from dissect._unit_pieces(D)
+        raise ValueError("refinement failed")
+
+    monkeypatch.setattr(dissect, "_SLICE", 64)
+    monkeypatch.setattr(cli, "_unit_pieces", failing)
+    poly = tmp_path / "poly.json"
+    poly.write_text(RECT46)
+    out = tmp_path / "out"
+    assert main(["dissect", str(poly), "--unit", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: refinement failed\n"
+    assert not out.exists()

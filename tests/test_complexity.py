@@ -15,13 +15,16 @@ a timed harness sees that work.
 """
 
 import json
+import os
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import latticediss
+from latticediss.cli import main
 from latticediss.combi import Triangulation, disk_errors
 from latticediss.dissect import (
     Dissection,
@@ -40,6 +43,7 @@ from perfbench import inputs  # noqa: E402
 
 PACKAGE = str(Path(latticediss.__file__).resolve().parent)
 GROWTH = 1.2
+FILES = tempfile.TemporaryDirectory()  # the CLI stages' input files
 
 
 def line_events(fn, *args) -> int:
@@ -100,6 +104,28 @@ def to_json_stage(side):
     return dissection_to_json, (P, D), len(D)
 
 
+def _square_file(side):
+    path = os.path.join(FILES.name, f"square{side}.json")
+    with open(path, "w") as fh:
+        json.dump([[0, 0], [side, 0], [side, side], [0, side]], fh)
+    return path
+
+
+def cli_dissect_stage(side):
+    # dissect --unit: the pieces are refined and written a slice at a time
+    return main, (["dissect", _square_file(side), "--unit", "-o", os.devnull],), side * side
+
+
+def cli_verify_stage(side):
+    # verify --mode unit on a file in the writer's layout: the slice reader
+    # feeds the one pass of verify
+    P, D = square(side)
+    path = os.path.join(FILES.name, f"unit{side}.json")
+    with open(path, "w") as fh:
+        fh.write(dissection_to_json(P, D))
+    return main, (["verify", _square_file(side), path, "--mode", "unit"],), len(D)
+
+
 def poof_stage(count):
     req = inputs.foreign_request(random.Random(count), count, "valid", True)
     return poof, (validate_convex(req.polygon), Dissection(req.triangles)), len(req.triangles)
@@ -150,6 +176,8 @@ STAGES = {
     "verify_read": (verify_read_stage, 40, 2),
     "parse_general": (parse_general_stage, 40, 2),
     "dissection_to_json": (to_json_stage, 40, 2),
+    "cli_dissect_unit": (cli_dissect_stage, 40, 2),
+    "cli_verify_unit": (cli_verify_stage, 40, 2),
     "poof": (poof_stage, 250, 4),
     "foreign_read": (foreign_read_stage, 250, 4),
     "verify_failure": (verify_failure_stage, 250, 4),

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from latticediss import dissect
 from latticediss.errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from latticediss.dissect import (
     Dissection,
@@ -504,8 +505,13 @@ def test_written_layout_is_read_without_the_general_parser():
 MUTATIONS = [*"0123456789", "-", "], [", "]], [[", "[", "]", ", ", "1.5", "true"]
 
 
-def test_written_layout_mutations_match_reference():
-    rng = random.Random("written-layout")
+@pytest.mark.parametrize("size, texts", [(None, 20_000), (1, 3_000), (5, 3_000), (23, 3_000)],
+                         ids=["one-slice", "slice-1", "slice-5", "slice-23"])
+def test_written_layout_mutations_match_reference(size, texts, monkeypatch):
+    # small slices cut the array at every break, or one or two triangles on
+    if size is not None:
+        monkeypatch.setattr(dissect, "_SLICE", size)
+    rng = random.Random("written-layout" if size is None else f"written-layout-{size}")
     bases = []
     for seed in range(8):
         P = random_convex_polygon(3 + seed % 4, 6, seed=seed)
@@ -514,7 +520,7 @@ def test_written_layout_mutations_match_reference():
             bases.append(dissection_to_json(P, D))
     assert bases
     kinds = set()
-    for _ in range(20_000):
+    for _ in range(texts):
         text = rng.choice(bases)
         for _ in range(rng.randint(0, 2)):
             i = rng.randrange(len(text) + 1)
@@ -598,3 +604,76 @@ def test_every_mutated_text_read_is_recorded_and_exact():
         assert D._record[0] is D.triangles and _exact(D), text
         paths.add(takes_written_path(text))
     assert paths == {True, False}
+
+
+# --- slices of the triangles array --------------------------------------------------
+
+def test_writer_writes_points_that_are_not_pairs_as_given():
+    tri = validate_convex([(0, 0), (4, 0), (0, 1)])
+    for t in [((2, 0, 7), (1, 0), (0, 1)), ((5,), (1, 0), (0, 1)), ((0, 0), (1, 0)),
+              ((0, 0), (1, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), "ab"), ((), (1, 0), (0, 1))]:
+        D = Dissection((((0, 0), (1, 0), (0, 1)), t))
+        expected = json.dumps({"polygon": tri.vertices, "triangles": D.triangles})
+        assert dissection_to_json(tri, D) == expected, t
+
+
+def _square_text(side):
+    P = validate_convex([(0, 0), (side, 0), (side, side), (0, side)])
+    return P, unit_dissection(P)
+
+
+def test_writer_slices_give_json_dumps_text(monkeypatch):
+    P, U = _square_text(4)
+    cases = [(), U.triangles[:1], U.triangles[:2], U.triangles[:5], U.triangles,
+             (((0, 0), (1, 0), (0, 1)), ((0, 0), (0.5, 0), (0, 1)), ((0, 0), (1, 0), (0, 1)))]
+    for size in [*range(1, 100), 500]:
+        monkeypatch.setattr(dissect, "_SLICE", size)
+        for tris in cases:
+            D = Dissection(tuple(tris))
+            assert dissection_to_json(P, D) == json.dumps(
+                {"polygon": P.vertices, "triangles": D.triangles}), (size, len(tris))
+
+
+def _general(text):
+    """The general parser's result on text, or its message."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return outcome(library_parse, text)
+    return outcome(library_parse, json.dumps(data, indent=1))
+
+
+def test_reader_slices_match_the_general_parser(monkeypatch):
+    P, U = _square_text(4)
+    texts = [dissection_to_json(P, Dissection(U.triangles[:k])) for k in (0, 1, 2, 3, len(U))]
+    texts += [texts[2] + " \n", texts[-1] + "\n"]
+    longest = max(map(len, texts))
+    for size in range(1, longest + 2):  # every offset within every triangle, and past the end
+        monkeypatch.setattr(dissect, "_SLICE", size)
+        for text in texts:
+            assert takes_written_path(text)
+            poly, D = parse_dissection_json(text)
+            assert (poly, D.triangles) == _general(text)
+            assert D._record == (D.triangles,)
+
+
+def test_reader_slices_decline_what_the_whole_array_declines(monkeypatch):
+    # Wherever the cuts fall, a text that the whole array's checks decline is
+    # declined, and the general parser gives its result or message.
+    P, U = _square_text(2)
+    text = dissection_to_json(P, Dissection(U.triangles[:3]))
+    slices = []
+    real = dissect._slice_points
+    monkeypatch.setattr(dissect, "_slice_points", lambda part: slices.append(part) or real(part))
+    for size in range(1, len(text)):
+        monkeypatch.setattr(dissect, "_SLICE", size)
+        slices.clear()
+        assert parse_dissection_json(text)[1].triangles == U.triangles[:3]
+        # each triangle takes 24 characters and 2 more to the next; a break
+        # "]], [[" starts 2 characters before a triangle's end
+        assert len(slices) == (3 if size <= 22 else 2 if size <= 48 else 1)
+        for bad in [text.replace("]], [[", "]],[[", 1), text[:-2] + ", [[0, 0]]]}",
+                    text[:-2] + ", ]}", text.replace("]]]", "]], [[]]]"),
+                    text.replace("]], [[", "]], [[]], [[", 1)]:
+            assert not takes_written_path(bad)
+            assert outcome(library_parse, bad) == outcome(reference_parse, bad)

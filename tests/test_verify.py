@@ -28,7 +28,7 @@ from latticediss.geometry import (
     signed_area2,
     validate_convex,
 )
-from latticediss.verify import MODES, _segment_index, poof, verify_dissection, witness_noninteger
+from latticediss.verify import MODES, _verify_slices, poof, verify_dissection, witness_noninteger
 from latticediss.words import CyclicWord
 from chain_reference import segment_index as reference_segment_index
 from dissection_oracle import is_dissection
@@ -252,6 +252,59 @@ def test_non_integer_coordinates_skip_the_chain(bad):
         poof(UNIT_SQUARE, D)
 
 
+@pytest.mark.parametrize("bad", [
+    ((0, 0), (1, 0), 5),  # a number for a point
+    ((0, 0), (1, 0), None),  # no point
+    ((0, 0), (1, 0), (1, 1, 1)),  # a point of three coordinates
+    ((0, 0), (1, 0)),  # two points
+], ids=["number-point", "none-point", "triple-point", "two-points"])
+def test_triangles_not_three_pairs_fail_integer_coords(bad):
+    D = Dissection((HALF_SPLIT.triangles[1], bad))
+    for mode in MODES:
+        rep = verify_dissection(UNIT_SQUARE, D, mode)
+        assert not rep.valid and rep.triangle_count == 2
+        assert "integer-coords" in failed_names(rep)
+        assert rep.checks[-1].detail == "non-integer coordinates at triangles 1"
+        assert rep.checks[1].detail == "not run: coordinates are not all integers"
+        json.loads(rep.to_json().replace("NaN", "null"))
+    with pytest.raises(InvalidDissection, match="non-integer coordinates at triangles 1"):
+        poof(UNIT_SQUARE, D)
+    with pytest.raises(PreconditionViolated, match="does not verify"):
+        witness_noninteger(UNIT_SQUARE, D)
+
+
+def _sliced(tris, k):
+    return [tris[i:i + k] for i in range(0, len(tris), k)]
+
+
+def test_reports_do_not_depend_on_slices():
+    # The one pass over slices keeps counters and the first indices of each
+    # check: every report, "(+k more)" included, is the one-slice report.
+    cases = [(P, tris) for P, tris in _chain_index_cases()]
+    rng = random.Random("slices")
+    for P, tris in cases[:20]:
+        cases.append((P, tris[: len(tris) // 2]))  # a chain failure
+        flipped = [(a, c, b) if rng.random() < 0.3 else (a, b, c) for a, b, c in tris]
+        cases.append((P, flipped))  # orientation and mode-areas with many indices
+    a, b, c, d = UNIT_SQUARE.vertices
+    cases += [(UNIT_SQUARE, (HALF_SPLIT.triangles[0], (a, (0.5, 1), d), (a, c, d))),
+              (UNIT_SQUARE, ((a, b, 5), (a, c, d), (a, b, None), (a, b, c)) * 6)]
+    details = set()
+    for P, tris in cases:
+        tris = tuple(tris)
+        for mode in MODES:
+            # to_json, since a NaN total equals no NaN
+            whole = _verify_slices(P, lambda: (tris,), mode, False)[0]
+            assert whole.to_json() == verify_dissection(P, Dissection(tris), mode).to_json()
+            for k in (1, 3, 7):
+                slices = _sliced(tris, k)
+                sliced = _verify_slices(P, lambda: slices, mode, False)[0]
+                assert sliced.to_json() == whole.to_json(), (P, tris, k)
+            details.update(c.detail for c in whole.checks if not c.passed)
+    assert any("more)" in d for d in details)
+    assert any(d.startswith("segment") for d in details)
+
+
 class Masked(int):
     """An int that hashes and compares as another value, its mask."""
 
@@ -328,9 +381,16 @@ def _chain_index_cases():
 
 
 def test_segment_index_matches_reference_in_order():
+    # the index verify builds, with the triangles in one slice, one per slice
+    # and seven per slice
     for P, tris in _chain_index_cases():
-        expected = _index_in_order(reference_segment_index(P, tris))
-        assert _index_in_order(_segment_index(P, tris)) == expected, (P, tris)
+        segments, lines = reference_segment_index(P, tris)
+        # verify keys a side p -> q by its four coordinates
+        expected = _index_in_order(([((*p, *q), *rest) for p, q, *rest in segments], lines))
+        for k in (max(1, len(tris)), 1, 7):
+            slices = [tris[i:i + k] for i in range(0, len(tris), k)]
+            index = _verify_slices(P, lambda: slices, "any", False)[1]
+            assert _index_in_order(index) == expected, (P, tris, k)
 
 
 def _moved_vertex(rng, P, tris):
