@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import combi, gen, svg
 from .bench import format_table, run_bench
@@ -26,7 +27,7 @@ from .dissect import (
 )
 from .errors import LatticeDissError
 from .geometry import boundary_word, parse_polygon_json, polygon_to_json, signed_area2
-from .verify import MODES, _verify_slices, verify_dissection, witness_noninteger
+from .verify import MODES, _verify_slices, _witness, verify_dissection, witness_noninteger
 from .words import CyclicWord, _reduce_cyclic, decide_contractible
 
 EXIT_OK = 0
@@ -149,8 +150,19 @@ def cmd_verify(args) -> int:
 
 def cmd_witness(args) -> int:
     P = _load_polygon(args.polygon)
-    D = _load_dissection(args.dissection)
-    t = witness_noninteger(P, D)
+    t = None
+    if args.dissection != "-":
+        # A file in the writer's layout is read a slice at a time: once to
+        # verify it (only through, for a contractible word), once more for
+        # the witness.
+        slices = partial(_file_slices, args.dissection)
+        try:
+            t = _witness(P, slices, lambda: _verify_slices(P, slices, "any", True)[0].valid)
+        except (OSError, ValueError):
+            pass
+    if t is None:
+        # Any other text, stdin, or a file that cannot be read so, is read whole.
+        t = witness_noninteger(P, _load_dissection(args.dissection))
     a2 = signed_area2(t)
     print(json.dumps({
         "triangle": t,

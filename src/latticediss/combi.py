@@ -53,6 +53,18 @@ class Triangulation:
         object.__setattr__(self, "triangles", frozenset(tris))
         object.__setattr__(self, "corners", tuple(corners))
 
+    @classmethod
+    def _of(cls, vertex_colors: dict[int, str], triangles: frozenset[frozenset[int]],
+            corners: tuple[int, ...]) -> Triangulation:
+        """A Triangulation that stores the containers as given, unchecked and
+        uncopied.  The caller has just built them, hands them over, and
+        vouches that each triangle is a frozenset of 3 distinct int ids."""
+        T = object.__new__(cls)
+        object.__setattr__(T, "vertex_colors", vertex_colors)
+        object.__setattr__(T, "triangles", triangles)
+        object.__setattr__(T, "corners", corners)
+        return T
+
     def __setattr__(self, name, value):
         raise AttributeError("Triangulation is immutable")
 
@@ -108,19 +120,34 @@ def _count_edges(T: Triangulation) -> tuple[list, list[int], int] | None:
     root of the earlier face is linked to face i, the face being scanned.
     Face i is still a root then, since only earlier faces have been linked,
     so it needs no find.  The boundary edges come in order of first
-    appearance over T.triangles.
+    appearance over T.triangles.  A face's three edges (a, b), (b, c) and
+    (a, c) are written out in full, with no inner loop.
     """
     face_of: dict[tuple[int, int], int | None] = {}
     first = face_of.setdefault
     parent = list(range(len(T.triangles)))
     for i, (a, b, c) in enumerate(map(sorted, T.triangles)):
-        for e in ((a, b), (b, c), (a, c)):
-            j = first(e, i)
-            if j == i:
-                continue
+        j = first((a, b), i)
+        if j != i:
             if j is None:
                 return None
-            face_of[e] = None
+            face_of[a, b] = None
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            parent[j] = i
+        j = first((b, c), i)
+        if j != i:
+            if j is None:
+                return None
+            face_of[b, c] = None
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            parent[j] = i
+        j = first((a, c), i)
+        if j != i:
+            if j is None:
+                return None
+            face_of[a, c] = None
             while parent[j] != j:
                 parent[j] = j = parent[parent[j]]
             parent[j] = i

@@ -29,9 +29,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, nan
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .combi import Triangulation, validate_disk
 from .dissect import Dissection
@@ -175,10 +175,24 @@ def _point_on(line: _Line, t: int) -> Point:
     return ((ux * t - uy * off) // n, (uy * t + ux * off) // n)
 
 
-def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
-    """The first line interval of nonzero coverage, and the triangles with a
-    side on it."""
-    line = min(k for k, deltas in lines.items() if any(deltas.values()))
+def _nonzero(lines: dict[_Line, dict[int, int]]) -> Iterator[bool]:
+    """Whether each line of the index has a nonzero delta, in the index's
+    order: one C-level pass."""
+    return map(any, map(dict.values, lines.values()))
+
+
+def _chain_failure(lines: dict[_Line, dict[int, int]],
+                   slices: Iterable[Sequence[Triangle]]) -> str:
+    """The first line interval of nonzero coverage, and the triangles, given
+    slice after slice, with a side on it.
+
+    A triangle has a side on the interval when two of its vertices lie on
+    the line and the span of its vertices there meets the open interval:
+    two on the line are a side, and three on the line span what their
+    longest side does.  So each vertex is tested against the line once, and
+    only a triangle with two on it goes on to the span test.
+    """
+    line = min(compress(lines, _nonzero(lines)))
     deltas = lines[line]
     ts = sorted(deltas)
     cover = 0
@@ -187,14 +201,18 @@ def _chain_failure(lines: dict[_Line, dict[int, int]], triangles) -> str:
         if cover:
             break
     ux, uy, off = line
+
+    def on_interval(t) -> bool:
+        on = [ux * x + uy * y for x, y in t if ux * y - uy * x == off]
+        return min(on) < hi and max(on) > lo
+
     hits = _Indices()
-    for i, t in enumerate(triangles):
-        for p, q in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            if ux * p[1] - uy * p[0] == off == ux * q[1] - uy * q[0]:
-                tp, tq = ux * p[0] + uy * p[1], ux * q[0] + uy * q[1]
-                if min(tp, tq) < hi and max(tp, tq) > lo:
-                    hits.add([i])
-                    break
+    n = 0
+    for tris in slices:
+        hits.add([i for i, ((ax, ay), (bx, by), (cx, cy)), t in zip(count(n), tris, tris)
+                  if (ux * ay - uy * ax == off) + (ux * by - uy * bx == off)
+                  + (ux * cy - uy * cx == off) > 1 and on_interval(t)])
+        n += len(tris)
     a, b = _point_on(line, lo), _point_on(line, hi)
     return (f"segment ({a[0]},{a[1]})-({b[0]},{b[1]}) is covered {cover:+d} times in direction "
             f"({ux},{uy}) by triangle sides net of the polygon's edges; triangles with a "
@@ -283,11 +301,11 @@ def _verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequen
     else:
         index = _segment_index(left)
         _, lines = index
-        closed = not any(d for deltas in lines.values() for d in deltas.values())
+        closed = not any(_nonzero(lines))
         checks.append(CheckResult(
             "boundary-chain", closed,
             "triangle sides add up to the polygon's edges" if closed
-            else _chain_failure(lines, chain.from_iterable(slices()))))
+            else _chain_failure(lines, slices())))
 
     target = polygon_area2(P)
     checks.append(CheckResult(
@@ -369,7 +387,12 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     The verification is the one kept on a read D just verified against P
     (see _verify).  Vertex ids number the dissection's points in sorted
     order; the ids, the frozen triangles, the colors and the returned point
-    map are each built in one pass of map, zip or dict.
+    map are each built in one pass of map, zip or dict.  The Triangulation
+    takes them unchecked (Triangulation._of): every id is an int from idx,
+    a verified triangle has three distinct points, and a poofagon joins a
+    side's start point to two consecutive points strictly further along it,
+    so each triangle is 3 distinct int ids.  validate_disk still checks the
+    whole disk.
     """
     rep, index = _verify(P, D, "any")
     if not rep.valid:
@@ -406,8 +429,8 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
 
     missing = [v for v in P.vertices if v not in idx]
     assert not missing, f"polygon corners {missing} are not dissection vertices"
-    T = Triangulation(dict(enumerate(map(color_of, pts))), tris,
-                      tuple(map(idx.__getitem__, P.vertices)))
+    T = Triangulation._of(dict(enumerate(map(color_of, pts))), frozenset(tris),
+                          tuple(map(idx.__getitem__, P.vertices)))
     validate_disk(T)
     return T, dict(enumerate(pts))
 
@@ -418,13 +441,27 @@ def witness_noninteger(P: ConvexLatticePolygon, D: Dissection) -> Triangle:
     Requires that P's boundary word is not contractible and that D verifies;
     existence is then guaranteed, so not finding one raises TheoremViolation.
     """
+    return _witness(P, lambda: (D.triangles,), lambda: _verify(P, D, "any")[0].valid)
+
+
+def _witness(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequence[Triangle]]],
+             verifies: Callable[[], bool]) -> Triangle:
+    """witness_noninteger on the triangles that slices() gives, slice after
+    slice, where verifies() says whether they dissect P.
+
+    The word is decided first.  For a contractible word slices() is still
+    read through before the precondition fails, so that text the reader
+    refuses gets the reader's error, as it does when the text is read whole
+    before the call.  slices() is read again to find the witness.
+    """
     ok, _ = decide_contractible(boundary_word(P))
     if ok:
+        for _ in slices():
+            pass
         raise PreconditionViolated("the polygon's boundary word is contractible")
-    rep = verify_dissection(P, D, "any")
-    if not rep.valid:
+    if not verifies():
         raise PreconditionViolated("the dissection does not verify against the polygon")
-    for t in D.triangles:
+    for t in chain.from_iterable(slices()):
         if len({color_of(v) for v in t}) == 3:
             return t
     raise TheoremViolation("valid dissection of a non-contractible-word polygon "

@@ -14,6 +14,7 @@ import latticediss
 from latticediss import cli, dissect, words
 from latticediss.cli import main
 from latticediss.dissect import dissection_to_json, unit_dissection
+from latticediss.gen import random_dissection
 from latticediss.geometry import boundary_word, parse_polygon_json
 from latticediss.words import CyclicWord, decide_contractible
 
@@ -454,7 +455,7 @@ RECT46 = "[[0, 0], [4, 0], [4, 6], [0, 6]]"
 
 
 def _verify_out(argv, capsys, stdin=None, monkeypatch=None):
-    """(exit status, stdout, stderr) of one verify run."""
+    """(exit status, stdout, stderr) of one verify or witness run."""
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
@@ -508,6 +509,15 @@ def test_verify_reads_a_file_again_only_for_a_failing_chain(tmp_path, monkeypatc
         assert len(reads) == expected and code == (0 if expected == 1 else 11)
 
 
+def _mutated(rng, text):
+    """text with up to two JSON-ish tokens put in or written over."""
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(text) + 1)
+        token = rng.choice([*"0123456789", "-", "], [", "]], [[", "[", "]", ", ", "1.5"])
+        text = text[:i] + token + text[i + rng.randint(0, 1):]
+    return text
+
+
 @pytest.mark.parametrize("size", [3, 40, 1 << 16])
 def test_verify_mutated_files_as_stdin(size, tmp_path, monkeypatch, capsys):
     # The mutated-text differential through the CLI: a file read a slice at a
@@ -522,11 +532,7 @@ def test_verify_mutated_files_as_stdin(size, tmp_path, monkeypatch, capsys):
     diss = tmp_path / "diss.json"
     codes = set()
     for _ in range(300):
-        text = base
-        for _ in range(rng.randint(0, 2)):
-            i = rng.randrange(len(text) + 1)
-            token = rng.choice([*"0123456789", "-", "], [", "]], [[", "[", "]", ", ", "1.5"])
-            text = text[:i] + token + text[i + rng.randint(0, 1):]
+        text = _mutated(rng, base)
         diss.write_text(text)
         mode = rng.choice(["any", "integral", "unit"])
         argv = ["verify", str(poly), str(diss), "--mode", mode]
@@ -534,6 +540,54 @@ def test_verify_mutated_files_as_stdin(size, tmp_path, monkeypatch, capsys):
         assert got == _verify_out(argv[:2] + ["-"] + argv[3:], capsys, text, monkeypatch), text
         codes.add(got[0])
     assert codes == {0, 2, 11}
+
+
+_PRECONDITIONS = ("error: the polygon's boundary word is contractible\n",
+                  "error: the dissection does not verify against the polygon\n")
+
+
+@pytest.mark.parametrize("size", [3, 40, 1 << 16])
+def test_witness_files_as_stdin(size, tmp_path, monkeypatch, capsys):
+    # witness reads a file in the writer's layout a slice at a time; valid,
+    # dropped, flipped and mutated files, beside a polygon whose word is not
+    # contractible and one whose word is, give the exit status, output and
+    # message of the same text read whole from stdin
+    monkeypatch.setattr(dissect, "_SLICE", size)
+    rng = random.Random(f"cli-witness-{size}")
+    poly, diss = tmp_path / "poly.json", tmp_path / "diss.json"
+    outcomes = set()
+    for polygon in (RECT35, RECT46):
+        poly.write_text(polygon)
+        P = parse_polygon_json(polygon)
+        base = dissection_to_json(P, random_dissection(P, depth=6, seed=size))
+        tris = json.loads(base)["triangles"]
+        texts = [base, json.dumps({"polygon": P.vertices, "triangles": tris[1:]}),
+                 json.dumps({"polygon": P.vertices, "triangles": [tris[0][::-1], *tris[1:]]})]
+        texts += [_mutated(rng, base) for _ in range(100)]
+        for text in texts:
+            diss.write_text(text)
+            got = _verify_out(["witness", str(poly), str(diss)], capsys)
+            assert got == _verify_out(["witness", str(poly), "-"], capsys, text, monkeypatch), text
+            outcomes.add(got[2] if got[2] in _PRECONDITIONS else got[2][:6])
+    # a witness, parse errors and both preconditions
+    assert outcomes == {"", "error:", *_PRECONDITIONS}
+
+
+def test_witness_reads_a_written_file_a_slice_at_a_time(tmp_path, monkeypatch, capsys):
+    # neither a witness nor either precondition reads the file whole
+    def whole(path):
+        raise AssertionError("read whole")
+
+    monkeypatch.setattr(cli, "_load_dissection", whole)
+    poly, diss = tmp_path / "poly.json", tmp_path / "diss.json"
+    for polygon, expected in ((RECT35, 0), (RECT46, 2)):
+        poly.write_text(polygon)
+        P = parse_polygon_json(polygon)
+        D = random_dissection(P, depth=6, seed=1)
+        for triangles, code in ((D.triangles, expected), (D.triangles[1:], 2)):
+            diss.write_text(dissection_to_json(P, dissect.Dissection(triangles)))
+            assert main(["witness", str(poly), str(diss)]) == code
+            capsys.readouterr()
 
 
 def test_dissect_leaves_no_partial_file(tmp_path, monkeypatch, capsys):

@@ -126,6 +126,23 @@ def cli_verify_stage(side):
     return main, (["verify", _square_file(side), path, "--mode", "unit"],), len(D)
 
 
+def cli_witness_stage(side):
+    # witness on a file in the writer's layout: the odd square's word is not
+    # contractible, and its half cells are verified a slice at a time
+    side += 1
+    P = validate_convex([(0, 0), (side, 0), (side, side), (0, side)])
+    cells = tuple(t for x in range(side) for y in range(side)
+                  for t in (((x, y), (x + 1, y), (x + 1, y + 1)),
+                            ((x, y), (x + 1, y + 1), (x, y + 1))))
+    poly = os.path.join(FILES.name, f"square{side}.json")
+    with open(poly, "w") as fh:
+        json.dump(P.vertices, fh)
+    path = os.path.join(FILES.name, f"cells{side}.json")
+    with open(path, "w") as fh:
+        fh.write(dissection_to_json(P, Dissection(cells)))
+    return main, (["witness", poly, path],), len(cells)
+
+
 def poof_stage(count):
     req = inputs.foreign_request(random.Random(count), count, "valid", True)
     return poof, (validate_convex(req.polygon), Dissection(req.triangles)), len(req.triangles)
@@ -178,6 +195,7 @@ STAGES = {
     "dissection_to_json": (to_json_stage, 40, 2),
     "cli_dissect_unit": (cli_dissect_stage, 40, 2),
     "cli_verify_unit": (cli_verify_stage, 40, 2),
+    "cli_witness": (cli_witness_stage, 40, 2),
     "poof": (poof_stage, 250, 4),
     "foreign_read": (foreign_read_stage, 250, 4),
     "verify_failure": (verify_failure_stage, 250, 4),

@@ -1,7 +1,7 @@
-"""Memory guard: the CLI's dissect --unit and verify --mode unit, in process,
-on the n x n and 2n x 2n squares under tracemalloc.
+"""Memory guard: the CLI's dissect --unit, verify --mode unit and witness, in
+process, on the n x n and 2n x 2n squares under tracemalloc.
 
-Both commands work on one slice of the triangles array at a time, so their
+The commands work on one slice of the triangles array at a time, so their
 tracemalloc peaks must not follow the triangle count, which grows fourfold:
 each peak may grow by less than GROWTH.  The peaks are exact on a given
 Python version.  What verify keeps between slices is the sides no triangle
@@ -18,16 +18,18 @@ import json
 import tracemalloc
 
 from latticediss.cli import main
+from latticediss.dissect import Dissection, dissection_to_json
+from latticediss.geometry import validate_convex
 
 N = 100
 GROWTH = 1.10
 
 
-def peak_mb(argv) -> float:
+def peak_mb(argv, code=0) -> float:
     tracemalloc.start()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == code
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -39,8 +41,27 @@ def test_cli_peaks_do_not_grow_with_the_triangles(tmp_path):
         poly, diss = tmp_path / f"p{side}.json", tmp_path / f"d{side}.json"
         poly.write_text(json.dumps([[0, 0], [side, 0], [side, side], [0, side]]))
         peaks[side] = (peak_mb(["dissect", str(poly), "--unit", "-o", str(diss)]),
-                       peak_mb(["verify", str(poly), str(diss), "--mode", "unit"]))
-    for name, small, large in zip(("dissect", "verify"), peaks[N], peaks[2 * N]):
+                       peak_mb(["verify", str(poly), str(diss), "--mode", "unit"]),
+                       # the square's word is contractible: the file is read through
+                       peak_mb(["witness", str(poly), str(diss)], code=2))
+    for name, small, large in zip(("dissect", "verify", "witness"), peaks[N], peaks[2 * N]):
         assert large < GROWTH * small, (
             f"{name}: tracemalloc peak {small:.3f} MB at {N * N} triangles and "
             f"{large:.3f} MB at {4 * N * N}")
+
+
+def test_cli_witness_peak_does_not_grow_with_the_triangles(tmp_path):
+    # an odd square, whose word is not contractible, cut into half cells: the
+    # file is verified a slice at a time, then read again for the witness
+    peaks = {}
+    for side in (N + 1, N + 1, 2 * N + 1):
+        poly, diss = tmp_path / f"p{side}.json", tmp_path / f"d{side}.json"
+        P = validate_convex([(0, 0), (side, 0), (side, side), (0, side)])
+        cells = [t for x in range(side) for y in range(side)
+                 for t in (((x, y), (x + 1, y), (x + 1, y + 1)),
+                           ((x, y), (x + 1, y + 1), (x, y + 1)))]
+        poly.write_text(json.dumps(P.vertices))
+        diss.write_text(dissection_to_json(P, Dissection(tuple(cells))))
+        del cells
+        peaks[side] = peak_mb(["witness", str(poly), str(diss)])
+    assert peaks[2 * N + 1] < GROWTH * peaks[N + 1], peaks

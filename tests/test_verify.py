@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latticediss.errors import InvalidDissection, PreconditionViolated
-from latticediss.combi import boundary_word_of
+from latticediss.combi import Triangulation, boundary_word_of, validate_disk
 from latticediss.dissect import (
     Dissection,
     dissection_to_json,
@@ -30,6 +30,7 @@ from latticediss.geometry import (
 )
 from latticediss.verify import MODES, _verify_slices, poof, verify_dissection, witness_noninteger
 from latticediss.words import CyclicWord
+from chain_reference import chain_failure as reference_chain_failure
 from chain_reference import segment_index as reference_segment_index
 from dissection_oracle import is_dissection
 
@@ -393,6 +394,45 @@ def test_segment_index_matches_reference_in_order():
             assert _index_in_order(index) == expected, (P, tris, k)
 
 
+def _chain_failure_cases():
+    rng = random.Random("chain-failure")
+    for label in ("drop", "overlap") * 10:
+        req = inputs.foreign_request(rng, rng.randint(20, 300), label, rng.random() < 0.5)
+        yield parse_polygon_json(req.polygon_text), parse_dissection_json(req.dissection_text)[1]
+    lower, upper = HALF_SPLIT.triangles
+    yield UNIT_SQUARE, Dissection((lower,))  # a gap
+    yield UNIT_SQUARE, Dissection((lower,) * 3)  # a +2 overlap
+    yield SQUARE2, TWO_COPIES
+    yield SQUARE2, CROSSED_HALVES
+    for P, tris in _chain_index_cases():
+        yield P, Dissection(tuple(tris))
+    # small triangles in the 2 x 2 square: repeated vertices, three vertices
+    # on one line, clockwise triangles and copies
+    for _ in range(400):
+        pts = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(3, 6))]
+        yield SQUARE2, Dissection(tuple(tuple(rng.choice(pts) for _ in range(3))
+                                        for _ in range(rng.randint(1, 5))))
+
+
+def test_chain_failure_detail_matches_the_side_by_side_scan():
+    # the detail verify gives, a slice of 1, 3 or 7 triangles at a time, is
+    # the one the scan over each side's two endpoints gives
+    details = set()
+    for P, D in _chain_failure_cases():
+        tris = D.triangles
+        chain = verify_dissection(P, D).checks[1]
+        if chain.passed:
+            continue
+        expected = reference_chain_failure(reference_segment_index(P, tris)[1], tris)
+        assert chain.detail == expected, (P, tris)
+        for k in (1, 3, 7):
+            slices = [tris[i:i + k] for i in range(0, len(tris), k)]
+            report = _verify_slices(P, lambda: slices, "any", False)[0]
+            assert report.checks[1].detail == expected, (P, tris, k)
+        details.add(expected.endswith("none"))
+    assert details == {True, False}  # details with and without triangles named
+
+
 def _moved_vertex(rng, P, tris):
     """Every occurrence of one dissection vertex, not a corner of P, moved
     one lattice step."""
@@ -586,11 +626,16 @@ def reference_poof(P, D):
     return tris, tuple(idx[v] for v in P.vertices), {i: p for p, i in idx.items()}
 
 
-def test_poof_matches_reference():
+def _poof_cases():
     cases = [pentagon_fig2(), square_fig7()]
     for seed in range(40):
         P = random_convex_polygon(3 + seed % 7, 12 + seed, seed=seed)
         cases.append((P, random_dissection(P, depth=4 + seed % 12, seed=seed)))
+    return cases
+
+
+def test_poof_matches_reference():
+    cases = _poof_cases()
     poofagons = kept = 0
     for P, D in cases:
         T, vmap = poof(P, D)
@@ -608,6 +653,23 @@ def test_poof_matches_reference():
         assert list(vmap2.items()) == list(vmap.items())
     assert poofagons >= 100  # the inputs do subdivide sides and edges
     assert kept == len(cases)  # the second poofs reuse the verify's result
+
+
+def test_poof_builds_what_the_public_constructor_accepts():
+    # poof hands its containers to the Triangulation unchecked; the public
+    # constructor, which checks every triangle, builds an equal one from them
+    for P, D in _poof_cases():
+        T, _ = poof(P, D)
+        U = Triangulation(T.vertex_colors, T.triangles, T.corners)
+        assert [type(T.vertex_colors), type(T.triangles), type(T.corners)] == [
+            dict, frozenset, tuple]
+        assert (T.vertex_colors, T.triangles, T.corners) == (
+            U.vertex_colors, U.triangles, U.corners)
+        assert list(T.vertex_colors.items()) == list(U.vertex_colors.items())
+        assert all(type(t) is frozenset for t in T.triangles)
+        validate_disk(T)
+        with pytest.raises(AttributeError):
+            T.corners = ()
 
 
 # --- the verification kept on a read Dissection ------------------------------------

@@ -1,19 +1,29 @@
 #!/usr/bin/env python3
-"""Time and size `dissect --unit` and `verify --mode unit` on large squares.
+"""Time and size `dissect --unit` and `verify --mode unit` on large squares,
+or time poof per triangle on T-vertex dissections.
 
     python3 tools/scale.py --sides 1000,2000 --pairs 3 --parent ../parent-tree \
         --out BENCH_scale.json
     python3 tools/scale.py --sides 600 --max-dissect-mb 60 --max-verify-mb 100
+    python3 tools/scale.py --mode poof --pairs 5 --parent ../parent-tree --out BENCH_scale.json
 
-Each run is a child process, `python -m latticediss.cli`, with PYTHONPATH
-set to a tree's src/; its wall time is taken around it and its peak RSS
-from os.wait4 on that child alone (ru_maxrss, in KB on Linux).  The unit dissection of the side x side
-square has side**2 triangles.  With --parent, every pair runs the parent
-tree and this one in alternating order, checks that both write the same
-bytes, and the record holds both; verify must accept every file.  The last
-line of standard output is the record; it is also written to --out.  The
-exit status is 1 when a run of this tree goes over --max-dissect-mb or
---max-verify-mb, or when a check fails.
+Each run is a child process with PYTHONPATH set to a tree's src/.  In mode
+squares (the default) the child is `python -m latticediss.cli`; its wall
+time is taken around it and its peak RSS from os.wait4 on that child alone
+(ru_maxrss, in KB on Linux).  The unit dissection of the side x side
+square has side**2 triangles.  In mode poof the child times `verify.poof`,
+which verifies first, on a fresh `Dissection` of
+`perfbench.inputs.foreign_request(random.Random(n), n, "valid", True)` for
+each n in --counts, --reps times with the collector on, and the run records
+the fastest in µs per input triangle; the request is made once here and
+handed to every child as a file.  With --parent, every pair runs the parent tree and this one in
+alternating order, checks that both give the same output (the dissection
+file's bytes, or a digest of poof's triangles, corners, colors and point
+map), and the record holds both; verify must accept every file.  The last
+line of standard output is the record; --out also stores it in a JSON file
+under the mode's name, keeping the other mode's record.  The exit status is
+1 when a run of this tree goes over --max-dissect-mb or --max-verify-mb, or
+when a check fails.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import shutil
 import statistics
 import subprocess
@@ -32,13 +43,42 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench import inputs  # noqa: E402
+
+CLI = ["-m", "latticediss.cli"]  # the child arguments of a CLI run
+# Times poof on the request in argv[1], argv[2] times; prints one JSON line.
+POOF_CHILD = """
+import gc, hashlib, json, sys, time
+from latticediss.dissect import Dissection
+from latticediss.geometry import validate_convex
+from latticediss.verify import poof
+with open(sys.argv[1]) as fh:
+    data = json.load(fh)
+P = validate_convex([tuple(p) for p in data["polygon"]])
+seen = {}
+tris = tuple(tuple(seen.setdefault(p, p) for p in map(tuple, t)) for t in data["triangles"])
+assert gc.isenabled()
+times = []
+for _ in range(int(sys.argv[2])):
+    D = Dissection(tris)  # fresh, so poof verifies it
+    start = time.perf_counter()
+    T, points = poof(P, D)
+    times.append(time.perf_counter() - start)
+shape = (T.sorted_triangles(), T.corners, sorted(T.vertex_colors.items()), sorted(points.items()))
+print(json.dumps({"us_per_tri": [t / len(tris) * 1e6 for t in times],
+                  "poofed": len(T.triangles),
+                  "digest": hashlib.sha256(repr(shape).encode()).hexdigest()}))
+"""
 
 
 def run(tree: Path, args: list[str]) -> tuple[float, float, int, str]:
-    """(wall seconds, peak RSS in MB, exit status, stdout) of one CLI run."""
+    """(wall seconds, peak RSS in MB, exit status, stdout) of one child
+    `python *args`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "latticediss.cli", *args], env=env,
+    proc = subprocess.Popen([sys.executable, *args], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
@@ -68,14 +108,15 @@ def measure(trees: dict[str, Path], side: int, pairs: int, work: Path) -> tuple[
         digests = {}
         for name in order:
             out = work / f"{name}.json"
-            wall, mb, code, _ = run(trees[name], ["dissect", str(poly), "--unit", "-o", str(out)])
+            wall, mb, code, _ = run(trees[name], [*CLI, "dissect", str(poly), "--unit",
+                                                  "-o", str(out)])
             if code != 0:
                 problems.append(f"{name} dissect of side {side} exited {code}")
                 continue
             runs[name]["dissect_s"].append(round(wall, 3))
             runs[name]["dissect_mb"].append(round(mb, 1))
             digests[name] = sha256(out)
-            wall, mb, code, report = run(trees[name], ["verify", str(poly), str(out),
+            wall, mb, code, report = run(trees[name], [*CLI, "verify", str(poly), str(out),
                                                        "--mode", "unit"])
             if code != 0 or not json.loads(report)["valid"]:
                 problems.append(f"{name} verify of side {side} exited {code}")
@@ -112,10 +153,62 @@ def summary(results: list[dict]) -> dict:
     return out
 
 
+def measure_poof(trees: dict[str, Path], count: int, pairs: int, reps: int,
+                 work: Path) -> tuple[dict, list[str]]:
+    req = inputs.foreign_request(random.Random(count), count, "valid", True)
+    path = work / f"request{count}.json"
+    path.write_text(json.dumps({"polygon": req.polygon, "triangles": req.triangles}))
+    runs = {name: {"us_per_tri": []} for name in trees}
+    problems = []
+    names = list(trees)
+    for i in range(pairs):
+        order = names if i % 2 == 0 else names[::-1]
+        digests = {}
+        for name in order:
+            _, _, code, out = run(trees[name], ["-c", POOF_CHILD, str(path), str(reps)])
+            if code != 0:
+                problems.append(f"{name} poof of {count} triangles exited {code}")
+                continue
+            result = json.loads(out)
+            runs[name]["us_per_tri"].append(round(min(result["us_per_tri"]), 3))
+            runs[name]["poofed_tris"] = result["poofed"]
+            digests[name] = result["digest"]
+        if len(set(digests.values())) > 1:
+            problems.append(f"the trees poof the {count}-triangle request differently")
+    for r in runs.values():
+        if r["us_per_tri"]:
+            r["median_us_per_tri"] = statistics.median(r["us_per_tri"])
+    return {"count": count, "triangles": len(req.triangles), "runs": runs}, problems
+
+
+def summary_poof(results: list[dict]) -> dict:
+    """For each tree, the median µs per triangle at the largest count over
+    the one at the smallest; with a parent, the change's median over the
+    parent's at each count."""
+    out = {}
+    first, last = results[0]["runs"], results[-1]["runs"]
+    for name in first:
+        if "median_us_per_tri" in first[name] and "median_us_per_tri" in last[name]:
+            out[f"{name}_growth"] = round(last[name]["median_us_per_tri"]
+                                          / first[name]["median_us_per_tri"], 3)
+    if "parent" in first:
+        out["change_over_parent_time"] = {
+            str(r["count"]): round(r["runs"]["change"]["median_us_per_tri"]
+                                   / r["runs"]["parent"]["median_us_per_tri"], 3)
+            for r in results if all("median_us_per_tri" in v for v in r["runs"].values())}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--mode", choices=("squares", "poof"), default="squares",
+                    help="CLI dissect and verify on squares, or poof per triangle")
     ap.add_argument("--sides", default="1000,2000", help="comma-separated even square sides")
-    ap.add_argument("--pairs", type=int, default=1, help="runs per tree and side")
+    ap.add_argument("--counts", default="250,1000,4001,16000,64000",
+                    help="comma-separated triangle counts of the poof requests")
+    ap.add_argument("--reps", type=int, default=5,
+                    help="poofs per child run, whose fastest the run records")
+    ap.add_argument("--pairs", type=int, default=1, help="runs per tree and size")
     ap.add_argument("--parent", type=Path, help="a tree of the parent commit to compare against")
     ap.add_argument("--max-dissect-mb", type=float, help="bound on this tree's dissect peak RSS")
     ap.add_argument("--max-verify-mb", type=float, help="bound on this tree's verify peak RSS")
@@ -127,15 +220,21 @@ def main(argv: list[str] | None = None) -> int:
     work = Path(tempfile.mkdtemp(prefix="latticediss-scale-"))
     results, problems = [], []
     try:
-        for side in map(int, args.sides.split(",")):
-            result, found = measure(trees, side, args.pairs, work)
-            results.append(result)
-            problems += found
-            change = result["runs"]["change"]
-            for key, bound in (("dissect_mb", args.max_dissect_mb),
-                               ("verify_mb", args.max_verify_mb)):
-                if bound is not None and max(change[key], default=0) > bound:
-                    problems.append(f"{key} {max(change[key])} over {bound} at side {side}")
+        if args.mode == "poof":
+            for count in map(int, args.counts.split(",")):
+                result, found = measure_poof(trees, count, args.pairs, args.reps, work)
+                results.append(result)
+                problems += found
+        else:
+            for side in map(int, args.sides.split(",")):
+                result, found = measure(trees, side, args.pairs, work)
+                results.append(result)
+                problems += found
+                change = result["runs"]["change"]
+                for key, bound in (("dissect_mb", args.max_dissect_mb),
+                                   ("verify_mb", args.max_verify_mb)):
+                    if bound is not None and max(change[key], default=0) > bound:
+                        problems.append(f"{key} {max(change[key])} over {bound} at side {side}")
     finally:
         shutil.rmtree(work)
     record = {
@@ -145,13 +244,14 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "results": results,
-        "summary": summary(results),
+        "summary": (summary_poof if args.mode == "poof" else summary)(results),
         "problems": problems,
     }
-    text = json.dumps(record, indent=1)
     if args.out is not None:
-        args.out.write_text(text + "\n")
-    print(text)
+        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
+        stored[args.mode] = record
+        args.out.write_text(json.dumps(stored, indent=1) + "\n")
+    print(json.dumps(record, indent=1))
     for p in problems:
         print(f"error: {p}", file=sys.stderr)
     return 1 if problems else 0
