@@ -120,34 +120,19 @@ def _count_edges(T: Triangulation) -> tuple[list, list[int], int] | None:
     root of the earlier face is linked to face i, the face being scanned.
     Face i is still a root then, since only earlier faces have been linked,
     so it needs no find.  The boundary edges come in order of first
-    appearance over T.triangles.  A face's three edges (a, b), (b, c) and
-    (a, c) are written out in full, with no inner loop.
+    appearance over T.triangles.
     """
     face_of: dict[tuple[int, int], int | None] = {}
     first = face_of.setdefault
     parent = list(range(len(T.triangles)))
     for i, (a, b, c) in enumerate(map(sorted, T.triangles)):
-        j = first((a, b), i)
-        if j != i:
+        for e in ((a, b), (b, c), (a, c)):
+            j = first(e, i)
+            if j == i:
+                continue
             if j is None:
                 return None
-            face_of[a, b] = None
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            parent[j] = i
-        j = first((b, c), i)
-        if j != i:
-            if j is None:
-                return None
-            face_of[b, c] = None
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            parent[j] = i
-        j = first((a, c), i)
-        if j != i:
-            if j is None:
-                return None
-            face_of[a, c] = None
+            face_of[e] = None
             while parent[j] != j:
                 parent[j] = j = parent[parent[j]]
             parent[j] = i

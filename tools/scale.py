@@ -14,9 +14,9 @@ time is taken around it and its peak RSS from os.wait4 on that child alone
 square has side**2 triangles.  In mode poof the child times `verify.poof`,
 which verifies first, on a fresh `Dissection` of
 `perfbench.inputs.foreign_request(random.Random(n), n, "valid", True)` for
-each n in --counts, --reps times with the collector on, and the run records
-the fastest in µs per input triangle; the request is made once here and
-handed to every child as a file.  With --parent, every pair runs the parent tree and this one in
+each n in POOF_COUNTS, POOF_REPS times with the collector on, and the run
+records the fastest in µs per input triangle; the request is made once here
+and handed to every child as a file.  With --parent, every pair runs the parent tree and this one in
 alternating order, checks that both give the same output (the dissection
 file's bytes, or a digest of poof's triangles, corners, colors and point
 map), and the record holds both; verify must accept every file.  The last
@@ -48,6 +48,8 @@ if str(ROOT) not in sys.path:
 from perfbench import inputs  # noqa: E402
 
 CLI = ["-m", "latticediss.cli"]  # the child arguments of a CLI run
+POOF_COUNTS = (250, 1000, 4001, 16000, 64000)  # triangles of the poof requests
+POOF_REPS = 7  # poofs per child run, whose fastest the run records
 # Times poof on the request in argv[1], argv[2] times; prints one JSON line.
 POOF_CHILD = """
 import gc, hashlib, json, sys, time
@@ -153,7 +155,7 @@ def summary(results: list[dict]) -> dict:
     return out
 
 
-def measure_poof(trees: dict[str, Path], count: int, pairs: int, reps: int,
+def measure_poof(trees: dict[str, Path], count: int, pairs: int,
                  work: Path) -> tuple[dict, list[str]]:
     req = inputs.foreign_request(random.Random(count), count, "valid", True)
     path = work / f"request{count}.json"
@@ -165,7 +167,7 @@ def measure_poof(trees: dict[str, Path], count: int, pairs: int, reps: int,
         order = names if i % 2 == 0 else names[::-1]
         digests = {}
         for name in order:
-            _, _, code, out = run(trees[name], ["-c", POOF_CHILD, str(path), str(reps)])
+            _, _, code, out = run(trees[name], ["-c", POOF_CHILD, str(path), str(POOF_REPS)])
             if code != 0:
                 problems.append(f"{name} poof of {count} triangles exited {code}")
                 continue
@@ -204,10 +206,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--mode", choices=("squares", "poof"), default="squares",
                     help="CLI dissect and verify on squares, or poof per triangle")
     ap.add_argument("--sides", default="1000,2000", help="comma-separated even square sides")
-    ap.add_argument("--counts", default="250,1000,4001,16000,64000",
-                    help="comma-separated triangle counts of the poof requests")
-    ap.add_argument("--reps", type=int, default=5,
-                    help="poofs per child run, whose fastest the run records")
     ap.add_argument("--pairs", type=int, default=1, help="runs per tree and size")
     ap.add_argument("--parent", type=Path, help="a tree of the parent commit to compare against")
     ap.add_argument("--max-dissect-mb", type=float, help="bound on this tree's dissect peak RSS")
@@ -221,8 +219,8 @@ def main(argv: list[str] | None = None) -> int:
     results, problems = [], []
     try:
         if args.mode == "poof":
-            for count in map(int, args.counts.split(",")):
-                result, found = measure_poof(trees, count, args.pairs, args.reps, work)
+            for count in POOF_COUNTS:
+                result, found = measure_poof(trees, count, args.pairs, work)
                 results.append(result)
                 problems += found
         else:
