@@ -21,8 +21,17 @@ depends only on the triangle and its chosen edge v0 -> v1, and can be
 written straight in the triangle's own coordinates: with (a, b) = v1 - v0,
 d = gcd(a, b) and u = (a, b)/d, the points (2,0) and (1,0) are v0 + 2u and
 v0 + u, and only the d = 2, q odd case needs a Bezout pair of u, from pow,
-to place (1,1) or (2,1).  tests/refine_reference.py spells out the same
-rule with explicit maps, and refine_triangle must match it piece for piece.
+to place (1,1) or (2,1).  A triangle of doubled area 4 has d = 4, or d = 2
+and q = 2, so its split point is always the midpoint of v0 -> v1 and both
+halves are unit pieces: the loop yields them at once, with no gcd.
+tests/refine_reference.py spells out the same rule with explicit maps, and
+refine_triangle must match it piece for piece.
+
+The reader of dissection_to_json's layout parses each distinct point text
+of a slice once, with one json.loads, and interns its point through a dict
+shared by all slices.  A file is read in slices of about _SLICE
+characters; a text in memory in a first slice of about _TEXT_FIRST and then
+slices of about _TEXT_SLICE (see there).
 """
 
 from __future__ import annotations
@@ -135,6 +144,24 @@ def _refined(a2: int, u0: Point, u1: Point, u2: Point) -> Iterator[Triangle]:
         x0, y0 = u0
         x1, y1 = u1
         x2, y2 = u2
+        if a2 == 4:
+            # d is 4 (split at (2,0)) or 2 with q = 2 (split at (1,0)): either
+            # way the split point is the midpoint of the first same-colored
+            # pair's edge, and the two halves, unit pieces, come out in the
+            # order the worklist would pop them.
+            if not ((x0 ^ x1) | (y0 ^ y1)) & 1:
+                x = ((x0 + x1) // 2, (y0 + y1) // 2)
+                yield (x, u1, u2)
+                yield (u0, x, u2)
+            elif not ((x0 ^ x2) | (y0 ^ y2)) & 1:
+                x = ((x0 + x2) // 2, (y0 + y2) // 2)
+                yield (x, u0, u1)
+                yield (u2, x, u1)
+            else:
+                x = ((x1 + x2) // 2, (y1 + y2) // 2)
+                yield (x, u2, u0)
+                yield (u1, x, u0)
+            continue
         # The first same-colored pair, taken in counterclockwise order, is the
         # edge v0 -> v1 that the normal form sends to (0,0) -> (d,0); v0 is
         # (px, py), v1 - v0 is (a, b) and v2 is (cx, cy).
@@ -232,8 +259,8 @@ def _unit_pieces(diag: Dissection) -> Iterator[Triangle]:
 # writes with its default separators: the polygon's JSON in the first slot and
 # the triangles, one _TRIANGLE_JSON each and joined by _TRIANGLE_SEP, in the
 # second.  _written reads back exactly this layout.  Both work on one slice of
-# the triangles array at a time, about _SLICE characters, so that neither
-# holds a copy of the whole array.
+# the triangles array at a time, about _SLICE characters (fewer for a text
+# already in memory), so that neither holds a copy of the whole array.
 _DISSECTION_JSON = '{"polygon": %s, "triangles": [%s]}'
 _TRIANGLE_JSON = "[[%r, %r], [%r, %r], [%r, %r]]"
 _TRIANGLE_SEP = ", "
@@ -246,6 +273,15 @@ _NUMERALS = str.maketrans("", "", "-0123456789")
 _NUMBER_TEXT = str.maketrans("", "", _SKELETON + "-+.0123456789e")
 _DECODER = json.JSONDecoder()
 _SLICE = 1 << 16
+# The in-memory reader's cuts.  A slice's point texts, alive at once, take
+# about twice the memory of the triangles they give, next to every triangle
+# read before them.  The first slice comes before any, so it may run to
+# _TEXT_FIRST characters, about 0.1 MB of texts; later ones stop at
+# _TEXT_SLICE, a small part of what is held by then.  A point is parsed once
+# per slice it appears in, so a text that fits one slice, however its
+# triangles are ordered, has each point parsed once.
+_TEXT_FIRST = 16 << 10
+_TEXT_SLICE = 6 << 10
 
 
 def _json_chunks(P: ConvexLatticePolygon, triangles: Iterable[Triangle]) -> Iterator[str]:
@@ -284,17 +320,11 @@ def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
     return "".join(_json_chunks(P, D.triangles))
 
 
-def _interned(parts: Iterable[Iterable[Point]]) -> Dissection:
-    """Group streams of points, each of whole triangles, into triangles, with
-    one tuple per distinct point, shared by every triangle that names it.
-    Both readers end here, with exact ints only: _slice_points's json.loads
-    sees only numerals and as_point tests type(c) is int.  So the result
-    records its triangles."""
-    seen: dict[Point, Point] = {}
-    triangles: list[Triangle] = []
-    for points in parts:
-        it = map(seen.setdefault, *tee(points))
-        triangles += zip(it, it, it)
+def _recorded(triangles: Iterable[Triangle]) -> Dissection:
+    """A Dissection of the triangles that records them.  Both readers end
+    here, with exact ints only and one tuple per distinct point, shared by
+    every triangle that names it: _slice_triangles's json.loads sees only
+    numerals and as_point tests type(c) is int."""
     D = Dissection(tuple(triangles))
     object.__setattr__(D, "_record", (D.triangles,))
     return D
@@ -306,47 +336,57 @@ def _polygon_points(polygon) -> list[Point]:
     return [as_point(e) for e in polygon]
 
 
-def _slice_points(part: str) -> Iterator[Point]:
-    """The points of one slice of the triangles array in the writer's layout,
-    whole triangles from "[[" to "]]"; ValueError for any other text.
+def _slice_triangles(part: str, seen: dict[Point, Point]) -> list[Triangle]:
+    """The triangles of one slice of the triangles array in the writer's
+    layout, whole triangles from "[[" to "]]"; ValueError for any other text.
+    Each distinct point text is parsed once, and its point interned through
+    seen, so that a point written both 0 and -0 still gets one tuple.
 
     The string checks run in C.  Deleting the numerals must leave _SKELETON
     once per triangle, joined by _TRIANGLE_SEP, so every bracket, comma and
-    space sits where the writer puts it.  Merging the two separators into
-    ", " then turns the slice into one flat JSON list of 6 ints per triangle:
-    a numeral anywhere but a number slot breaks a separator and leaves a
-    bracket behind, and a malformed number fails json.loads.
+    space sits where the writer puts it.  Split at the two separators, the
+    slice then gives 3 point texts per triangle, each numerals around one
+    ", ": a numeral anywhere but a number slot breaks a separator and leaves
+    a bracket in a text, and a malformed number fails json.loads.
     """
     n = part.count(_TRIANGLE_BREAK) + 1
     if part.translate(_NUMERALS) != _TRIANGLE_SEP.join([_SKELETON] * n):
         raise ValueError("not the writer's layout")
-    part = part.replace(_TRIANGLE_BREAK, ", ").replace(_VERTEX_BREAK, ", ")
-    if part.find("[", 2) != -1:  # a separator broken by a numeral
+    texts = part[2:-2].replace(_TRIANGLE_BREAK, _VERTEX_BREAK).split(_VERTEX_BREAK)
+    keys = dict.fromkeys(texts)
+    distinct = ", ".join(keys)
+    if "[" in distinct or "]" in distinct:  # a separator broken by a numeral
         raise ValueError("not the writer's layout")
-    (ints,) = json.loads(part)
-    if len(ints) != 6 * n:
+    ints = json.loads("[" + distinct + "]")
+    if len(ints) != 2 * len(keys):
         raise ValueError("not the writer's layout")
     it = iter(ints)
-    return zip(it, it)
+    points = list(zip(it, it))
+    point_of = dict(zip(keys, map(seen.setdefault, points, points)))
+    it = map(point_of.__getitem__, texts)
+    return list(zip(it, it, it))
 
 
-def _written(read: Callable[[int], str]) -> tuple[list[Point], Iterator[Iterator[Point]]]:
+def _written(read: Callable[[int], str], head: int,
+             cut: int) -> tuple[list[Point], Iterator[str]]:
     """Read dissection JSON in the layout of dissection_to_json from read(n),
     which returns up to n characters and "" at the end: the polygon's points,
-    and the points of the triangles array one slice at a time.
+    and the text of the triangles array one slice at a time.
 
-    Each slice ends on a _TRIANGLE_BREAK, so every slice is whole triangles,
-    and goes through _slice_points; trailing JSON whitespace is skipped, as in
-    json.loads.  Any text outside the layout raises ValueError, from here or
-    from the slices as they are read, and so does a bad polygon entry: the
-    general parser then reads the whole text and gives its own result or
-    message, which for a bad polygon is the same.
+    The first slice runs on from head characters to the next
+    _TRIANGLE_BREAK and each later one from cut characters, so every slice
+    is whole triangles, for _slice_triangles to read; trailing JSON
+    whitespace is skipped, as in json.loads.  Any text outside the layout
+    raises ValueError, from here, from the slices as they are read or from
+    _slice_triangles, and so does a bad polygon entry: the general parser
+    then reads the whole text and gives its own result or message, which for
+    a bad polygon is the same.
     """
-    buf = read(_SLICE)
+    buf = read(head)
     start = 0
     # Read on to the end of the polygon, which _MIDDLE follows, and no further.
     while buf.startswith(_HEAD[:len(buf)]) and buf.find(_MIDDLE, start) == -1:
-        more = read(max(_SLICE, len(buf)))
+        more = read(max(head, len(buf)))
         if not more:
             raise ValueError("not the writer's layout")
         start = max(0, len(buf) - len(_MIDDLE) + 1)
@@ -359,21 +399,23 @@ def _written(read: Callable[[int], str]) -> tuple[list[Point], Iterator[Iterator
         raise ValueError("nested too deeply") from None
     if not buf.startswith(_MIDDLE, end):
         raise ValueError("not the writer's layout")
-    return _polygon_points(polygon), _written_slices(read, buf, end + len(_MIDDLE))
+    return _polygon_points(polygon), _written_slices(read, head, cut, buf,
+                                                     end + len(_MIDDLE))
 
 
-def _written_slices(read: Callable[[int], str], buf: str, pos: int) -> Iterator[Iterator[Point]]:
+def _written_slices(read: Callable[[int], str], head: int, cut: int, buf: str,
+                    pos: int) -> Iterator[str]:
     """_written's slices of the triangles array, which starts at buf[pos]."""
-    first = True
+    first, size = True, head
     while True:
-        cut = buf.find(_TRIANGLE_BREAK, pos + _SLICE)
-        if cut != -1:
-            yield _slice_points(buf[pos:cut + 2])
-            pos, first = cut + 4, False
+        end = buf.find(_TRIANGLE_BREAK, pos + size)
+        if end != -1:
+            yield buf[pos:end + 2]
+            pos, first, size = end + 4, False, cut
             continue
         # Reading at least as much as is left keeps the copies linear when a
         # long stretch holds no break.
-        more = read(max(_SLICE, len(buf) - pos))
+        more = read(max(size, len(buf) - pos))
         if not more:
             break
         buf, pos = buf[pos:] + more, 0
@@ -384,31 +426,35 @@ def _written_slices(read: Callable[[int], str], buf: str, pos: int) -> Iterator[
         raise ValueError("not the writer's layout")
     if first and stop - len(_TAIL) == pos:  # an empty array
         return
-    yield _slice_points(buf[pos:stop - len(_TAIL)])
+    yield buf[pos:stop - len(_TAIL)]
 
 
 def _parse_written(text: str) -> tuple[list[Point], Dissection] | None:
-    """Read text in the layout of dissection_to_json without building a list
-    per triangle or vertex, a slice at a time; None for any other text.
+    """Read text in the layout of dissection_to_json a slice at a time, the
+    first of about _TEXT_FIRST characters and the others of about
+    _TEXT_SLICE; None for any other text.
 
-    All slices intern their points into one shared dict, and no copy of the
-    whole triangles array, nor a list of all its ints, is ever alive.
+    All slices intern their points into one shared dict.  No copy of the
+    whole triangles array is ever alive, and the point texts of one slice
+    only.
     """
     pieces = iter((text,))
+    seen: dict[Point, Point] = {}
     try:
-        polygon, slices = _written(lambda n: next(pieces, ""))
-        return polygon, _interned(slices)
+        polygon, slices = _written(lambda n: next(pieces, ""), _TEXT_FIRST, _TEXT_SLICE)
+        return polygon, _recorded(chain.from_iterable(
+            _slice_triangles(part, seen) for part in slices))
     except ValueError:
         return None
 
 
-def _file_slices(path: str) -> Iterator[tuple[Triangle, ...]]:
+def _file_slices(path: str) -> Iterator[list[Triangle]]:
     """The triangles of a dissection file in the writer's layout, read in
     pieces of _SLICE characters, one slice at a time; ValueError or OSError
     when the file cannot be read so."""
     with open(path, "r", encoding="utf-8") as fh:
-        for points in _written(fh.read)[1]:
-            yield tuple(zip(points, points, points))
+        for part in _written(fh.read, _SLICE, _SLICE)[1]:
+            yield _slice_triangles(part, {})
 
 
 def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
@@ -427,4 +473,6 @@ def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
     poly = _polygon_points(data.get("polygon", []))
-    return poly, _interned([chain.from_iterable(map(as_triangle, data["triangles"]))])
+    seen: dict[Point, Point] = {}
+    points = map(seen.setdefault, *tee(chain.from_iterable(map(as_triangle, data["triangles"]))))
+    return poly, _recorded(zip(points, points, points))

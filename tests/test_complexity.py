@@ -91,6 +91,13 @@ def verify_read_stage(side):
     return verify_dissection, (P, D, "unit"), len(D)
 
 
+def parse_written_stage(side):
+    # the writer's own text takes the slice reader, whose work per slice is C
+    # passes and per triangle no Python line
+    P, D = square(side)
+    return parse_dissection_json, (dissection_to_json(P, D),), len(D)
+
+
 def parse_general_stage(side):
     # indented text takes the general reader, whose as_triangle runs in Python
     # for each triangle
@@ -191,6 +198,7 @@ STAGES = {
     "unit_dissection": (unit_stage, 40, 2),
     "verify_unit": (verify_stage, 40, 2),
     "verify_read": (verify_read_stage, 40, 2),
+    "parse_written": (parse_written_stage, 40, 2),
     "parse_general": (parse_general_stage, 40, 2),
     "dissection_to_json": (to_json_stage, 40, 2),
     "cli_dissect_unit": (cli_dissect_stage, 40, 2),

@@ -505,12 +505,18 @@ def test_written_layout_is_read_without_the_general_parser():
 MUTATIONS = [*"0123456789", "-", "], [", "]], [[", "[", "]", ", ", "1.5", "true"]
 
 
+def cut_text(monkeypatch, size):
+    """Make the in-memory reader cut every slice, the first one too, at size."""
+    monkeypatch.setattr(dissect, "_TEXT_FIRST", size)
+    monkeypatch.setattr(dissect, "_TEXT_SLICE", size)
+
+
 @pytest.mark.parametrize("size, texts", [(None, 20_000), (1, 3_000), (5, 3_000), (23, 3_000)],
                          ids=["one-slice", "slice-1", "slice-5", "slice-23"])
 def test_written_layout_mutations_match_reference(size, texts, monkeypatch):
     # small slices cut the array at every break, or one or two triangles on
     if size is not None:
-        monkeypatch.setattr(dissect, "_SLICE", size)
+        cut_text(monkeypatch, size)
     rng = random.Random("written-layout" if size is None else f"written-layout-{size}")
     bases = []
     for seed in range(8):
@@ -649,12 +655,31 @@ def test_reader_slices_match_the_general_parser(monkeypatch):
     texts += [texts[2] + " \n", texts[-1] + "\n"]
     longest = max(map(len, texts))
     for size in range(1, longest + 2):  # every offset within every triangle, and past the end
-        monkeypatch.setattr(dissect, "_SLICE", size)
+        cut_text(monkeypatch, size)
         for text in texts:
             assert takes_written_path(text)
             poly, D = parse_dissection_json(text)
             assert (poly, D.triangles) == _general(text)
             assert D._record == (D.triangles,)
+
+
+def test_reader_slices_give_one_tuple_per_point(tmp_path, monkeypatch):
+    # (0, 0) is written 0, -0 and both; (2, 2) is named by every triangle, so
+    # it recurs across the cuts
+    text = written("[[0, 0], [2, 0], [2, 2]], [[-0, 0], [2, 2], [0, 2]], "
+                   "[[0, -0], [2, 2], [0, 2]], [[2, 2], [-0, -0], [2, 0]]")
+    expected = (((0, 0), (2, 0), (2, 2)), ((0, 0), (2, 2), (0, 2)),
+                ((0, 0), (2, 2), (0, 2)), ((2, 2), (0, 0), (2, 0)))
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    for size in range(1, len(text) + 2):
+        cut_text(monkeypatch, size)
+        monkeypatch.setattr(dissect, "_SLICE", size)
+        assert takes_written_path(text)
+        _, D = parse_dissection_json(text)
+        assert D.triangles == expected
+        assert len({id(v) for t in D.triangles for v in t}) == 4, size
+        assert [t for part in dissect._file_slices(str(path)) for t in part] == list(expected)
 
 
 def test_reader_slices_decline_what_the_whole_array_declines(monkeypatch):
@@ -663,10 +688,11 @@ def test_reader_slices_decline_what_the_whole_array_declines(monkeypatch):
     P, U = _square_text(2)
     text = dissection_to_json(P, Dissection(U.triangles[:3]))
     slices = []
-    real = dissect._slice_points
-    monkeypatch.setattr(dissect, "_slice_points", lambda part: slices.append(part) or real(part))
+    real = dissect._slice_triangles
+    monkeypatch.setattr(dissect, "_slice_triangles",
+                        lambda part, seen: slices.append(part) or real(part, seen))
     for size in range(1, len(text)):
-        monkeypatch.setattr(dissect, "_SLICE", size)
+        cut_text(monkeypatch, size)
         slices.clear()
         assert parse_dissection_json(text)[1].triangles == U.triangles[:3]
         # each triangle takes 24 characters and 2 more to the next; a break
@@ -677,3 +703,10 @@ def test_reader_slices_decline_what_the_whole_array_declines(monkeypatch):
                     text.replace("]], [[", "]], [[]], [[", 1)]:
             assert not takes_written_path(bad)
             assert outcome(library_parse, bad) == outcome(reference_parse, bad)
+    # the first slice has a cut of its own
+    for first, later, count in [(len(text), 1, 1), (30, 1, 2), (1, 30, 2), (1, len(text), 2)]:
+        monkeypatch.setattr(dissect, "_TEXT_FIRST", first)
+        monkeypatch.setattr(dissect, "_TEXT_SLICE", later)
+        slices.clear()
+        assert parse_dissection_json(text)[1].triangles == U.triangles[:3]
+        assert len(slices) == count, (first, later)
