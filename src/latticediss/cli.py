@@ -13,22 +13,15 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from itertools import chain
 
 from . import combi, gen, svg
 from .bench import format_table, run_bench
-from .dissect import (
-    Dissection,
-    _file_slices,
-    _json_chunks,
-    _unit_pieces,
-    diagonal_dissection,
-    parse_dissection_json,
-)
+from .dissect import diagonal_dissection, json_chunks, read_dissection, unit_pieces
 from .errors import LatticeDissError
-from .geometry import boundary_word, parse_polygon_json, polygon_to_json, signed_area2
-from .verify import MODES, _verify_slices, _witness, verify_dissection, witness_noninteger
-from .words import CyclicWord, _reduce_cyclic, decide_contractible
+from .geometry import boundary_word, parse_polygon_json, polygon_to_json, read_text, signed_area2
+from .verify import MODES, verify_slices, witness_slices
+from .words import CyclicWord, decide_contractible, stuck_positions
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,16 +32,6 @@ EXIT_INVALID = 11
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one `error: ...` line on stderr, no usage text
         self.exit(EXIT_USAGE, f"error: {message}\n")
-
-
-def _read(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        raise ValueError(f"cannot read {path}: {e}") from e
 
 
 def _write(path: str | None, chunks) -> None:
@@ -78,23 +61,11 @@ def _parse_word(s: str) -> CyclicWord:
     return CyclicWord(s)
 
 
-def _load_polygon(path: str):
-    return parse_polygon_json(_read(path))
-
-
-def _load_dissection(path: str) -> Dissection:
-    _, D = parse_dissection_json(_read(path))
-    return D
-
-
 def _print_stuck(w: CyclicWord, corners=None) -> None:
     """Say on stderr where reduction of the non-contractible w stopped: the
     stuck word, its letters' original positions and, given the polygon's
     corners, theirs."""
-    # The recording kernel runs only here.  Its survivors are the stuck
-    # letters' original positions, and spelling them gives the stuck word,
-    # the same word the verdict pass's stack holds.
-    _, _, positions = _reduce_cyclic(w.letters.encode("ascii"))
+    positions = stuck_positions(w)
     print("stuck:", "".join(w.letters[i] for i in positions), file=sys.stderr)
     print("stuck positions:", *positions, file=sys.stderr)
     if corners is not None:
@@ -103,7 +74,7 @@ def _print_stuck(w: CyclicWord, corners=None) -> None:
 
 def cmd_decide(args) -> int:
     if args.polygon is not None:
-        P = _load_polygon(args.polygon)
+        P = parse_polygon_json(read_text(args.polygon))
         w = boundary_word(P)
         print(f"word {w}")
     else:
@@ -118,7 +89,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_dissect(args) -> int:
-    P = _load_polygon(args.polygon)
+    P = parse_polygon_json(read_text(args.polygon))
     D = diagonal_dissection(P)
     if D is None:
         w = boundary_word(P)
@@ -126,43 +97,26 @@ def cmd_dissect(args) -> int:
         _print_stuck(w, P.vertices)
         return EXIT_IMPOSSIBLE
     # The unit pieces are written as refinement makes them, a slice at a time.
-    _write(args.output, _json_chunks(P, _unit_pieces(D) if args.unit else D.triangles))
+    _write(args.output, json_chunks(P, unit_pieces(D) if args.unit else D.triangles))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    P = _load_polygon(args.polygon)
-    report = None
-    if args.dissection != "-":
-        # A file in the writer's layout is read a slice at a time, and read
-        # again only for a failing boundary-chain detail.
-        try:
-            report = _verify_slices(P, lambda: _file_slices(args.dissection), args.mode, True)[0]
-        except (OSError, ValueError):
-            pass
-    if report is None:
-        # Any other text, stdin, or a file that cannot be read so, is read
-        # whole, and the general parser gives its result or its message.
-        report = verify_dissection(P, _load_dissection(args.dissection), args.mode)
+    P = parse_polygon_json(read_text(args.polygon))
+    # A file in the writer's layout is read a slice at a time, and read
+    # again only for a failing boundary-chain detail.
+    report = read_dissection(args.dissection,
+                             lambda slices: verify_slices(P, slices, args.mode, exact=True)[0])
     print(report.to_json())
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
 def cmd_witness(args) -> int:
-    P = _load_polygon(args.polygon)
-    t = None
-    if args.dissection != "-":
-        # A file in the writer's layout is read a slice at a time: once to
-        # verify it (only through, for a contractible word), once more for
-        # the witness.
-        slices = partial(_file_slices, args.dissection)
-        try:
-            t = _witness(P, slices, lambda: _verify_slices(P, slices, "any", True)[0].valid)
-        except (OSError, ValueError):
-            pass
-    if t is None:
-        # Any other text, stdin, or a file that cannot be read so, is read whole.
-        t = witness_noninteger(P, _load_dissection(args.dissection))
+    P = parse_polygon_json(read_text(args.polygon))
+    # A file in the writer's layout is read a slice at a time: once to
+    # verify it, and once more for the witness only when it verifies.
+    t = read_dissection(args.dissection, lambda slices: witness_slices(
+        P, slices, lambda once: verify_slices(P, once, "any", exact=True)[0]))
     a2 = signed_area2(t)
     print(json.dumps({
         "triangle": t,
@@ -187,9 +141,13 @@ def cmd_sperner(args) -> int:
 
 
 def cmd_render(args) -> int:
-    P = _load_polygon(args.polygon)
-    D = _load_dissection(args.dissection) if args.dissection else None
-    _write(args.output, (svg.render_svg(P, D),))
+    P = parse_polygon_json(read_text(args.polygon))
+    if args.dissection:
+        text = read_dissection(args.dissection,
+                               lambda slices: svg.render_svg(P, chain.from_iterable(slices())))
+    else:
+        text = svg.render_svg(P)
+    _write(args.output, (text,))
     return EXIT_OK
 
 

@@ -29,9 +29,9 @@ refine_triangle must match it piece for piece.
 
 The reader of dissection_to_json's layout parses each distinct point text
 of a slice once, with one json.loads, and interns its point through a dict
-shared by all slices.  A file is read in slices of about _SLICE
-characters; a text in memory in a first slice of about _TEXT_FIRST and then
-slices of about _TEXT_SLICE (see there).
+shared by all slices.  read_dissection reads a file in slices of about
+_SLICE characters; a text in memory goes in a first slice of about
+_TEXT_FIRST and then slices of about _TEXT_SLICE (see there).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, islice, tee
 from math import gcd
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from .geometry import (
@@ -52,9 +52,12 @@ from .geometry import (
     boundary_word,
     load_json,
     polygon_area2,
+    read_text,
     signed_area2,
 )
 from .words import ContractionTrace, decide_contractible
+
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -242,12 +245,12 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
     diag = diagonal_dissection(P)
     if diag is None:
         return None
-    pieces = tuple(_unit_pieces(diag))
+    pieces = tuple(unit_pieces(diag))
     assert len(pieces) == polygon_area2(P) // 2
     return Dissection(pieces)
 
 
-def _unit_pieces(diag: Dissection) -> Iterator[Triangle]:
+def unit_pieces(diag: Dissection) -> Iterator[Triangle]:
     """The unit pieces of a diagonal dissection, one at a time: its triangles
     are counterclockwise, of even doubled area."""
     return chain.from_iterable(_refined(signed_area2(t), *t) for t in diag.triangles)
@@ -284,7 +287,7 @@ _TEXT_FIRST = 16 << 10
 _TEXT_SLICE = 6 << 10
 
 
-def _json_chunks(P: ConvexLatticePolygon, triangles: Iterable[Triangle]) -> Iterator[str]:
+def json_chunks(P: ConvexLatticePolygon, triangles: Iterable[Triangle]) -> Iterator[str]:
     """dissection_to_json's text, written a slice of triangles at a time.
 
     Each slice is the text json.dumps writes for it, with the triangles
@@ -317,7 +320,7 @@ def _json_chunks(P: ConvexLatticePolygon, triangles: Iterable[Triangle]) -> Iter
 
 def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
     # The same text as json.dumps({"polygon": ..., "triangles": ...}).
-    return "".join(_json_chunks(P, D.triangles))
+    return "".join(json_chunks(P, D.triangles))
 
 
 def _recorded(triangles: Iterable[Triangle]) -> Dissection:
@@ -455,6 +458,21 @@ def _file_slices(path: str) -> Iterator[list[Triangle]]:
     with open(path, "r", encoding="utf-8") as fh:
         for part in _written(fh.read, _SLICE, _SLICE)[1]:
             yield _slice_triangles(part, {})
+
+
+def read_dissection(path: str, job: Callable[[Callable[[], Iterable[list[Triangle]]]], _R]) -> _R:
+    """job(slices) on the dissection at path, or on stdin for "-".  Each
+    slices() call reads the triangles afresh, in lists, every coordinate an
+    exact int: a file in the writer's layout a slice at a time; stdin,
+    another layout, or a file whose read raises ValueError or OSError at any
+    point, whole, by parse_dissection_json, with job run again on it."""
+    if path != "-":
+        try:
+            return job(lambda: _file_slices(path))
+        except (OSError, ValueError):
+            pass
+    triangles = parse_dissection_json(read_text(path))[1].triangles
+    return job(lambda: (triangles,))
 
 
 def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -157,6 +158,17 @@ def boundary_word(P: ConvexLatticePolygon) -> CyclicWord:
 
 
 # --- polygon file format ----------------------------------------------------
+
+def read_text(path: str) -> str:
+    """The text of the file at path, or of stdin for "-"."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ValueError(f"cannot read {path}: {e}") from e
+
 
 def load_json(text: str):
     """json.loads, with nesting too deep for the parser raised as ValueError."""

@@ -10,8 +10,9 @@ units are refused before anything is drawn.
 
 from __future__ import annotations
 
-from .dissect import Dissection
-from .geometry import ConvexLatticePolygon, color_of
+from typing import Iterable
+
+from .geometry import ConvexLatticePolygon, Triangle, color_of
 
 UNIT = 40
 LEGEND_H = 50
@@ -20,7 +21,7 @@ FILL = {"A": "black", "B": "red", "C": "blue", "D": "green"}
 MAX_SPAN = 1000
 
 
-def render_svg(P: ConvexLatticePolygon, D: Dissection | None = None) -> str:
+def render_svg(P: ConvexLatticePolygon, triangles: Iterable[Triangle] = ()) -> str:
     xs, ys = zip(*P.vertices)
     w, h = max(xs) - min(xs), max(ys) - min(ys)
     if max(w, h) > MAX_SPAN:
@@ -60,16 +61,15 @@ def render_svg(P: ConvexLatticePolygon, D: Dissection | None = None) -> str:
                    f'stroke="#dddddd" stroke-width="1"/>')
 
     vertices = set(P.vertices)
-    if D is not None:
-        segments = set()
-        for t in D.triangles:
-            vertices.update(t)
-            for k in range(3):
-                a, b = t[k], t[(k + 1) % 3]
-                segments.add((min(a, b), max(a, b)))
-        for a, b in sorted(segments):
-            out.append(f'<line x1="{px(a[0])}" y1="{py(a[1])}" x2="{px(b[0])}" y2="{py(b[1])}" '
-                       f'stroke="#555555" stroke-width="2"/>')
+    segments = set()
+    for t in triangles:
+        vertices.update(t)
+        for k in range(3):
+            a, b = t[k], t[(k + 1) % 3]
+            segments.add((min(a, b), max(a, b)))
+    for a, b in sorted(segments):
+        out.append(f'<line x1="{px(a[0])}" y1="{py(a[1])}" x2="{px(b[0])}" y2="{py(b[1])}" '
+                   f'stroke="#555555" stroke-width="2"/>')
 
     points = " ".join(f"{px(x)},{py(y)}" for x, y in P.vertices)
     out.append(f'<polygon points="{points}" fill="none" stroke="black" stroke-width="3"/>')

@@ -10,9 +10,9 @@ integers only: each side is cancelled against its exact reverse, and what
 is left is added up line by line (see _segment_index).  When the check
 fails, its detail names the first line interval of nonzero coverage and the
 triangles with a side on it.  The check is one pass over the triangles,
-a slice at a time, that keeps counters and the uncancelled sides, so the
-CLI feeds it a file a slice at a time (see _verify_slices).  poof rebuilds
-a dissection as an abstract disk triangulation, inserting degenerate
+a slice at a time, that keeps counters and the uncancelled sides, so
+verify_slices takes a file from read_dissection a slice at a time.  poof
+rebuilds a dissection as an abstract disk triangulation, inserting degenerate
 "poofagon" triangles wherever collinear vertices subdivide a triangle side
 or a polygon edge; it finds those vertices in the same per-line index.
 witness_noninteger exhibits a tricolor (hence non-integer-area) triangle in
@@ -244,8 +244,8 @@ def _int_triangle(t) -> bool:
     return all(type(c) is int for c in (x1, y1, x2, y2, x3, y3))
 
 
-def _verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequence[Triangle]]],
-                   mode: str, exact: bool) -> tuple[VerifyReport, _Index | None]:
+def verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequence[Triangle]]],
+                  mode: str, exact: bool) -> tuple[VerifyReport, _Index | None]:
     """The report on the triangles that slices() gives, slice after slice, and
     the segment index it built (None when the coordinates are not all
     integers).
@@ -352,7 +352,7 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
     read = bool(rec) and rec[0] is tris
     if mode == "any" and read and len(rec) > 1 and rec[1] is vs:
         return rec[2], rec[3]
-    report, index = _verify_slices(P, lambda: (tris,), mode, read)
+    report, index = verify_slices(P, lambda: (tris,), mode, read)
     if report.valid and mode == "any" and read and _int_pairs(vs):
         object.__setattr__(D, "_record", (tris, vs, report, index))
     return report, index
@@ -441,13 +441,15 @@ def witness_noninteger(P: ConvexLatticePolygon, D: Dissection) -> Triangle:
     Requires that P's boundary word is not contractible and that D verifies;
     existence is then guaranteed, so not finding one raises TheoremViolation.
     """
-    return _witness(P, lambda: (D.triangles,), lambda: _verify(P, D, "any")[0].valid)
+    return witness_slices(P, lambda: (D.triangles,), lambda _: _verify(P, D, "any")[0])
 
 
-def _witness(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequence[Triangle]]],
-             verifies: Callable[[], bool]) -> Triangle:
+def witness_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequence[Triangle]]],
+                   verify: Callable[[Callable], VerifyReport]) -> Triangle:
     """witness_noninteger on the triangles that slices() gives, slice after
-    slice, where verifies() says whether they dissect P.
+    slice, where verify(once) reports on them from one read of slices(),
+    which once() hands out at each call: a failing boundary-chain detail,
+    dropped by the precondition message, reads nothing more.
 
     The word is decided first.  For a contractible word slices() is still
     read through before the precondition fails, so that text the reader
@@ -459,7 +461,8 @@ def _witness(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequence[Tri
         for _ in slices():
             pass
         raise PreconditionViolated("the polygon's boundary word is contractible")
-    if not verifies():
+    read = slices()
+    if not verify(lambda: read).valid:
         raise PreconditionViolated("the dissection does not verify against the polygon")
     for t in chain.from_iterable(slices()):
         if len({color_of(v) for v in t}) == 3:

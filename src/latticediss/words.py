@@ -8,9 +8,10 @@ such steps can shrink it to length < 3.  This module provides:
 * decide_contractible — the production decider: one linear verdict pass that
   freely reduces the word's letter codes on a stack and then across the
   wrap-around, O(n) total, recording nothing.  On failure it returns the
-  stuck cyclically-reduced word; on success a ContractionTrace, which
-  computes the replayable deletion sequence on first use with the same pass,
-  each letter's original position kept next to its code;
+  stuck cyclically-reduced word (stuck_positions gives where its letters
+  were); on success a ContractionTrace, which computes the replayable
+  deletion sequence on first use with the same pass, each letter's original
+  position kept next to its code;
 * exhaustive_contractible — an independent oracle searching every step order,
   for words of at most EXHAUSTIVE_BOUND = 12 letters;
 * matrix_contractible — an independent oracle for words of any length: it
@@ -300,6 +301,13 @@ def decide_contractible(w: CyclicWord) -> tuple[bool, ContractionTrace | CyclicW
     if stuck is None:
         return True, ContractionTrace(codes)
     return False, CyclicWord(stuck.decode("ascii"))
+
+
+def stuck_positions(w: CyclicWord) -> list[int]:
+    """The original positions of the stuck word's letters in the
+    non-contractible w, in order: the recording kernel's survivors, which
+    spell the word the verdict pass's stack holds."""
+    return _reduce_cyclic(w.letters.encode("ascii"))[2]
 
 
 EXHAUSTIVE_BOUND = 12

@@ -142,7 +142,7 @@ def test_dissect_refusal_decides_once(square_file, monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr(words, "_stuck_codes", counted("verdict", words._stuck_codes))
-    monkeypatch.setattr(cli, "_reduce_cyclic", counted("recording", cli._reduce_cyclic))
+    monkeypatch.setattr(words, "_reduce_cyclic", counted("recording", words._reduce_cyclic))
     assert main(["dissect", square_file]) == 10
     capsys.readouterr()
     assert calls == {"verdict": 1, "recording": 1}
@@ -455,7 +455,7 @@ RECT46 = "[[0, 0], [4, 0], [4, 6], [0, 6]]"
 
 
 def _verify_out(argv, capsys, stdin=None, monkeypatch=None):
-    """(exit status, stdout, stderr) of one verify or witness run."""
+    """(exit status, stdout, stderr) of one verify, witness or render run."""
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
@@ -491,14 +491,19 @@ def test_slices_give_the_whole_text_results(size, tmp_path, monkeypatch, capsys)
                     argv[:2] + ["-"] + argv[3:], capsys, variant, monkeypatch)
 
 
+def _counted_reads(monkeypatch):
+    """The paths of the streamed reads of dissection files, one per read."""
+    reads, real = [], dissect._file_slices
+    monkeypatch.setattr(dissect, "_file_slices", lambda path: reads.append(path) or real(path))
+    return reads
+
+
 def test_verify_reads_a_file_again_only_for_a_failing_chain(tmp_path, monkeypatch, capsys):
     poly = tmp_path / "poly.json"
     poly.write_text(RECT46)
     out = tmp_path / "diss.json"
     assert main(["dissect", str(poly), "--unit", "-o", str(out)]) == 0
-    reads = []
-    monkeypatch.setattr(cli, "_file_slices", lambda path: reads.append(path) or
-                        dissect._file_slices(path))
+    reads = _counted_reads(monkeypatch)
     data = json.loads(out.read_text())
     for triangles, expected in [(data["triangles"], 1), (data["triangles"][:-1], 2),
                                 ([t[::-1] for t in data["triangles"]], 2)]:
@@ -507,6 +512,24 @@ def test_verify_reads_a_file_again_only_for_a_failing_chain(tmp_path, monkeypatc
         code = main(["verify", str(poly), str(out), "--mode", "unit"])
         capsys.readouterr()
         assert len(reads) == expected and code == (0 if expected == 1 else 11)
+
+
+def test_witness_reads_a_file_once_unless_it_verifies(tmp_path, monkeypatch, capsys):
+    # a valid file is read to verify it and again for the witness; one that
+    # does not verify is read once, its dropped boundary-chain detail reading
+    # nothing more, and so is a file against a contractible-word polygon
+    poly, diss = tmp_path / "poly.json", tmp_path / "diss.json"
+    reads = _counted_reads(monkeypatch)
+    for polygon, drop, code, expected in ((RECT35, 0, 0, 2), (RECT35, 1, 2, 1),
+                                          (RECT46, 0, 2, 1), (RECT46, 1, 2, 1)):
+        poly.write_text(polygon)
+        P = parse_polygon_json(polygon)
+        D = random_dissection(P, depth=6, seed=1)
+        diss.write_text(dissection_to_json(P, dissect.Dissection(D.triangles[drop:])))
+        reads.clear()
+        assert main(["witness", str(poly), str(diss)]) == code
+        capsys.readouterr()
+        assert len(reads) == expected, (polygon, drop)
 
 
 def _mutated(rng, text):
@@ -573,12 +596,41 @@ def test_witness_files_as_stdin(size, tmp_path, monkeypatch, capsys):
     assert outcomes == {"", "error:", *_PRECONDITIONS}
 
 
+@pytest.mark.parametrize("size", [3, 40, 1 << 16])
+def test_render_files_as_stdin(size, tmp_path, monkeypatch, capsys):
+    # render reads a file in the writer's layout a slice at a time, and a
+    # text that leaves the layout partway falls back to the whole read:
+    # valid, dropped and mutated files give the exit status, message and
+    # SVG bytes of the same text read whole from stdin
+    monkeypatch.setattr(dissect, "_SLICE", size)
+    rng = random.Random(f"cli-render-{size}")
+    poly, diss = tmp_path / "poly.json", tmp_path / "diss.json"
+    poly.write_text(RECT46)
+    P = parse_polygon_json(RECT46)
+    base = dissection_to_json(P, unit_dissection(P))
+    tris = json.loads(base)["triangles"]
+    texts = [base, json.dumps({"polygon": P.vertices, "triangles": tris[1:]})]
+    texts += [_mutated(rng, base) for _ in range(100)]
+    codes = set()
+    for text in texts:
+        diss.write_text(text)
+        got = []
+        for source, svg in ((str(diss), tmp_path / "a.svg"), ("-", tmp_path / "b.svg")):
+            svg.unlink(missing_ok=True)
+            code, _, err = _verify_out(["render", str(poly), source, "-o", str(svg)], capsys,
+                                       text if source == "-" else None, monkeypatch)
+            got.append((code, err, svg.read_bytes() if svg.exists() else None))
+        assert got[0] == got[1], text
+        codes.add(got[0][0])
+    assert codes == {0, 2}
+
+
 def test_witness_reads_a_written_file_a_slice_at_a_time(tmp_path, monkeypatch, capsys):
     # neither a witness nor either precondition reads the file whole
     def whole(path):
         raise AssertionError("read whole")
 
-    monkeypatch.setattr(cli, "_load_dissection", whole)
+    monkeypatch.setattr(dissect, "read_text", whole)
     poly, diss = tmp_path / "poly.json", tmp_path / "diss.json"
     for polygon, expected in ((RECT35, 0), (RECT46, 2)):
         poly.write_text(polygon)
@@ -593,11 +645,11 @@ def test_witness_reads_a_written_file_a_slice_at_a_time(tmp_path, monkeypatch, c
 def test_dissect_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     # a failure after the first slice is written removes the file
     def failing(D):
-        yield from dissect._unit_pieces(D)
+        yield from dissect.unit_pieces(D)
         raise ValueError("refinement failed")
 
     monkeypatch.setattr(dissect, "_SLICE", 64)
-    monkeypatch.setattr(cli, "_unit_pieces", failing)
+    monkeypatch.setattr(cli, "unit_pieces", failing)
     poly = tmp_path / "poly.json"
     poly.write_text(RECT46)
     out = tmp_path / "out"

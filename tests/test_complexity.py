@@ -150,6 +150,13 @@ def cli_witness_stage(side):
     return main, (["witness", poly, path],), len(cells)
 
 
+def cli_render_stage(side):
+    # render from a file in the writer's layout, read a slice at a time: the
+    # distinct edges are kept and sorted, and the sort is not counted
+    _, (argv,), items = cli_verify_stage(side)
+    return main, (["render", argv[1], argv[2], "-o", os.devnull],), items
+
+
 def poof_stage(count):
     req = inputs.foreign_request(random.Random(count), count, "valid", True)
     return poof, (validate_convex(req.polygon), Dissection(req.triangles)), len(req.triangles)
@@ -204,6 +211,7 @@ STAGES = {
     "cli_dissect_unit": (cli_dissect_stage, 40, 2),
     "cli_verify_unit": (cli_verify_stage, 40, 2),
     "cli_witness": (cli_witness_stage, 40, 2),
+    "cli_render": (cli_render_stage, 40, 2),
     "poof": (poof_stage, 250, 4),
     "foreign_read": (foreign_read_stage, 250, 4),
     "verify_failure": (verify_failure_stage, 250, 4),

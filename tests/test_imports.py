@@ -1,5 +1,6 @@
 """Every module of the package and of the test suite uses each name it
-imports, and the package reads each private name it defines at top level."""
+imports, the package reads each private name it defines at top level, and no
+module of the package imports a private name from another."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,25 @@ def test_every_private_name_in_src_is_read():
     assert len(defined) > 40  # the check sees the package's helpers
     assert [f"{path.relative_to(ROOT)}:{line}: {name}"
             for path, line, name in defined if name not in loaded] == []
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each _-prefixed name imported from a module of the
+    same package (a relative import)."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level >= 1
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_imports_are_found():
+    source = ("from . import _a, b\nfrom .m import (\n    _c,\n    d,\n)\n"
+              "from os import _exit\nfrom __future__ import annotations\n"
+              "def f():\n    from ..n import _e\n")
+    assert private_imports(source) == [(1, "_a"), (2, "_c"), (9, "_e")]
+
+
+def test_no_module_in_src_imports_a_private_name_of_another():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in private_imports(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -28,7 +28,7 @@ from latticediss.geometry import (
     signed_area2,
     validate_convex,
 )
-from latticediss.verify import MODES, _verify_slices, poof, verify_dissection, witness_noninteger
+from latticediss.verify import MODES, poof, verify_dissection, verify_slices, witness_noninteger
 from latticediss.words import CyclicWord
 from chain_reference import chain_failure as reference_chain_failure
 from chain_reference import segment_index as reference_segment_index
@@ -295,11 +295,11 @@ def test_reports_do_not_depend_on_slices():
         tris = tuple(tris)
         for mode in MODES:
             # to_json, since a NaN total equals no NaN
-            whole = _verify_slices(P, lambda: (tris,), mode, False)[0]
+            whole = verify_slices(P, lambda: (tris,), mode, False)[0]
             assert whole.to_json() == verify_dissection(P, Dissection(tris), mode).to_json()
             for k in (1, 3, 7):
                 slices = _sliced(tris, k)
-                sliced = _verify_slices(P, lambda: slices, mode, False)[0]
+                sliced = verify_slices(P, lambda: slices, mode, False)[0]
                 assert sliced.to_json() == whole.to_json(), (P, tris, k)
             details.update(c.detail for c in whole.checks if not c.passed)
     assert any("more)" in d for d in details)
@@ -390,7 +390,7 @@ def test_segment_index_matches_reference_in_order():
         expected = _index_in_order(([((*p, *q), *rest) for p, q, *rest in segments], lines))
         for k in (max(1, len(tris)), 1, 7):
             slices = [tris[i:i + k] for i in range(0, len(tris), k)]
-            index = _verify_slices(P, lambda: slices, "any", False)[1]
+            index = verify_slices(P, lambda: slices, "any", False)[1]
             assert _index_in_order(index) == expected, (P, tris, k)
 
 
@@ -427,7 +427,7 @@ def test_chain_failure_detail_matches_the_side_by_side_scan():
         assert chain.detail == expected, (P, tris)
         for k in (1, 3, 7):
             slices = [tris[i:i + k] for i in range(0, len(tris), k)]
-            report = _verify_slices(P, lambda: slices, "any", False)[0]
+            report = verify_slices(P, lambda: slices, "any", False)[0]
             assert report.checks[1].detail == expected, (P, tris, k)
         details.add(expected.endswith("none"))
     assert details == {True, False}  # details with and without triangles named
