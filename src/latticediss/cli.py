@@ -142,6 +142,7 @@ def cmd_sperner(args) -> int:
 
 def cmd_render(args) -> int:
     P = parse_polygon_json(read_text(args.polygon))
+    svg.check_span(P)  # before the dissection is read
     if args.dissection:
         text = read_dissection(args.dissection,
                                lambda slices: svg.render_svg(P, chain.from_iterable(slices())))

@@ -12,6 +12,7 @@ with an interval recurrence.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import eq
 from typing import Iterable, Mapping, Sequence
@@ -85,10 +86,10 @@ def _same_cycle(cycle: list[int], corners: tuple) -> bool:
 
 def _boundary_error(boundary: list[tuple[int, int]], corners: tuple) -> str | None:
     """Why the boundary edges are not one cycle matching the corners, or None."""
-    nbr: dict[int, list[int]] = {}
+    nbr: defaultdict[int, list[int]] = defaultdict(list)
     for a, b in boundary:
-        nbr.setdefault(a, []).append(b)
-        nbr.setdefault(b, []).append(a)
+        nbr[a].append(b)
+        nbr[b].append(a)
     bad_deg = [v for v, ns in nbr.items() if len(ns) != 2]
     if not boundary:
         return "no boundary edges: not a disk with boundary"
@@ -125,7 +126,13 @@ def _count_edges(T: Triangulation) -> tuple[list, list[int], int] | None:
     face_of: dict[tuple[int, int], int | None] = {}
     first = face_of.setdefault
     parent = list(range(len(T.triangles)))
-    for i, (a, b, c) in enumerate(map(sorted, T.triangles)):
+    for i, (a, b, c) in enumerate(T.triangles):  # ordered by swaps, with no list
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+        if a > b:
+            a, b = b, a
         for e in ((a, b), (b, c), (a, c)):
             j = first(e, i)
             if j == i:

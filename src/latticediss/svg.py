@@ -21,12 +21,18 @@ FILL = {"A": "black", "B": "red", "C": "blue", "D": "green"}
 MAX_SPAN = 1000
 
 
-def render_svg(P: ConvexLatticePolygon, triangles: Iterable[Triangle] = ()) -> str:
+def check_span(P: ConvexLatticePolygon) -> None:
+    """Raise ValueError when P is wider or taller than MAX_SPAN units."""
     xs, ys = zip(*P.vertices)
     w, h = max(xs) - min(xs), max(ys) - min(ys)
     if max(w, h) > MAX_SPAN:
         raise ValueError(f"polygon spans {w} x {h} lattice units; "
                          f"render draws at most {MAX_SPAN} in each direction")
+
+
+def render_svg(P: ConvexLatticePolygon, triangles: Iterable[Triangle] = ()) -> str:
+    check_span(P)
+    xs, ys = zip(*P.vertices)
     minx, maxx = min(xs) - 1, max(xs) + 1
     miny, maxy = min(ys) - 1, max(ys) + 1
 

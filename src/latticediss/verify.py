@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count
 from math import gcd, nan
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -387,12 +387,11 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     The verification is the one kept on a read D just verified against P
     (see _verify).  Vertex ids number the dissection's points in sorted
     order; the ids, the frozen triangles, the colors and the returned point
-    map are each built in one pass of map, zip or dict.  The Triangulation
-    takes them unchecked (Triangulation._of): every id is an int from idx,
-    a verified triangle has three distinct points, and a poofagon joins a
-    side's start point to two consecutive points strictly further along it,
-    so each triangle is 3 distinct int ids.  validate_disk still checks the
-    whole disk.
+    map are each built in one pass.  The Triangulation takes them unchecked
+    (Triangulation._of): every id is an int from idx, a verified triangle
+    has three distinct points, and a poofagon joins a side's start point to
+    two consecutive points strictly further along it, so each triangle is 3
+    distinct int ids.  validate_disk still checks the whole disk.
     """
     rep, index = _verify(P, D, "any")
     if not rep.valid:
@@ -400,37 +399,39 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
 
     pts = sorted(set(chain.from_iterable(D.triangles)))
     idx = dict(zip(pts, count()))
-    tris = set(map(frozenset, map(map, repeat(idx.__getitem__), D.triangles)))
+    tris = {frozenset((idx[a], idx[b], idx[c])) for a, b, c in D.triangles}
 
-    # P's edges are in the index reversed; their fans start at the edge's start.
-    reversed_edges = {(b, a) for a, b in P.edges()}
-    coords: dict[_Line, list[int]] = {}
+    # P's edges are in the index reversed, keyed as in verify_slices; their
+    # fans start at the edge's start.
+    vs = P.vertices
+    reversed_edges = set(map(tuple.__add__, vs[1:] + vs[:1], vs))
     segments, lines = index
+    coords = {line: sorted(deltas) for line, deltas in lines.items()}
     for side, line, tp, tq in segments:
-        ts = coords.get(line)
-        if ts is None:
-            ts = coords[line] = sorted(lines[line])
+        ts = coords[line]
         lo, hi = (tp, tq) if tp < tq else (tq, tp)
         i, j = bisect_right(ts, lo), bisect_left(ts, hi)
         if i == j:
             continue
-        p, q = side[:2], side[2:]
-        rev = (p, q) in reversed_edges  # P's edge q -> p, whose fan starts at q
-        fan = [idx[_point_on(line, t)] for t in ts[i:j]]
-        if (tp > tq) != rev:  # order the inner points from the fan's start
-            fan.reverse()
-        fan.append(idx[p if rev else q])
-        apex = idx[q if rev else p]
-        for k in range(len(fan) - 1):
-            poofagon = frozenset((apex, fan[k], fan[k + 1]))
+        rev = side in reversed_edges  # P's edge q -> p, whose fan starts at q
+        apex, a = (idx[side[2:]], idx[side[:2]]) if rev else (idx[side[:2]], idx[side[2:]])
+        inner = ts[i:j]
+        if (tp < tq) != rev:  # walk the inner points from the fan's end
+            inner.reverse()
+        ux, uy, off = line  # each inner point b as _point_on gives it
+        n = ux * ux + uy * uy
+        for t in inner:
+            b = idx[(ux * t - uy * off) // n, (uy * t + ux * off) // n]
+            poofagon = frozenset((apex, b, a))
             assert poofagon not in tris, "poofagon collides with an existing triangle"
             tris.add(poofagon)
-    del index, segments, lines, coords  # the disk is built without them
+            a = b
+    del index, segments, lines, coords, reversed_edges  # the disk is built without them
 
-    missing = [v for v in P.vertices if v not in idx]
+    missing = [v for v in vs if v not in idx]
     assert not missing, f"polygon corners {missing} are not dissection vertices"
     T = Triangulation._of(dict(enumerate(map(color_of, pts))), frozenset(tris),
-                          tuple(map(idx.__getitem__, P.vertices)))
+                          tuple(map(idx.__getitem__, vs)))
     validate_disk(T)
     return T, dict(enumerate(pts))
 

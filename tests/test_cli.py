@@ -407,6 +407,30 @@ def test_render_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_render_checks_the_span_before_reading_the_dissection(tmp_path, monkeypatch, capsys):
+    # a polygon beyond MAX_SPAN is refused with neither a streamed nor a whole
+    # read of the dissection, so a valid, a bad and a missing file all get
+    # the span message
+    def whole(path):
+        raise AssertionError("read whole")
+
+    reads = _counted_reads(monkeypatch)
+    monkeypatch.setattr(dissect, "read_text", whole)
+    poly, diss, out = tmp_path / "poly.json", tmp_path / "diss.json", tmp_path / "x.svg"
+    poly.write_text("[[0,0],[1001,0],[1001,1],[0,1]]")
+    P = parse_polygon_json(poly.read_text())
+    halves = dissect.Dissection((((0, 0), (1001, 0), (1001, 1)), ((0, 0), (1001, 1), (0, 1))))
+    for text in (dissection_to_json(P, halves), "not json", None):
+        diss.unlink(missing_ok=True)
+        if text is not None:
+            diss.write_text(text)
+        assert main(["render", str(poly), str(diss), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: polygon spans 1001 x 1 lattice units; "
+                                           "render draws at most 1000 in each direction\n")
+        assert not out.exists()
+    assert reads == []
+
+
 def test_bench_cli(capsys):
     assert main(["bench", "--lengths", "500,1000", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -672,6 +672,26 @@ def test_poof_builds_what_the_public_constructor_accepts():
             T.corners = ()
 
 
+def test_poof_matches_reference_on_foreign_requests():
+    # the benchmark's shuffled and relabelled T-vertex dissections, fresh,
+    # read, and read with a verification kept
+    poofagons = 0
+    for count in (30, 120, 500):
+        for contractible in (True, False):
+            req = inputs.foreign_request(random.Random(count), count, "valid", contractible)
+            P = validate_convex(req.polygon)
+            tris, corners, ref_vmap = reference_poof(P, Dissection(req.triangles))
+            colors = [(i, color_of(p)) for i, p in ref_vmap.items()]
+            read = parse_dissection_json(req.dissection_text)[1]
+            for D in (Dissection(req.triangles), read, _kept(P, read)):
+                T, vmap = poof(P, D)
+                assert (T.triangles, T.corners) == (tris, corners)
+                assert list(T.vertex_colors.items()) == colors
+                assert list(vmap.items()) == list(ref_vmap.items())
+            poofagons += len(tris) - len(req.triangles)
+    assert poofagons >= 100  # the inputs do subdivide sides and edges
+
+
 # --- the verification kept on a read Dissection ------------------------------------
 
 def _read(P, D):

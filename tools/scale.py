@@ -16,14 +16,18 @@ which verifies first, on a fresh `Dissection` of
 `perfbench.inputs.foreign_request(random.Random(n), n, "valid", True)` for
 each n in POOF_COUNTS, POOF_REPS times with the collector on, and the run
 records the fastest in µs per input triangle; the request is made once here
-and handed to every child as a file.  With --parent, every pair runs the parent tree and this one in
-alternating order, checks that both give the same output (the dissection
-file's bytes, or a digest of poof's triangles, corners, colors and point
-map), and the record holds both; verify must accept every file.  The last
-line of standard output is the record; --out also stores it in a JSON file
-under the mode's name, keeping the other mode's record.  The exit status is
-1 when a run of this tree goes over --max-dissect-mb or --max-verify-mb, or
-when a check fails.
+and handed to every child as a file.  Beside those wall times, one more
+child per tree and count records two figures that do not depend on the
+host's speed, from one untimed poof each: the gen-0 collections per input
+triangle, and the line events per input triangle in the package's frames,
+counted by tests/test_complexity.py's line_events.  With --parent, every
+pair runs the parent tree and this one in alternating order, checks that
+both give the same output (the dissection file's bytes, or a digest of
+poof's triangles, corners, colors and point map), and the record holds
+both; verify must accept every file.  The last line of standard output is
+the record; --out also stores it in a JSON file under the mode's name,
+keeping the other mode's record.  The exit status is 1 when a run of this
+tree goes over --max-dissect-mb or --max-verify-mb, or when a check fails.
 """
 
 from __future__ import annotations
@@ -72,6 +76,28 @@ shape = (T.sorted_triangles(), T.corners, sorted(T.vertex_colors.items()), sorte
 print(json.dumps({"us_per_tri": [t / len(tris) * 1e6 for t in times],
                   "poofed": len(T.triangles),
                   "digest": hashlib.sha256(repr(shape).encode()).hexdigest()}))
+"""
+# Counts, untimed, the gen-0 collections and then the line events in the
+# package's frames of one poof of the request in argv[1], with the line-event
+# counter of the tests/ directory in argv[2]; prints one JSON line.
+POOF_COUNT_CHILD = """
+import gc, json, sys
+from latticediss.dissect import Dissection
+from latticediss.geometry import validate_convex
+from latticediss.verify import poof
+sys.path.insert(0, sys.argv[2])
+from test_complexity import line_events
+with open(sys.argv[1]) as fh:
+    data = json.load(fh)
+P = validate_convex([tuple(p) for p in data["polygon"]])
+seen = {}
+tris = tuple(tuple(seen.setdefault(p, p) for p in map(tuple, t)) for t in data["triangles"])
+gc.collect()
+before = gc.get_stats()[0]["collections"]
+poof(P, Dissection(tris))
+gen0 = gc.get_stats()[0]["collections"] - before
+print(json.dumps({"line_events_per_tri": line_events(poof, P, Dissection(tris)) / len(tris),
+                  "gen0_per_tri": gen0 / len(tris)}))
 """
 
 
@@ -177,27 +203,37 @@ def measure_poof(trees: dict[str, Path], count: int, pairs: int,
             digests[name] = result["digest"]
         if len(set(digests.values())) > 1:
             problems.append(f"the trees poof the {count}-triangle request differently")
-    for r in runs.values():
+    for name, r in runs.items():
         if r["us_per_tri"]:
             r["median_us_per_tri"] = statistics.median(r["us_per_tri"])
+        _, _, code, out = run(trees[name], ["-c", POOF_COUNT_CHILD, str(path),
+                                            str(ROOT / "tests")])
+        if code != 0:
+            problems.append(f"{name} poof count of {count} triangles exited {code}")
+            continue
+        r.update({k: round(v, 4) for k, v in json.loads(out).items()})
     return {"count": count, "triangles": len(req.triangles), "runs": runs}, problems
 
 
+POOF_FIGURES = {"time": "median_us_per_tri", "line_events": "line_events_per_tri",
+                "gen0": "gen0_per_tri"}  # summary name -> the per-triangle figure
+
+
 def summary_poof(results: list[dict]) -> dict:
-    """For each tree, the median µs per triangle at the largest count over
-    the one at the smallest; with a parent, the change's median over the
-    parent's at each count."""
+    """For each tree and figure, its value at the largest count over the one
+    at the smallest; with a parent, the change's value over the parent's at
+    each count."""
     out = {}
     first, last = results[0]["runs"], results[-1]["runs"]
     for name in first:
-        if "median_us_per_tri" in first[name] and "median_us_per_tri" in last[name]:
-            out[f"{name}_growth"] = round(last[name]["median_us_per_tri"]
-                                          / first[name]["median_us_per_tri"], 3)
+        for fig, key in POOF_FIGURES.items():
+            if first[name].get(key) and key in last[name]:
+                out[f"{name}_{fig}_growth"] = round(last[name][key] / first[name][key], 3)
     if "parent" in first:
-        out["change_over_parent_time"] = {
-            str(r["count"]): round(r["runs"]["change"]["median_us_per_tri"]
-                                   / r["runs"]["parent"]["median_us_per_tri"], 3)
-            for r in results if all("median_us_per_tri" in v for v in r["runs"].values())}
+        for fig, key in POOF_FIGURES.items():
+            out[f"change_over_parent_{fig}"] = {
+                str(r["count"]): round(r["runs"]["change"][key] / r["runs"]["parent"][key], 3)
+                for r in results if all(v.get(key) for v in r["runs"].values())}
     return out
 
 
