@@ -112,18 +112,21 @@ def _boundary_error(boundary: list[tuple[int, int]], corners: tuple) -> str | No
     return None
 
 
-def _count_edges(T: Triangulation) -> tuple[list, list[int], int] | None:
+def _count_edges(T: Triangulation, lo: int, n: int) -> tuple[list, list[int], int] | None:
     """One pass over T's edges: None if some edge has a third face, else
     (boundary edges, union-find parents of the faces, number of edges).
 
-    A flat map takes each edge (a, b), a < b, to its first face, then to
-    None once a second face has come, and the two faces are merged: the
-    root of the earlier face is linked to face i, the face being scanned.
-    Face i is still a root then, since only earlier faces have been linked,
-    so it needs no find.  The boundary edges come in order of first
-    appearance over T.triangles.
+    T's ids lie in lo .. lo + n - 1.  A flat map takes the int key a * n + b
+    of each edge (a, b), a < b, to its first face, then to None once a
+    second face has come, and the two faces are merged: the root of the
+    earlier face is linked to face i, the face being scanned.  Face i is
+    still a root then, since only earlier faces have been linked, so it
+    needs no find.  The key names the edge for any int ids: if a * n + b ==
+    a' * n + b', then b' - b is a multiple of n inside (-n, n), so it is 0.
+    So no tuple is built or kept per edge; only the boundary edges are
+    decoded, as (a, b) pairs in order of first appearance over T.triangles.
     """
-    face_of: dict[tuple[int, int], int | None] = {}
+    face_of: dict[int, int | None] = {}
     first = face_of.setdefault
     parent = list(range(len(T.triangles)))
     for i, (a, b, c) in enumerate(T.triangles):  # ordered by swaps, with no list
@@ -133,7 +136,8 @@ def _count_edges(T: Triangulation) -> tuple[list, list[int], int] | None:
             b, c = c, b
         if a > b:
             a, b = b, a
-        for e in ((a, b), (b, c), (a, c)):
+        an = a * n
+        for e in (an + b, b * n + c, an + c):
             j = first(e, i)
             if j == i:
                 continue
@@ -143,15 +147,18 @@ def _count_edges(T: Triangulation) -> tuple[list, list[int], int] | None:
             while parent[j] != j:
                 parent[j] = j = parent[parent[j]]
             parent[j] = i
-    return [e for e, f in face_of.items() if f is not None], parent, len(face_of)
+    shift = lo * (n + 1)  # e - shift == (a - lo) * n + (b - lo), and 0 <= b - lo < n
+    boundary = [divmod(e - shift, n) for e, f in face_of.items() if f is not None]
+    return [(lo + q, lo + r) for q, r in boundary], parent, len(face_of)
 
 
 def disk_errors(T: Triangulation) -> list[str]:
     """All violations of the disk contract, one message per condition.
 
-    One counting pass (_count_edges) builds no list per edge or face.  From
-    its results, in order: no edge has a third face, the boundary is one
-    cycle matching the corners, the faces are edge-connected and
+    One counting pass (_count_edges) keys each edge by one int, from the
+    range of the ids in use, and builds no tuple or list per edge or face.
+    From its results, in order: no edge has a third face, the boundary is
+    one cycle matching the corners, the faces are edge-connected and
     V - E + F = 1.  Only a third face makes the edge -> faces lists, to
     name the faces.  The per-vertex fan walk runs last and only if an
     earlier check failed, so a valid disk costs linear time.  The fan walk
@@ -167,7 +174,8 @@ def disk_errors(T: Triangulation) -> list[str]:
     used = set().union(*T.triangles)
     errors = [f"vertex {v} has no color" for v in sorted(used.difference(T.vertex_colors))]
     errors += [f"vertex {v} lies in no triangle" for v in sorted(T.vertex_colors.keys() - used)]
-    counted = _count_edges(T)
+    lo = min(used)
+    counted = _count_edges(T, lo, max(used) - lo + 1)
     if counted is None:
         # edge (a, b) with a < b -> its triangles, in order of first appearance
         edge_faces: dict[tuple[int, int], list[frozenset]] = {}

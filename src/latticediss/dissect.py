@@ -16,9 +16,11 @@ and is strictly smaller, so the worklist terminates with exactly
 doubled-area/2 unit pieces.
 
 The worklist loop does this with plain integer arithmetic and builds no map
-objects.  Three non-collinear points fix an affine map, so the split point
-depends only on the triangle and its chosen edge v0 -> v1, and can be
-written straight in the triangle's own coordinates: with (a, b) = v1 - v0,
+objects.  After a split it carries on with the piece it would pop next and
+pushes only the others, so it pops only after a unit piece.  Three
+non-collinear points fix an affine map, so the split point depends only on
+the triangle and its chosen edge v0 -> v1, and can be written straight in
+the triangle's own coordinates: with (a, b) = v1 - v0,
 d = gcd(a, b) and u = (a, b)/d, the points (2,0) and (1,0) are v0 + 2u and
 v0 + u, and only the d = 2, q odd case needs a Bezout pair of u, from pow,
 to place (1,1) or (2,1).  A triangle of doubled area 4 has d = 4, or d = 2
@@ -138,11 +140,13 @@ def refine_triangle(t: Triangle) -> Dissection:
 def _refined(a2: int, u0: Point, u1: Point, u2: Point) -> Iterator[Triangle]:
     """The unit pieces of the counterclockwise triangle (u0, u1, u2) of doubled
     area a2, even and positive, one at a time, in refine_triangle's order."""
-    work = [(a2, u0, u1, u2)]  # (doubled area, counterclockwise vertices)
-    while work:
-        a2, u0, u1, u2 = work.pop()
+    work = []  # (doubled area, counterclockwise vertices) of the pieces set aside
+    while True:
         if a2 == 2:
             yield (u0, u1, u2)
+            if not work:
+                return
+            a2, u0, u1, u2 = work.pop()
             continue
         x0, y0 = u0
         x1, y1 = u1
@@ -164,6 +168,9 @@ def _refined(a2: int, u0: Point, u1: Point, u2: Point) -> Iterator[Triangle]:
                 x = ((x1 + x2) // 2, (y1 + y2) // 2)
                 yield (x, u2, u0)
                 yield (u1, x, u0)
+            if not work:
+                return
+            a2, u0, u1, u2 = work.pop()
             continue
         # The first same-colored pair, taken in counterclockwise order, is the
         # edge v0 -> v1 that the normal form sends to (0,0) -> (d,0); v0 is
@@ -203,15 +210,20 @@ def _refined(a2: int, u0: Point, u1: Point, u2: Point) -> Iterator[Triangle]:
         if o0 < 0 or o1 < 0 or o2 < 0:
             raise OutsideTriangle(f"{x} lies outside the triangle")
         assert not (o0 | o1 | o2) & 1
-        # The pieces in split_with_point's order; the last is popped first.
+        # The pieces in split_with_point's order: the last is refined next,
+        # the others are set aside.
         if o0 and o1 and o2:
-            work += (o0, u0, u1, x), (o1, u1, u2, x), (o2, u2, u0, x)
+            work += (o0, u0, u1, x), (o1, u1, u2, x)
+            a2, u0, u1, u2 = o2, u2, u0, x
         elif o1 and o2:  # x inside edge u0 u1
-            work += (o2, u0, x, u2), (o1, x, u1, u2)
+            work.append((o2, u0, x, u2))
+            a2, u0 = o1, x
         elif o0 and o2:  # x inside edge u1 u2
-            work += (o0, u1, x, u0), (o2, x, u2, u0)
+            work.append((o0, u1, x, u0))
+            a2, u0, u1, u2 = o2, x, u2, u0
         elif o0 and o1:  # x inside edge u2 u0
-            work += (o1, u2, x, u1), (o0, x, u0, u1)
+            work.append((o1, u2, x, u1))
+            a2, u0, u1, u2 = o0, x, u0, u1
         else:
             raise IsVertex(f"{x} is a vertex of the triangle")
 

@@ -391,7 +391,10 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     (Triangulation._of): every id is an int from idx, a verified triangle
     has three distinct points, and a poofagon joins a side's start point to
     two consecutive points strictly further along it, so each triangle is 3
-    distinct int ids.  validate_disk still checks the whole disk.
+    distinct int ids.  validate_disk still checks the whole disk.  Before
+    it runs, poof frees the segment index, the triangle set and the point
+    -> id map: of its own working set only T, the verification report and
+    the sorted points, which the returned point map needs, stay alive.
     """
     rep, index = _verify(P, D, "any")
     if not rep.valid:
@@ -432,6 +435,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     assert not missing, f"polygon corners {missing} are not dissection vertices"
     T = Triangulation._of(dict(enumerate(map(color_of, pts))), frozenset(tris),
                           tuple(map(idx.__getitem__, vs)))
+    del tris, idx  # T holds its own frozen copy; the disk check runs without them
     validate_disk(T)
     return T, dict(enumerate(pts))
 

@@ -247,6 +247,65 @@ def test_disk_errors_matches_reference_on_damaged_poofed_disks(count):
                 assert errs, (count, seed, kind)
 
 
+# Injective relabellings of vertex ids.  disk_errors keys each edge by one int
+# within the range of ids in use, which must stay unique and decode back to
+# the edge for ids that are negative, sparse or beyond 2**64.
+ID_MAPS = {
+    "negative": lambda v: -3 * v - 1,
+    "mixed-sign": lambda v: 7 * v - 20,
+    "sparse": lambda v: v * 1_000_003 + v * v * 7919,
+    "beyond-2**64": lambda v: 2**64 + 1 + v * 2**65,
+    "below--2**64": lambda v: -(2**70) - v * (2**64 + 3),
+}
+
+# A complex of each kind the edge keys feed: (name, complex, is a disk).
+KEYED_CASES = [
+    ("valid-fan", _fan(9), True),
+    ("valid-quad-star", quad_star("ABCAB"), True),
+    ("third-face", MALFORMED["overused-edge"], False),
+    ("third-face-on-fan", Triangulation({i: "A" for i in range(10)},
+                                        [(0, i, i + 1) for i in range(1, 8)] + [(0, 4, 9)],
+                                        tuple(range(9))), False),
+    ("two-boundary-cycles", MALFORMED["annulus"], False),
+    ("disconnected-face", MALFORMED["triangle-beside-torus"], False),
+    ("face-beside-fan", Triangulation({i: "A" for i in range(12)},
+                                      [(0, i, i + 1) for i in range(1, 8)] + [(9, 10, 11)],
+                                      tuple(range(9))), False),
+    ("wrong-corners", MALFORMED["wrong-corners"], False),
+    ("swapped-corners", _fan(9, (0, 2, 1, 3, 4, 5, 6, 7, 8)), False),
+]
+
+
+def _relabelled(T, f):
+    return Triangulation({f(v): c for v, c in T.vertex_colors.items()},
+                         [[f(v) for v in t] for t in T.triangles], [f(v) for v in T.corners])
+
+
+@pytest.mark.parametrize("name, T, is_disk", KEYED_CASES, ids=[c[0] for c in KEYED_CASES])
+@pytest.mark.parametrize("id_map", sorted(ID_MAPS))
+def test_disk_errors_matches_reference_on_relabelled_ids(name, T, is_disk, id_map):
+    R = _relabelled(T, ID_MAPS[id_map])
+    errs = disk_errors(R)
+    assert errs == disk_reference.disk_errors(R)
+    assert (errs == []) == is_disk, errs
+    if not is_disk:  # the same conditions fail as under the original ids
+        assert len(errs) == len(disk_errors(T))
+    if name.endswith("corners"):  # the message lists the boundary cycle in walk order
+        assert errs[0].startswith("boundary cycle ["), errs
+
+
+@pytest.mark.parametrize("id_map", sorted(ID_MAPS))
+def test_disk_errors_matches_reference_on_relabelled_poofed_disks(id_map):
+    rng = random.Random(29)
+    req = inputs.foreign_request(rng, 120, "valid", True)
+    P = parse_polygon_json(req.polygon_text)
+    _, D = parse_dissection_json(req.dissection_text)
+    T = _relabelled(poof(P, D)[0], ID_MAPS[id_map])
+    assert disk_errors(T) == disk_reference.disk_errors(T) == []
+    for kind, bad in _damaged_disks(T, rng).items():
+        assert disk_errors(bad) == disk_reference.disk_errors(bad), kind
+
+
 # --- boundary words and tricolors -------------------------------------------
 
 def test_boundary_word_of():

@@ -1,5 +1,6 @@
 """Memory guard: the CLI's dissect --unit, verify --mode unit and witness, in
-process, on the n x n and 2n x 2n squares under tracemalloc.
+process, on the n x n and 2n x 2n squares under tracemalloc; and poof, which
+must free its working set before its disk check.
 
 The commands work on one slice of the triangles array at a time, so their
 tracemalloc peaks must not follow the triangle count, which grows fourfold:
@@ -13,13 +14,23 @@ with like.
 """
 
 import contextlib
+import gc
 import io
 import json
+import random
+import sys
 import tracemalloc
+from pathlib import Path
 
+from latticediss import verify
 from latticediss.cli import main
-from latticediss.dissect import Dissection, dissection_to_json
-from latticediss.geometry import validate_convex
+from latticediss.dissect import Dissection, dissection_to_json, parse_dissection_json
+from latticediss.geometry import parse_polygon_json, validate_convex
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench import inputs  # noqa: E402
 
 N = 100
 GROWTH = 1.10
@@ -65,3 +76,36 @@ def test_cli_witness_peak_does_not_grow_with_the_triangles(tmp_path):
         del cells
         peaks[side] = peak_mb(["witness", str(poly), str(diss)])
     assert peaks[2 * N + 1] < GROWTH * peaks[N + 1], peaks
+
+
+def test_poof_holds_no_more_than_its_result_at_the_disk_check(monkeypatch):
+    # What is in use when poof calls validate_disk must be no more than what
+    # its returned (T, points) holds once it returns: the sorted point list
+    # stays for the point map, but the triangle set and the point -> id map
+    # that built T, about 42 KB here, must be gone by then.  A full
+    # collection before each reading empties the free lists, whose blocks
+    # tracemalloc counts as in use.
+    req = inputs.foreign_request(random.Random(29), 500, "valid", True)
+    P = parse_polygon_json(req.polygon_text)
+    _, D = parse_dissection_json(req.dissection_text)
+    verify.poof(P, D)  # warm up: verification kept on D, caches filled
+    at_entry, check = [], verify.validate_disk
+
+    def recording(T):
+        gc.collect()
+        at_entry.append(tracemalloc.get_traced_memory()[0])
+        check(T)
+
+    monkeypatch.setattr(verify, "validate_disk", recording)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = verify.poof(P, D)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result[0].triangles) > 500 and len(at_entry) == 1
+    assert at_entry[0] - base <= held, (
+        f"{at_entry[0] - base} bytes in use at the disk check, {held} held by poof's result")
