@@ -6,12 +6,13 @@ neighbors are not three pairwise distinct labels; a word is contractible when
 such steps can shrink it to length < 3.  This module provides:
 
 * decide_contractible — the production decider: one linear verdict pass that
-  freely reduces the word's letter codes on a stack and then across the
-  wrap-around, O(n) total, recording nothing.  On failure it returns the
-  stuck cyclically-reduced word (stuck_positions gives where its letters
-  were); on success a ContractionTrace, which computes the replayable
-  deletion sequence on first use with the same pass, each letter's original
-  position kept next to its code;
+  freely reduces the word's letter codes on a bytearray stack, one byte per
+  stacked letter, reading the word one bounded chunk at a time, and then
+  reduces across the wrap-around, O(n) total, recording nothing.  On failure
+  it returns the stuck cyclically-reduced word (stuck_positions gives where
+  its letters were); on success a ContractionTrace, which keeps the word's
+  letters and computes the replayable deletion sequence on first use with
+  the same pass, each letter's original position kept next to its code;
 * exhaustive_contractible — an independent oracle searching every step order,
   for words of at most EXHAUSTIVE_BOUND = 12 letters;
 * matrix_contractible — an independent oracle for words of any length: it
@@ -100,25 +101,26 @@ class ContractionTrace:
     """The deletion sequence that contracts a word, computed on first use.
 
     decide_contractible returns one for a contractible word without recording
-    anything: the trace keeps the word's letter codes and runs the recording
-    kernel, _reduce_cyclic, once, the first time steps, terminal, iteration or
-    replay is used.  len() needs no kernel run: a word of n letters takes
-    max(n - 2, 0) steps.  Each step is a (deleted, left, right) triple of
-    original positions: the letter removed and its two cyclic neighbors at
-    that moment.  The steps contract the word to terminal, the (at most 2)
+    anything: the trace keeps the word's letters, the str the CyclicWord
+    already holds, and runs the recording kernel, _reduce_cyclic, on their
+    codes once, the first time steps, terminal, iteration or replay is used.
+    len() needs no kernel run: a word of n letters takes max(n - 2, 0)
+    steps.  Each step is a (deleted, left, right) triple of original
+    positions: the letter removed and its two cyclic neighbors at that
+    moment.  The steps contract the word to terminal, the (at most 2)
     surviving original positions; replay checks the kernel's output against
     the word.
     """
 
-    def __init__(self, codes: bytes):
-        object.__setattr__(self, "_codes", codes)
+    def __init__(self, letters: str):
+        object.__setattr__(self, "_letters", letters)
 
     def __setattr__(self, name, value):
         raise AttributeError("ContractionTrace is immutable")
 
     @cached_property
     def _recorded(self) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-        ok, flat, final = _reduce_cyclic(self._codes)
+        ok, flat, final = _reduce_cyclic(self._letters.encode("ascii"))
         if not ok:
             raise IllegalStep("the word of this trace is not contractible")
         it = iter(flat)
@@ -133,7 +135,7 @@ class ContractionTrace:
         return self._recorded[0]
 
     def __len__(self) -> int:
-        return max(len(self._codes) - 2, 0)
+        return max(len(self._letters) - 2, 0)
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.steps)
@@ -152,8 +154,8 @@ class ContractionTrace:
         steps, terminal = self._recorded
         letters = w.letters
         n = len(letters)
-        if n != len(self._codes):
-            raise IllegalStep(f"trace of a {len(self._codes)}-letter word replayed "
+        if n != len(self._letters):
+            raise IllegalStep(f"trace of a {len(self._letters)}-letter word replayed "
                               f"on a {n}-letter word")
         nxt = [(i + 1) % n for i in range(n)]
         prv = [(i - 1) % n for i in range(n)]
@@ -253,30 +255,37 @@ def _reduce_cyclic(codes: bytes) -> tuple[bool, list[int], list[int]]:
     return True, steps, pos[head : tail + 1]
 
 
-def _stuck_codes(codes: bytes) -> bytes | None:
+_CHUNK = 8192  # letters the verdict pass encodes at a time
+
+
+def _stuck_codes(letters: str) -> bytes | None:
     """The verdict pass: None when the word is contractible, else the codes
     of its stuck word.
 
-    A code equal to the stack top is skipped, and one equal to the code below
-    the top pops the top (x,y,x -> x); the stack then holds the freely
-    reduced word, and a seam pass runs across the wrap-around.
-    _reduce_cyclic is this pass with positions and recorded deletions; on
-    failure the stack holds the same codes as its survivors.
+    Reads the ASCII letters _CHUNK at a time as codes.  A code equal to the
+    stack top is skipped, and one equal to the code below the top pops the
+    top (x,y,x -> x); the stack, a bytearray of one byte per letter, then
+    holds the freely reduced word, and a seam pass runs across the
+    wrap-around.  _reduce_cyclic is this pass with positions and recorded
+    deletions; on failure the stack holds the same codes as its survivors.
     """
-    # Slots 0 and 1 hold sentinel codes that equal no byte; top and below
-    # mirror the last two slots.
-    stack = [-1, -2]
+    # The top two codes live in below and top, off the bytearray, so a pop
+    # is one call; they start as sentinel codes that equal no ASCII code,
+    # which end up in slots 0 and 1.
+    stack = bytearray()
     push, pop = stack.append, stack.pop
-    below, top = -1, -2
-    for c in codes:
-        if c == top:
-            continue
-        if c == below:
-            pop()
-            top, below = c, stack[-2]
-        else:
-            push(c)
-            below, top = top, c
+    below, top = 0xFF, 0xFE
+    for i in range(0, len(letters), _CHUNK):
+        for c in letters[i : i + _CHUNK].encode("ascii"):
+            if c == top:
+                continue
+            if c == below:
+                top, below = c, pop()
+            else:
+                push(below)
+                below, top = top, c
+    push(below)
+    push(top)
 
     head, tail = 2, len(stack) - 1
     while tail - head + 1 > 2:
@@ -285,7 +294,7 @@ def _stuck_codes(codes: bytes) -> bytes | None:
         elif stack[tail - 1] == stack[head]:
             tail -= 1
         else:
-            return bytes(stack[head : tail + 1])
+            return bytes(memoryview(stack)[head : tail + 1])
     return None
 
 
@@ -296,10 +305,9 @@ def decide_contractible(w: CyclicWord) -> tuple[bool, ContractionTrace | CyclicW
     down to at most two letters on first use, or (False, stuck), where stuck
     is the live cyclic word at the point no contracting step applies anywhere.
     """
-    codes = w.letters.encode("ascii")
-    stuck = _stuck_codes(codes)
+    stuck = _stuck_codes(w.letters)
     if stuck is None:
-        return True, ContractionTrace(codes)
+        return True, ContractionTrace(w.letters)
     return False, CyclicWord(stuck.decode("ascii"))
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -56,3 +57,26 @@ def test_bench_pipeline_records_name_revision_workload_and_command():
         assert set(r["end_to_end"]) == metrics
         for m in r["end_to_end"].values():
             assert m["q1"] <= m["median"] <= m["q3"]
+
+
+def test_scale_record_names_no_local_path(tmp_path, monkeypatch):
+    # tools/scale.py writes --parent's value as PARENT and --out's as its
+    # file name, and names each tree it measured by a digest of its source.
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("scale", root / "tools" / "scale.py")
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    monkeypatch.setattr(scale, "measure_poof", lambda trees, count, pairs, work: (
+        {"count": count, "runs": {name: {} for name in trees}}, []))
+    parent = tmp_path / "parent"
+    (parent / "src" / "latticediss").mkdir(parents=True)
+    (parent / "src" / "latticediss" / "words.py").write_text("# an older words.py\n")
+    out = tmp_path / "scale.json"
+    assert scale.main(["--mode", "poof", "--pairs", "3", f"--parent={parent}/",
+                       "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["poof"]
+    assert record["command"] == (
+        "python3 tools/scale.py --mode poof --pairs 3 --parent PARENT --out scale.json")
+    assert record["trees"] == {"parent": scale.source_digest(parent),
+                               "change": scale.source_digest(root)}
+    assert len(set(record["trees"].values())) == 2

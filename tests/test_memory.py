@@ -1,6 +1,8 @@
 """Memory guard: the CLI's dissect --unit, verify --mode unit and witness, in
-process, on the n x n and 2n x 2n squares under tracemalloc; and poof, which
-must free its working set before its disk check.
+process, on the n x n and 2n x 2n squares under tracemalloc; poof, which
+must free its working set before its disk check; and decide_contractible,
+whose verdict pass holds one byte per stacked letter and one chunk of the
+word, and whose trace keeps the word's own letters rather than a copy.
 
 The commands work on one slice of the triangles array at a time, so their
 tracemalloc peaks must not follow the triangle count, which grows fourfold:
@@ -26,6 +28,7 @@ from latticediss import verify
 from latticediss.cli import main
 from latticediss.dissect import Dissection, dissection_to_json, parse_dissection_json
 from latticediss.geometry import parse_polygon_json, validate_convex
+from latticediss.words import CyclicWord, decide_contractible
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -109,3 +112,38 @@ def test_poof_holds_no_more_than_its_result_at_the_disk_check(monkeypatch):
     assert len(result[0].triangles) > 500 and len(at_entry) == 1
     assert at_entry[0] - base <= held, (
         f"{at_entry[0] - base} bytes in use at the disk check, {held} held by poof's result")
+
+
+def decide_peak(text: str):
+    """(tracemalloc peak in bytes, result) of decide_contractible on text,
+    the result kept while the peak is read."""
+    w = CyclicWord(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = decide_contractible(w)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_decide_peak_does_not_grow_with_a_contractible_word():
+    # A closed tree walk's stack stays about as deep as the tree, and the
+    # trace keeps the word's letters: what is left is one chunk of codes.
+    peaks = {}
+    for n in (25_000, 25_000, 100_000):  # the first run warms up
+        peak, (ok, _) = decide_peak(inputs.word_request(random.Random(n), n, "tree").text)
+        assert ok
+        peaks[n] = peak
+    assert peaks[100_000] < GROWTH * peaks[25_000], peaks
+
+
+def test_decide_peak_on_a_random_word_follows_its_stuck_word():
+    # At the peak: the stack, one byte per letter of the freely reduced word,
+    # beside one copy of the stuck word, or that copy beside the stuck word's
+    # str; and one chunk of codes.
+    peak, (ok, stuck) = decide_peak(
+        inputs.word_request(random.Random(100_000), 100_000, "random").text)
+    assert not ok
+    assert peak <= 4 * len(stuck) + 64 * 1024, (
+        f"{peak} bytes for a stuck word of {len(stuck)} letters")

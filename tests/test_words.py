@@ -155,7 +155,7 @@ def test_trace_is_immutable_before_and_after_it_records():
     ok, trace = decide_contractible(w)
     assert ok and isinstance(trace, ContractionTrace)
     for _ in range(2):  # the second pass runs after steps has been read
-        for name in ("steps", "terminal", "_recorded", "_codes", "other"):
+        for name in ("steps", "terminal", "_recorded", "_letters", "other"):
             with pytest.raises(AttributeError):
                 setattr(trace, name, ())
         steps = trace.steps
@@ -287,6 +287,43 @@ def test_verdict_pass_matches_recording_kernel_long_words(k):
         n = round(10 ** rng.uniform(1, 4))
         assert check_against_recording_kernel(CyclicWord(tree_walk_word(rng, n, alphabet)))
         check_against_recording_kernel(CyclicWord("".join(rng.choices(alphabet, k=n))))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_verdict_pass_matches_recording_kernel_at_small_chunks(monkeypatch, chunk):
+    # The verdict pass reads the word _CHUNK letters at a time; the recording
+    # kernel reads it whole.  The control codes are the ends of ASCII.
+    monkeypatch.setattr(words, "_CHUNK", chunk)
+    for n in range(1, 9):
+        for tup in itertools.product(ABCD, repeat=n):
+            check_against_recording_kernel(CyclicWord(tup))
+    rng = random.Random(f"chunk:{chunk}")
+    for _ in range(2000):
+        n = rng.randint(1, 30)
+        check_against_recording_kernel(CyclicWord("".join(rng.choices("ABCDE\x00\x7f", k=n))))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_verdict_pass_matches_recording_kernel_across_chunk_boundaries(k):
+    # Words of k * _CHUNK - 3 ... k * _CHUNK + 3 letters, random or a tree
+    # walk after a run of its first letter (contractible): a run or an x,y,x
+    # pop straddles the last chunk boundary inside the word (or the word's
+    # end), and the word's end mirrors its start, so the seam pass cancels
+    # letters read on both sides of a chunk boundary.
+    size = words._CHUNK
+    rng = random.Random(f"chunk-boundary:{k}")
+    for n in range(k * size - 3, k * size + 4):
+        edge = size * ((n - 1) // size) or n - 2
+        walk = tree_walk_word(rng, n // 2, ABCD)
+        for base in ("".join(rng.choices(ABCD, k=n)), walk[0] * (n - len(walk)) + walk):
+            assert len(base) == n
+            x, y = rng.sample(ABCD, 2)
+            for p in (edge - 1, edge):
+                for middle in (x * 3, x + y + x):
+                    check_against_recording_kernel(
+                        CyclicWord(base[: p - 1] + middle + base[p + 2 :]))
+            check_against_recording_kernel(CyclicWord(base))
+            check_against_recording_kernel(CyclicWord(base[: n - 6] + base[5::-1]))
 
 
 @pytest.mark.parametrize("word, output", [

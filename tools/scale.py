@@ -26,7 +26,11 @@ both give the same output (the dissection file's bytes, or a digest of
 poof's triangles, corners, colors and point map), and the record holds
 both; verify must accept every file.  The last line of standard output is
 the record; --out also stores it in a JSON file under the mode's name,
-keeping the other mode's record.  The exit status is 1 when a run of this
+keeping the other mode's record.  The record's command names no local
+path: --parent's value is written PARENT and --out's as its file name; and
+its trees field maps each tree measured to a SHA-256 over its
+src/latticediss/*.py (each file's name and bytes, in sorted order), so the
+record names the code it measured.  The exit status is 1 when a run of this
 tree goes over --max-dissect-mb or --max-verify-mb, or when a check fails.
 """
 
@@ -122,6 +126,26 @@ def sha256(path: Path) -> str:
         while block := fh.read(1 << 20):
             h.update(block)
     return h.hexdigest()
+
+
+def source_digest(tree: Path) -> str:
+    """SHA-256 over the name and bytes of each src/latticediss/*.py of tree,
+    in sorted order."""
+    h = hashlib.sha256()
+    for path in sorted((tree / "src" / "latticediss").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def shown_command(ap: argparse.ArgumentParser, args: argparse.Namespace) -> str:
+    """The command line of the options not at their defaults, --parent's
+    value written PARENT and --out's as its file name."""
+    words = ["python3", "tools/scale.py"]
+    for dest, value in vars(args).items():
+        if value != ap.get_default(dest):
+            shown = {"parent": "PARENT", "out": getattr(value, "name", value)}.get(dest, value)
+            words += [f"--{dest.replace('_', '-')}", str(shown)]
+    return " ".join(words)
 
 
 def measure(trees: dict[str, Path], side: int, pairs: int, work: Path) -> tuple[dict, list[str]]:
@@ -272,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(work)
     record = {
-        "command": "python3 tools/scale.py " + " ".join(sys.argv[1:] if argv is None else argv),
+        "command": shown_command(ap, args),
+        "trees": {name: source_digest(tree) for name, tree in trees.items()},
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "machine": platform.machine(),
