@@ -231,10 +231,11 @@ def disk_errors(T: Triangulation) -> list[str]:
                     seen_l.add(x)
                     stack.append(x)
         is_open = v in boundary_vertices
-        # The link graph is simple, so connected with degrees at most 2 and
-        # len(link) - is_open edges it is a path or a cycle, as it must be.
-        if (len(seen_l) != len(link) or max(map(len, link.values())) > 2
-                or len(star[v]) != len(link) - is_open):
+        # The link graph is simple, and link node x has one entry per face on
+        # edge {v, x}, so its degree is at most 2: the walk runs only once no
+        # edge has a third face.  Connected with len(link) - is_open edges it
+        # is then a path or a cycle, as it must be.
+        if len(seen_l) != len(link) or len(star[v]) != len(link) - is_open:
             errors.append(f"triangles around vertex {v} do not form one "
                           f"{'open' if is_open else 'closed'} fan")
     return errors

@@ -85,9 +85,3 @@ class InvalidDissection(LatticeDissError):
 
 class PreconditionViolated(LatticeDissError):
     pass
-
-
-# --- generators ------------------------------------------------------------
-
-class GenerationFailed(LatticeDissError):
-    pass

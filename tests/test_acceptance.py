@@ -11,10 +11,10 @@ import time
 import pytest
 
 from catalan_reference import enumerate_diagonal_triangulations
+from fuzz_reference import random_convex_polygon, random_dissection
 from latticediss.cli import main
 from latticediss.combi import boundary_word_of, disk_errors, sperner_check
 from latticediss.dissect import Dissection, split_with_point, unit_dissection
-from latticediss.gen import random_convex_polygon, random_dissection
 from latticediss.geometry import (
     as_triangle,
     boundary_word,
@@ -28,12 +28,10 @@ from latticediss.verify import poof, verify_dissection, witness_noninteger
 from latticediss.words import (
     CyclicWord,
     active_kernel,
-    apply_step,
-    contracting_positions,
     decide_contractible,
     exhaustive_contractible,
-    matrix_contractible,
 )
+from word_reference import apply_step, contracting_positions, matrix_contractible
 
 ABCD = "ABCD"
 

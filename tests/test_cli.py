@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import latticediss
+from fuzz_reference import random_dissection
 from latticediss import cli, dissect, words
 from latticediss.cli import main
 from latticediss.dissect import dissection_to_json, unit_dissection
-from latticediss.gen import random_dissection
 from latticediss.geometry import boundary_word, parse_polygon_json
 from latticediss.words import CyclicWord, decide_contractible
 

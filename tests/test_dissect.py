@@ -20,7 +20,6 @@ from latticediss.dissect import (
     split_with_point,
     unit_dissection,
 )
-from latticediss.gen import random_convex_polygon, random_dissection
 from latticediss.geometry import (
     as_point,
     as_triangle,
@@ -32,6 +31,7 @@ from latticediss.geometry import (
 )
 from latticediss.verify import verify_dissection
 from latticediss.words import CyclicWord, decide_contractible
+from fuzz_reference import random_convex_polygon, random_dissection
 import refine_reference
 from refine_reference import NormalizedTriangle, UnimodularAffineMap, normalize, reference_refine
 
@@ -329,8 +329,6 @@ def test_unit_dissection_hexagon_none():
 
 
 def test_unit_dissection_matches_contractibility():
-    from latticediss.gen import random_convex_polygon
-
     for seed in range(40):
         P = random_convex_polygon(3 + seed % 9, 25, seed=seed)
         ok, _ = decide_contractible(boundary_word(P))

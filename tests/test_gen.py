@@ -2,10 +2,10 @@ import inspect
 
 import pytest
 
+from fuzz_reference import GenerationFailed, random_convex_polygon, random_dissection
 from latticediss import gen
 from latticediss.cli import build_parser, main
-from latticediss.errors import GenerationFailed
-from latticediss.gen import random_convex_polygon, random_dissection, realize_word
+from latticediss.gen import realize_word
 from latticediss.geometry import boundary_word, polygon_area2, validate_convex
 from latticediss.verify import verify_dissection
 from latticediss.words import CyclicWord

@@ -1,8 +1,11 @@
 """Every module of the package and of the test suite uses each name it
-imports, the package reads each private name it defines at top level, and no
-module of the package imports a private name from another."""
+imports, the package reads each private name it defines at top level, no
+module of the package imports a private name from another, and each public
+top-level def or class of the package is read by the package or the
+benchmark or named in README's library map."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,10 +57,12 @@ def private_definitions(source: str) -> list[tuple[int, str]]:
     return found
 
 
-def loaded_names(source: str) -> set[str]:
-    """Every name the module reads, bare or as an attribute."""
+def loaded_names(source: str | ast.AST) -> set[str]:
+    """Every name the module (or an already parsed node) reads, bare or as
+    an attribute."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source) if isinstance(source, str) else source
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -103,3 +108,52 @@ def test_no_module_in_src_imports_a_private_name_of_another():
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line, name in private_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def public_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each public top-level def or class."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def outside_loads(source: str) -> set[str]:
+    """Every name the module reads, except a top-level def or class's reads
+    of its own name inside its own definition."""
+    names = set()
+    for node in ast.parse(source).body:
+        own = getattr(node, "name", None)
+        names |= loaded_names(node) - {own}
+    return names
+
+
+def library_map_names(readme: str) -> set[str]:
+    """The last dotted component of each name that opens a backtick span in
+    README's library map section."""
+    section = readme.partition("\n## Library map\n")[2].partition("\n## ")[0]
+    return {m.group(1) for m in re.finditer(r"`(?:\w+\.)*(\w+)[^`]*`", section)}
+
+
+def test_public_definitions_and_map_names_are_found():
+    source = "def f():\n    return f()\nclass K:\n    x = K\ndef _g():\n    pass\nh = K\n"
+    assert public_definitions(source) == [(1, "f"), (3, "K")]
+    assert outside_loads(source) == {"K"}
+    readme = ("## Test\n`skip`\n## Library map\n| `words` | `a.b.c`, `d(x, y)` |\n"
+              "## Next\n`skip`\n")
+    assert library_map_names(readme) == {"words", "c", "d"}
+
+
+def test_every_public_name_in_src_is_read_or_in_the_library_map():
+    """The package defines only what its own modules or the benchmark read,
+    or what README's library map names."""
+    sources = {path: path.read_text(encoding="utf-8")
+               for top in ("src", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))}
+    read = set().union(*map(outside_loads, sources.values()))
+    mapped = library_map_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    defined = [(path, line, name) for path, source in sources.items()
+               if path.is_relative_to(ROOT / "src")
+               for line, name in public_definitions(source)]
+    assert len(defined) > 60  # the check sees the package's public defs and classes
+    assert [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path, line, name in defined if name not in read | mapped] == []

@@ -18,7 +18,7 @@ from latticediss.dissect import (
     split_with_point,
     unit_dissection,
 )
-from latticediss.gen import random_convex_polygon, random_dissection, realize_word
+from latticediss.gen import realize_word
 from latticediss.geometry import (
     ConvexLatticePolygon,
     as_triangle,
@@ -32,6 +32,7 @@ from latticediss.verify import MODES, poof, verify_dissection, verify_slices, wi
 from latticediss.words import CyclicWord
 from chain_reference import chain_failure as reference_chain_failure
 from chain_reference import segment_index as reference_segment_index
+from fuzz_reference import random_convex_polygon, random_dissection
 from dissection_oracle import is_dissection
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -10,12 +10,10 @@ from latticediss.words import (
     ContractionTrace,
     CyclicWord,
     _reduce_cyclic,
-    apply_step,
-    contracting_positions,
     decide_contractible,
     exhaustive_contractible,
-    matrix_contractible,
 )
+from word_reference import apply_step, contracting_positions, matrix_contractible
 
 ABCD = "ABCD"
 small_words = st.text(alphabet=ABCD, min_size=1, max_size=9).map(CyclicWord)
