@@ -77,8 +77,8 @@ def cmd_decide(args) -> int:
         P = parse_polygon_json(read_text(args.polygon))
         w = boundary_word(P)
         print(f"word {w}")
-    else:
-        w = _parse_word(args.word)
+    else:  # "-" reads the word from stdin, which takes words too long for an argument
+        w = _parse_word(read_text("-").strip() if args.word == "-" else args.word)
     if decide_contractible(w)[0]:
         print("contractible")
         return EXIT_OK
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide whether a word (or a polygon's boundary word) "
                        "is contractible; if not, print its stuck word to stderr")
-    p.add_argument("word", nargs="?", help="cyclic word over A-Z, e.g. ABCDACBADC")
+    p.add_argument("word", nargs="?", help="cyclic word over A-Z, e.g. ABCDACBADC (- for stdin)")
     p.add_argument("--polygon", help="polygon JSON file instead of a word (- for stdin)")
     p.set_defaults(fn=cmd_decide)
 

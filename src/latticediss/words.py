@@ -23,6 +23,7 @@ as its color codes.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -104,9 +105,9 @@ class ContractionTrace:
     len() needs no kernel run: a word of n letters takes max(n - 2, 0)
     steps.  Each step is a (deleted, left, right) triple of original
     positions: the letter removed and its two cyclic neighbors at that
-    moment.  The steps contract the word to terminal, the (at most 2)
-    surviving original positions; replay checks the kernel's output against
-    the word.
+    moment, read off one linked-list walk over the kernel's deletion order.
+    The steps contract the word to terminal, the (at most 2) surviving
+    original positions; replay checks the kernel's output against the word.
     """
 
     def __init__(self, letters: str):
@@ -117,11 +118,23 @@ class ContractionTrace:
 
     @cached_property
     def _recorded(self) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-        ok, flat, final = _reduce_cyclic(self._letters.encode("ascii"))
+        ok, deleted, final = _reduce_cyclic(self._letters.encode("ascii"))
         if not ok:
             raise IllegalStep("the word of this trace is not contractible")
-        it = iter(flat)
-        return tuple(zip(it, it, it)), tuple(final)
+        # The live positions as a cyclic doubly linked list: prv is nxt
+        # turned by two, sharing its ints, and the steps share them too.  A
+        # deleted position's nxt is -1.
+        n = len(self._letters)
+        nxt = list(range(1, n)) + [0]
+        prv = nxt[-2:] + nxt[:-2]
+        steps = []
+        for d in deleted:
+            if not 0 <= d < n or nxt[d] < 0:
+                raise IllegalStep(f"deleted position {d} is not a live letter")
+            l, r = prv[d], nxt[d]
+            steps.append((prv[r], l, r))  # prv[r] is d
+            nxt[l], prv[r], nxt[d] = r, l, -1
+        return tuple(steps), tuple(final)
 
     @property
     def terminal(self) -> tuple[int, ...]:
@@ -143,10 +156,10 @@ class ContractionTrace:
     def replay(self, w: "CyclicWord") -> None:
         """Re-execute the deletions against w, checking each one is legal.
 
-        Raises IllegalStep if w's length is not the traced word's, if any
-        recorded step's neighbors do not match the live word or would delete
-        a letter from an all-distinct window, or if the survivors differ from
-        terminal.
+        Raises IllegalStep if w's length is not the traced word's, if a
+        deleted position is not live (found by the walk that records the
+        steps), if a step deletes from a word shorter than 3 or from an
+        all-distinct window, or if the survivors differ from terminal.
         """
         steps, terminal = self._recorded
         letters = w.letters
@@ -154,22 +167,14 @@ class ContractionTrace:
         if n != len(self._letters):
             raise IllegalStep(f"trace of a {len(self._letters)}-letter word replayed "
                               f"on a {n}-letter word")
-        nxt = [(i + 1) % n for i in range(n)]
-        prv = [(i - 1) % n for i in range(n)]
-        alive = n
-        dead = [False] * n
-        for d, l, r in steps:
-            if dead[d] or prv[d] != l or nxt[d] != r:
-                raise IllegalStep(f"step ({d},{l},{r}) does not match the live word")
-            if alive < 3:
+        dead = bytearray(n)
+        for k, (d, l, r) in enumerate(steps):
+            if n - k < 3:
                 raise IllegalStep("step recorded on a word shorter than 3")
             cl, cd, cr = letters[l], letters[d], letters[r]
             if cl != cd and cd != cr and cl != cr:
                 raise IllegalStep(f"step ({d},{l},{r}) deletes from an all-distinct window")
-            nxt[l] = r
-            prv[r] = l
-            dead[d] = True
-            alive -= 1
+            dead[d] = 1
         survivors = [i for i in range(n) if not dead[i]]
         if tuple(survivors) != terminal:
             raise IllegalStep(f"survivors {survivors} differ from terminal {list(terminal)}")
@@ -179,38 +184,32 @@ def _window_repeats(a: str, b: str, c: str) -> bool:
     return a == b or b == c or a == c
 
 
-def _reduce_cyclic(codes: bytes) -> tuple[bool, list[int], list[int]]:
+def _reduce_cyclic(codes: bytes) -> tuple[bool, array, array]:
     """The recording kernel behind ContractionTrace: _stuck_codes's reduction
     with positions.
 
-    Works on the word's letter codes and returns (contractible, steps, final):
-    steps is a flat sequence of (deleted, left, right) index triples in
-    original-letter positions and final lists the surviving positions in
-    order.  The stack of _stuck_codes becomes two parallel lists, the codes
-    col and the original positions pos, and each pop or skipped code records
-    the deleted letter with its two live neighbors.  Reduction stops as soon
-    as the live word has length 2 (or 1), so on success steps has exactly
-    n - len(final) triples and every triple names three distinct positions.
-    On failure steps comes back empty: callers only need the stuck word, and
-    large inputs stay cheap.
+    Works on the word's letter codes and returns (contractible, deleted,
+    final), two arrays of original positions: the deleted letters in
+    deletion order, which ContractionTrace walks for their neighbors, and
+    the survivors in order.  The stack of _stuck_codes, sentinels and all,
+    keeps each stacked letter's position in pos beside it.  Reduction stops
+    as soon as the live word has length 2 (or 1), so on success deleted has
+    exactly n - len(final) positions.
     """
-    n = len(codes)
-    # Slots 0 and 1 hold sentinel codes that equal no byte; live counts the
-    # letters not deleted, those on the stack and those still to come.
-    col = [-1, -2]
-    pos = [-1, -1]
-    live = n
-    steps: list[int] = []
+    col = bytearray(b"\xff\xfe")
+    pos = array("q", (-1, -1))
+    deleted = array("q")
+    # live: the letters not deleted, those on the stack and those still to come
+    live = len(codes)
     for i, c in enumerate(codes):
         if live > 2 and c == col[-2]:
             # x,y,x: the middle letter's neighbors repeat; drop it
-            steps += (pos[-1], pos[-2], i)
+            deleted.append(pos.pop())
             col.pop()
-            pos.pop()
             live -= 1
         if live > 2 and c == col[-1]:
             # equal pair: drop the newer letter
-            steps += (i, pos[-1], i + 1 if i + 1 < n else pos[2])
+            deleted.append(i)
             live -= 1
         else:
             col.append(c)
@@ -221,14 +220,14 @@ def _reduce_cyclic(codes: bytes) -> tuple[bool, list[int], list[int]]:
     head, tail = 2, len(col) - 1
     while tail - head + 1 > 2:
         if col[tail] == col[head] or col[tail] == col[head + 1]:
-            steps += (pos[head], pos[tail], pos[head + 1])
+            deleted.append(pos[head])
             head += 1
         elif col[tail - 1] == col[head]:
-            steps += (pos[tail], pos[tail - 1], pos[head])
+            deleted.append(pos[tail])
             tail -= 1
         else:
-            return False, [], pos[head : tail + 1]
-    return True, steps, pos[head : tail + 1]
+            return False, deleted, pos[head : tail + 1]
+    return True, deleted, pos[head : tail + 1]
 
 
 _CHUNK = 8192  # letters the verdict pass encodes at a time
@@ -287,10 +286,10 @@ def decide_contractible(w: CyclicWord) -> tuple[bool, ContractionTrace | CyclicW
     return False, CyclicWord(stuck.decode("ascii"))
 
 
-def stuck_positions(w: CyclicWord) -> list[int]:
+def stuck_positions(w: CyclicWord) -> array:
     """The original positions of the stuck word's letters in the
-    non-contractible w, in order: the recording kernel's survivors, which
-    spell the word the verdict pass's stack holds."""
+    non-contractible w, in order: the recording kernel's survivor array,
+    which spells the word the verdict pass's stack holds."""
     return _reduce_cyclic(w.letters.encode("ascii"))[2]
 
 

@@ -122,6 +122,19 @@ def test_decide_polygon_stdin(monkeypatch, capsys):
     assert "ABCD" in capsys.readouterr().out
 
 
+def test_decide_word_stdin(monkeypatch, capsys):
+    # A word too long for one command-line argument (Linux caps one at 128 KiB)
+    # is read from stdin, with its surrounding whitespace stripped.
+    w = "".join(random.Random("decide-stdin").choices("ABCD", k=200_000))
+    expected = (main(["decide", w]), capsys.readouterr())
+    assert expected[0] == 10 and expected[1].err.startswith("stuck: ")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"\n {w}\n"))
+    assert (main(["decide", "-"]), capsys.readouterr()) == expected
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(["decide", "-"]) == 2
+    assert capsys.readouterr() == ("", "error: words must be nonempty strings over A-Z, got ''\n")
+
+
 def test_dissect_impossible(square_file, capsys):
     for unit in ([], ["--unit"]):
         assert main(["dissect", square_file, *unit]) == 10

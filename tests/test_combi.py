@@ -79,6 +79,7 @@ def test_triangulation_is_immutable():
         with pytest.raises(AttributeError):
             setattr(T, name, None)
     assert T.corners == (1, 2, 3, 4)
+    assert repr(T) == "Triangulation(5 vertices, 4 triangles)"
 
 
 # --- validate_disk -----------------------------------------------------------

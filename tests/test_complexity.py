@@ -14,7 +14,9 @@ Work inside C is invisible to this guard: a sort, a json.loads or an
 a timed harness sees that work.
 """
 
+import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -28,11 +30,12 @@ from latticediss.cli import main
 from latticediss.combi import Triangulation, disk_errors
 from latticediss.dissect import (
     Dissection,
+    diagonal_dissection,
     dissection_to_json,
     parse_dissection_json,
     unit_dissection,
 )
-from latticediss.geometry import validate_convex
+from latticediss.geometry import boundary_word, validate_convex
 from latticediss.verify import poof, verify_dissection, witness_noninteger
 from latticediss.words import CyclicWord, decide_contractible
 
@@ -199,8 +202,39 @@ def decide_stage(letters):
     return decide_contractible, (word,), letters
 
 
+def corner_polygon(k: int, scale: int):
+    """The convex polygon whose edges are the primitive vectors of [-k, k]^2
+    in angle order, every coordinate times scale: 1,600, 6,192 and 24,352
+    corners at k = 25, 50 and 100."""
+    edges = sorted(((x, y) for x in range(-k, k + 1) for y in range(-k, k + 1)
+                    if math.gcd(x, y) == 1), key=lambda v: math.atan2(v[1], v[0]))
+    corners = itertools.accumulate(edges, lambda p, v: (p[0] + scale * v[0], p[1] + scale * v[1]),
+                                   initial=(0, 0))
+    return validate_convex(list(corners)[:-1])
+
+
+def cli_decide_refusal_stage(k):
+    # decide --polygon on a word that is not contractible: the verdict pass,
+    # then the recording kernel and the stuck lines
+    P = corner_polygon(k, 1)
+    assert not decide_contractible(boundary_word(P))[0]
+    path = os.path.join(FILES.name, f"corners{k}.json")
+    with open(path, "w") as fh:
+        json.dump(P.vertices, fh)
+    return main, (["decide", "--polygon", path],), len(P.vertices)
+
+
+def diagonal_corners_stage(k):
+    # doubled, every corner has color A: the word is contractible, and the
+    # diagonal dissection follows its trace's steps
+    P = corner_polygon(k, 2)
+    assert decide_contractible(boundary_word(P))[0]
+    return diagonal_dissection, (P,), len(P.vertices)
+
+
 # name -> (make, size, step): the stage runs at size, size*step and size*step**2,
-# which are n, 4n and 16n items; a square's side doubles.
+# which are n, 4n and 16n items; a square's side doubles, and so does a corner
+# polygon's k, which about quadruples its corners.
 STAGES = {
     "unit_dissection": (unit_stage, 40, 2),
     "verify_unit": (verify_stage, 40, 2),
@@ -217,6 +251,8 @@ STAGES = {
     "verify_failure": (verify_failure_stage, 250, 4),
     "disk_failure": (disk_failure_stage, 250, 4),
     "decide_contractible": (decide_stage, 4_000, 4),
+    "cli_decide_refusal": (cli_decide_refusal_stage, 25, 2),
+    "diagonal_corners": (diagonal_corners_stage, 25, 2),
 }
 
 

@@ -1,8 +1,9 @@
 """Memory guard: the CLI's dissect --unit, verify --mode unit and witness, in
 process, on the n x n and 2n x 2n squares under tracemalloc; poof, which
-must free its working set before its disk check; and decide_contractible,
+must free its working set before its disk check; decide_contractible,
 whose verdict pass holds one byte per stacked letter and one chunk of the
-word, and whose trace keeps the word's own letters rather than a copy.
+word, and whose trace keeps the word's own letters rather than a copy; and
+the CLI's decide on a word that is not contractible, in bytes per letter.
 
 The commands work on one slice of the triangles array at a time, so their
 tracemalloc peaks must not follow the triangle count, which grows fourfold:
@@ -147,3 +148,23 @@ def test_decide_peak_on_a_random_word_follows_its_stuck_word():
     assert not ok
     assert peak <= 4 * len(stuck) + 64 * 1024, (
         f"{peak} bytes for a stuck word of {len(stuck)} letters")
+
+
+def test_cli_decide_refusal_peak_per_letter(tmp_path):
+    # decide on a uniform word runs the verdict pass, then the recording
+    # kernel for the stuck positions: a byte and an 8-byte position per
+    # stacked letter and a position per deletion, then the stuck lines; a
+    # kernel that records three ints per deletion reads about 70 bytes per
+    # letter.  stderr goes to a file, whose buffer does not grow with it.
+    n = 100_000
+    w = inputs.word_request(random.Random(5), n, "random").text
+    with open(tmp_path / "stderr", "w") as err, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["decide", w]) == 10
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 32 * n, f"{peak / n:.1f} bytes per letter"

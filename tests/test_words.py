@@ -159,6 +159,13 @@ def test_trace_is_immutable_before_and_after_it_records():
         steps = trace.steps
     assert trace.steps == steps and len(steps) == len(w) - 2
     trace.replay(w)
+    assert repr(trace) == "ContractionTrace(4 steps)"
+    # a trace of a word that is not contractible fails at first use
+    stuck = ContractionTrace("ABCD")
+    assert repr(stuck) == "ContractionTrace(2 steps)"
+    for _ in range(2):
+        with pytest.raises(IllegalStep, match="not contractible"):
+            stuck.steps
 
 
 @given(medium_words)
@@ -207,12 +214,17 @@ def test_tampered_trace_rejected(monkeypatch):
     _trace_from_kernel(monkeypatch, w, lambda codes, out: out).replay(w)
 
     def corrupt(codes, out):
-        ok, f, final = out
-        f[0] = (f[0] + 1) % len(codes)  # corrupt the first deleted index
-        return ok, f, final
+        ok, deleted, final = out
+        deleted[0] = (deleted[0] + 1) % len(codes)  # corrupt the first deleted position
+        return ok, deleted, final
 
-    with pytest.raises(IllegalStep, match="does not match the live word"):
+    with pytest.raises(IllegalStep, match="differ from terminal"):
         _trace_from_kernel(monkeypatch, w, corrupt).replay(w)
+    # a position deleted twice, or one outside the word, fails the walk
+    for deleted, bad in (([1, 1], 1), ([1, 4], 4), ([-1, 1], -1)):
+        trace = _trace_from_kernel(monkeypatch, w, lambda codes, out: (True, deleted, [0, 2]))
+        with pytest.raises(IllegalStep, match=f"deleted position {bad} is not a live letter"):
+            trace.replay(w)
 
 
 def test_replay_rejects_a_word_of_another_length():
@@ -224,9 +236,9 @@ def test_replay_rejects_a_word_of_another_length():
 
 @pytest.mark.parametrize("word, output, message", [
     # after deleting 0 from AAB, positions 1 and 2 are each other's neighbors
-    ("AAB", (True, [0, 2, 1, 1, 2, 2], [2]), "shorter than 3"),
-    ("ABCB", (True, [1, 0, 2, 2, 0, 3], [0, 3]), "all-distinct window"),
-    ("AABB", (True, [1, 0, 2, 2, 0, 3], [2, 3]), "differ from terminal"),
+    ("AAB", (True, [0, 1], [2]), "shorter than 3"),
+    ("ABCB", (True, [1, 2], [0, 3]), "all-distinct window"),
+    ("AABB", (True, [1, 2], [2, 3]), "differ from terminal"),
 ])
 def test_replay_rejects_illegal_kernel_output(monkeypatch, word, output, message):
     w = CyclicWord(word)
@@ -324,17 +336,32 @@ def test_verdict_pass_matches_recording_kernel_across_chunk_boundaries(k):
             check_against_recording_kernel(CyclicWord(base[: n - 6] + base[5::-1]))
 
 
+# The (deleted, left, right) steps that each contractible word's trace reads
+# off the deletion order pinned below.
+PINNED_STEPS = {
+    "ABABCCDCBBDB": [(1, 0, 2), (2, 0, 3), (5, 4, 6), (6, 4, 7), (7, 4, 8), (4, 3, 8),
+                     (8, 3, 9), (9, 3, 10), (10, 3, 11), (11, 3, 0)],
+    "BCDBDC": [(3, 2, 4), (4, 2, 5), (2, 1, 5), (5, 1, 0)],
+    "AAB": [(1, 0, 2)],
+    "ABAB": [(1, 0, 2), (2, 0, 3)],
+}
+
+
 @pytest.mark.parametrize("word, output", [
-    ("ABABCCDCBBDB", (True, [1, 0, 2, 2, 0, 3, 5, 4, 6, 6, 4, 7, 7, 4, 8, 4, 3, 8, 8, 3, 9,
-                             9, 3, 10, 10, 3, 11, 11, 3, 0], [0, 3])),
-    ("BCDBDC", (True, [3, 2, 4, 4, 2, 5, 2, 1, 5, 5, 1, 0], [0, 1])),
-    ("AAB", (True, [1, 0, 2], [0, 2])),
-    ("ABAB", (True, [1, 0, 2, 2, 0, 3], [0, 3])),
+    ("ABABCCDCBBDB", (True, [1, 2, 5, 6, 7, 4, 8, 9, 10, 11], [0, 3])),
+    ("BCDBDC", (True, [3, 4, 2, 5], [0, 1])),
+    ("AAB", (True, [1], [0, 2])),
+    ("ABAB", (True, [1, 2], [0, 3])),
     ("ABCDACBADC", (False, [], list(range(10)))),
 ])
 def test_recording_kernel_deletion_order(word, output):
-    # The dissection JSON follows this order, so it is pinned exactly.
-    assert _reduce_cyclic(word.encode("ascii")) == output
+    # The dissection JSON follows this order, so it is pinned exactly: the
+    # kernel's deletion order and the steps of the trace.
+    ok, deleted, final = _reduce_cyclic(word.encode("ascii"))
+    assert (ok, list(deleted), list(final)) == output
+    if ok:
+        trace = ContractionTrace(word)
+        assert list(trace.steps) == PINNED_STEPS[word] and list(trace.terminal) == final.tolist()
 
 
 @pytest.mark.parametrize("use", ["steps", "terminal", "iter", "replay"])
