@@ -10,16 +10,13 @@ from __future__ import annotations
 import random
 import statistics
 import timeit
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .words import CyclicWord, decide_contractible
 
 
-@dataclass
-class BenchRow:
-    length: int
-    seconds: float
+BenchRow = namedtuple("BenchRow", "length seconds")
 
 
 def random_word(n: int, seed: int = 0) -> CyclicWord:

@@ -12,11 +12,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 
 from . import combi, gen, svg
-from .bench import format_table, run_bench
 from .dissect import diagonal_dissection, json_chunks, read_dissection, unit_pieces
 from .errors import LatticeDissError
 from .geometry import boundary_word, parse_polygon_json, polygon_to_json, read_text, signed_area2
@@ -55,19 +53,36 @@ def _write(path: str | None, chunks) -> None:
         raise ValueError(f"cannot write {path}: {e}") from e
 
 
+_SHOWN_LETTERS = 80  # letters of a rejected word that its error line shows
+_STUCK_CHUNK = 8192  # stuck letters written to stderr at a time
+
+
 def _parse_word(s: str) -> CyclicWord:
-    if not s or not all("A" <= ch <= "Z" for ch in s):
-        raise ValueError(f"words must be nonempty strings over A-Z, got {s!r}")
-    return CyclicWord(s)
+    if s.isascii() and s.isalpha() and s.isupper():  # nonempty and all in A-Z
+        return CyclicWord(s)
+    shown = repr(s)
+    if len(s) > _SHOWN_LETTERS:
+        bad = next(i for i, ch in enumerate(s) if not "A" <= ch <= "Z")
+        shown = (f"{s[:_SHOWN_LETTERS]!r}... ({len(s)} characters, "
+                 f"the first not in A-Z is {s[bad]!r} at position {bad})")
+    raise ValueError(f"words must be nonempty strings over A-Z, got {shown}")
 
 
 def _print_stuck(w: CyclicWord, corners=None) -> None:
     """Say on stderr where reduction of the non-contractible w stopped: the
     stuck word, its letters' original positions and, given the polygon's
-    corners, theirs."""
+    corners, theirs.  The two lines are written _STUCK_CHUNK letters at a
+    time, so they cost no more memory than the position array."""
     positions = stuck_positions(w)
-    print("stuck:", "".join(w.letters[i] for i in positions), file=sys.stderr)
-    print("stuck positions:", *positions, file=sys.stderr)
+    letters, write = w.letters, sys.stderr.write
+    starts = range(0, len(positions), _STUCK_CHUNK)
+    write("stuck: ")
+    for s in starts:
+        write("".join([letters[i] for i in positions[s:s + _STUCK_CHUNK]]))
+    write("\nstuck positions:")
+    for s in starts:
+        write("".join([f" {i}" for i in positions[s:s + _STUCK_CHUNK]]))
+    write("\n")
     if corners is not None:
         print(f"stuck corners: {json.dumps([corners[i] for i in positions])}", file=sys.stderr)
 
@@ -121,7 +136,7 @@ def cmd_witness(args) -> int:
     print(json.dumps({
         "triangle": t,
         "doubled_area": a2,
-        "area": str(Fraction(a2, 2)),
+        "area": str(a2 // 2) if a2 % 2 == 0 else f"{a2}/2",
     }))
     return EXIT_OK
 
@@ -160,8 +175,9 @@ def cmd_bench(args) -> int:
         lengths.append(int(item))
     if not lengths:
         raise ValueError("--lengths must name at least one length")
-    rows = run_bench(lengths, seed=args.seed)
-    print(format_table(rows))
+    from .bench import format_table, run_bench  # it loads statistics and timeit: only here
+
+    print(format_table(run_bench(lengths, seed=args.seed)))
     return EXIT_OK
 
 

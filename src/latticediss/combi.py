@@ -12,10 +12,9 @@ with an interval recurrence.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from operator import eq
-from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceeded, NotADisk, TheoremViolation, TooSmall
 from .words import ContractionTrace, CyclicWord, decide_contractible
@@ -285,16 +284,11 @@ def good_dissection(w: CyclicWord) -> Triangulation | None:
 SPERNER_BOUND = 200
 
 
-@dataclass
-class SpernerReport:
-    """Outcome of the tricolor check for one boundary word."""
-
-    word: CyclicWord
-    contractible: bool
-    triangulations_examined: int
-    tricolor_free_count: int
-    tricolor_free_example: tuple[tuple[int, int, int], ...] | None
-    star_tricolor: dict[str, bool]  # interior color -> star contains a tricolor triangle
+# Outcome of the tricolor check for one boundary word: the tricolor-free
+# example is a tuple of (i, k, j) triangles or None, and star_tricolor maps
+# each interior color to whether its star holds a tricolor triangle.
+SpernerReport = namedtuple("SpernerReport", "word contractible triangulations_examined "
+                           "tricolor_free_count tricolor_free_example star_tricolor")
 
 
 def sperner_check(w: CyclicWord) -> SpernerReport:

@@ -39,10 +39,9 @@ _TEXT_FIRST and then slices of about _TEXT_SLICE (see there).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice, tee
 from math import gcd
-from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
 from .geometry import (
@@ -59,10 +58,6 @@ from .geometry import (
 )
 from .words import ContractionTrace, decide_contractible
 
-_R = TypeVar("_R")
-
-
-@dataclass(frozen=True)
 class Dissection:
     """A tuple of lattice triangles, each a tuple of three points.
 
@@ -73,11 +68,31 @@ class Dissection:
     every coordinate an exact int it made itself; verify then skips its
     type scan and may append its valid mode-"any" result (see
     verify._verify).  It is no part of the value: not an argument, not
-    shown and not compared.
+    shown, not compared and not copied.
     """
 
-    triangles: tuple[Triangle, ...]
-    _record: tuple = field(default=(), init=False, repr=False, compare=False)
+    __slots__ = ("triangles", "_record")
+
+    def __init__(self, triangles: tuple[Triangle, ...]):
+        object.__setattr__(self, "triangles", triangles)
+        object.__setattr__(self, "_record", ())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Dissection is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Dissection:
+            return NotImplemented
+        return self.triangles == other.triangles
+
+    def __hash__(self) -> int:
+        return hash(self.triangles)
+
+    def __repr__(self) -> str:
+        return f"Dissection(triangles={self.triangles!r})"
+
+    def __reduce__(self):
+        return Dissection, (self.triangles,)
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -472,7 +487,8 @@ def _file_slices(path: str) -> Iterator[list[Triangle]]:
             yield _slice_triangles(part, {})
 
 
-def read_dissection(path: str, job: Callable[[Callable[[], Iterable[list[Triangle]]]], _R]) -> _R:
+def read_dissection(path: str,
+                    job: Callable[[Callable[[], Iterable[list[Triangle]]]], object]) -> object:
     """job(slices) on the dissection at path, or on stdin for "-".  Each
     slices() call reads the triangles afresh, in lists, every coordinate an
     exact int: a file in the writer's layout a slice at a time; stdin,

@@ -14,8 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import NotStrictlyConvex, RepeatedVertex, TooFewVertices
 from .words import CyclicWord
@@ -67,14 +66,33 @@ def collinear(p: Point, q: Point, r: Point) -> bool:
     return signed_area2((p, q, r)) == 0
 
 
-@dataclass(frozen=True)
 class ConvexLatticePolygon:
     """A strictly convex lattice polygon, vertices in counterclockwise order.
 
     Construct through validate_convex; the constructor itself does not check.
     """
 
-    vertices: tuple[Point, ...]
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple[Point, ...]):
+        object.__setattr__(self, "vertices", vertices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConvexLatticePolygon is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ConvexLatticePolygon:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __repr__(self) -> str:
+        return f"ConvexLatticePolygon(vertices={self.vertices!r})"
+
+    def __reduce__(self):
+        return ConvexLatticePolygon, (self.vertices,)
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -10,7 +10,7 @@ units are refused before anything is drawn.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .geometry import ConvexLatticePolygon, Triangle, color_of
 

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, count
 from math import gcd, nan
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .combi import Triangulation, validate_disk
 from .dissect import Dissection
@@ -50,18 +50,11 @@ from .words import decide_contractible
 MODES = ("integral", "unit", "any")
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    valid: bool
-    checks: tuple[CheckResult, ...]
-    triangle_count: int
-    doubled_area_total: int
+class VerifyReport(namedtuple("VerifyReport", "valid checks triangle_count doubled_area_total")):
+    __slots__ = ()  # immutable: _verify hands one kept report to every later caller
 
     def to_json(self) -> str:
         return json.dumps({

@@ -24,8 +24,8 @@ as its color codes.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import BoundExceeded, IllegalStep, WordTooShort
 

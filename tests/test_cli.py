@@ -135,6 +135,22 @@ def test_decide_word_stdin(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: words must be nonempty strings over A-Z, got ''\n")
 
 
+def test_rejected_short_word_is_echoed_whole(capsys):
+    assert main(["decide", "ABxCD"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: words must be nonempty strings over A-Z, got 'ABxCD'\n")
+
+
+def test_rejected_long_word_is_echoed_in_part(monkeypatch, capsys):
+    # 500,000 letters and one bad character piped into `decide -`: the error
+    # line shows the first 80 characters, the length and the bad character.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("A" * 300_000 + "a" + "B" * 200_000))
+    assert main(["decide", "-"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: words must be nonempty strings over A-Z, got {'A' * 80!r}... "
+        "(500001 characters, the first not in A-Z is 'a' at position 300000)\n"))
+
+
 def test_dissect_impossible(square_file, capsys):
     for unit in ([], ["--unit"]):
         assert main(["dissect", square_file, *unit]) == 10

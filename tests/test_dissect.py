@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import json
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -570,16 +571,17 @@ def test_reader_records_the_triangles_it_built():
     built = unit_dissection(P)
     text = dissection_to_json(P, built)
     data = json.loads(text)
-    for copy in [text, json.dumps(data, separators=(",", ":")), json.dumps(data, indent=1)]:
-        _, D = parse_dissection_json(copy)
+    for layout in [text, json.dumps(data, separators=(",", ":")), json.dumps(data, indent=1)]:
+        _, D = parse_dissection_json(layout)
         assert D._record[0] is D.triangles and _exact(D)
         # the record is no part of the value
         plain = Dissection(D.triangles)
         assert repr(D) == repr(plain) == repr(built)
         assert D == plain == built and hash(D) == hash(plain) == hash(built)
         assert plain._record == ()
-        assert dataclasses.replace(D)._record == ()
-        assert dataclasses.replace(D, triangles=D.triangles[1:])._record == ()
+        for other in (copy.copy(D), pickle.loads(pickle.dumps(D))):
+            assert other == D and other._record == ()
+        assert Dissection(D.triangles[1:])._record == ()
 
 
 def test_builders_do_not_record():

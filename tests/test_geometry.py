@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -111,6 +113,14 @@ def test_validate_convex_accepts_and_orients():
     Q = validate_convex([(0, 0), (0, 1), (1, 1), (1, 0)])
     assert polygon_area2(Q) == 2
     assert Q.vertices[0] == (1, 0) or polygon_area2(Q) > 0
+    # a value: equal and hashed by its vertices, immutable, copied and pickled whole
+    R = validate_convex([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert P == R and hash(P) == hash(R) and P != Q and P != P.vertices
+    assert repr(P) == "ConvexLatticePolygon(vertices=((0, 0), (1, 0), (1, 1), (0, 1)))"
+    with pytest.raises(AttributeError):
+        P.vertices = ()
+    for other in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+        assert type(other) is type(P) and other == P and repr(other) == repr(P)
 
 
 def test_validate_convex_rejections():

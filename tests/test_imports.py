@@ -1,11 +1,16 @@
 """Every module of the package and of the test suite uses each name it
 imports, the package reads each private name it defines at top level, no
-module of the package imports a private name from another, and each public
+module of the package imports a private name from another, each public
 top-level def or class of the package is read by the package or the
-benchmark or named in README's library map."""
+benchmark or named in README's library map, and importing the CLI and
+verify loads none of the standard modules that only code generation,
+annotations or `bench` would need."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,3 +162,27 @@ def test_every_public_name_in_src_is_read_or_in_the_library_map():
     assert len(defined) > 60  # the check sees the package's public defs and classes
     assert [f"{path.relative_to(ROOT)}:{line}: {name}"
             for path, line, name in defined if name not in read | mapped] == []
+
+
+# Standard modules a fresh import of the CLI and verify must not load:
+# dataclasses (and inspect, which it pulls in) would generate code at every
+# start-up, fractions pulls in decimal, statistics and timeit are bench's,
+# and typing builds its classes for annotations that are never evaluated.
+UNLOADED = ("dataclasses", "inspect", "fractions", "decimal", "statistics", "timeit", "typing")
+
+
+def test_cli_and_verify_import_no_code_generation_or_bench_modules():
+    # -S: no site module, whose .pth files could import anything first
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+             "import latticediss.cli, latticediss.verify; "
+             f"print(json.dumps([m for m in {UNLOADED!r} if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    imported = {alias.name.partition(".")[0] if isinstance(node, ast.Import) else node.module
+                for path in sorted((ROOT / "src").rglob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "dataclasses" not in imported

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import json
+import pickle
 import random
 import re
 import sys
@@ -67,6 +68,17 @@ def test_unit_mode_roundtrip():
 
 def test_report_json_stable():
     rep = verify_dissection(UNIT_SQUARE, HALF_SPLIT, "any")
+    # a value: equal and hashed by its fields, immutable, copied and pickled whole
+    again = verify_dissection(UNIT_SQUARE, Dissection(HALF_SPLIT.triangles))
+    assert rep == again and hash(rep) == hash(again)
+    assert rep != verify_dissection(UNIT_SQUARE, HALF_SPLIT, "unit")
+    assert repr(rep).startswith("VerifyReport(valid=True, checks=(CheckResult(name='orientation', "
+                                "passed=True, detail='all triangles counterclockwise")
+    assert repr(rep).endswith("), triangle_count=2, doubled_area_total=2)")
+    with pytest.raises(AttributeError):
+        rep.valid = False
+    for other in (copy.copy(rep), pickle.loads(pickle.dumps(rep))):
+        assert type(other) is type(rep) and other == rep and other.to_json() == rep.to_json()
     data = json.loads(rep.to_json())
     assert list(data.keys()) == ["valid", "triangle_count", "doubled_area_total", "checks"]
     assert [c["name"] for c in data["checks"]] == [
@@ -858,8 +870,7 @@ def test_dissections_not_read_report_as_the_read_one():
                  (UNIT_SQUARE, Dissection(HALF_SPLIT.triangles[:1]))]:
         read = _read(P, D)
         assert read._record[0] is read.triangles
-        others = [Dissection(read.triangles), dataclasses.replace(read),
-                  dataclasses.replace(read, triangles=tuple(read.triangles))]
+        others = [Dissection(read.triangles), copy.copy(read), pickle.loads(pickle.dumps(read))]
         for other in others:
             assert other._record == ()
             for mode in MODES:

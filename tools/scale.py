@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Time and size `dissect --unit` and `verify --mode unit` on large squares,
-or time poof per triangle on T-vertex dissections.
+time poof per triangle on T-vertex dissections, or time the CLI's start-up.
 
     python3 tools/scale.py --sides 1000,2000 --pairs 3 --parent ../parent-tree \
         --out BENCH_scale.json
     python3 tools/scale.py --sides 600 --max-dissect-mb 60 --max-verify-mb 100
     python3 tools/scale.py --mode poof --pairs 5 --parent ../parent-tree --out BENCH_scale.json
+    python3 tools/scale.py --mode startup --pairs 15 --parent ../parent-tree --out BENCH_scale.json
 
 Each run is a child process with PYTHONPATH set to a tree's src/.  In mode
 squares (the default) the child is `python -m latticediss.cli`; its wall
 time is taken around it and its peak RSS from os.wait4 on that child alone
-(ru_maxrss, in KB on Linux).  The unit dissection of the side x side
-square has side**2 triangles.  In mode poof the child times `verify.poof`,
-which verifies first, on a fresh `Dissection` of
+(ru_maxrss, in KB on Linux), both in a small launcher process that forks
+the child, since ru_maxrss counts the forking process's resident size.
+The unit dissection of the side x side square has side**2 triangles.  In
+mode poof the child times `verify.poof`, which verifies first, on a fresh
+`Dissection` of
 `perfbench.inputs.foreign_request(random.Random(n), n, "valid", True)` for
 each n in POOF_COUNTS, POOF_REPS times with the collector on, and the run
 records the fastest in µs per input triangle; the request is made once here
@@ -24,9 +27,17 @@ counted by tests/test_complexity.py's line_events.  With --parent, every
 pair runs the parent tree and this one in alternating order, checks that
 both give the same output (the dissection file's bytes, or a digest of
 poof's triangles, corners, colors and point map), and the record holds
-both; verify must accept every file.  The last line of standard output is
-the record; --out also stores it in a JSON file under the mode's name,
-keeping the other mode's record.  The record's command names no local
+both; verify must accept every file.  In mode startup each pair runs, per
+tree, `python -m latticediss.cli decide ABAB`, which must print
+`contractible` and nothing else, and `python -c pass`, the bare
+interpreter, and records the median wall time and peak RSS of each, with
+the bytecode cache on and off.  On, PYTHONPYCACHEPREFIX points to a
+temporary directory that one untimed run per tree fills, so no tree is
+written; off, PYTHONDONTWRITEBYTECODE=1 runs a fresh copy of the tree's
+src/latticediss, so the package is compiled at every run, as in a new
+checkout, while the standard library keeps its cache.  The last line of
+standard output is the record; --out also stores it in a JSON file under
+the mode's name, keeping the other mode's record.  The record's command names no local
 path: --parent's value is written PARENT and --out's as its file name; and
 its trees field maps each tree measured to a SHA-256 over its
 src/latticediss/*.py (each file's name and bytes, in sorted order), so the
@@ -105,19 +116,30 @@ print(json.dumps({"line_events_per_tri": line_events(poof, P, Dissection(tris)) 
 """
 
 
-def run(tree: Path, args: list[str]) -> tuple[float, float, int, str]:
+# Runs the command in argv[1:] with stderr to os.devnull and writes its wall
+# seconds, exit status and peak RSS in KB to stderr.  A child's ru_maxrss is
+# at least the resident size of the process that forks it, so this launcher,
+# which holds about 8 MB, forks each child, and not this script, which holds
+# about 20.
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss,
+      file=sys.stderr)
+"""
+
+
+def run(tree: Path, args: list[str], **env: str) -> tuple[float, float, int, str]:
     """(wall seconds, peak RSS in MB, exit status, stdout) of one child
-    `python *args`."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *args], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-    out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    proc.stdout.close()
-    return wall, usage.ru_maxrss / 1024, proc.returncode, out  # ru_maxrss is in KB on Linux
+    `python *args`, with env added to its environment, forked by LAUNCHER."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **env)
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER, sys.executable, *args],
+                          env=env, capture_output=True, text=True, check=True)
+    wall, code, kb = proc.stderr.split()
+    return float(wall), int(kb) / 1024, int(code), proc.stdout  # ru_maxrss is in KB on Linux
 
 
 def sha256(path: Path) -> str:
@@ -261,10 +283,70 @@ def summary_poof(results: list[dict]) -> dict:
     return out
 
 
+STARTUP_RUNS = {"decide": [*CLI, "decide", "ABAB"], "bare": ["-c", "pass"]}
+STARTUP_OUTPUT = {"decide": "contractible\n", "bare": ""}  # each child's whole stdout
+
+
+def measure_startup(trees: dict[str, Path], pairs: int, work: Path) -> tuple[dict, list[str]]:
+    # cache setting -> tree name -> (the tree the child imports, its added
+    # environment); an empty variable counts as unset
+    setups = {"cached": {}, "uncached": {}}
+    for name, tree in trees.items():
+        fresh = work / name / "src" / "latticediss"
+        fresh.mkdir(parents=True)
+        for path in (tree / "src" / "latticediss").glob("*.py"):
+            shutil.copyfile(path, fresh / path.name)
+        cached = {"PYTHONPYCACHEPREFIX": str(work / f"{name}-pycache"),
+                  "PYTHONDONTWRITEBYTECODE": ""}
+        for argv in STARTUP_RUNS.values():  # fill the cache, untimed
+            run(tree, argv, **cached)
+        setups["cached"][name] = (tree, cached)
+        setups["uncached"][name] = (work / name, {"PYTHONPYCACHEPREFIX": "",
+                                                  "PYTHONDONTWRITEBYTECODE": "1"})
+    runs = {cache: {name: {f"{cmd}_{unit}": [] for cmd in STARTUP_RUNS for unit in ("s", "mb")}
+                    for name in trees} for cache in setups}
+    problems = []
+    names = list(trees)
+    for i in range(pairs):
+        for name in names if i % 2 == 0 else names[::-1]:
+            for cache, by_tree in setups.items():
+                tree, env = by_tree[name]
+                for cmd, argv in STARTUP_RUNS.items():
+                    wall, mb, code, out = run(tree, argv, **env)
+                    if code != 0 or out != STARTUP_OUTPUT[cmd]:
+                        problems.append(f"{name} {cmd} ({cache}) exited {code} with {out!r}")
+                        continue
+                    runs[cache][name][f"{cmd}_s"].append(round(wall, 4))
+                    runs[cache][name][f"{cmd}_mb"].append(round(mb, 1))
+    for by_tree in runs.values():
+        for r in by_tree.values():
+            for key in list(r):
+                if r[key]:
+                    cmd, unit = key.split("_")
+                    r[f"{cmd}_median_{unit}"] = statistics.median(r[key])
+    return runs, problems
+
+
+def summary_startup(runs: dict) -> dict:
+    """For each tree and cache setting, decide's median time less the bare
+    interpreter's; with a parent, the change's decide median over the
+    parent's."""
+    out = {}
+    for cache, by_tree in runs.items():
+        for name, r in by_tree.items():
+            if "decide_median_s" in r and "bare_median_s" in r:
+                out[f"{name}_{cache}_over_bare_s"] = round(
+                    r["decide_median_s"] - r["bare_median_s"], 4)
+        if all("decide_median_s" in r for r in by_tree.values()) and "parent" in by_tree:
+            out[f"change_over_parent_{cache}"] = round(
+                by_tree["change"]["decide_median_s"] / by_tree["parent"]["decide_median_s"], 3)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--mode", choices=("squares", "poof"), default="squares",
-                    help="CLI dissect and verify on squares, or poof per triangle")
+    ap.add_argument("--mode", choices=("squares", "poof", "startup"), default="squares",
+                    help="CLI dissect and verify on squares, poof per triangle, or CLI start-up")
     ap.add_argument("--sides", default="1000,2000", help="comma-separated even square sides")
     ap.add_argument("--pairs", type=int, default=1, help="runs per tree and size")
     ap.add_argument("--parent", type=Path, help="a tree of the parent commit to compare against")
@@ -278,7 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     work = Path(tempfile.mkdtemp(prefix="latticediss-scale-"))
     results, problems = [], []
     try:
-        if args.mode == "poof":
+        if args.mode == "startup":
+            results, problems = measure_startup(trees, args.pairs, work)
+        elif args.mode == "poof":
             for count in POOF_COUNTS:
                 result, found = measure_poof(trees, count, args.pairs, work)
                 results.append(result)
@@ -303,7 +387,8 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "results": results,
-        "summary": (summary_poof if args.mode == "poof" else summary)(results),
+        "summary": {"squares": summary, "poof": summary_poof,
+                    "startup": summary_startup}[args.mode](results),
         "problems": problems,
     }
     if args.out is not None:
