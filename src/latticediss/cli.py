@@ -55,6 +55,7 @@ def _write(path: str | None, chunks) -> None:
 
 _SHOWN_LETTERS = 80  # letters of a rejected word that its error line shows
 _STUCK_CHUNK = 8192  # stuck letters written to stderr at a time
+_MAX_BENCH_LENGTH = 10**7  # letters of a bench word: building one this long peaks near 100 MB
 
 
 def _parse_word(s: str) -> CyclicWord:
@@ -170,9 +171,13 @@ def cmd_render(args) -> int:
 def cmd_bench(args) -> int:
     lengths = []
     for item in filter(None, map(str.strip, args.lengths.split(","))):
-        if not item.isdecimal() or int(item) < 1:
+        digits = item.lstrip("0")
+        if not item.isdecimal() or not digits:
             raise ValueError(f"--lengths must be positive integers, got {item!r}")
-        lengths.append(int(item))
+        # compared as text first: int() refuses a string of over 4,300 digits
+        if len(digits) > 8 or int(digits) > _MAX_BENCH_LENGTH:
+            raise ValueError(f"--lengths must be at most {_MAX_BENCH_LENGTH}, got {item}")
+        lengths.append(int(digits))
     if not lengths:
         raise ValueError("--lengths must name at least one length")
     from .bench import format_table, run_bench  # it loads statistics and timeit: only here
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the decider on random words and fit linearity")
     p.add_argument("--lengths", default="10000,100000,1000000",
-                   help="comma-separated word lengths")
+                   help=f"comma-separated word lengths, each at most {_MAX_BENCH_LENGTH}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
 

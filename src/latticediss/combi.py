@@ -17,10 +17,10 @@ from collections.abc import Iterable, Mapping, Sequence
 from operator import eq
 
 from .errors import BoundExceeded, NotADisk, TheoremViolation, TooSmall
-from .words import ContractionTrace, CyclicWord, decide_contractible
+from .words import ContractionTrace, CyclicWord, Immutable, decide_contractible
 
 
-class Triangulation:
+class Triangulation(Immutable):
     """An abstract simplicial triangulation of a disk.
 
     vertex_colors maps vertex id -> color label, triangles is a set of
@@ -49,9 +49,7 @@ class Triangulation:
             if not type(x) is type(y) is type(z) is int:
                 raise ValueError(f"triangle {t!r} is not 3 distinct int vertex ids")
             tris.add(tt)
-        object.__setattr__(self, "vertex_colors", dict(vertex_colors))
-        object.__setattr__(self, "triangles", frozenset(tris))
-        object.__setattr__(self, "corners", tuple(corners))
+        self._set(dict(vertex_colors), frozenset(tris), tuple(corners))
 
     @classmethod
     def _of(cls, vertex_colors: dict[int, str], triangles: frozenset[frozenset[int]],
@@ -60,13 +58,8 @@ class Triangulation:
         uncopied.  The caller has just built them, hands them over, and
         vouches that each triangle is a frozenset of 3 distinct int ids."""
         T = object.__new__(cls)
-        object.__setattr__(T, "vertex_colors", vertex_colors)
-        object.__setattr__(T, "triangles", triangles)
-        object.__setattr__(T, "corners", corners)
+        T._set(vertex_colors, triangles, corners)
         return T
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Triangulation is immutable")
 
     def __repr__(self) -> str:
         return f"Triangulation({len(self.vertex_colors)} vertices, {len(self.triangles)} triangles)"

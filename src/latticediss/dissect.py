@@ -56,9 +56,9 @@ from .geometry import (
     read_text,
     signed_area2,
 )
-from .words import ContractionTrace, decide_contractible
+from .words import ContractionTrace, OneField, decide_contractible
 
-class Dissection:
+class Dissection(OneField):
     """A tuple of lattice triangles, each a tuple of three points.
 
     Whether they dissect a given polygon, and are positively oriented, is
@@ -74,28 +74,7 @@ class Dissection:
     __slots__ = ("triangles", "_record")
 
     def __init__(self, triangles: tuple[Triangle, ...]):
-        object.__setattr__(self, "triangles", triangles)
-        object.__setattr__(self, "_record", ())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dissection is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Dissection:
-            return NotImplemented
-        return self.triangles == other.triangles
-
-    def __hash__(self) -> int:
-        return hash(self.triangles)
-
-    def __repr__(self) -> str:
-        return f"Dissection(triangles={self.triangles!r})"
-
-    def __reduce__(self):
-        return Dissection, (self.triangles,)
-
-    def __len__(self) -> int:
-        return len(self.triangles)
+        self._set(triangles, ())
 
     def doubled_areas(self) -> list[int]:
         return [signed_area2(t) for t in self.triangles]

@@ -17,7 +17,7 @@ import sys
 from collections.abc import Iterable
 
 from .errors import NotStrictlyConvex, RepeatedVertex, TooFewVertices
-from .words import CyclicWord
+from .words import CyclicWord, OneField
 
 # Names for annotations only: a point is a plain (x, y) tuple of ints.
 Point = tuple[int, int]
@@ -66,7 +66,7 @@ def collinear(p: Point, q: Point, r: Point) -> bool:
     return signed_area2((p, q, r)) == 0
 
 
-class ConvexLatticePolygon:
+class ConvexLatticePolygon(OneField):
     """A strictly convex lattice polygon, vertices in counterclockwise order.
 
     Construct through validate_convex; the constructor itself does not check.
@@ -75,27 +75,7 @@ class ConvexLatticePolygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: tuple[Point, ...]):
-        object.__setattr__(self, "vertices", vertices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvexLatticePolygon is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ConvexLatticePolygon:
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"ConvexLatticePolygon(vertices={self.vertices!r})"
-
-    def __reduce__(self):
-        return ConvexLatticePolygon, (self.vertices,)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+        self._set(vertices)
 
     def edges(self) -> list[tuple[Point, Point]]:
         vs = self.vertices

@@ -446,8 +446,9 @@ def witness_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequen
                    verify: Callable[[Callable], VerifyReport]) -> Triangle:
     """witness_noninteger on the triangles that slices() gives, slice after
     slice, where verify(once) reports on them from one read of slices(),
-    which once() hands out at each call: a failing boundary-chain detail,
-    dropped by the precondition message, reads nothing more.
+    which once() hands out at each call.  The precondition message names
+    the checks that fail, and no detail, so a failing boundary-chain
+    detail reads nothing more.
 
     The word is decided first.  For a contractible word slices() is still
     read through before the precondition fails, so that text the reader
@@ -460,8 +461,11 @@ def witness_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequen
             pass
         raise PreconditionViolated("the polygon's boundary word is contractible")
     read = slices()
-    if not verify(lambda: read).valid:
-        raise PreconditionViolated("the dissection does not verify against the polygon")
+    report = verify(lambda: read)
+    if not report.valid:
+        failed = ", ".join(c.name for c in report.checks if not c.passed)
+        raise PreconditionViolated("the dissection does not verify against the polygon; "
+                                   f"failed checks: {failed}")
     for t in chain.from_iterable(slices()):
         if len({color_of(v) for v in t}) == 3:
             return t

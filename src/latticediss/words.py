@@ -39,7 +39,60 @@ def active_kernel() -> str:
     return "pure"
 
 
-class CyclicWord:
+class Immutable:
+    """Base of the package's value types: a value is set once and never
+    changes.
+
+    A subclass names its fields in __slots__, its constructor's arguments
+    first and in order, and its constructor sets them with _set.  Assigning
+    or deleting any attribute raises AttributeError.  copy and pickle
+    rebuild the value through its constructor from those leading slots, so
+    a slot after them starts afresh (a Dissection's _record) and nothing
+    computed on first use (a ContractionTrace's steps) is carried over.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        n = self.__init__.__code__.co_argcount - 1
+        return type(self), tuple(map(self.__getattribute__, self.__slots__[:n]))
+
+
+class OneField(Immutable):
+    """An Immutable value that is its one field, the first slot: equal to a
+    value of the same type with an equal field, hashed and measured by len
+    as the field, and shown as Type(field=...)."""
+
+    __slots__ = ()
+
+    def _field(self):
+        return getattr(self, self.__slots__[0])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._field() == other._field()
+
+    def __hash__(self) -> int:
+        return hash(self._field())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={self._field()!r})"
+
+    def __len__(self) -> int:
+        return len(self._field())
+
+
+class CyclicWord(Immutable):
     """A nonempty word of ASCII letters, equal to all of its rotations.
 
     Accepts a string (one letter per character) or an iterable of
@@ -60,10 +113,7 @@ class CyclicWord:
             raise WordTooShort("cyclic words must have at least one letter")
         if not letters.isascii():
             raise ValueError("labels must be ASCII characters")
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicWord is immutable")
+        self._set(letters)
 
     def rotate(self, k: int) -> "CyclicWord":
         n = len(self.letters)
@@ -95,7 +145,7 @@ class CyclicWord:
         return f"CyclicWord({self.letters!r})"
 
 
-class ContractionTrace:
+class ContractionTrace(Immutable):
     """The deletion sequence that contracts a word, computed on first use.
 
     decide_contractible returns one for a contractible word without recording
@@ -110,11 +160,10 @@ class ContractionTrace:
     original positions; replay checks the kernel's output against the word.
     """
 
-    def __init__(self, letters: str):
-        object.__setattr__(self, "_letters", letters)
+    __slots__ = ("_letters", "__dict__")  # __dict__ holds _recorded once computed
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ContractionTrace is immutable")
+    def __init__(self, letters: str):
+        self._set(letters)
 
     @cached_property
     def _recorded(self) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:

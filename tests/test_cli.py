@@ -282,6 +282,15 @@ def test_witness(square_file, tmp_path, capsys):
         '{"triangle": [[0, 0], [1, 0], [1, 1]], "doubled_area": 1, "area": "1/2"}\n')
 
 
+def test_witness_names_the_checks_a_dropped_triangle_fails(square_file, tmp_path, capsys):
+    data = json.loads(HALF_SPLIT)
+    diss = tmp_path / "dropped.json"
+    diss.write_text(json.dumps({"polygon": data["polygon"], "triangles": data["triangles"][1:]}))
+    assert main(["witness", square_file, str(diss)]) == 2
+    assert capsys.readouterr() == ("", "error: the dissection does not verify against the "
+                                   "polygon; failed checks: boundary-chain, area-sum\n")
+
+
 def test_witness_contractible_polygon_rejected(tmp_path, capsys):
     poly = tmp_path / "tri.json"
     poly.write_text("[[0,0],[2,0],[1,1]]")
@@ -348,13 +357,16 @@ def test_render_golden_pentagon(tmp_path):
     (["decide", "--polygon", "[[0,0],5,[0,1]]"], "lattice point 5 "),
     (["bench", "--lengths", ""], "--lengths must name at least one length"),
     (["bench", "--lengths", ","], "--lengths must name at least one length"),
+    (["bench", "--lengths", "1000,10000001"], "--lengths must be at most 10000000, got 10000001"),
+    (["bench", "--lengths", "9" * 5000], "--lengths must be at most 10000000, got 999"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
         "triangle-vertex-not-pair", "polygon-vertex-not-pair", "bench-lengths-zero",
         "bench-lengths-not-int", "realize-bound-negative", "decide-empty-word",
         "written-layout-float", "decide-empty-polygon-path", "polygon-entry-number",
-        "bench-lengths-empty", "bench-lengths-only-comma"])
+        "bench-lengths-empty", "bench-lengths-only-comma", "bench-lengths-over-cap",
+        "bench-lengths-5000-digits"])
 def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
@@ -618,8 +630,9 @@ def test_verify_mutated_files_as_stdin(size, tmp_path, monkeypatch, capsys):
     assert codes == {0, 2, 11}
 
 
+# each precondition line's start: the second goes on with the failed checks' names
 _PRECONDITIONS = ("error: the polygon's boundary word is contractible\n",
-                  "error: the dissection does not verify against the polygon\n")
+                  "error: the dissection does not verify against the polygon; failed checks: ")
 
 
 @pytest.mark.parametrize("size", [3, 40, 1 << 16])
@@ -644,7 +657,7 @@ def test_witness_files_as_stdin(size, tmp_path, monkeypatch, capsys):
             diss.write_text(text)
             got = _verify_out(["witness", str(poly), str(diss)], capsys)
             assert got == _verify_out(["witness", str(poly), "-"], capsys, text, monkeypatch), text
-            outcomes.add(got[2] if got[2] in _PRECONDITIONS else got[2][:6])
+            outcomes.add(next((p for p in _PRECONDITIONS if got[2].startswith(p)), got[2][:6]))
     # a witness, parse errors and both preconditions
     assert outcomes == {"", "error:", *_PRECONDITIONS}
 

@@ -232,6 +232,22 @@ def diagonal_corners_stage(k):
     return diagonal_dissection, (P,), len(P.vertices)
 
 
+def validate_corners_stage(k):
+    P = corner_polygon(k, 2)
+    return validate_convex, (list(P.vertices),), len(P.vertices)
+
+
+def boundary_word_corners_stage(k):
+    P = corner_polygon(k, 2)
+    return boundary_word, (P,), len(P.vertices)
+
+
+def verify_corners_stage(k):
+    # the doubled polygon's diagonal dissection has even doubled areas
+    P = corner_polygon(k, 2)
+    return verify_dissection, (P, diagonal_dissection(P), "integral"), len(P.vertices)
+
+
 # name -> (make, size, step): the stage runs at size, size*step and size*step**2,
 # which are n, 4n and 16n items; a square's side doubles, and so does a corner
 # polygon's k, which about quadruples its corners.
@@ -253,6 +269,9 @@ STAGES = {
     "decide_contractible": (decide_stage, 4_000, 4),
     "cli_decide_refusal": (cli_decide_refusal_stage, 25, 2),
     "diagonal_corners": (diagonal_corners_stage, 25, 2),
+    "validate_corners": (validate_corners_stage, 25, 2),
+    "boundary_word_corners": (boundary_word_corners_stage, 25, 2),
+    "verify_corners": (verify_corners_stage, 25, 2),
 }
 
 

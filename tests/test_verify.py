@@ -956,3 +956,16 @@ def test_witness_preconditions():
         witness_noninteger(tri, D)  # contractible word
     with pytest.raises(PreconditionViolated):
         witness_noninteger(UNIT_SQUARE, Dissection((HALF_SPLIT.triangles[0],)))
+
+
+@pytest.mark.parametrize("triangles, failed", [
+    ((HALF_SPLIT.triangles[0][::-1], HALF_SPLIT.triangles[1]),
+     "orientation, boundary-chain, area-sum"),
+    ((HALF_SPLIT.triangles[0], ((0, 0), (1, 1), (0, 1.0))), "boundary-chain, integer-coords"),
+], ids=["clockwise-triangle", "float-coordinate"])
+def test_witness_names_the_checks_that_fail(triangles, failed):
+    # names only: the details stay in verify's report
+    with pytest.raises(PreconditionViolated) as e:
+        witness_noninteger(UNIT_SQUARE, Dissection(triangles))
+    assert str(e.value) == ("the dissection does not verify against the polygon; "
+                            f"failed checks: {failed}")

@@ -1,10 +1,14 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticediss import words
+from latticediss.combi import Triangulation, sperner_check
+from latticediss.dissect import Dissection, dissection_to_json, parse_dissection_json, unit_dissection
 from latticediss.errors import BoundExceeded, IllegalStep, WordTooShort
 from latticediss.words import (
     ContractionTrace,
@@ -13,6 +17,8 @@ from latticediss.words import (
     decide_contractible,
     exhaustive_contractible,
 )
+from latticediss.geometry import validate_convex
+from latticediss.verify import verify_dissection
 from word_reference import apply_step, contracting_positions, matrix_contractible
 
 ABCD = "ABCD"
@@ -166,6 +172,65 @@ def test_trace_is_immutable_before_and_after_it_records():
     for _ in range(2):
         with pytest.raises(IllegalStep, match="not contractible"):
             stuck.steps
+
+
+def _trace(read_steps):
+    trace = decide_contractible(CyclicWord("ABACAD"))[1]
+    if read_steps:
+        trace.steps
+    return trace
+
+
+def _read_dissection():
+    # verified once, so that its record also keeps the report and index
+    P = validate_convex([(0, 0), (2, 0), (2, 2), (0, 2)])
+    D = parse_dissection_json(dissection_to_json(P, unit_dissection(P)))[1]
+    assert verify_dissection(P, D).valid and len(D._record) == 4
+    return D
+
+
+def _square():
+    return validate_convex([(0, 0), (1, 0), (1, 1), (0, 1)])
+_HALVES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+
+# name -> (a fresh value, the attributes that must refuse setattr and delattr)
+VALUES = {
+    "CyclicWord": (lambda: CyclicWord("ABCA"), ("letters", "other")),
+    "ContractionTrace": (lambda: _trace(False), ("_letters", "steps", "terminal", "_recorded")),
+    "ContractionTrace-read": (lambda: _trace(True), ("_letters", "steps", "terminal", "_recorded")),
+    "Triangulation": (lambda: Triangulation({0: "A", 1: "B", 2: "C"}, [(0, 1, 2)], (0, 1, 2)),
+                      ("vertex_colors", "triangles", "corners")),
+    "ConvexLatticePolygon": (_square, ("vertices",)),
+    "Dissection": (lambda: Dissection(_HALVES), ("triangles", "_record")),
+    "Dissection-read": (_read_dissection, ("triangles", "_record")),
+    "VerifyReport": (lambda: verify_dissection(_square(), Dissection(_HALVES)),
+                     ("valid", "checks", "triangle_count", "doubled_area_total")),
+    "SpernerReport": (lambda: sperner_check(CyclicWord("ABCD")),
+                      ("word", "contractible", "star_tricolor")),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_copy_pickle_and_refuse_changes(name):
+    make, attributes = VALUES[name]
+    value = make()
+    for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        other = again(value)
+        assert type(other) is type(value) and repr(other) == repr(value)
+        if type(value).__eq__ is not object.__eq__:
+            assert other == value
+        if isinstance(value, Dissection):
+            assert other._record == ()
+        if isinstance(value, ContractionTrace):
+            # rebuilt from the word alone: the steps are computed again
+            assert "_recorded" not in other.__dict__
+            assert other.steps == value.steps
+    for attribute in attributes:
+        with pytest.raises(AttributeError):
+            setattr(value, attribute, ())
+        with pytest.raises(AttributeError):
+            delattr(value, attribute)
 
 
 @given(medium_words)
