@@ -27,9 +27,20 @@ EXIT_IMPOSSIBLE = 10
 EXIT_INVALID = 11
 
 
+_MAX_ERROR = 1000  # characters of an error message shown whole
+
+
+def _error_line(message: str) -> str:
+    """The one `error: ...` line of message; one over _MAX_ERROR characters,
+    which may echo a whole input, is shown as its first part and its length."""
+    if len(message) > _MAX_ERROR:
+        message = f"{message[:_MAX_ERROR // 2]}... ({len(message)} characters)"
+    return f"error: {message}\n"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one `error: ...` line on stderr, no usage text
-        self.exit(EXIT_USAGE, f"error: {message}\n")
+        self.exit(EXIT_USAGE, _error_line(message))
 
 
 def _write(path: str | None, chunks) -> None:
@@ -279,10 +290,10 @@ def main(argv: list[str] | None = None) -> int:
         # so this one came from stdout: a closed pipe or a full disk.  Send what
         # is still buffered, and the flush at exit, to os.devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write to stdout: {e}", file=sys.stderr)
+        sys.stderr.write(_error_line(f"cannot write to stdout: {e}"))
         return EXIT_USAGE
     except (LatticeDissError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(e)))
         return EXIT_USAGE
 
 

@@ -1,10 +1,22 @@
+import gc
 import importlib.util
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from latticediss.bench import BenchRow, format_table, linear_fit, random_word, run_bench
+from latticediss.dissect import Dissection
+from latticediss.geometry import validate_convex
+from latticediss.verify import poof
+from test_complexity import line_events
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench import inputs  # noqa: E402
 
 
 def test_random_word_deterministic():
@@ -66,8 +78,8 @@ def test_scale_record_names_no_local_path(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("scale", root / "tools" / "scale.py")
     scale = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scale)
-    monkeypatch.setattr(scale, "measure_poof", lambda trees, count, pairs, work: (
-        {"count": count, "runs": {name: {} for name in trees}}, []))
+    monkeypatch.setattr(scale, "mode_poof", lambda args, trees, work: iter(
+        [({"count": 250}, lambda name, tree: ({}, ""))]))
     parent = tmp_path / "parent"
     (parent / "src" / "latticediss").mkdir(parents=True)
     (parent / "src" / "latticediss" / "words.py").write_text("# an older words.py\n")
@@ -80,3 +92,62 @@ def test_scale_record_names_no_local_path(tmp_path, monkeypatch):
     assert record["trees"] == {"parent": scale.source_digest(parent),
                                "change": scale.source_digest(root)}
     assert len(set(record["trees"].values())) == 2
+
+
+def _scale():
+    spec = importlib.util.spec_from_file_location("scale", ROOT / "tools" / "scale.py")
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    return scale
+
+
+@pytest.mark.parametrize("argv, size, pairs", [
+    (["--sides", "4,8", "--pairs", "2"], "side", 2),
+    (["--mode", "startup", "--pairs", "1"], "letters", 1),
+], ids=["squares", "startup"])
+def test_scale_runs_against_this_tree(argv, size, pairs, capsys):
+    # every mode goes through one loop: each tree holds one value per round
+    # and a median for every figure, and each result names its size
+    assert _scale().main([*argv, "--parent", str(ROOT)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["problems"] == []
+    for result in record["results"]:
+        assert next(iter(result)) == size
+        assert set(result["runs"]) == {"parent", "change"}
+        for runs in result["runs"].values():
+            figures = [f for f in runs if not f.endswith("_median")]
+            assert figures and all(len(runs[f]) == pairs for f in figures)
+            assert set(runs) == {*figures, *(f"{f}_median" for f in figures)}
+
+
+def test_scale_summary_of_a_tree_with_no_figures_at_the_smallest_size():
+    # a dissect that fails at the smallest side leaves that tree's runs empty
+    fig = {"dissect_s": [1.0], "dissect_s_median": 1.0}
+    results = [{"side": 4, "runs": {"parent": {}, "change": fig}},
+               {"side": 8, "runs": {"parent": fig, "change": fig}}]
+    assert _scale().summary(results) == {
+        "parent_growth": {}, "change_growth": {"dissect_s_median": 1.0},
+        "change_over_parent": {"4": {}, "8": {"dissect_s_median": 1.0}}}
+
+
+def test_scale_poof_child_counts_as_in_process(tmp_path):
+    # the poof child's untimed figures follow its timed poofs, and are the
+    # line events and gen-0 collections of one poof counted here
+    scale = _scale()
+    req = inputs.foreign_request(random.Random(250), 250, "valid", True)
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({"polygon": req.polygon, "triangles": req.triangles}))
+    _, _, code, out = scale.run(ROOT, ["-c", scale.POOF_CHILD, str(path), "2",
+                                       str(ROOT / "tests")])
+    assert code == 0
+    child = json.loads(out)
+    P = validate_convex([tuple(p) for p in req.polygon])
+    seen = {}  # one tuple per point, as the child reads the request
+    tris = tuple(tuple(seen.setdefault(p, p) for p in map(tuple, t))
+                 for t in json.loads(path.read_text())["triangles"])
+    assert len(poof(P, Dissection(tris))[0].triangles) == child["poofed"]
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    poof(P, Dissection(tris))
+    assert child["gen0_per_tri"] == (gc.get_stats()[0]["collections"] - before) / len(tris)
+    assert child["line_events_per_tri"] == line_events(poof, P, Dissection(tris)) / len(tris)

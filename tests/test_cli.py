@@ -106,14 +106,18 @@ def test_decide_needs_exactly_one_input(square_file, capsys):
     ["decide"],
     ["decide", "ABCD", "--polygon", "p.json"],
     ["verify", "--diagnostics", "a", "b"],
+    ["verify", "--mode", "x" * 100_000, "a", "b"],
+    ["realize", "ABCD", "--bound", "x" * 100_000],
 ], ids=["verify-bad-mode", "dissect-no-polygon", "realize-bound-not-int", "unknown-command",
-        "no-command", "decide-neither", "decide-both", "verify-removed-flag"])
+        "no-command", "decide-neither", "decide-both", "verify-removed-flag",
+        "verify-mode-100000-characters", "realize-bound-100000-characters"])
 def test_usage_error_is_one_line(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert len(err) < cli._MAX_ERROR, len(err)
 
 
 def test_decide_polygon_stdin(monkeypatch, capsys):
@@ -359,6 +363,11 @@ def test_render_golden_pentagon(tmp_path):
     (["bench", "--lengths", ","], "--lengths must name at least one length"),
     (["bench", "--lengths", "1000,10000001"], "--lengths must be at most 10000000, got 10000001"),
     (["bench", "--lengths", "9" * 5000], "--lengths must be at most 10000000, got 999"),
+    (["bench", "--lengths", "x" * 100_000], "--lengths must be positive integers, got 'xxx"),
+    (["decide", "--polygon", json.dumps([[0, 0], list(range(200_000)), [0, 1]])],
+     "lattice point [0, 1, 2, "),
+    (["verify", "SQUARE", json.dumps({"triangles": [list(range(200_000))]})],
+     "triangle [0, 1, 2, "),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
@@ -366,7 +375,8 @@ def test_render_golden_pentagon(tmp_path):
         "bench-lengths-not-int", "realize-bound-negative", "decide-empty-word",
         "written-layout-float", "decide-empty-polygon-path", "polygon-entry-number",
         "bench-lengths-empty", "bench-lengths-only-comma", "bench-lengths-over-cap",
-        "bench-lengths-5000-digits"])
+        "bench-lengths-5000-digits", "bench-lengths-100000-characters",
+        "polygon-entry-200000-ints", "triangle-entry-200000-ints"])
 def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
@@ -383,6 +393,7 @@ def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+    assert len(err) < cli._MAX_ERROR, len(err)
     assert not (tmp_path / "out").exists()
 
 

@@ -4,45 +4,63 @@ time poof per triangle on T-vertex dissections, or time the CLI's start-up.
 
     python3 tools/scale.py --sides 1000,2000 --pairs 3 --parent ../parent-tree \
         --out BENCH_scale.json
-    python3 tools/scale.py --sides 600 --max-dissect-mb 60 --max-verify-mb 100
+    python3 tools/scale.py --sides 600
     python3 tools/scale.py --mode poof --pairs 5 --parent ../parent-tree --out BENCH_scale.json
     python3 tools/scale.py --mode startup --pairs 15 --parent ../parent-tree --out BENCH_scale.json
 
-Each run is a child process with PYTHONPATH set to a tree's src/.  In mode
-squares (the default) the child is `python -m latticediss.cli`; its wall
+Each run is a child process with PYTHONPATH set to a tree's src/; its wall
 time is taken around it and its peak RSS from os.wait4 on that child alone
 (ru_maxrss, in KB on Linux), both in a small launcher process that forks
 the child, since ru_maxrss counts the forking process's resident size.
-The unit dissection of the side x side square has side**2 triangles.  In
-mode poof the child times `verify.poof`, which verifies first, on a fresh
-`Dissection` of
-`perfbench.inputs.foreign_request(random.Random(n), n, "valid", True)` for
-each n in POOF_COUNTS, POOF_REPS times with the collector on, and the run
-records the fastest in µs per input triangle; the request is made once here
-and handed to every child as a file.  Beside those wall times, one more
-child per tree and count records two figures that do not depend on the
-host's speed, from one untimed poof each: the gen-0 collections per input
-triangle, and the line events per input triangle in the package's frames,
-counted by tests/test_complexity.py's line_events.  With --parent, every
-pair runs the parent tree and this one in alternating order, checks that
-both give the same output (the dissection file's bytes, or a digest of
-poof's triangles, corners, colors and point map), and the record holds
-both; verify must accept every file.  In mode startup each pair runs, per
-tree, `python -m latticediss.cli decide ABAB`, which must print
-`contractible` and nothing else, and `python -c pass`, the bare
-interpreter, and records the median wall time and peak RSS of each, with
-the bytecode cache on and off.  On, PYTHONPYCACHEPREFIX points to a
-temporary directory that one untimed run per tree fills, so no tree is
-written; off, PYTHONDONTWRITEBYTECODE=1 runs a fresh copy of the tree's
-src/latticediss, so the package is compiled at every run, as in a new
-checkout, while the standard library keeps its cache.  The last line of
-standard output is the record; --out also stores it in a JSON file under
-the mode's name, keeping the other mode's record.  The record's command names no local
-path: --parent's value is written PARENT and --out's as its file name; and
-its trees field maps each tree measured to a SHA-256 over its
-src/latticediss/*.py (each file's name and bytes, in sorted order), so the
-record names the code it measured.  The exit status is 1 when a run of this
-tree goes over --max-dissect-mb or --max-verify-mb, or when a check fails.
+Every mode runs through one loop: for each size, --pairs rounds, each
+running every tree once (with --parent, the parent tree and this one, in
+alternating order), and each tree's round gives its figures and a digest
+of its output, which must be the same in every tree.
+
+- squares (the default): per side, `python -m latticediss.cli dissect
+  --unit` on the side x side square, side**2 triangles, then `verify --mode
+  unit` on its file, which must accept it; the digest is the file's bytes.
+  Figures: dissect_s, dissect_mb, verify_s, verify_mb.  The run fails when
+  this tree's dissect peaks over MAX_MB["dissect_mb"] = 60 MB or its verify
+  over MAX_MB["verify_mb"] = 100 MB.
+- poof: per n in POOF_COUNTS, one child on
+  `perfbench.inputs.foreign_request(random.Random(n), n, "valid", True)`,
+  made once here and handed to every child as a file.  It times
+  `verify.poof`, which verifies first, on a fresh `Dissection`, POOF_REPS
+  times with the collector on; then, untimed, it counts the gen-0
+  collections of one more poof and the line events of another in the
+  package's frames, with tests/test_complexity.py's line_events, which it
+  imports only after the timed poofs.  Figures: us_per_tri (the fastest
+  poof, in µs per input triangle), poofed_tris, gen0_per_tri and
+  line_events_per_tri; the digest covers poof's triangles, corners,
+  colors and point map.
+- startup: `python -m latticediss.cli decide ABAB`, which must print
+  `contractible` and nothing else, and `python -c pass`, the bare
+  interpreter, with the bytecode cache on and off.  On, PYTHONPYCACHEPREFIX
+  points to a temporary directory that one untimed run per tree fills, so
+  no tree is written; off, PYTHONDONTWRITEBYTECODE=1 runs a fresh copy of
+  the tree's src/latticediss, so the package is compiled at every run, as in
+  a new checkout, while the standard library keeps its cache.  Figures:
+  {decide,bare}_{cached,uncached}_{s,mb}.
+
+The last line of standard output is the record:
+
+    {"command", "trees", "date", "python", "machine", "cpus",
+     "results": [{<size fields>, "runs": {<tree>: {<figure>: [one value per
+                  round], "<figure>_median": <median>}}}],
+     "summary": {"<tree>_growth": {<median>: largest size over smallest},
+                 "change_over_parent": {<size>: {<median>: change over parent}},
+                 "<tree>_<cache>_over_bare_s": <decide less bare, startup>},
+     "problems": [...]}
+
+The first size field names the size: side, count, or letters (startup's
+one size, the decided word's).  --out also stores the record in a JSON file
+under the mode's name, keeping the other modes' records.  The record's
+command names no local path: --parent's value is written PARENT and --out's
+as its file name; and its trees field maps each tree measured to a SHA-256
+over its src/latticediss/*.py (each file's name and bytes, in sorted
+order), so the record names the code it measured.  The exit status is 1
+when a child fails, the trees' outputs differ, or a bound above is passed.
 """
 
 from __future__ import annotations
@@ -67,9 +85,12 @@ if str(ROOT) not in sys.path:
 from perfbench import inputs  # noqa: E402
 
 CLI = ["-m", "latticediss.cli"]  # the child arguments of a CLI run
+MAX_MB = {"dissect_mb": 60, "verify_mb": 100}  # bounds on this tree's peak RSS figures
 POOF_COUNTS = (250, 1000, 4001, 16000, 64000)  # triangles of the poof requests
-POOF_REPS = 7  # poofs per child run, whose fastest the run records
-# Times poof on the request in argv[1], argv[2] times; prints one JSON line.
+POOF_REPS = 7  # timed poofs per child run, whose fastest the run records
+# Times poof on the request in argv[1], argv[2] times, then counts, untimed,
+# the gen-0 collections and the line events of one poof each, with the
+# line-event counter of the tests/ directory in argv[3]; prints one JSON line.
 POOF_CHILD = """
 import gc, hashlib, json, sys, time
 from latticediss.dissect import Dissection
@@ -88,31 +109,17 @@ for _ in range(int(sys.argv[2])):
     T, points = poof(P, D)
     times.append(time.perf_counter() - start)
 shape = (T.sorted_triangles(), T.corners, sorted(T.vertex_colors.items()), sorted(points.items()))
-print(json.dumps({"us_per_tri": [t / len(tris) * 1e6 for t in times],
-                  "poofed": len(T.triangles),
-                  "digest": hashlib.sha256(repr(shape).encode()).hexdigest()}))
-"""
-# Counts, untimed, the gen-0 collections and then the line events in the
-# package's frames of one poof of the request in argv[1], with the line-event
-# counter of the tests/ directory in argv[2]; prints one JSON line.
-POOF_COUNT_CHILD = """
-import gc, json, sys
-from latticediss.dissect import Dissection
-from latticediss.geometry import validate_convex
-from latticediss.verify import poof
-sys.path.insert(0, sys.argv[2])
-from test_complexity import line_events
-with open(sys.argv[1]) as fh:
-    data = json.load(fh)
-P = validate_convex([tuple(p) for p in data["polygon"]])
-seen = {}
-tris = tuple(tuple(seen.setdefault(p, p) for p in map(tuple, t)) for t in data["triangles"])
+digest, poofed = hashlib.sha256(repr(shape).encode()).hexdigest(), len(T.triangles)
+del T, points, shape
+sys.path.insert(0, sys.argv[3])
+from test_complexity import line_events  # only now: loaded modules move the timings
 gc.collect()
 before = gc.get_stats()[0]["collections"]
 poof(P, Dissection(tris))
 gen0 = gc.get_stats()[0]["collections"] - before
-print(json.dumps({"line_events_per_tri": line_events(poof, P, Dissection(tris)) / len(tris),
-                  "gen0_per_tri": gen0 / len(tris)}))
+print(json.dumps({"us_per_tri": min(times) / len(tris) * 1e6, "poofed": poofed,
+                  "line_events_per_tri": line_events(poof, P, Dissection(tris)) / len(tris),
+                  "gen0_per_tri": gen0 / len(tris), "digest": digest}))
 """
 
 
@@ -170,127 +177,87 @@ def shown_command(ap: argparse.ArgumentParser, args: argparse.Namespace) -> str:
     return " ".join(words)
 
 
-def measure(trees: dict[str, Path], side: int, pairs: int, work: Path) -> tuple[dict, list[str]]:
-    poly = work / "square.json"
-    poly.write_text(json.dumps([[0, 0], [side, 0], [side, side], [0, side]]))
-    runs = {name: {"dissect_s": [], "dissect_mb": [], "verify_s": [], "verify_mb": []}
-            for name in trees}
+def size_name(result: dict) -> str:
+    """A result's first field and its value, which name its size."""
+    return "{} {}".format(*next(iter(result.items())))
+
+
+def measure(trees: dict[str, Path], size: dict, pairs: int, one_round) -> tuple[dict, list[str]]:
+    """The result of `pairs` rounds at one size, and the problems found.
+    one_round(name, tree) runs one tree once and gives ({figure: value},
+    output digest), or a problem text when a child fails."""
+    runs = {name: {} for name in trees}
     problems = []
     names = list(trees)
     for i in range(pairs):
-        order = names if i % 2 == 0 else names[::-1]
         digests = {}
-        for name in order:
-            out = work / f"{name}.json"
-            wall, mb, code, _ = run(trees[name], [*CLI, "dissect", str(poly), "--unit",
-                                                  "-o", str(out)])
-            if code != 0:
-                problems.append(f"{name} dissect of side {side} exited {code}")
+        for name in names if i % 2 == 0 else names[::-1]:
+            got = one_round(name, trees[name])
+            if isinstance(got, str):
+                problems.append(f"{name} {got} at {size_name(size)}")
                 continue
-            runs[name]["dissect_s"].append(round(wall, 3))
-            runs[name]["dissect_mb"].append(round(mb, 1))
-            digests[name] = sha256(out)
-            wall, mb, code, report = run(trees[name], [*CLI, "verify", str(poly), str(out),
-                                                       "--mode", "unit"])
-            if code != 0 or not json.loads(report)["valid"]:
-                problems.append(f"{name} verify of side {side} exited {code}")
-            runs[name]["verify_s"].append(round(wall, 3))
-            runs[name]["verify_mb"].append(round(mb, 1))
-            out.unlink()
+            figures, digests[name] = got
+            for fig, value in figures.items():
+                runs[name].setdefault(fig, []).append(value)
         if len(set(digests.values())) > 1:
-            problems.append(f"the trees write different dissections of side {side}")
+            problems.append(f"the trees' outputs differ at {size_name(size)}")
     for r in runs.values():
-        for cmd in ("dissect", "verify"):
-            for unit in ("s", "mb"):
-                if r[f"{cmd}_{unit}"]:
-                    r[f"{cmd}_median_{unit}"] = statistics.median(r[f"{cmd}_{unit}"])
-    return {"side": side, "triangles": side * side, "runs": runs}, problems
+        r.update({f"{fig}_median": statistics.median(values) for fig, values in r.items()})
+    return {**size, "runs": runs}, problems
 
 
-def summary(results: list[dict]) -> dict:
-    """For each tree, each median peak at the largest side over the one at
-    the smallest; with a parent, each of the change's median times over the
-    parent's at each side."""
-    out = {}
-    first, last = results[0]["runs"], results[-1]["runs"]
-    for name in first:
-        out[f"{name}_peak_growth"] = {
-            cmd: round(last[name][f"{cmd}_median_mb"] / first[name][f"{cmd}_median_mb"], 3)
-            for cmd in ("dissect", "verify") if f"{cmd}_median_mb" in last[name]}
-    if "parent" in first:
-        out["change_over_parent_time"] = {
-            str(r["side"]): {cmd: round(r["runs"]["change"][f"{cmd}_median_s"]
-                                        / r["runs"]["parent"][f"{cmd}_median_s"], 3)
-                             for cmd in ("dissect", "verify")
-                             if all(f"{cmd}_median_s" in r["runs"][k] for k in r["runs"])}
-            for r in results}
-    return out
+def mode_squares(args: argparse.Namespace, trees: dict[str, Path], work: Path):
+    """(size, one_round) for each side of --sides."""
+    poly, out = work / "square.json", work / "dissection.json"
+    for side in map(int, args.sides.split(",")):
+        poly.write_text(json.dumps([[0, 0], [side, 0], [side, side], [0, side]]))
 
-
-def measure_poof(trees: dict[str, Path], count: int, pairs: int,
-                 work: Path) -> tuple[dict, list[str]]:
-    req = inputs.foreign_request(random.Random(count), count, "valid", True)
-    path = work / f"request{count}.json"
-    path.write_text(json.dumps({"polygon": req.polygon, "triangles": req.triangles}))
-    runs = {name: {"us_per_tri": []} for name in trees}
-    problems = []
-    names = list(trees)
-    for i in range(pairs):
-        order = names if i % 2 == 0 else names[::-1]
-        digests = {}
-        for name in order:
-            _, _, code, out = run(trees[name], ["-c", POOF_CHILD, str(path), str(POOF_REPS)])
+        def one_round(name, tree):
+            dissect_s, dissect_mb, code, _ = run(tree, [*CLI, "dissect", str(poly), "--unit",
+                                                        "-o", str(out)])
             if code != 0:
-                problems.append(f"{name} poof of {count} triangles exited {code}")
-                continue
-            result = json.loads(out)
-            runs[name]["us_per_tri"].append(round(min(result["us_per_tri"]), 3))
-            runs[name]["poofed_tris"] = result["poofed"]
-            digests[name] = result["digest"]
-        if len(set(digests.values())) > 1:
-            problems.append(f"the trees poof the {count}-triangle request differently")
-    for name, r in runs.items():
-        if r["us_per_tri"]:
-            r["median_us_per_tri"] = statistics.median(r["us_per_tri"])
-        _, _, code, out = run(trees[name], ["-c", POOF_COUNT_CHILD, str(path),
-                                            str(ROOT / "tests")])
-        if code != 0:
-            problems.append(f"{name} poof count of {count} triangles exited {code}")
-            continue
-        r.update({k: round(v, 4) for k, v in json.loads(out).items()})
-    return {"count": count, "triangles": len(req.triangles), "runs": runs}, problems
+                return f"dissect exited {code}"
+            digest = sha256(out)
+            verify_s, verify_mb, code, report = run(tree, [*CLI, "verify", str(poly), str(out),
+                                                           "--mode", "unit"])
+            out.unlink()
+            if code != 0 or not json.loads(report)["valid"]:
+                return f"verify exited {code}"
+            return {"dissect_s": round(dissect_s, 3), "dissect_mb": round(dissect_mb, 1),
+                    "verify_s": round(verify_s, 3), "verify_mb": round(verify_mb, 1)}, digest
+
+        yield {"side": side, "triangles": side * side}, one_round
 
 
-POOF_FIGURES = {"time": "median_us_per_tri", "line_events": "line_events_per_tri",
-                "gen0": "gen0_per_tri"}  # summary name -> the per-triangle figure
+def mode_poof(args: argparse.Namespace, trees: dict[str, Path], work: Path):
+    """(size, one_round) for each request of POOF_COUNTS."""
+    for count in POOF_COUNTS:
+        req = inputs.foreign_request(random.Random(count), count, "valid", True)
+        path = work / f"request{count}.json"
+        path.write_text(json.dumps({"polygon": req.polygon, "triangles": req.triangles}))
 
+        def one_round(name, tree):
+            _, _, code, out = run(tree, ["-c", POOF_CHILD, str(path), str(POOF_REPS),
+                                         str(ROOT / "tests")])
+            if code != 0:
+                return f"poof exited {code}"
+            got = json.loads(out)
+            return {"us_per_tri": round(got["us_per_tri"], 3), "poofed_tris": got["poofed"],
+                    "line_events_per_tri": round(got["line_events_per_tri"], 4),
+                    "gen0_per_tri": round(got["gen0_per_tri"], 4)}, got["digest"]
 
-def summary_poof(results: list[dict]) -> dict:
-    """For each tree and figure, its value at the largest count over the one
-    at the smallest; with a parent, the change's value over the parent's at
-    each count."""
-    out = {}
-    first, last = results[0]["runs"], results[-1]["runs"]
-    for name in first:
-        for fig, key in POOF_FIGURES.items():
-            if first[name].get(key) and key in last[name]:
-                out[f"{name}_{fig}_growth"] = round(last[name][key] / first[name][key], 3)
-    if "parent" in first:
-        for fig, key in POOF_FIGURES.items():
-            out[f"change_over_parent_{fig}"] = {
-                str(r["count"]): round(r["runs"]["change"][key] / r["runs"]["parent"][key], 3)
-                for r in results if all(v.get(key) for v in r["runs"].values())}
-    return out
+        yield {"count": count, "triangles": len(req.triangles)}, one_round
 
 
 STARTUP_RUNS = {"decide": [*CLI, "decide", "ABAB"], "bare": ["-c", "pass"]}
 STARTUP_OUTPUT = {"decide": "contractible\n", "bare": ""}  # each child's whole stdout
 
 
-def measure_startup(trees: dict[str, Path], pairs: int, work: Path) -> tuple[dict, list[str]]:
-    # cache setting -> tree name -> (the tree the child imports, its added
+def mode_startup(args: argparse.Namespace, trees: dict[str, Path], work: Path):
+    """The one (size, one_round) of the start-up children."""
+    # tree name -> cache setting -> (the tree the child imports, its added
     # environment); an empty variable counts as unset
-    setups = {"cached": {}, "uncached": {}}
+    setups = {}
     for name, tree in trees.items():
         fresh = work / name / "src" / "latticediss"
         fresh.mkdir(parents=True)
@@ -300,46 +267,46 @@ def measure_startup(trees: dict[str, Path], pairs: int, work: Path) -> tuple[dic
                   "PYTHONDONTWRITEBYTECODE": ""}
         for argv in STARTUP_RUNS.values():  # fill the cache, untimed
             run(tree, argv, **cached)
-        setups["cached"][name] = (tree, cached)
-        setups["uncached"][name] = (work / name, {"PYTHONPYCACHEPREFIX": "",
-                                                  "PYTHONDONTWRITEBYTECODE": "1"})
-    runs = {cache: {name: {f"{cmd}_{unit}": [] for cmd in STARTUP_RUNS for unit in ("s", "mb")}
-                    for name in trees} for cache in setups}
-    problems = []
-    names = list(trees)
-    for i in range(pairs):
-        for name in names if i % 2 == 0 else names[::-1]:
-            for cache, by_tree in setups.items():
-                tree, env = by_tree[name]
-                for cmd, argv in STARTUP_RUNS.items():
-                    wall, mb, code, out = run(tree, argv, **env)
-                    if code != 0 or out != STARTUP_OUTPUT[cmd]:
-                        problems.append(f"{name} {cmd} ({cache}) exited {code} with {out!r}")
-                        continue
-                    runs[cache][name][f"{cmd}_s"].append(round(wall, 4))
-                    runs[cache][name][f"{cmd}_mb"].append(round(mb, 1))
-    for by_tree in runs.values():
-        for r in by_tree.values():
-            for key in list(r):
-                if r[key]:
-                    cmd, unit = key.split("_")
-                    r[f"{cmd}_median_{unit}"] = statistics.median(r[key])
-    return runs, problems
+        setups[name] = {"cached": (tree, cached), "uncached": (
+            work / name, {"PYTHONPYCACHEPREFIX": "", "PYTHONDONTWRITEBYTECODE": "1"})}
+
+    def one_round(name, _):
+        figures = {}
+        for cache, (tree, env) in setups[name].items():
+            for cmd, argv in STARTUP_RUNS.items():
+                wall, mb, code, out = run(tree, argv, **env)
+                if code != 0 or out != STARTUP_OUTPUT[cmd]:
+                    return f"{cmd} ({cache}) exited {code} with {out!r}"
+                figures[f"{cmd}_{cache}_s"] = round(wall, 4)
+                figures[f"{cmd}_{cache}_mb"] = round(mb, 1)
+        return figures, ""
+
+    yield {"letters": len("ABAB")}, one_round
 
 
-def summary_startup(runs: dict) -> dict:
-    """For each tree and cache setting, decide's median time less the bare
-    interpreter's; with a parent, the change's decide median over the
-    parent's."""
+def ratios(top: dict, bottom: dict) -> dict:
+    """Each median of top over bottom's, where bottom has it."""
+    return {fig: round(value / bottom[fig], 3) for fig, value in top.items()
+            if fig.endswith("_median") and bottom.get(fig)}
+
+
+def summary(results: list[dict]) -> dict:
+    """For each tree, each median at the largest size over the one at the
+    smallest; with a parent, each of the change's medians over the parent's
+    at each size; and for each tree and cache setting, decide's median time
+    less the bare interpreter's."""
     out = {}
-    for cache, by_tree in runs.items():
-        for name, r in by_tree.items():
-            if "decide_median_s" in r and "bare_median_s" in r:
+    first, last = results[0]["runs"], results[-1]["runs"]
+    if len(results) > 1:
+        out.update({f"{name}_growth": ratios(last[name], first[name]) for name in first})
+    if "parent" in first:
+        out["change_over_parent"] = {str(next(iter(r.values()))): ratios(
+            r["runs"]["change"], r["runs"]["parent"]) for r in results}
+    for name, r in first.items():
+        for cache in ("cached", "uncached"):
+            if f"decide_{cache}_s_median" in r and f"bare_{cache}_s_median" in r:
                 out[f"{name}_{cache}_over_bare_s"] = round(
-                    r["decide_median_s"] - r["bare_median_s"], 4)
-        if all("decide_median_s" in r for r in by_tree.values()) and "parent" in by_tree:
-            out[f"change_over_parent_{cache}"] = round(
-                by_tree["change"]["decide_median_s"] / by_tree["parent"]["decide_median_s"], 3)
+                    r[f"decide_{cache}_s_median"] - r[f"bare_{cache}_s_median"], 4)
     return out
 
 
@@ -350,33 +317,23 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--sides", default="1000,2000", help="comma-separated even square sides")
     ap.add_argument("--pairs", type=int, default=1, help="runs per tree and size")
     ap.add_argument("--parent", type=Path, help="a tree of the parent commit to compare against")
-    ap.add_argument("--max-dissect-mb", type=float, help="bound on this tree's dissect peak RSS")
-    ap.add_argument("--max-verify-mb", type=float, help="bound on this tree's verify peak RSS")
     ap.add_argument("--out", type=Path, help="also write the record here")
     args = ap.parse_args(argv)
     trees = {"change": ROOT}
     if args.parent is not None:
         trees = {"parent": args.parent.resolve(), "change": ROOT}
+    mode = {"squares": mode_squares, "poof": mode_poof, "startup": mode_startup}[args.mode]
     work = Path(tempfile.mkdtemp(prefix="latticediss-scale-"))
     results, problems = [], []
     try:
-        if args.mode == "startup":
-            results, problems = measure_startup(trees, args.pairs, work)
-        elif args.mode == "poof":
-            for count in POOF_COUNTS:
-                result, found = measure_poof(trees, count, args.pairs, work)
-                results.append(result)
-                problems += found
-        else:
-            for side in map(int, args.sides.split(",")):
-                result, found = measure(trees, side, args.pairs, work)
-                results.append(result)
-                problems += found
-                change = result["runs"]["change"]
-                for key, bound in (("dissect_mb", args.max_dissect_mb),
-                                   ("verify_mb", args.max_verify_mb)):
-                    if bound is not None and max(change[key], default=0) > bound:
-                        problems.append(f"{key} {max(change[key])} over {bound} at side {side}")
+        for size, one_round in mode(args, trees, work):
+            result, found = measure(trees, size, args.pairs, one_round)
+            results.append(result)
+            problems += found
+            for fig, bound in MAX_MB.items():  # figures of mode squares only
+                worst = max(result["runs"]["change"].get(fig, ()), default=0)
+                if worst > bound:
+                    problems.append(f"{fig} {worst} over {bound} at {size_name(size)}")
     finally:
         shutil.rmtree(work)
     record = {
@@ -387,8 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "results": results,
-        "summary": {"squares": summary, "poof": summary_poof,
-                    "startup": summary_startup}[args.mode](results),
+        "summary": summary(results),
         "problems": problems,
     }
     if args.out is not None:
