@@ -28,11 +28,16 @@ EXIT_INVALID = 11
 
 
 _MAX_ERROR = 1000  # characters of an error message shown whole
+# Each character that str.splitlines breaks a line at, as its escape: a path
+# or an input that an error message echoes may hold one.
+_LINE_BREAKS = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def _error_line(message: str) -> str:
-    """The one `error: ...` line of message; one over _MAX_ERROR characters,
-    which may echo a whole input, is shown as its first part and its length."""
+    """The one `error: ...` line of message, its line breaks escaped; one
+    over _MAX_ERROR characters, which may echo a whole input, is shown as its
+    first part and its length."""
+    message = message.translate(_LINE_BREAKS)
     if len(message) > _MAX_ERROR:
         message = f"{message[:_MAX_ERROR // 2]}... ({len(message)} characters)"
     return f"error: {message}\n"

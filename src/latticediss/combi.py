@@ -52,13 +52,19 @@ class Triangulation(Immutable):
         self._set(dict(vertex_colors), frozenset(tris), tuple(corners))
 
     @classmethod
-    def _of(cls, vertex_colors: dict[int, str], triangles: frozenset[frozenset[int]],
-            corners: tuple[int, ...]) -> Triangulation:
-        """A Triangulation that stores the containers as given, unchecked and
-        uncopied.  The caller has just built them, hands them over, and
-        vouches that each triangle is a frozenset of 3 distinct int ids."""
+    def _checked(cls, vertex_colors: dict[int, str], triangles: list[tuple[int, int, int]],
+                 corners: tuple[int, ...]) -> Triangulation:
+        """The disk with these parts, checked by validate_disk's check on the
+        triples as given, and raising NotADisk as it does, before they are
+        frozen: the frozen triangles are never built beside the check's own
+        maps.  The caller has just built the parts, hands them over, and
+        vouches that each triple is 3 distinct int ids; the colors and the
+        corners are stored as given, uncopied."""
+        errors = _disk_errors(vertex_colors, triangles, corners)
+        if errors:
+            raise NotADisk(errors)
         T = object.__new__(cls)
-        T._set(vertex_colors, triangles, corners)
+        T._set(vertex_colors, frozenset(map(frozenset, triangles)), corners)
         return T
 
     def __repr__(self) -> str:
@@ -104,11 +110,12 @@ def _boundary_error(boundary: list[tuple[int, int]], corners: tuple) -> str | No
     return None
 
 
-def _count_edges(T: Triangulation, lo: int, n: int) -> tuple[list, list[int], int] | None:
-    """One pass over T's edges: None if some edge has a third face, else
-    (boundary edges, union-find parents of the faces, number of edges).
+def _count_edges(triangles, lo: int, n: int) -> tuple[list, list[int], int] | None:
+    """One pass over the edges of triangles, 3-id triples: None if some edge
+    has a third face, else (boundary edges, union-find parents of the faces,
+    number of edges).
 
-    T's ids lie in lo .. lo + n - 1.  A flat map takes the int key a * n + b
+    The ids lie in lo .. lo + n - 1.  A flat map takes the int key a * n + b
     of each edge (a, b), a < b, to its first face, then to None once a
     second face has come, and the two faces are merged: the root of the
     earlier face is linked to face i, the face being scanned.  Face i is
@@ -116,12 +123,12 @@ def _count_edges(T: Triangulation, lo: int, n: int) -> tuple[list, list[int], in
     needs no find.  The key names the edge for any int ids: if a * n + b ==
     a' * n + b', then b' - b is a multiple of n inside (-n, n), so it is 0.
     So no tuple is built or kept per edge; only the boundary edges are
-    decoded, as (a, b) pairs in order of first appearance over T.triangles.
+    decoded, as (a, b) pairs in order of first appearance over triangles.
     """
     face_of: dict[int, int | None] = {}
     first = face_of.setdefault
-    parent = list(range(len(T.triangles)))
-    for i, (a, b, c) in enumerate(T.triangles):  # ordered by swaps, with no list
+    parent = list(range(len(triangles)))
+    for i, (a, b, c) in enumerate(triangles):  # ordered by swaps, with no list
         if a > b:
             a, b = b, a
         if b > c:
@@ -145,10 +152,20 @@ def _count_edges(T: Triangulation, lo: int, n: int) -> tuple[list, list[int], in
 
 
 def disk_errors(T: Triangulation) -> list[str]:
-    """All violations of the disk contract, one message per condition.
+    """All violations of the disk contract, one message per condition (see
+    _disk_errors, which checks T's colors, triangles and corners)."""
+    return _disk_errors(T.vertex_colors, T.triangles, T.corners)
+
+
+def _disk_errors(vertex_colors: Mapping[int, str], triangles, corners: tuple) -> list[str]:
+    """disk_errors of the Triangulation with these parts, where triangles is
+    any sized collection of 3-id triples that can be iterated again (verify's
+    poof checks its list of id tuples before it freezes them).  The messages
+    follow the iteration order of triangles.
 
     One counting pass (_count_edges) keys each edge by one int, from the
-    range of the ids in use, and builds no tuple or list per edge or face.
+    range of the ids in use, and builds no tuple or list per edge or face;
+    the set of ids in use is gone by then, its least, greatest and size kept.
     From its results, in order: no edge has a third face, the boundary is
     one cycle matching the corners, the faces are edge-connected and
     V - E + F = 1.  Only a third face makes the edge -> faces lists, to
@@ -161,17 +178,18 @@ def disk_errors(T: Triangulation) -> list[str]:
     other counts: a triangle beside a disjoint torus has one boundary cycle
     and V - E + F = 1 + 0.
     """
-    if not T.triangles:
+    if not triangles:
         return ["triangulation has no triangles"]
-    used = set().union(*T.triangles)
-    errors = [f"vertex {v} has no color" for v in sorted(used.difference(T.vertex_colors))]
-    errors += [f"vertex {v} lies in no triangle" for v in sorted(T.vertex_colors.keys() - used)]
-    lo = min(used)
-    counted = _count_edges(T, lo, max(used) - lo + 1)
+    used = set().union(*triangles)
+    errors = [f"vertex {v} has no color" for v in sorted(used.difference(vertex_colors))]
+    errors += [f"vertex {v} lies in no triangle" for v in sorted(vertex_colors.keys() - used)]
+    lo, hi, V = min(used), max(used), len(used)
+    del used  # the edge pass below is where the check peaks
+    counted = _count_edges(triangles, lo, hi - lo + 1)
     if counted is None:
         # edge (a, b) with a < b -> its triangles, in order of first appearance
-        edge_faces: dict[tuple[int, int], list[frozenset]] = {}
-        for tri in T.triangles:
+        edge_faces: dict[tuple[int, int], list] = {}
+        for tri in triangles:
             a, b, c = sorted(tri)
             for e in ((a, b), (b, c), (a, c)):
                 edge_faces.setdefault(e, []).append(tri)
@@ -183,7 +201,7 @@ def disk_errors(T: Triangulation) -> list[str]:
         return errors  # topology below assumes a sane edge complex
 
     boundary, parent, E = counted
-    error = _boundary_error(boundary, T.corners)
+    error = _boundary_error(boundary, corners)
     if error:
         errors.append(error)
 
@@ -193,10 +211,10 @@ def disk_errors(T: Triangulation) -> list[str]:
                 i = parent[i]
             return i
         home = root(0)
-        stray = next(t for i, t in enumerate(T.triangles) if root(i) != home)
+        stray = next(t for i, t in enumerate(triangles) if root(i) != home)
         errors.append(f"triangle {sorted(stray)} is disconnected from the rest")
 
-    V, F = len(used), len(T.triangles)
+    F = len(triangles)
     if V - E + F != 1:
         errors.append(f"Euler characteristic V-E+F = {V}-{E}+{F} = {V - E + F}, expected 1")
     if not errors:
@@ -205,14 +223,14 @@ def disk_errors(T: Triangulation) -> list[str]:
     # each vertex's incident triangles must form a single fan:
     # closed (cycle) for interior vertices, open (path) for boundary ones
     boundary_vertices = set().union(*boundary)
-    star: dict[int, list[frozenset]] = {}
-    for tri in T.triangles:
+    star: dict[int, list] = {}
+    for tri in triangles:
         for v in tri:
             star.setdefault(v, []).append(tri)
-    for v in sorted(used):
+    for v in sorted(star):  # the ids in use, built again
         link: dict[int, list[int]] = {}
         for tri in star[v]:
-            a, b = tri - {v}
+            a, b = [x for x in tri if x != v]
             link.setdefault(a, []).append(b)
             link.setdefault(b, []).append(a)
         stack = [next(iter(link))]  # walk the link graph

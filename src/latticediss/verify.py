@@ -21,7 +21,9 @@ Both need a valid dissection, so both verify it first.  On a dissection
 that parse_dissection_json built, verify skips the type scan of its
 coordinates and keeps a valid mode-"any" result in the reader's record (see
 _verify), so checking it and then poofing it, or taking its witness,
-verifies it once.
+verifies it once.  poof, the last reader of the result's segment index,
+takes the index out of the record: a second poof of the same dissection
+verifies it again, while verify and the witness reuse the kept report.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, count
 from math import gcd, nan
 
-from .combi import Triangulation, validate_disk
+from .combi import Triangulation
 from .dissect import Dissection
 from .errors import InvalidDissection, PreconditionViolated, TheoremViolation
 from .geometry import (
@@ -325,8 +327,8 @@ def verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequenc
     return VerifyReport(all(c.passed for c in checks), tuple(checks), n, total), index
 
 
-def _verify(P: ConvexLatticePolygon, D: Dissection,
-            mode: str) -> tuple[VerifyReport, _Index | None]:
+def _verify(P: ConvexLatticePolygon, D: Dissection, mode: str,
+            take: bool = False) -> tuple[VerifyReport, _Index | None]:
     """verify_dissection on D.triangles as one slice, also returning the
     segment index it built (None when the coordinates are not all integers).
 
@@ -339,15 +341,23 @@ def _verify(P: ConvexLatticePolygon, D: Dissection,
     very objects kept: deep-immutable tuples hold the same values for as
     long as they live.  The index kept is only the sides left uncancelled,
     and its users only read it.
+
+    take says that the caller, poof, takes the index: the record keeps
+    (triangles, polygon vertices, report, None), so the index lives only as
+    long as the caller holds it.  A kept record without its index still
+    gives its report, and verifies again only for a caller that takes the
+    index, which is a second poof of the same D.
     """
     tris, vs = D.triangles, P.vertices
     rec = D._record
     read = bool(rec) and rec[0] is tris
-    if mode == "any" and read and len(rec) > 1 and rec[1] is vs:
+    if mode == "any" and read and len(rec) > 1 and rec[1] is vs and not (take and rec[3] is None):
+        if take:
+            object.__setattr__(D, "_record", rec[:3] + (None,))
         return rec[2], rec[3]
     report, index = verify_slices(P, lambda: (tris,), mode, read)
     if report.valid and mode == "any" and read and _int_pairs(vs):
-        object.__setattr__(D, "_record", (tris, vs, report, index))
+        object.__setattr__(D, "_record", (tris, vs, report, None if take else index))
     return report, index
 
 
@@ -377,25 +387,28 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     segment finds its inner vertices by bisection in its line's sorted
     coordinates.
 
-    The verification is the one kept on a read D just verified against P
-    (see _verify).  Vertex ids number the dissection's points in sorted
-    order; the ids, the frozen triangles, the colors and the returned point
-    map are each built in one pass.  The Triangulation takes them unchecked
-    (Triangulation._of): every id is an int from idx, a verified triangle
-    has three distinct points, and a poofagon joins a side's start point to
-    two consecutive points strictly further along it, so each triangle is 3
-    distinct int ids.  validate_disk still checks the whole disk.  Before
-    it runs, poof frees the segment index, the triangle set and the point
-    -> id map: of its own working set only T, the verification report and
-    the sorted points, which the returned point map needs, stay alive.
+    The verification is the one kept on a read D just verified against P,
+    and poof takes its segment index out of D's record (see _verify), so a
+    second poof of the same D verifies again.  Vertex ids number the
+    dissection's points in sorted order.  poof builds one list of id
+    triples, the dissection's triangles in order and then the poofagons.
+    With the index, the segment lists and the point -> id map freed, the
+    disk check runs on that list, and only then are the triples frozen into
+    T (Triangulation._checked), so the frozen triangles are never built
+    beside the check's maps.  The triples go in unchecked: every id is an
+    int from the map, a verified triangle has three distinct points, and a
+    poofagon joins a side's start point to two consecutive points strictly
+    further along it, so each triple is 3 distinct int ids.  A poofagon
+    equal to another triangle would leave T with fewer triangles than
+    triples.
     """
-    rep, index = _verify(P, D, "any")
+    rep, index = _verify(P, D, "any", take=True)
     if not rep.valid:
         raise InvalidDissection("; ".join(c.detail for c in rep.checks if not c.passed))
 
     pts = sorted(set(chain.from_iterable(D.triangles)))
     idx = dict(zip(pts, count()))
-    tris = {frozenset((idx[a], idx[b], idx[c])) for a, b, c in D.triangles}
+    triples = [(idx[a], idx[b], idx[c]) for a, b, c in D.triangles]
 
     # P's edges are in the index reversed, keyed as in verify_slices; their
     # fans start at the edge's start.
@@ -418,18 +431,17 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
         n = ux * ux + uy * uy
         for t in inner:
             b = idx[(ux * t - uy * off) // n, (uy * t + ux * off) // n]
-            poofagon = frozenset((apex, b, a))
-            assert poofagon not in tris, "poofagon collides with an existing triangle"
-            tris.add(poofagon)
+            triples.append((apex, b, a))
             a = b
     del index, segments, lines, coords, reversed_edges  # the disk is built without them
 
     missing = [v for v in vs if v not in idx]
     assert not missing, f"polygon corners {missing} are not dissection vertices"
-    T = Triangulation._of(dict(enumerate(map(color_of, pts))), frozenset(tris),
-                          tuple(map(idx.__getitem__, vs)))
-    del tris, idx  # T holds its own frozen copy; the disk check runs without them
-    validate_disk(T)
+    colors, corners = dict(enumerate(map(color_of, pts))), tuple(map(idx.__getitem__, vs))
+    del idx  # the triples hold the ids; the disk check runs without the map
+    T = Triangulation._checked(colors, triples, corners)
+    assert len(T.triangles) == len(triples), "a poofagon collides with another triangle"
+    del triples  # before the point map is built
     return T, dict(enumerate(pts))
 
 

@@ -130,6 +130,40 @@ def test_scale_summary_of_a_tree_with_no_figures_at_the_smallest_size():
         "change_over_parent": {"4": {}, "8": {"dissect_s_median": 1.0}}}
 
 
+def test_scale_medians_are_rounded():
+    # canned rounds, no child: the mean of two middle values is written as
+    # its decimal, not as the float sum's noise (16.200000000000003)
+    scale = _scale()
+    rounds = {"parent": iter([16.1, 16.3]), "change": iter([0.1, 0.2])}
+    result, problems = scale.measure(
+        {"parent": ROOT, "change": ROOT}, {"side": 200}, 2,
+        lambda name, tree: ({"dissect_mb": next(rounds[name]), "poofed_tris": 5}, ""))
+    assert problems == []
+    assert json.dumps(result["runs"]) == json.dumps({
+        "parent": {"dissect_mb": [16.1, 16.3], "poofed_tris": [5, 5],
+                   "dissect_mb_median": 16.2, "poofed_tris_median": 5.0},
+        "change": {"dissect_mb": [0.1, 0.2], "poofed_tris": [5, 5],
+                   "dissect_mb_median": 0.15, "poofed_tris_median": 5.0}})
+
+
+def test_scale_startup_fails_when_filling_the_cache_fails(monkeypatch, capsys):
+    # canned children: the first, decide filling the cache, exits 3; every
+    # timed child succeeds
+    scale = _scale()
+    calls = []
+
+    def run(tree, args, **env):
+        calls.append(args)
+        out = scale.STARTUP_OUTPUT["decide" if "decide" in args else "bare"]
+        return 0.1, 10.0, 3 if len(calls) == 1 else 0, out
+
+    monkeypatch.setattr(scale, "run", run)
+    assert scale.main(["--mode", "startup", "--pairs", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["problems"] == [
+        "change decide (filling the cache) exited 3 with 'contractible\\n' at letters 4"]
+    assert len(calls) == 2  # the cache-filling runs; no round runs a child after that
+
+
 def test_scale_poof_child_counts_as_in_process(tmp_path):
     # the poof child's untimed figures follow its timed poofs, and are the
     # line events and gen-0 collections of one poof counted here

@@ -368,6 +368,9 @@ def test_render_golden_pentagon(tmp_path):
      "lattice point [0, 1, 2, "),
     (["verify", "SQUARE", json.dumps({"triangles": [list(range(200_000))]})],
      "triangle [0, 1, 2, "),
+    (["decide", "--polygon", "NEWLINE"], "no\\nsuch: [Errno 2]"),
+    (["verify", "NEWLINE", "SQUARE"], "no\\nsuch: [Errno 2]"),
+    (["verify", "SQUARE", "NEWLINE"], "no\\nsuch: [Errno 2]"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
@@ -376,7 +379,9 @@ def test_render_golden_pentagon(tmp_path):
         "written-layout-float", "decide-empty-polygon-path", "polygon-entry-number",
         "bench-lengths-empty", "bench-lengths-only-comma", "bench-lengths-over-cap",
         "bench-lengths-5000-digits", "bench-lengths-100000-characters",
-        "polygon-entry-200000-ints", "triangle-entry-200000-ints"])
+        "polygon-entry-200000-ints", "triangle-entry-200000-ints",
+        "decide-polygon-path-with-newline", "verify-polygon-path-with-newline",
+        "verify-dissection-path-with-newline"])
 def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []
@@ -389,6 +394,8 @@ def test_malformed_input_exits_2(args, named, tmp_path, capsys):
             a = str(tmp_path / "no-such-dir" / "out")
         elif a == "OUT":
             a = str(tmp_path / "out")
+        elif a == "NEWLINE":  # a file that is not there, whose name holds a line break
+            a = str(tmp_path / "no\nsuch")
         argv.append(a)
     assert main(argv) == 2
     err = capsys.readouterr().err

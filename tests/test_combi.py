@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import disk_reference
 from catalan_reference import enumerate_diagonal_triangulations
+from latticediss import combi
 from latticediss.dissect import parse_dissection_json
 from latticediss.errors import BoundExceeded, NotADisk, TooSmall
 from latticediss.geometry import parse_polygon_json
@@ -305,6 +306,43 @@ def test_disk_errors_matches_reference_on_relabelled_poofed_disks(id_map):
     assert disk_errors(T) == disk_reference.disk_errors(T) == []
     for kind, bad in _damaged_disks(T, rng).items():
         assert disk_errors(bad) == disk_reference.disk_errors(bad), kind
+
+
+# A piece of each message disk_errors gives.
+DISK_MESSAGES = ("has no triangles", "has no color", "lies in no triangle", "triangles: [",
+                 "no boundary edges", "touches", "more than one cycle", "does not match corners",
+                 "disconnected", "Euler characteristic", "fan")
+
+
+def _triple_check(T, rng):
+    """combi._disk_errors on T's triangles as a list of id tuples, in T's
+    iteration order, each tuple's ids in a seeded order: what poof checks
+    before it freezes its triangles."""
+    triples = []
+    for t in T.triangles:
+        ids = list(t)
+        rng.shuffle(ids)
+        triples.append(tuple(ids))
+    return combi._disk_errors(T.vertex_colors, triples, T.corners)
+
+
+def test_disk_check_on_id_triples_matches_disk_errors():
+    rng = random.Random(36)
+    cases = [(name, T) for name, T in MALFORMED.items()]
+    cases += [(f"{name} {id_map}", _relabelled(T, ID_MAPS[id_map]))
+              for name, T, _ in KEYED_CASES for id_map in sorted(ID_MAPS)]
+    for count in (30, 250):
+        req = inputs.foreign_request(random.Random(count), count, "valid", True)
+        P = parse_polygon_json(req.polygon_text)
+        T, _ = poof(P, parse_dissection_json(req.dissection_text)[1])
+        cases.append((f"poofed {count}", T))
+        cases += [(f"poofed {count} {kind}", bad) for kind, bad in _damaged_disks(T, rng).items()]
+    seen = set()
+    for name, T in cases:
+        errs = disk_errors(T)
+        assert _triple_check(T, rng) == errs, name
+        seen.update(kind for kind in DISK_MESSAGES if any(kind in e for e in errs))
+    assert seen == set(DISK_MESSAGES)  # every condition fails somewhere
 
 
 # --- boundary words and tricolors -------------------------------------------

@@ -1,6 +1,7 @@
 """Memory guard: the CLI's dissect --unit, verify --mode unit and witness, in
 process, on the n x n and 2n x 2n squares under tracemalloc; poof, which
-must free its working set before its disk check; decide_contractible,
+must free its working set before its disk check and peak at most 1.4
+times what its result holds; decide_contractible,
 whose verdict pass holds one byte per stacked letter and one chunk of the
 word, and whose trace keeps the word's own letters rather than a copy; and
 the CLI's decide on a word that is not contractible, in bytes per letter.
@@ -25,7 +26,9 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from latticediss import verify
+import pytest
+
+from latticediss import combi, verify
 from latticediss.cli import main
 from latticediss.dissect import Dissection, dissection_to_json, parse_dissection_json
 from latticediss.geometry import parse_polygon_json, validate_convex
@@ -82,25 +85,36 @@ def test_cli_witness_peak_does_not_grow_with_the_triangles(tmp_path):
     assert peaks[2 * N + 1] < GROWTH * peaks[N + 1], peaks
 
 
-def test_poof_holds_no_more_than_its_result_at_the_disk_check(monkeypatch):
-    # What is in use when poof calls validate_disk must be no more than what
-    # its returned (T, points) holds once it returns: the sorted point list
-    # stays for the point map, but the triangle set and the point -> id map
-    # that built T, about 42 KB here, must be gone by then.  A full
-    # collection before each reading empties the free lists, whose blocks
-    # tracemalloc counts as in use.
-    req = inputs.foreign_request(random.Random(29), 500, "valid", True)
+def _verified_request(seed: int):
+    """(P, D) of a valid 500-triangle foreign_request: D read and verified,
+    as foreign_check does before its poof, so its record keeps the
+    verification and its segment index.  A poof of another read of the same
+    text first fills the caches."""
+    req = inputs.foreign_request(random.Random(seed), 500, "valid", True)
     P = parse_polygon_json(req.polygon_text)
+    verify.poof(P, parse_dissection_json(req.dissection_text)[1])
     _, D = parse_dissection_json(req.dissection_text)
-    verify.poof(P, D)  # warm up: verification kept on D, caches filled
-    at_entry, check = [], verify.validate_disk
+    assert verify.verify_dissection(P, D).valid and D._record[3] is not None
+    return P, D
 
-    def recording(T):
+
+def test_poof_holds_no_more_than_its_result_at_the_disk_check(monkeypatch):
+    # What is in use when poof's disk check runs must be no more than what
+    # its returned (T, points) holds once it returns: the sorted point list
+    # stays for the point map, but the point -> id map, the segment index
+    # that poof has taken out of D's record and the frozen triangles, which
+    # are built only after the check, must not be there.  A full collection
+    # before each reading empties the free lists, whose blocks tracemalloc
+    # counts as in use.
+    P, D = _verified_request(29)
+    at_entry, check = [], combi._disk_errors
+
+    def recording(*parts):
         gc.collect()
-        at_entry.append(tracemalloc.get_traced_memory()[0])
-        check(T)
+        at_entry.append((tracemalloc.get_traced_memory()[0], D._record[3]))
+        return check(*parts)
 
-    monkeypatch.setattr(verify, "validate_disk", recording)
+    monkeypatch.setattr(combi, "_disk_errors", recording)
     gc.collect()
     tracemalloc.start()
     try:
@@ -111,8 +125,32 @@ def test_poof_holds_no_more_than_its_result_at_the_disk_check(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(result[0].triangles) > 500 and len(at_entry) == 1
-    assert at_entry[0] - base <= held, (
-        f"{at_entry[0] - base} bytes in use at the disk check, {held} held by poof's result")
+    in_use, kept_index = at_entry[0]
+    assert kept_index is None  # D's record no longer holds the index
+    assert in_use - base <= held, (
+        f"{in_use - base} bytes in use at the disk check, {held} held by poof's result")
+
+
+@pytest.mark.parametrize("seed", [29, 3, 7])
+def test_poof_peak_is_at_most_1_4_times_its_result(seed):
+    # poof on a verified read dissection is where foreign_check's memory
+    # request peaks.  Checking the disk on id triples before freezing them,
+    # with the segment index freed, reads 1.26-1.27 times what the result
+    # holds here; the frozen disk checked beside its set, the id map and the
+    # index read 1.56-1.58.
+    P, D = _verified_request(seed)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = verify.poof(P, D)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result[0].triangles) > 500
+    assert peak <= 1.4 * held, f"peak {peak} bytes, {peak / held:.3f} times the result's {held}"
 
 
 def decide_peak(text: str):

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from latticediss.errors import InvalidDissection, PreconditionViolated
+import latticediss.verify as verify_module
+from latticediss import combi
+from latticediss.errors import InvalidDissection, NotADisk, PreconditionViolated
 from latticediss.combi import Triangulation, boundary_word_of, validate_disk
 from latticediss.dissect import (
     Dissection,
@@ -605,11 +607,52 @@ def test_poof_rejects_invalid_dissection():
         poof(UNIT_SQUARE, Dissection((HALF_SPLIT.triangles[0],)))
 
 
+def test_poof_raises_not_a_disk_with_the_messages_of_disk_errors(monkeypatch):
+    # With no inner points found there is no poofagon, and a dissection
+    # with T-vertices is then no disk: poof raises NotADisk with the
+    # messages of the disk check on its id triples in poof's order, which
+    # are disk_errors' on the same triangles met in that order (see
+    # test_combi.py's test_disk_check_on_id_triples_matches_disk_errors).
+    req = inputs.foreign_request(random.Random(30), 30, "valid", True)
+    P = parse_polygon_json(req.polygon_text)
+    D = parse_dissection_json(req.dissection_text)[1]
+    T, vmap = poof(P, D)
+    ids = {p: i for i, p in vmap.items()}
+    monkeypatch.setattr(verify_module, "bisect_left", lambda ts, x: 0)
+    with pytest.raises(NotADisk) as exc:
+        poof(P, D)
+    triples = [tuple(ids[p] for p in t) for t in D.triangles]
+    assert exc.value.errors
+    assert exc.value.errors == combi._disk_errors(T.vertex_colors, triples, T.corners)
+
+
+def test_poof_takes_the_kept_index_and_a_second_poof_verifies_again(monkeypatch):
+    req = inputs.foreign_request(random.Random(60), 60, "valid", False)
+    P = parse_polygon_json(req.polygon_text)
+    D = parse_dissection_json(req.dissection_text)[1]
+    calls, real = [], verify_module.verify_slices
+    monkeypatch.setattr(verify_module, "verify_slices",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    report = verify_dissection(P, D)
+    assert calls == ["any"] and D._record[2] is report and D._record[3] is not None
+    first = poof(P, D)
+    assert calls == ["any"] and D._record[2:] == (report, None)  # the index is poof's now
+    assert verify_dissection(P, D) is report
+    witness = witness_noninteger(P, D)
+    assert calls == ["any"]  # verify and witness reuse the kept report
+    second = poof(P, D)  # needs the index, which the record no longer holds
+    assert calls == ["any", "any"] and D._record[3] is None
+    assert verify_dissection(P, D) == report and witness_noninteger(P, D) == witness
+    assert len(calls) == 2
+    assert (second[0].triangles, second[0].corners, second[0].vertex_colors, second[1]) == (
+        first[0].triangles, first[0].corners, first[0].vertex_colors, first[1])
+
+
 def test_poof_random_dissections():
     for seed in range(12):
         P = random_convex_polygon(3 + seed % 6, 20, seed=seed)
         D = random_dissection(P, depth=6, seed=seed)
-        T, vmap = poof(P, D)  # validate_disk runs inside
+        T, vmap = poof(P, D)  # the disk check runs inside
         assert boundary_word_of(T) == boundary_word(P)
         nondegen = [
             tri for tri in T.triangles

@@ -37,17 +37,18 @@ of its output, which must be the same in every tree.
 - startup: `python -m latticediss.cli decide ABAB`, which must print
   `contractible` and nothing else, and `python -c pass`, the bare
   interpreter, with the bytecode cache on and off.  On, PYTHONPYCACHEPREFIX
-  points to a temporary directory that one untimed run per tree fills, so
-  no tree is written; off, PYTHONDONTWRITEBYTECODE=1 runs a fresh copy of
-  the tree's src/latticediss, so the package is compiled at every run, as in
-  a new checkout, while the standard library keeps its cache.  Figures:
+  points to a temporary directory that one untimed run of each per tree
+  fills, so no tree is written; those runs are checked as the timed ones
+  are.  Off, PYTHONDONTWRITEBYTECODE=1 runs a fresh copy of the tree's
+  src/latticediss, so the package is compiled at every run, as in a new
+  checkout, while the standard library keeps its cache.  Figures:
   {decide,bare}_{cached,uncached}_{s,mb}.
 
 The last line of standard output is the record:
 
     {"command", "trees", "date", "python", "machine", "cpus",
      "results": [{<size fields>, "runs": {<tree>: {<figure>: [one value per
-                  round], "<figure>_median": <median>}}}],
+                  round], "<figure>_median": <median, to 6 places>}}}],
      "summary": {"<tree>_growth": {<median>: largest size over smallest},
                  "change_over_parent": {<size>: {<median>: change over parent}},
                  "<tree>_<cache>_over_bare_s": <decide less bare, startup>},
@@ -201,8 +202,11 @@ def measure(trees: dict[str, Path], size: dict, pairs: int, one_round) -> tuple[
                 runs[name].setdefault(fig, []).append(value)
         if len(set(digests.values())) > 1:
             problems.append(f"the trees' outputs differ at {size_name(size)}")
+    # The mean of two middle rounds, each rounded to at most 4 places, is
+    # exact to 6: so 16.1 and 16.3 give 16.2, not 16.200000000000003.
     for r in runs.values():
-        r.update({f"{fig}_median": statistics.median(values) for fig, values in r.items()})
+        r.update({f"{fig}_median": round(statistics.median(values), 6)
+                  for fig, values in r.items()})
     return {**size, "runs": runs}, problems
 
 
@@ -253,11 +257,20 @@ STARTUP_RUNS = {"decide": [*CLI, "decide", "ABAB"], "bare": ["-c", "pass"]}
 STARTUP_OUTPUT = {"decide": "contractible\n", "bare": ""}  # each child's whole stdout
 
 
+def startup_run(tree: Path, cmd: str, cache: str, env: dict) -> tuple[float, float] | str:
+    """(wall seconds, peak RSS in MB) of one start-up child, or a problem
+    text when it exits non-zero or prints anything but its STARTUP_OUTPUT."""
+    wall, mb, code, out = run(tree, STARTUP_RUNS[cmd], **env)
+    if code != 0 or out != STARTUP_OUTPUT[cmd]:
+        return f"{cmd} ({cache}) exited {code} with {out!r}"
+    return wall, mb
+
+
 def mode_startup(args: argparse.Namespace, trees: dict[str, Path], work: Path):
     """The one (size, one_round) of the start-up children."""
     # tree name -> cache setting -> (the tree the child imports, its added
     # environment); an empty variable counts as unset
-    setups = {}
+    setups, failed = {}, {}
     for name, tree in trees.items():
         fresh = work / name / "src" / "latticediss"
         fresh.mkdir(parents=True)
@@ -265,18 +278,23 @@ def mode_startup(args: argparse.Namespace, trees: dict[str, Path], work: Path):
             shutil.copyfile(path, fresh / path.name)
         cached = {"PYTHONPYCACHEPREFIX": str(work / f"{name}-pycache"),
                   "PYTHONDONTWRITEBYTECODE": ""}
-        for argv in STARTUP_RUNS.values():  # fill the cache, untimed
-            run(tree, argv, **cached)
+        for cmd in STARTUP_RUNS:  # fill the cache, untimed: a failure fails every round
+            got = startup_run(tree, cmd, "filling the cache", cached)
+            if isinstance(got, str):
+                failed.setdefault(name, got)
         setups[name] = {"cached": (tree, cached), "uncached": (
             work / name, {"PYTHONPYCACHEPREFIX": "", "PYTHONDONTWRITEBYTECODE": "1"})}
 
     def one_round(name, _):
+        if name in failed:
+            return failed[name]
         figures = {}
         for cache, (tree, env) in setups[name].items():
-            for cmd, argv in STARTUP_RUNS.items():
-                wall, mb, code, out = run(tree, argv, **env)
-                if code != 0 or out != STARTUP_OUTPUT[cmd]:
-                    return f"{cmd} ({cache}) exited {code} with {out!r}"
+            for cmd in STARTUP_RUNS:
+                got = startup_run(tree, cmd, cache, env)
+                if isinstance(got, str):
+                    return got
+                wall, mb = got
                 figures[f"{cmd}_{cache}_s"] = round(wall, 4)
                 figures[f"{cmd}_{cache}_mb"] = round(mb, 1)
         return figures, ""
