@@ -163,29 +163,29 @@ def _disk_errors(vertex_colors: Mapping[int, str], triangles, corners: tuple) ->
     poof checks its list of id tuples before it freezes them).  The messages
     follow the iteration order of triangles.
 
-    One counting pass (_count_edges) keys each edge by one int, from the
-    range of the ids in use, and builds no tuple or list per edge or face;
-    the set of ids in use is gone by then, its least, greatest and size kept.
-    From its results, in order: no edge has a third face, the boundary is
-    one cycle matching the corners, the faces are edge-connected and
-    V - E + F = 1.  Only a third face makes the edge -> faces lists, to
-    name the faces.  The per-vertex fan walk runs last and only if an
-    earlier check failed, so a valid disk costs linear time.  The fan walk
-    cannot fail once those four checks pass: splitting each vertex into its
-    c link components gives a connected surface with boundary and Euler
-    characteristic 1 + sum(c - 1), which is at most 1 and equals 1 only
-    for the disk, so every c is 1.  Face connectivity is not implied by the
-    other counts: a triangle beside a disjoint torus has one boundary cycle
-    and V - E + F = 1 + 0.
+    One set holds the ids in use, for the color checks, the range of
+    _count_edges' keys, V and the fan walk.  The counting pass
+    (_count_edges) keys each edge by one int, from that range, and builds
+    no tuple or list per edge or face.  From its results, in order: no
+    edge has a third face, the boundary is one cycle matching the corners,
+    the faces are edge-connected and V - E + F = 1.  Only a third face
+    makes the edge -> faces lists, to name the faces.  The per-vertex fan
+    walk runs last and only if an earlier check failed, so a valid disk
+    costs linear time.  The fan walk cannot fail once those four checks
+    pass: splitting each vertex into its c link components gives a
+    connected surface with boundary and Euler characteristic
+    1 + sum(c - 1), which is at most 1 and equals 1 only for the disk, so
+    every c is 1.  Face connectivity is not implied by the other counts: a
+    triangle beside a disjoint torus has one boundary cycle and
+    V - E + F = 1 + 0.
     """
     if not triangles:
         return ["triangulation has no triangles"]
     used = set().union(*triangles)
     errors = [f"vertex {v} has no color" for v in sorted(used.difference(vertex_colors))]
     errors += [f"vertex {v} lies in no triangle" for v in sorted(vertex_colors.keys() - used)]
-    lo, hi, V = min(used), max(used), len(used)
-    del used  # the edge pass below is where the check peaks
-    counted = _count_edges(triangles, lo, hi - lo + 1)
+    lo = min(used)
+    counted = _count_edges(triangles, lo, max(used) - lo + 1)
     if counted is None:
         # edge (a, b) with a < b -> its triangles, in order of first appearance
         edge_faces: dict[tuple[int, int], list] = {}
@@ -214,7 +214,7 @@ def _disk_errors(vertex_colors: Mapping[int, str], triangles, corners: tuple) ->
         stray = next(t for i, t in enumerate(triangles) if root(i) != home)
         errors.append(f"triangle {sorted(stray)} is disconnected from the rest")
 
-    F = len(triangles)
+    V, F = len(used), len(triangles)
     if V - E + F != 1:
         errors.append(f"Euler characteristic V-E+F = {V}-{E}+{F} = {V - E + F}, expected 1")
     if not errors:
@@ -227,7 +227,7 @@ def _disk_errors(vertex_colors: Mapping[int, str], triangles, corners: tuple) ->
     for tri in triangles:
         for v in tri:
             star.setdefault(v, []).append(tri)
-    for v in sorted(star):  # the ids in use, built again
+    for v in sorted(used):
         link: dict[int, list[int]] = {}
         for tri in star[v]:
             a, b = [x for x in tri if x != v]

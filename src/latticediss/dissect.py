@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator
+from functools import cache
 from itertools import chain, islice, tee
 from math import gcd
 
@@ -53,6 +54,7 @@ from .geometry import (
     boundary_word,
     load_json,
     polygon_area2,
+    polygon_to_json,
     read_text,
     signed_area2,
 )
@@ -304,7 +306,7 @@ def json_chunks(P: ConvexLatticePolygon, triangles: Iterable[Triangle]) -> Itera
     to unpack; json.dumps then writes the slice as it is given: it quotes a
     str and raises TypeError on a Fraction.
     """
-    yield _HEAD + json.dumps(P.vertices) + _MIDDLE
+    yield _HEAD + polygon_to_json(P) + _MIDDLE
     it = iter(triangles)
     sep = ""
     size = max(1, _SLICE // 32)  # triangles in a slice: each takes about 32 characters
@@ -468,18 +470,19 @@ def _file_slices(path: str) -> Iterator[list[Triangle]]:
 
 def read_dissection(path: str,
                     job: Callable[[Callable[[], Iterable[list[Triangle]]]], object]) -> object:
-    """job(slices) on the dissection at path, or on stdin for "-".  Each
-    slices() call reads the triangles afresh, in lists, every coordinate an
-    exact int: a file in the writer's layout a slice at a time; stdin,
-    another layout, or a file whose read raises ValueError or OSError at any
-    point, whole, by parse_dissection_json, with job run again on it."""
+    """job(slices) on the dissection at path, or on stdin for "-".  slices()
+    gives the triangles, every coordinate an exact int, and nothing is read
+    before the job first calls it.  A file in the writer's layout is read
+    afresh, a slice at a time, at each call.  Stdin, another layout, or a
+    file whose read raises ValueError or OSError at any point, with job run
+    again on it, is read whole, by parse_dissection_json, at the first call,
+    and later calls give the same one slice."""
     if path != "-":
         try:
             return job(lambda: _file_slices(path))
         except (OSError, ValueError):
             pass
-    triangles = parse_dissection_json(read_text(path))[1].triangles
-    return job(lambda: (triangles,))
+    return job(cache(lambda: (parse_dissection_json(read_text(path))[1].triangles,)))
 
 
 def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:

@@ -62,10 +62,6 @@ def signed_area2(t: Triangle) -> int:
     return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
 
 
-def collinear(p: Point, q: Point, r: Point) -> bool:
-    return signed_area2((p, q, r)) == 0
-
-
 class ConvexLatticePolygon(OneField):
     """A strictly convex lattice polygon, vertices in counterclockwise order.
 

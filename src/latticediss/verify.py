@@ -42,6 +42,7 @@ from .geometry import (
     ConvexLatticePolygon,
     Point,
     Triangle,
+    as_triangle,
     boundary_word,
     color_of,
     polygon_area2,
@@ -231,12 +232,12 @@ def _area2_or_nan(t) -> float:
 
 
 def _int_triangle(t) -> bool:
-    """Whether t is three pairs of exact ints."""
+    """Whether t is three pairs of exact ints, as as_triangle wants them."""
     try:
-        (x1, y1), (x2, y2), (x3, y3) = t
-    except (TypeError, ValueError):
+        as_triangle(t)
+    except ValueError:
         return False
-    return all(type(c) is int for c in (x1, y1, x2, y2, x3, y3))
+    return True
 
 
 def verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequence[Triangle]]],
@@ -385,7 +386,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     a left-over segment on the side's line: the triangles on the far side
     of the line have their own sides ending there.  So each left-over
     segment finds its inner vertices by bisection in its line's sorted
-    coordinates.
+    coordinates, and _point_on gives each one's point.
 
     The verification is the one kept on a read D just verified against P,
     and poof takes its segment index out of D's record (see _verify), so a
@@ -427,10 +428,8 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
         inner = ts[i:j]
         if (tp < tq) != rev:  # walk the inner points from the fan's end
             inner.reverse()
-        ux, uy, off = line  # each inner point b as _point_on gives it
-        n = ux * ux + uy * uy
         for t in inner:
-            b = idx[(ux * t - uy * off) // n, (uy * t + ux * off) // n]
+            b = idx[_point_on(line, t)]
             triples.append((apex, b, a))
             a = b
     del index, segments, lines, coords, reversed_edges  # the disk is built without them
@@ -462,15 +461,12 @@ def witness_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequen
     the checks that fail, and no detail, so a failing boundary-chain
     detail reads nothing more.
 
-    The word is decided first.  For a contractible word slices() is still
-    read through before the precondition fails, so that text the reader
-    refuses gets the reader's error, as it does when the text is read whole
-    before the call.  slices() is read again to find the witness.
+    The word is decided first, and for a contractible word the precondition
+    fails before slices() is called, so no dissection is read at all: the
+    precondition wins over any error the reader would give.  slices() is
+    read again to find the witness.
     """
-    ok, _ = decide_contractible(boundary_word(P))
-    if ok:
-        for _ in slices():
-            pass
+    if decide_contractible(boundary_word(P))[0]:
         raise PreconditionViolated("the polygon's boundary word is contractible")
     read = slices()
     report = verify(lambda: read)

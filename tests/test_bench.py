@@ -94,6 +94,21 @@ def test_scale_record_names_no_local_path(tmp_path, monkeypatch):
     assert len(set(record["trees"].values())) == 2
 
 
+def test_committed_scale_records_name_no_local_path():
+    # each committed record's command is a tools/scale.py run that a reader
+    # can repeat: the parent tree is PARENT, and --out, like every other
+    # value, is no path
+    records = json.loads((ROOT / "BENCH_scale.json").read_text())
+    assert records
+    for mode, record in records.items():
+        words = record["command"].split()
+        assert words[:2] == ["python3", "tools/scale.py"], mode
+        assert len(words) % 2 == 0 and all(w.startswith("--") for w in words[2::2]), mode
+        options = dict(zip(words[2::2], words[3::2]))
+        assert options.get("--parent", "PARENT") == "PARENT", mode
+        assert not any("/" in value for value in options.values()), mode
+
+
 def _scale():
     spec = importlib.util.spec_from_file_location("scale", ROOT / "tools" / "scale.py")
     scale = importlib.util.module_from_spec(spec)

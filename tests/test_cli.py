@@ -600,11 +600,11 @@ def test_verify_reads_a_file_again_only_for_a_failing_chain(tmp_path, monkeypatc
 def test_witness_reads_a_file_once_unless_it_verifies(tmp_path, monkeypatch, capsys):
     # a valid file is read to verify it and again for the witness; one that
     # does not verify is read once, its dropped boundary-chain detail reading
-    # nothing more, and so is a file against a contractible-word polygon
+    # nothing more; a file against a contractible-word polygon is not read
     poly, diss = tmp_path / "poly.json", tmp_path / "diss.json"
     reads = _counted_reads(monkeypatch)
     for polygon, drop, code, expected in ((RECT35, 0, 0, 2), (RECT35, 1, 2, 1),
-                                          (RECT46, 0, 2, 1), (RECT46, 1, 2, 1)):
+                                          (RECT46, 0, 2, 0), (RECT46, 1, 2, 0)):
         poly.write_text(polygon)
         P = parse_polygon_json(polygon)
         D = random_dissection(P, depth=6, seed=1)
@@ -613,6 +613,39 @@ def test_witness_reads_a_file_once_unless_it_verifies(tmp_path, monkeypatch, cap
         assert main(["witness", str(poly), str(diss)]) == code
         capsys.readouterr()
         assert len(reads) == expected, (polygon, drop)
+
+
+def test_stdin_is_parsed_once_though_read_twice(tmp_path, monkeypatch, capsys):
+    # a dropped triangle's boundary-chain detail and a witness each read the
+    # slices a second time; stdin's whole-text parse serves both reads
+    parses, real = [], dissect.parse_dissection_json
+    monkeypatch.setattr(dissect, "parse_dissection_json",
+                        lambda text: parses.append(text) or real(text))
+    poly = tmp_path / "poly.json"
+    poly.write_text(RECT35)
+    P = parse_polygon_json(RECT35)
+    D = random_dissection(P, depth=6, seed=1)
+    for argv, triangles, code in ((["verify", str(poly), "-"], D.triangles[1:], 11),
+                                  (["witness", str(poly), "-"], D.triangles, 0)):
+        text = dissection_to_json(P, dissect.Dissection(triangles))
+        parses.clear()
+        assert _verify_out(argv, capsys, text, monkeypatch)[0] == code
+        assert parses == [text], argv
+
+
+def test_witness_on_a_contractible_polygon_reads_no_dissection(tmp_path, monkeypatch, capsys):
+    # the precondition line comes before any read: a missing file and an
+    # unreadable stdin both give it
+    class Unread(io.StringIO):
+        def read(self, *args):
+            raise AssertionError("stdin read")
+
+    poly = tmp_path / "poly.json"
+    poly.write_text(RECT46)
+    monkeypatch.setattr(sys, "stdin", Unread())
+    for source in (str(tmp_path / "missing.json"), "-"):
+        assert main(["witness", str(poly), source]) == 2
+        assert capsys.readouterr() == ("", _PRECONDITIONS[0])
 
 
 def _mutated(rng, text):

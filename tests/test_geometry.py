@@ -12,7 +12,6 @@ from latticediss.geometry import (
     as_point,
     as_triangle,
     boundary_word,
-    collinear,
     color_of,
     parse_polygon_json,
     polygon_area2,
@@ -74,15 +73,15 @@ def test_parity_proposition_exhaustive_6x6():
 
 
 def test_collinear_examples():
-    assert collinear((0, 0), (1, 1), (2, 2))
-    assert not collinear((0, 0), (1, 0), (0, 1))
-    assert collinear((0, 0), (2, 0), (5, 0))
+    assert signed_area2(((0, 0), (1, 1), (2, 2))) == 0
+    assert signed_area2(((0, 0), (1, 0), (0, 1))) != 0
+    assert signed_area2(((0, 0), (2, 0), (5, 0))) == 0
 
 
 def test_collinear_corollary_exhaustive_8x8():
     grid = [(x, y) for x in range(8) for y in range(8)]
     for a, b, c in itertools.combinations(grid, 3):
-        if collinear(a, b, c):
+        if signed_area2((a, b, c)) == 0:
             cols = {color_of(a), color_of(b), color_of(c)}
             assert len(cols) < 3
 

@@ -687,6 +687,12 @@ def _poof_cases():
     for seed in range(40):
         P = random_convex_polygon(3 + seed % 7, 12 + seed, seed=seed)
         cases.append((P, random_dissection(P, depth=4 + seed % 12, seed=seed)))
+    # the benchmark's own T-vertex dissections, for both word verdicts
+    for count in (250, 500):
+        for contractible in (True, False):
+            req = inputs.foreign_request(random.Random(f"poof-{count}"), count, "valid",
+                                         contractible)
+            cases.append((validate_convex(req.polygon), Dissection(req.triangles)))
     return cases
 
 

@@ -25,15 +25,16 @@ of its output, which must be the same in every tree.
   over MAX_MB["verify_mb"] = 100 MB.
 - poof: per n in POOF_COUNTS, one child on
   `perfbench.inputs.foreign_request(random.Random(n), n, "valid", True)`,
-  made once here and handed to every child as a file.  It times
-  `verify.poof`, which verifies first, on a fresh `Dissection`, POOF_REPS
-  times with the collector on; then, untimed, it counts the gen-0
-  collections of one more poof and the line events of another in the
-  package's frames, with tests/test_complexity.py's line_events, which it
-  imports only after the timed poofs.  Figures: us_per_tri (the fastest
-  poof, in µs per input triangle), poofed_tris, gen0_per_tri and
-  line_events_per_tri; the digest covers poof's triangles, corners,
-  colors and point map.
+  made once here and handed to every child as its dissection text.  The
+  child reads it with `parse_dissection_json` and `validate_convex`, and
+  times `verify.poof`, which verifies first, on a fresh `Dissection` of the
+  triangles read, POOF_REPS times with the collector on; then, untimed, it
+  counts the gen-0 collections of one more poof and the line events of
+  another in the package's frames, with tests/test_complexity.py's
+  line_events, which it imports only after the timed poofs.  Figures:
+  us_per_tri (the fastest poof, in µs per input triangle), poofed_tris,
+  gen0_per_tri and line_events_per_tri; the digest covers poof's
+  triangles, corners, colors and point map.
 - startup: `python -m latticediss.cli decide ABAB`, which must print
   `contractible` and nothing else, and `python -c pass`, the bare
   interpreter, with the bytecode cache on and off.  On, PYTHONPYCACHEPREFIX
@@ -94,14 +95,12 @@ POOF_REPS = 7  # timed poofs per child run, whose fastest the run records
 # line-event counter of the tests/ directory in argv[3]; prints one JSON line.
 POOF_CHILD = """
 import gc, hashlib, json, sys, time
-from latticediss.dissect import Dissection
+from latticediss.dissect import Dissection, parse_dissection_json
 from latticediss.geometry import validate_convex
 from latticediss.verify import poof
 with open(sys.argv[1]) as fh:
-    data = json.load(fh)
-P = validate_convex([tuple(p) for p in data["polygon"]])
-seen = {}
-tris = tuple(tuple(seen.setdefault(p, p) for p in map(tuple, t)) for t in data["triangles"])
+    polygon, D = parse_dissection_json(fh.read())
+P, tris = validate_convex(polygon), D.triangles
 assert gc.isenabled()
 times = []
 for _ in range(int(sys.argv[2])):
@@ -238,7 +237,7 @@ def mode_poof(args: argparse.Namespace, trees: dict[str, Path], work: Path):
     for count in POOF_COUNTS:
         req = inputs.foreign_request(random.Random(count), count, "valid", True)
         path = work / f"request{count}.json"
-        path.write_text(json.dumps({"polygon": req.polygon, "triangles": req.triangles}))
+        path.write_text(req.dissection_text)
 
         def one_round(name, tree):
             _, _, code, out = run(tree, ["-c", POOF_CHILD, str(path), str(POOF_REPS),
