@@ -74,15 +74,22 @@ _STUCK_CHUNK = 8192  # stuck letters written to stderr at a time
 _MAX_BENCH_LENGTH = 10**7  # letters of a bench word: building one this long peaks near 100 MB
 
 
+def _shown(s: str, show=str, note: str = "") -> str:
+    """show(s) for an error line, or, for s over _SHOWN_LETTERS characters,
+    show of its first _SHOWN_LETTERS, then "...", its length and note."""
+    if len(s) <= _SHOWN_LETTERS:
+        return show(s)
+    return f"{show(s[:_SHOWN_LETTERS])}... ({len(s)} characters{note})"
+
+
 def _parse_word(s: str) -> CyclicWord:
     if s.isascii() and s.isalpha() and s.isupper():  # nonempty and all in A-Z
         return CyclicWord(s)
-    shown = repr(s)
+    note = ""
     if len(s) > _SHOWN_LETTERS:
         bad = next(i for i, ch in enumerate(s) if not "A" <= ch <= "Z")
-        shown = (f"{s[:_SHOWN_LETTERS]!r}... ({len(s)} characters, "
-                 f"the first not in A-Z is {s[bad]!r} at position {bad})")
-    raise ValueError(f"words must be nonempty strings over A-Z, got {shown}")
+        note = f", the first not in A-Z is {s[bad]!r} at position {bad}"
+    raise ValueError(f"words must be nonempty strings over A-Z, got {_shown(s, repr, note)}")
 
 
 def _print_stuck(w: CyclicWord, corners=None) -> None:
@@ -208,12 +215,14 @@ def cmd_realize(args) -> int:
         raise ValueError(f"--bound must be at least 1, got {args.bound}")
     P = gen.realize_word(w, coord_bound=args.bound)
     if P is None:
-        colorless = "".join(sorted(set(str(w)) - set("ABCD")))
+        colorless = "".join(sorted(set(w.letters) - set("ABCD")))
+        shown = _shown(w.letters)
         if colorless:
-            print(f"no lattice polygon realizes {w}: letters {colorless} have no parity color "
-                  "(the colors are A-D)", file=sys.stderr)
+            print(f"no lattice polygon realizes {shown}: letters {colorless} have no parity "
+                  "color (the colors are A-D)", file=sys.stderr)
         else:
-            print(f"no convex lattice polygon realizing {w} found within bound", file=sys.stderr)
+            print(f"no convex lattice polygon realizing {shown} found within bound",
+                  file=sys.stderr)
         return EXIT_IMPOSSIBLE
     _write(args.output, (polygon_to_json(P),))
     return EXIT_OK

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict, namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, count
 from operator import eq
 
 from .errors import BoundExceeded, NotADisk, TheoremViolation, TooSmall
@@ -52,19 +53,20 @@ class Triangulation(Immutable):
         self._set(dict(vertex_colors), frozenset(tris), tuple(corners))
 
     @classmethod
-    def _checked(cls, vertex_colors: dict[int, str], triangles: list[tuple[int, int, int]],
+    def _checked(cls, vertex_colors: dict[int, str], ids: list[int],
                  corners: tuple[int, ...]) -> Triangulation:
         """The disk with these parts, checked by validate_disk's check on the
-        triples as given, and raising NotADisk as it does, before they are
-        frozen: the frozen triangles are never built beside the check's own
-        maps.  The caller has just built the parts, hands them over, and
-        vouches that each triple is 3 distinct int ids; the colors and the
-        corners are stored as given, uncopied."""
-        errors = _disk_errors(vertex_colors, triangles, corners)
+        flat id list as given, three ids per face, and raising NotADisk as it
+        does, before the faces are frozen: the frozen triangles are never
+        built beside the check's own maps, and no tuple is kept per face.
+        The caller has just built the parts, hands them over, and vouches
+        that each three ids in turn are 3 distinct int ids; the colors and
+        the corners are stored as given, uncopied."""
+        errors = _disk_errors(vertex_colors, ids, corners)
         if errors:
             raise NotADisk(errors)
         T = object.__new__(cls)
-        T._set(vertex_colors, frozenset(map(frozenset, triangles)), corners)
+        T._set(vertex_colors, frozenset(map(frozenset, _faces(ids))), corners)
         return T
 
     def __repr__(self) -> str:
@@ -110,10 +112,10 @@ def _boundary_error(boundary: list[tuple[int, int]], corners: tuple) -> str | No
     return None
 
 
-def _count_edges(triangles, lo: int, n: int) -> tuple[list, list[int], int] | None:
-    """One pass over the edges of triangles, 3-id triples: None if some edge
-    has a third face, else (boundary edges, union-find parents of the faces,
-    number of edges).
+def _count_edges(ids: list[int], lo: int, n: int) -> tuple[list, list[int], int] | None:
+    """One pass over the edges of the faces in ids, three ids per face: None
+    if some edge has a third face, else (boundary edges, union-find parents
+    of the faces, number of edges).
 
     The ids lie in lo .. lo + n - 1.  A flat map takes the int key a * n + b
     of each edge (a, b), a < b, to its first face, then to None once a
@@ -122,13 +124,14 @@ def _count_edges(triangles, lo: int, n: int) -> tuple[list, list[int], int] | No
     still a root then, since only earlier faces have been linked, so it
     needs no find.  The key names the edge for any int ids: if a * n + b ==
     a' * n + b', then b' - b is a multiple of n inside (-n, n), so it is 0.
-    So no tuple is built or kept per edge; only the boundary edges are
-    decoded, as (a, b) pairs in order of first appearance over triangles.
+    So no tuple is built or kept per edge or face; only the boundary edges
+    are decoded, as (a, b) pairs in order of first appearance over the faces.
     """
     face_of: dict[int, int | None] = {}
     first = face_of.setdefault
-    parent = list(range(len(triangles)))
-    for i, (a, b, c) in enumerate(triangles):  # ordered by swaps, with no list
+    parent = list(range(len(ids) // 3))
+    it = iter(ids)
+    for i, a, b, c in zip(count(), it, it, it):  # ordered by swaps, with no list
         if a > b:
             a, b = b, a
         if b > c:
@@ -153,15 +156,22 @@ def _count_edges(triangles, lo: int, n: int) -> tuple[list, list[int], int] | No
 
 def disk_errors(T: Triangulation) -> list[str]:
     """All violations of the disk contract, one message per condition (see
-    _disk_errors, which checks T's colors, triangles and corners)."""
-    return _disk_errors(T.vertex_colors, T.triangles, T.corners)
+    _disk_errors, which checks T's colors, its triangles' ids in one flat
+    list, and its corners)."""
+    return _disk_errors(T.vertex_colors, list(chain.from_iterable(T.triangles)), T.corners)
 
 
-def _disk_errors(vertex_colors: Mapping[int, str], triangles, corners: tuple) -> list[str]:
-    """disk_errors of the Triangulation with these parts, where triangles is
-    any sized collection of 3-id triples that can be iterated again (verify's
-    poof checks its list of id tuples before it freezes them).  The messages
-    follow the iteration order of triangles.
+def _faces(ids: list[int]) -> Iterator[tuple[int, int, int]]:
+    """The faces of the flat id list, each a tuple of its three ids in turn."""
+    it = iter(ids)
+    return zip(it, it, it)
+
+
+def _disk_errors(vertex_colors: Mapping[int, str], ids: list[int], corners: tuple) -> list[str]:
+    """disk_errors of the Triangulation with these parts, where ids lists the
+    ids of its faces, three per face (verify's poof checks its flat list
+    before it freezes the faces).  The messages follow the order of the
+    faces in ids.
 
     One set holds the ids in use, for the color checks, the range of
     _count_edges' keys, V and the fan walk.  The counting pass
@@ -179,17 +189,17 @@ def _disk_errors(vertex_colors: Mapping[int, str], triangles, corners: tuple) ->
     triangle beside a disjoint torus has one boundary cycle and
     V - E + F = 1 + 0.
     """
-    if not triangles:
+    if not ids:
         return ["triangulation has no triangles"]
-    used = set().union(*triangles)
+    used = set(ids)
     errors = [f"vertex {v} has no color" for v in sorted(used.difference(vertex_colors))]
     errors += [f"vertex {v} lies in no triangle" for v in sorted(vertex_colors.keys() - used)]
     lo = min(used)
-    counted = _count_edges(triangles, lo, max(used) - lo + 1)
+    counted = _count_edges(ids, lo, max(used) - lo + 1)
     if counted is None:
         # edge (a, b) with a < b -> its triangles, in order of first appearance
         edge_faces: dict[tuple[int, int], list] = {}
-        for tri in triangles:
+        for tri in _faces(ids):
             a, b, c = sorted(tri)
             for e in ((a, b), (b, c), (a, c)):
                 edge_faces.setdefault(e, []).append(tri)
@@ -211,10 +221,10 @@ def _disk_errors(vertex_colors: Mapping[int, str], triangles, corners: tuple) ->
                 i = parent[i]
             return i
         home = root(0)
-        stray = next(t for i, t in enumerate(triangles) if root(i) != home)
+        stray = next(t for i, t in enumerate(_faces(ids)) if root(i) != home)
         errors.append(f"triangle {sorted(stray)} is disconnected from the rest")
 
-    V, F = len(used), len(triangles)
+    V, F = len(used), len(ids) // 3
     if V - E + F != 1:
         errors.append(f"Euler characteristic V-E+F = {V}-{E}+{F} = {V - E + F}, expected 1")
     if not errors:
@@ -224,7 +234,7 @@ def _disk_errors(vertex_colors: Mapping[int, str], triangles, corners: tuple) ->
     # closed (cycle) for interior vertices, open (path) for boundary ones
     boundary_vertices = set().union(*boundary)
     star: dict[int, list] = {}
-    for tri in triangles:
+    for tri in _faces(ids):
         for v in tri:
             star.setdefault(v, []).append(tri)
     for v in sorted(used):

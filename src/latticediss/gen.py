@@ -57,8 +57,9 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
 
     Iterative-deepening search over angle-sorted edge vectors whose parities
     are pinned by consecutive letter colors; partial sums are pruned by
-    reach.  None when the word uses letters outside A-D or the bounded
-    search fails.
+    reach.  A radius whose pool has fewer directions than w has letters is
+    skipped, since a convex polygon uses each direction at most once.  None
+    when the word uses letters outside A-D or the bounded search fails.
     """
     n = len(w)
     if n < 3:
@@ -81,6 +82,8 @@ def realize_word(w: CyclicWord, coord_bound: int = DEFAULT_BOUND) -> ConvexLatti
         pool.sort(key=lambda v: (angle_key(v), max(abs(v[0]), abs(v[1]))))
         # group equal directions so the search can force strictly increasing angles
         klass = [_direction(v) for v in pool]
+        if len(set(klass)) < n:  # a convex polygon uses each direction at most once
+            continue
         parities = [(x % 2, y % 2) for x, y in pool]
 
         budget = SEARCH_NODES

@@ -391,17 +391,18 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     The verification is the one kept on a read D just verified against P,
     and poof takes its segment index out of D's record (see _verify), so a
     second poof of the same D verifies again.  Vertex ids number the
-    dissection's points in sorted order.  poof builds one list of id
-    triples, the dissection's triangles in order and then the poofagons.
-    With the index, the segment lists and the point -> id map freed, the
-    disk check runs on that list, and only then are the triples frozen into
-    T (Triangulation._checked), so the frozen triangles are never built
-    beside the check's maps.  The triples go in unchecked: every id is an
-    int from the map, a verified triangle has three distinct points, and a
-    poofagon joins a side's start point to two consecutive points strictly
-    further along it, so each triple is 3 distinct int ids.  A poofagon
-    equal to another triangle would leave T with fewer triangles than
-    triples.
+    dissection's points in sorted order.  poof builds one flat list of
+    vertex ids, three per face, the dissection's triangles in order and
+    then the poofagons, with no tuple per face: the ids are the map's own
+    ints, which the frozen faces share.  With the index, the segment lists and
+    the point -> id map freed, the disk check runs on that list, and only
+    then are the faces frozen into T (Triangulation._checked), so the
+    frozen triangles are never built beside the check's maps.  The ids go
+    in unchecked: every id is an int from the map, a verified triangle has
+    three distinct points, and a poofagon joins a side's start point to two
+    consecutive points strictly further along it, so each three ids in turn
+    are 3 distinct int ids.  A poofagon equal to another triangle would
+    leave T with fewer triangles than the list has faces.
     """
     rep, index = _verify(P, D, "any", take=True)
     if not rep.valid:
@@ -409,7 +410,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
 
     pts = sorted(set(chain.from_iterable(D.triangles)))
     idx = dict(zip(pts, count()))
-    triples = [(idx[a], idx[b], idx[c]) for a, b, c in D.triangles]
+    ids = list(map(idx.__getitem__, chain.from_iterable(D.triangles)))
 
     # P's edges are in the index reversed, keyed as in verify_slices; their
     # fans start at the edge's start.
@@ -430,17 +431,17 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
             inner.reverse()
         for t in inner:
             b = idx[_point_on(line, t)]
-            triples.append((apex, b, a))
+            ids += apex, b, a
             a = b
     del index, segments, lines, coords, reversed_edges  # the disk is built without them
 
     missing = [v for v in vs if v not in idx]
     assert not missing, f"polygon corners {missing} are not dissection vertices"
     colors, corners = dict(enumerate(map(color_of, pts))), tuple(map(idx.__getitem__, vs))
-    del idx  # the triples hold the ids; the disk check runs without the map
-    T = Triangulation._checked(colors, triples, corners)
-    assert len(T.triangles) == len(triples), "a poofagon collides with another triangle"
-    del triples  # before the point map is built
+    del idx  # the list holds the ids; the disk check runs without the map
+    T = Triangulation._checked(colors, ids, corners)
+    assert 3 * len(T.triangles) == len(ids), "a poofagon collides with another triangle"
+    del ids  # before the point map is built
     return T, dict(enumerate(pts))
 
 

@@ -3,14 +3,15 @@ import importlib.util
 import json
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from latticediss.bench import BenchRow, format_table, linear_fit, random_word, run_bench
-from latticediss.dissect import Dissection
+from latticediss.dissect import Dissection, parse_dissection_json
 from latticediss.geometry import validate_convex
-from latticediss.verify import poof
+from latticediss.verify import poof, verify_dissection
 from test_complexity import line_events
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,7 +182,7 @@ def test_scale_startup_fails_when_filling_the_cache_fails(monkeypatch, capsys):
 
 def test_scale_poof_child_counts_as_in_process(tmp_path):
     # the poof child's untimed figures follow its timed poofs, and are the
-    # line events and gen-0 collections of one poof counted here
+    # line events, gen-0 collections and memory peak of one poof counted here
     scale = _scale()
     req = inputs.foreign_request(random.Random(250), 250, "valid", True)
     path = tmp_path / "request.json"
@@ -200,3 +201,17 @@ def test_scale_poof_child_counts_as_in_process(tmp_path):
     poof(P, Dissection(tris))
     assert child["gen0_per_tri"] == (gc.get_stats()[0]["collections"] - before) / len(tris)
     assert child["line_events_per_tri"] == line_events(poof, P, Dissection(tris)) / len(tris)
+    _, read = parse_dissection_json(path.read_text())
+    verify_dissection(P, read)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = poof(P, read)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result[0].triangles) == child["poofed"]
+    assert (child["peak_b_per_tri"], child["peak_over_result"]) == (peak / len(tris), peak / held)

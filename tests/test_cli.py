@@ -523,6 +523,18 @@ def test_realize_cli(tmp_path, capsys):
                                        "within bound\n")
 
 
+def test_realize_refusal_shows_a_long_word_in_part(capsys):
+    # 10,000 letters: each refusal line shows the first 80 and the length,
+    # as decide's error line does
+    assert main(["realize", "ABCD" * 2500]) == 10
+    assert capsys.readouterr() == ("", f"no convex lattice polygon realizing {'ABCD' * 20}... "
+                                       "(10000 characters) found within bound\n")
+    assert main(["realize", "ABXY" * 2500]) == 10
+    assert capsys.readouterr() == ("", f"no lattice polygon realizes {'ABXY' * 20}... "
+                                       "(10000 characters): letters XY have no parity color "
+                                       "(the colors are A-D)\n")
+
+
 @pytest.mark.skipif(shutil.which("latticediss") is None, reason="console script not on PATH")
 def test_console_script_subprocess():
     proc = subprocess.run(

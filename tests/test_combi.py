@@ -315,15 +315,15 @@ DISK_MESSAGES = ("has no triangles", "has no color", "lies in no triangle", "tri
 
 
 def _triple_check(T, rng):
-    """combi._disk_errors on T's triangles as a list of id tuples, in T's
-    iteration order, each tuple's ids in a seeded order: what poof checks
-    before it freezes its triangles."""
-    triples = []
+    """combi._disk_errors on T's triangles as one flat list of ids, three per
+    triangle, in T's iteration order, each triangle's ids in a seeded order:
+    what poof checks before it freezes its triangles."""
+    ids = []
     for t in T.triangles:
-        ids = list(t)
-        rng.shuffle(ids)
-        triples.append(tuple(ids))
-    return combi._disk_errors(T.vertex_colors, triples, T.corners)
+        face = list(t)
+        rng.shuffle(face)
+        ids += face
+    return combi._disk_errors(T.vertex_colors, ids, T.corners)
 
 
 def test_disk_check_on_id_triples_matches_disk_errors():

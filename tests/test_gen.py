@@ -79,6 +79,26 @@ def test_realize_word_random_words():
     assert realized > 0
 
 
+class _NoSearch:
+    """A search budget that fails once the search takes its first node."""
+
+    def __sub__(self, other):
+        raise AssertionError("the search was entered")
+
+
+def test_realize_word_skips_a_radius_with_fewer_directions_than_letters(monkeypatch):
+    # A convex polygon uses each edge direction at most once.  The pool has
+    # 16 directions at radius 2 and 176 at radius 8, the last radius, so a
+    # 200-letter word is refused with no search node, and at bound 2 a
+    # 17-letter word is too, while a 16-letter word is searched.
+    monkeypatch.setattr(gen, "SEARCH_NODES", _NoSearch())
+    assert realize_word(CyclicWord("ABCD" * 50)) is None
+    assert realize_word(CyclicWord("ABCD" * 4 + "A"), coord_bound=2) is None
+    for word, bound in (("ABCD" * 4, 2), ("ABCD" * 44, 8)):
+        with pytest.raises(AssertionError, match="search was entered"):
+            realize_word(CyclicWord(word), coord_bound=bound)
+
+
 def test_realize_word_gives_up_when_the_search_budget_runs_out(monkeypatch, capsys):
     # ABCDACBADC is realized at the default budget (see the examples above);
     # 20 nodes per radius run out both before a node and inside a slot's loop.

@@ -1,6 +1,6 @@
 """Memory guard: the CLI's dissect --unit, verify --mode unit and witness, in
 process, on the n x n and 2n x 2n squares under tracemalloc; poof, which
-must free its working set before its disk check and peak at most 1.4
+must free its working set before its disk check and peak at most 1.15
 times what its result holds; decide_contractible,
 whose verdict pass holds one byte per stacked letter and one chunk of the
 word, and whose trace keeps the word's own letters rather than a copy; and
@@ -131,13 +131,14 @@ def test_poof_holds_no_more_than_its_result_at_the_disk_check(monkeypatch):
         f"{in_use - base} bytes in use at the disk check, {held} held by poof's result")
 
 
-@pytest.mark.parametrize("seed", [29, 3, 7])
-def test_poof_peak_is_at_most_1_4_times_its_result(seed):
+@pytest.mark.parametrize("seed", [29, 3, 7, 11, 5])
+def test_poof_peak_is_at_most_1_15_times_its_result(seed):
     # poof on a verified read dissection is where foreign_check's memory
-    # request peaks.  Checking the disk on id triples before freezing them,
-    # with the segment index freed, reads 1.26-1.27 times what the result
-    # holds here; the frozen disk checked beside its set, the id map and the
-    # index read 1.56-1.58.
+    # request peaks, at the freeze.  Checking the disk on one flat list of
+    # ids, three per face, before freezing the faces, with the segment index
+    # freed, reads 1.06-1.08 times what the result holds here; a list of one
+    # id tuple per face reads 1.26-1.27, and the frozen disk checked beside
+    # its set, the id map and the index 1.56-1.58.
     P, D = _verified_request(seed)
     gc.collect()
     tracemalloc.start()
@@ -150,7 +151,7 @@ def test_poof_peak_is_at_most_1_4_times_its_result(seed):
     finally:
         tracemalloc.stop()
     assert len(result[0].triangles) > 500
-    assert peak <= 1.4 * held, f"peak {peak} bytes, {peak / held:.3f} times the result's {held}"
+    assert peak <= 1.15 * held, f"peak {peak} bytes, {peak / held:.3f} times the result's {held}"
 
 
 def decide_peak(text: str):

@@ -610,7 +610,7 @@ def test_poof_rejects_invalid_dissection():
 def test_poof_raises_not_a_disk_with_the_messages_of_disk_errors(monkeypatch):
     # With no inner points found there is no poofagon, and a dissection
     # with T-vertices is then no disk: poof raises NotADisk with the
-    # messages of the disk check on its id triples in poof's order, which
+    # messages of the disk check on its flat id list in poof's order, which
     # are disk_errors' on the same triangles met in that order (see
     # test_combi.py's test_disk_check_on_id_triples_matches_disk_errors).
     req = inputs.foreign_request(random.Random(30), 30, "valid", True)
@@ -621,9 +621,9 @@ def test_poof_raises_not_a_disk_with_the_messages_of_disk_errors(monkeypatch):
     monkeypatch.setattr(verify_module, "bisect_left", lambda ts, x: 0)
     with pytest.raises(NotADisk) as exc:
         poof(P, D)
-    triples = [tuple(ids[p] for p in t) for t in D.triangles]
+    flat = [ids[p] for t in D.triangles for p in t]
     assert exc.value.errors
-    assert exc.value.errors == combi._disk_errors(T.vertex_colors, triples, T.corners)
+    assert exc.value.errors == combi._disk_errors(T.vertex_colors, flat, T.corners)
 
 
 def test_poof_takes_the_kept_index_and_a_second_poof_verifies_again(monkeypatch):
