@@ -296,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "decide" and (args.word is None) == (args.polygon is None):
         parser.error("decide needs exactly one of WORD or --polygon FILE")
     try:
+        if getattr(args, "dissection", None) == "-" and args.polygon == "-":
+            raise ValueError("the polygon and the dissection cannot both be read from stdin")
         code = args.fn(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code

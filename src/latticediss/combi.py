@@ -24,15 +24,17 @@ from .words import ContractionTrace, CyclicWord, Immutable, decide_contractible
 class Triangulation(Immutable):
     """An abstract simplicial triangulation of a disk.
 
-    vertex_colors maps vertex id -> color label, triangles is a set of
-    unordered id triples, corners is the boundary cycle.  A triangle given
-    as a frozenset is kept as it is; any other iterable is frozen.  The
-    constructor checks only local shape, 3 distinct int ids per triangle
-    (a bool is not an id), and raises ValueError naming the triangle as
-    given; run validate_disk for the full topological contract.
+    vertex_colors maps vertex id -> color label and corners is the boundary
+    cycle.  The faces are stored once, as a flat list of vertex ids, three
+    per face; triangles is a read-only view of them, a frozenset of id
+    triples built on each read, and copy and pickle rebuild T from it.  The
+    constructor keeps a triangle given twice once, checks only local shape,
+    3 distinct int ids per triangle (a bool is not an id), and raises
+    ValueError naming the triangle as given; run validate_disk for the full
+    topological contract.
     """
 
-    __slots__ = ("vertex_colors", "triangles", "corners")
+    __slots__ = ("vertex_colors", "_ids", "corners")
 
     def __init__(
         self,
@@ -50,30 +52,33 @@ class Triangulation(Immutable):
             if not type(x) is type(y) is type(z) is int:
                 raise ValueError(f"triangle {t!r} is not 3 distinct int vertex ids")
             tris.add(tt)
-        self._set(dict(vertex_colors), frozenset(tris), tuple(corners))
+        self._set(dict(vertex_colors), list(chain.from_iterable(frozenset(tris))), tuple(corners))
 
     @classmethod
     def _checked(cls, vertex_colors: dict[int, str], ids: list[int],
                  corners: tuple[int, ...]) -> Triangulation:
-        """The disk with these parts, checked by validate_disk's check on the
-        flat id list as given, three ids per face, and raising NotADisk as it
-        does, before the faces are frozen: the frozen triangles are never
-        built beside the check's own maps, and no tuple is kept per face.
-        The caller has just built the parts, hands them over, and vouches
-        that each three ids in turn are 3 distinct int ids; the colors and
-        the corners are stored as given, uncopied."""
-        errors = _disk_errors(vertex_colors, ids, corners)
-        if errors:
-            raise NotADisk(errors)
+        """The disk with these parts, stored as given and uncopied, checked
+        by validate_disk, which raises NotADisk.  The caller has just built
+        the parts and vouches that each three ids in turn are 3 distinct int
+        ids; a face given twice fails the check."""
         T = object.__new__(cls)
-        T._set(vertex_colors, frozenset(map(frozenset, _faces(ids))), corners)
+        T._set(vertex_colors, ids, corners)
+        validate_disk(T)
         return T
 
+    @property
+    def triangles(self) -> frozenset[frozenset[int]]:
+        return frozenset(map(frozenset, _faces(self._ids)))
+
+    def __reduce__(self):
+        return type(self), (self.vertex_colors, self.triangles, self.corners)
+
     def __repr__(self) -> str:
-        return f"Triangulation({len(self.vertex_colors)} vertices, {len(self.triangles)} triangles)"
+        faces = len(self._ids) // 3
+        return f"Triangulation({len(self.vertex_colors)} vertices, {faces} triangles)"
 
     def sorted_triangles(self) -> list[tuple[int, ...]]:
-        return sorted(tuple(sorted(t)) for t in self.triangles)
+        return sorted(tuple(sorted(t)) for t in _faces(self._ids))
 
 
 def _same_cycle(cycle: list[int], corners: tuple) -> bool:
@@ -156,9 +161,8 @@ def _count_edges(ids: list[int], lo: int, n: int) -> tuple[list, list[int], int]
 
 def disk_errors(T: Triangulation) -> list[str]:
     """All violations of the disk contract, one message per condition (see
-    _disk_errors, which checks T's colors, its triangles' ids in one flat
-    list, and its corners)."""
-    return _disk_errors(T.vertex_colors, list(chain.from_iterable(T.triangles)), T.corners)
+    _disk_errors, which checks T's colors, flat list of ids and corners)."""
+    return _disk_errors(T.vertex_colors, T._ids, T.corners)
 
 
 def _faces(ids: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -169,8 +173,7 @@ def _faces(ids: list[int]) -> Iterator[tuple[int, int, int]]:
 
 def _disk_errors(vertex_colors: Mapping[int, str], ids: list[int], corners: tuple) -> list[str]:
     """disk_errors of the Triangulation with these parts, where ids lists the
-    ids of its faces, three per face (verify's poof checks its flat list
-    before it freezes the faces).  The messages follow the order of the
+    ids of its faces, three per face.  The messages follow the order of the
     faces in ids.
 
     One set holds the ids in use, for the color checks, the range of
@@ -274,10 +277,8 @@ def boundary_word_of(T: Triangulation) -> CyclicWord:
 
 def find_tricolor(T: Triangulation) -> frozenset | None:
     """Some triangle with three pairwise distinct vertex colors, or None."""
-    for tri in sorted(T.triangles, key=sorted):
-        if len({T.vertex_colors[v] for v in tri}) == 3:
-            return tri
-    return None
+    tris = sorted(T.triangles, key=sorted)
+    return next((t for t in tris if len({T.vertex_colors[v] for v in t}) == 3), None)
 
 
 def good_dissection(w: CyclicWord) -> Triangulation | None:
@@ -296,8 +297,7 @@ def good_dissection(w: CyclicWord) -> Triangulation | None:
     if not ok:
         return None
     assert isinstance(trace, ContractionTrace)
-    tris = [frozenset(s) for s in trace.steps]
-    T = Triangulation(dict(enumerate(w.letters)), tris, tuple(range(n)))
+    T = Triangulation(dict(enumerate(w.letters)), trace.steps, tuple(range(n)))
     assert len(T.triangles) == n - 2
     return T
 

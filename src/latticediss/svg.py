@@ -2,10 +2,11 @@
 
 One lattice unit is 40 px, the y axis is flipped for screen orientation, and
 vertices are colored by parity (A black, B red, C blue, D green) with a
-legend.  All emitted coordinates are integers and iteration orders are
-sorted, so output bytes are stable for fixed input.  The background grid
-draws one line per lattice unit, so polygons wider or taller than MAX_SPAN
-units are refused before anything is drawn.
+legend, 90 px per color, which the canvas is never narrower than.  All
+emitted coordinates are integers and iteration orders are sorted, so output
+bytes are stable for fixed input.  The background grid draws one line per
+lattice unit, so polygons wider or taller than MAX_SPAN units are refused
+before anything is drawn.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def render_svg(P: ConvexLatticePolygon, triangles: Iterable[Triangle] = ()) -> s
     def py(y: int) -> int:
         return (maxy - y) * UNIT + LEGEND_H
 
-    width = (maxx - minx) * UNIT
+    width = max((maxx - minx) * UNIT, len(FILL) * 90)
     height = (maxy - miny) * UNIT + LEGEND_H
 
     out = [

@@ -12,9 +12,10 @@ fails, its detail names the first line interval of nonzero coverage and the
 triangles with a side on it.  The check is one pass over the triangles,
 a slice at a time, that keeps counters and the uncancelled sides, so
 verify_slices takes a file from read_dissection a slice at a time.  poof
-rebuilds a dissection as an abstract disk triangulation, inserting degenerate
-"poofagon" triangles wherever collinear vertices subdivide a triangle side
-or a polygon edge; it finds those vertices in the same per-line index.
+rebuilds a dissection as an abstract disk triangulation, whose faces are one
+flat list of vertex ids, inserting degenerate "poofagon" triangles wherever
+collinear vertices subdivide a triangle side or a polygon edge; it finds
+those vertices in the same per-line index.
 witness_noninteger exhibits a tricolor (hence non-integer-area) triangle in
 any valid dissection of a polygon whose boundary word is not contractible.
 Both need a valid dissection, so both verify it first.  On a dissection
@@ -394,15 +395,13 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     dissection's points in sorted order.  poof builds one flat list of
     vertex ids, three per face, the dissection's triangles in order and
     then the poofagons, with no tuple per face: the ids are the map's own
-    ints, which the frozen faces share.  With the index, the segment lists and
-    the point -> id map freed, the disk check runs on that list, and only
-    then are the faces frozen into T (Triangulation._checked), so the
-    frozen triangles are never built beside the check's maps.  The ids go
-    in unchecked: every id is an int from the map, a verified triangle has
-    three distinct points, and a poofagon joins a side's start point to two
-    consecutive points strictly further along it, so each three ids in turn
-    are 3 distinct int ids.  A poofagon equal to another triangle would
-    leave T with fewer triangles than the list has faces.
+    ints.  With the index, the segment lists and the point -> id map freed,
+    the disk check runs on that list, which T keeps as its faces, unfrozen
+    (Triangulation._checked).  The ids go in unchecked: every id is an int
+    from the map, a verified triangle has three distinct points, and a
+    poofagon joins a side's start point to two consecutive points strictly
+    further along it, so each three ids in turn are 3 distinct int ids.  A
+    poofagon equal to another face fails the disk check.
     """
     rep, index = _verify(P, D, "any", take=True)
     if not rep.valid:
@@ -439,10 +438,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     assert not missing, f"polygon corners {missing} are not dissection vertices"
     colors, corners = dict(enumerate(map(color_of, pts))), tuple(map(idx.__getitem__, vs))
     del idx  # the list holds the ids; the disk check runs without the map
-    T = Triangulation._checked(colors, ids, corners)
-    assert 3 * len(T.triangles) == len(ids), "a poofagon collides with another triangle"
-    del ids  # before the point map is built
-    return T, dict(enumerate(pts))
+    return Triangulation._checked(colors, ids, corners), dict(enumerate(pts))
 
 
 def witness_noninteger(P: ConvexLatticePolygon, D: Dissection) -> Triangle:

@@ -5,16 +5,18 @@ path: it walks every vertex's link on every call, keys edges by frozensets,
 sorts all of them, and matches corners against every rotation and reflection
 of the boundary cycle.  It is slow (quadratic in the number of corners) but
 plain, and the production function must return the same list on every input.
+It reads T's faces in the order T stores them, as the production function
+does, since the messages follow that order.
 """
 
 from __future__ import annotations
 
-from latticediss.combi import Triangulation
+from latticediss.combi import Triangulation, _faces
 
 
-def _edge_faces(T: Triangulation) -> dict[frozenset, list[frozenset]]:
+def _edge_faces(tris: list[frozenset]) -> dict[frozenset, list[frozenset]]:
     out: dict[frozenset, list[frozenset]] = {}
-    for tri in T.triangles:
+    for tri in tris:
         a, b, c = sorted(tri)
         for e in (frozenset((a, b)), frozenset((b, c)), frozenset((a, c))):
             out.setdefault(e, []).append(tri)
@@ -33,8 +35,9 @@ def _cyclic_variants(seq: tuple) -> set[tuple]:
 def disk_errors(T: Triangulation) -> list[str]:
     """All violations of the disk contract, one message per condition."""
     errors: list[str] = []
-    used = {v for tri in T.triangles for v in tri}
-    if not T.triangles:
+    tris = [frozenset(t) for t in _faces(T._ids)]
+    used = {v for tri in tris for v in tri}
+    if not tris:
         return ["triangulation has no triangles"]
     for v in sorted(used):
         if v not in T.vertex_colors:
@@ -43,7 +46,7 @@ def disk_errors(T: Triangulation) -> list[str]:
         if v not in used:
             errors.append(f"vertex {v} lies in no triangle")
 
-    edge_faces = _edge_faces(T)
+    edge_faces = _edge_faces(tris)
     for e, faces in sorted(edge_faces.items(), key=lambda kv: sorted(kv[0])):
         if len(faces) > 2:
             names = ", ".join(str(sorted(f)) for f in faces)
@@ -81,7 +84,6 @@ def disk_errors(T: Triangulation) -> list[str]:
             errors.append(f"boundary cycle {cycle} does not match corners {list(T.corners)}")
 
     # the face-adjacency graph (shared edges) must be connected
-    tris = list(T.triangles)
     index = {t: i for i, t in enumerate(tris)}
     seen = {0}
     todo = [tris[0]]
@@ -97,7 +99,7 @@ def disk_errors(T: Triangulation) -> list[str]:
         stray = tris[next(i for i in range(len(tris)) if i not in seen)]
         errors.append(f"triangle {sorted(stray)} is disconnected from the rest")
 
-    V, E, F = len(used), len(edge_faces), len(T.triangles)
+    V, E, F = len(used), len(edge_faces), len(tris)
     if V - E + F != 1:
         errors.append(f"Euler characteristic V-E+F = {V}-{E}+{F} = {V - E + F}, expected 1")
 
@@ -105,7 +107,7 @@ def disk_errors(T: Triangulation) -> list[str]:
     # closed (cycle) for interior vertices, open (path) for boundary ones
     boundary_vertices = {v for e in boundary for v in e}
     star: dict[int, list[frozenset]] = {}
-    for tri in T.triangles:
+    for tri in tris:
         for v in tri:
             star.setdefault(v, []).append(tri)
     for v in sorted(used):

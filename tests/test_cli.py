@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -336,6 +337,25 @@ def test_render_golden_pentagon(tmp_path):
     assert out.read_bytes() == (GOLDEN / "pentagon.svg").read_bytes()
 
 
+def test_render_legend_lies_inside_the_view_box(square_file, tmp_path):
+    # the unit square is narrower than the legend: the canvas widens to hold it
+    out = tmp_path / "sq.svg"
+    assert main(["render", square_file, "-o", str(out)]) == 0
+    svg = ElementTree.parse(out).getroot()
+    x0, y0, width, height = map(int, svg.get("viewBox").split())
+    ns = "{http://www.w3.org/2000/svg}"
+    circles = [c for c in svg.iter(f"{ns}circle") if c.get("cy") == "25"]
+    labels = list(svg.iter(f"{ns}text"))
+    assert len(circles) == len(labels) == 4
+    for c in circles:
+        cx, cy, r = (int(c.get(k)) for k in ("cx", "cy", "r"))
+        assert x0 <= cx - r and cx + r <= x0 + width and y0 <= cy - r, c.attrib
+    for t in labels:  # a monospace glyph is narrower than its font size
+        size = int(t.get("font-size"))
+        x, y = int(t.get("x")), int(t.get("y"))
+        assert x0 <= x and x + size * len(t.text) <= x0 + width and y0 <= y - size, t.attrib
+
+
 # Each case gives the argv and a piece of text its error message must contain.
 @pytest.mark.parametrize("args, named", [
     (["verify", "SQUARE", '{"triangles": [5]}'], "entry 5 "),
@@ -371,6 +391,9 @@ def test_render_golden_pentagon(tmp_path):
     (["decide", "--polygon", "NEWLINE"], "no\\nsuch: [Errno 2]"),
     (["verify", "NEWLINE", "SQUARE"], "no\\nsuch: [Errno 2]"),
     (["verify", "SQUARE", "NEWLINE"], "no\\nsuch: [Errno 2]"),
+    (["verify", "-", "-"], "cannot both be read from stdin"),
+    (["witness", "-", "-"], "cannot both be read from stdin"),
+    (["render", "-", "-", "-o", "OUT"], "cannot both be read from stdin"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
@@ -381,7 +404,8 @@ def test_render_golden_pentagon(tmp_path):
         "bench-lengths-5000-digits", "bench-lengths-100000-characters",
         "polygon-entry-200000-ints", "triangle-entry-200000-ints",
         "decide-polygon-path-with-newline", "verify-polygon-path-with-newline",
-        "verify-dissection-path-with-newline"])
+        "verify-dissection-path-with-newline", "verify-both-stdin", "witness-both-stdin",
+        "render-both-stdin"])
 def test_malformed_input_exits_2(args, named, tmp_path, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
     argv = []

@@ -147,12 +147,6 @@ def test_triangulation_rejects_bad_triangle(tri):
         Triangulation({}, [(4, 5, 6), tri], ())
 
 
-def test_triangulation_keeps_given_frozensets():
-    tri = frozenset((1, 2, 3))
-    T = Triangulation({1: "A", 2: "B", 3: "C"}, [tri], (1, 2, 3))
-    assert next(iter(T.triangles)) is tri
-
-
 def _fan(n, corners=None):
     return Triangulation({i: "A" for i in range(n)}, [(0, i, i + 1) for i in range(1, n - 1)],
                          tuple(range(n)) if corners is None else corners)
@@ -315,11 +309,10 @@ DISK_MESSAGES = ("has no triangles", "has no color", "lies in no triangle", "tri
 
 
 def _triple_check(T, rng):
-    """combi._disk_errors on T's triangles as one flat list of ids, three per
-    triangle, in T's iteration order, each triangle's ids in a seeded order:
-    what poof checks before it freezes its triangles."""
+    """combi._disk_errors on T's faces as one flat list of ids, three per
+    face, in the order T stores them, each face's ids in a seeded order."""
     ids = []
-    for t in T.triangles:
+    for t in combi._faces(T._ids):
         face = list(t)
         rng.shuffle(face)
         ids += face
@@ -343,6 +336,22 @@ def test_disk_check_on_id_triples_matches_disk_errors():
         assert _triple_check(T, rng) == errs, name
         seen.update(kind for kind in DISK_MESSAGES if any(kind in e for e in errs))
     assert seen == set(DISK_MESSAGES)  # every condition fails somewhere
+
+
+@pytest.mark.parametrize("ids, corners, errors", [
+    ([0, 1, 2, 2, 0, 1], (0, 1, 2), [
+        "no boundary edges: not a disk with boundary",
+        "Euler characteristic V-E+F = 3-3+2 = 2, expected 1"]),
+    ([0, 1, 2, 0, 2, 3, 0, 3, 4, 2, 3, 0], (0, 1, 2, 3, 4), [
+        "edge [0, 2] lies in 3 triangles: [0, 1, 2], [0, 2, 3], [0, 2, 3]",
+        "edge [0, 3] lies in 3 triangles: [0, 2, 3], [0, 3, 4], [0, 2, 3]"]),
+], ids=["doubled-triangle", "repeated-fan-face"])
+def test_checked_refuses_a_repeated_face(ids, corners, errors):
+    # poof hands its flat id list over unchecked: a poofagon equal to another
+    # face must fail the disk check, alone or inside a disk
+    with pytest.raises(NotADisk) as exc:
+        Triangulation._checked(dict.fromkeys(ids, "A"), ids, corners)
+    assert exc.value.errors == errors
 
 
 # --- boundary words and tricolors -------------------------------------------

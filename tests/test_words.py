@@ -18,7 +18,7 @@ from latticediss.words import (
     exhaustive_contractible,
 )
 from latticediss.geometry import validate_convex
-from latticediss.verify import verify_dissection
+from latticediss.verify import poof, verify_dissection
 from word_reference import apply_step, contracting_positions, matrix_contractible
 
 ABCD = "ABCD"
@@ -189,6 +189,15 @@ def _read_dissection():
     return D
 
 
+def _poofed():
+    # (1, 1) lies inside the lower half's long side: poof adds a poofagon there
+    P = validate_convex([(0, 0), (2, 0), (2, 2), (0, 2)])
+    T = poof(P, Dissection((((0, 0), (2, 0), (2, 2)), ((0, 0), (1, 1), (0, 2)),
+                            ((1, 1), (2, 2), (0, 2)))))[0]
+    assert len(T.triangles) == 4
+    return T
+
+
 def _square():
     return validate_convex([(0, 0), (1, 0), (1, 1), (0, 1)])
 _HALVES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
@@ -201,6 +210,7 @@ VALUES = {
     "ContractionTrace-read": (lambda: _trace(True), ("_letters", "steps", "terminal", "_recorded")),
     "Triangulation": (lambda: Triangulation({0: "A", 1: "B", 2: "C"}, [(0, 1, 2)], (0, 1, 2)),
                       ("vertex_colors", "triangles", "corners")),
+    "Triangulation-poofed": (_poofed, ("vertex_colors", "triangles", "corners")),
     "ConvexLatticePolygon": (_square, ("vertices",)),
     "Dissection": (lambda: Dissection(_HALVES), ("triangles", "_record")),
     "Dissection-read": (_read_dissection, ("triangles", "_record")),
@@ -222,6 +232,8 @@ def test_value_types_copy_pickle_and_refuse_changes(name):
             assert other == value
         if isinstance(value, Dissection):
             assert other._record == ()
+        if isinstance(value, Triangulation):  # rebuilt from its faces, not its flat list
+            assert other.triangles == value.triangles
         if isinstance(value, ContractionTrace):
             # rebuilt from the word alone: the steps are computed again
             assert "_recorded" not in other.__dict__

@@ -28,18 +28,20 @@ of its output, which must be the same in every tree.
   made once here and handed to every child as its dissection text.  The
   child reads it with `parse_dissection_json` and `validate_convex`, and
   times `verify.poof`, which verifies first, on a fresh `Dissection` of the
-  triangles read, POOF_REPS times with the collector on; then, untimed, it
-  verifies the read dissection, as foreign_check does before its poof, and
-  takes the tracemalloc peak of its poof above the inputs, and what the
-  result holds, each after a full collection, as tests/test_memory.py
-  does; then it counts the gen-0 collections of one more poof and the line
-  events of another in the package's frames, with
-  tests/test_complexity.py's line_events, which it imports only after the
-  timed poofs.  Figures: us_per_tri (the fastest poof, in µs per input
-  triangle), poofed_tris, gen0_per_tri, line_events_per_tri,
-  peak_b_per_tri (that peak in bytes per input triangle) and
-  peak_over_result (that peak over what the result holds); the digest
-  covers poof's triangles, corners, colors and point map.
+  triangles read, POOF_REPS times with the collector on, and each poof
+  again with one read of its result's `triangles` view, which builds the
+  frozen faces; then, untimed, it reads the text again and takes what the
+  read dissection holds, verifies it, as foreign_check does before its
+  poof, and takes the tracemalloc peak of its poof above the inputs, each
+  after a full collection, as tests/test_memory.py does; then it counts
+  the gen-0 collections of one more poof and the line events of another in
+  the package's frames, with tests/test_complexity.py's line_events, which
+  it imports only after the timed poofs.  Figures: us_per_tri (the fastest
+  poof, in µs per input triangle), view_us_per_tri (the fastest poof with
+  its read of the view), poofed_tris, gen0_per_tri, line_events_per_tri,
+  peak_b_per_tri (that peak in bytes per input triangle) and peak_over_read
+  (that peak over what the read dissection holds); the digest covers
+  poof's triangles, corners, colors and point map.
 - startup: `python -m latticediss.cli decide ABAB`, which must print
   `contractible` and nothing else, and `python -c pass`, the bare
   interpreter, with the bytecode cache on and off.  On, PYTHONPYCACHEPREFIX
@@ -95,37 +97,46 @@ CLI = ["-m", "latticediss.cli"]  # the child arguments of a CLI run
 MAX_MB = {"dissect_mb": 60, "verify_mb": 100}  # bounds on this tree's peak RSS figures
 POOF_COUNTS = (250, 1000, 4001, 16000, 64000)  # triangles of the poof requests
 POOF_REPS = 7  # timed poofs per child run, whose fastest the run records
-# Times poof on the request in argv[1], argv[2] times, then, untimed, reads
-# the memory peak of one poof of the verified read dissection and counts the
-# gen-0 collections and the line events of one poof each, with the
-# line-event counter of the tests/ directory in argv[3]; prints one JSON line.
+# Times poof on the request in argv[1], argv[2] times, alone and with one
+# read of T.triangles, then, untimed, reads the memory peak of one poof of
+# the verified read dissection and counts the gen-0 collections and the
+# line events of one poof each, with the line-event counter of the tests/
+# directory in argv[3]; prints one JSON line.
 POOF_CHILD = """
 import gc, hashlib, json, sys, time
 from latticediss.dissect import Dissection, parse_dissection_json
 from latticediss.geometry import validate_convex
 from latticediss.verify import poof, verify_dissection
 with open(sys.argv[1]) as fh:
-    polygon, read = parse_dissection_json(fh.read())
+    text = fh.read()
+polygon, read = parse_dissection_json(text)
 P, tris = validate_convex(polygon), read.triangles
 assert gc.isenabled()
-times = []
+times, viewed = [], []
 for _ in range(int(sys.argv[2])):
     D = Dissection(tris)  # fresh, so poof verifies it
     start = time.perf_counter()
     T, points = poof(P, D)
     times.append(time.perf_counter() - start)
+    T.triangles  # the frozen faces, as perfbench's check reads them
+    viewed.append(time.perf_counter() - start)
 shape = (T.sorted_triangles(), T.corners, sorted(T.vertex_colors.items()), sorted(points.items()))
 digest, poofed = hashlib.sha256(repr(shape).encode()).hexdigest(), len(T.triangles)
-del T, points, shape
+del T, points, shape, read
 import tracemalloc
-verify_dissection(P, read)  # as foreign_check verifies before its poof
 gc.collect()  # empties the free lists, whose blocks tracemalloc counts as in use
+tracemalloc.start()
+base = tracemalloc.get_traced_memory()[0]
+read = parse_dissection_json(text)[1]
+gc.collect()
+size = tracemalloc.get_traced_memory()[0] - base  # what the read dissection holds
+tracemalloc.stop()
+verify_dissection(P, read)  # as foreign_check verifies before its poof
+gc.collect()
 tracemalloc.start()
 base = tracemalloc.get_traced_memory()[0]
 result = poof(P, read)
 peak = tracemalloc.get_traced_memory()[1] - base
-gc.collect()
-held = tracemalloc.get_traced_memory()[0] - base  # what the result holds
 tracemalloc.stop()
 del result
 sys.path.insert(0, sys.argv[3])
@@ -134,10 +145,11 @@ gc.collect()
 before = gc.get_stats()[0]["collections"]
 poof(P, Dissection(tris))
 gen0 = gc.get_stats()[0]["collections"] - before
-print(json.dumps({"us_per_tri": min(times) / len(tris) * 1e6, "poofed": poofed,
+print(json.dumps({"us_per_tri": min(times) / len(tris) * 1e6,
+                  "view_us_per_tri": min(viewed) / len(tris) * 1e6, "poofed": poofed,
                   "line_events_per_tri": line_events(poof, P, Dissection(tris)) / len(tris),
                   "gen0_per_tri": gen0 / len(tris), "peak_b_per_tri": peak / len(tris),
-                  "peak_over_result": peak / held, "digest": digest}))
+                  "peak_over_read": peak / size, "digest": digest}))
 """
 
 
@@ -263,11 +275,13 @@ def mode_poof(args: argparse.Namespace, trees: dict[str, Path], work: Path):
             if code != 0:
                 return f"poof exited {code}"
             got = json.loads(out)
-            return {"us_per_tri": round(got["us_per_tri"], 3), "poofed_tris": got["poofed"],
+            return {"us_per_tri": round(got["us_per_tri"], 3),
+                    "view_us_per_tri": round(got["view_us_per_tri"], 3),
+                    "poofed_tris": got["poofed"],
                     "line_events_per_tri": round(got["line_events_per_tri"], 4),
                     "gen0_per_tri": round(got["gen0_per_tri"], 4),
                     "peak_b_per_tri": round(got["peak_b_per_tri"], 1),
-                    "peak_over_result": round(got["peak_over_result"], 4)}, got["digest"]
+                    "peak_over_read": round(got["peak_over_read"], 4)}, got["digest"]
 
         yield {"count": count, "triangles": len(req.triangles)}, one_round
 
