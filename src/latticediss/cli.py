@@ -14,12 +14,21 @@ import os
 import sys
 from itertools import chain
 
-from . import combi, gen, svg
-from .dissect import diagonal_dissection, json_chunks, read_dissection, unit_pieces
 from .errors import LatticeDissError
-from .geometry import boundary_word, parse_polygon_json, polygon_to_json, read_text, signed_area2
-from .verify import MODES, verify_slices, witness_slices
+from .geometry import (
+    DEFAULT_BOUND,
+    MAX_SPAN,
+    MODES,
+    boundary_word,
+    parse_polygon_json,
+    polygon_to_json,
+    read_text,
+    signed_area2,
+)
 from .words import CyclicWord, decide_contractible, stuck_positions
+
+# Each command imports the modules it runs beyond these, so that `decide`
+# loads and compiles only words, geometry and errors.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,6 +137,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_dissect(args) -> int:
+    from .dissect import diagonal_dissection, json_chunks, unit_pieces
+
     P = parse_polygon_json(read_text(args.polygon))
     D = diagonal_dissection(P)
     if D is None:
@@ -141,6 +152,9 @@ def cmd_dissect(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .dissect import read_dissection
+    from .verify import verify_slices
+
     P = parse_polygon_json(read_text(args.polygon))
     # A file in the writer's layout is read a slice at a time, and read
     # again only for a failing boundary-chain detail.
@@ -151,6 +165,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .dissect import read_dissection
+    from .verify import verify_slices, witness_slices
+
     P = parse_polygon_json(read_text(args.polygon))
     # A file in the writer's layout is read a slice at a time: once to
     # verify it, and once more for the witness only when it verifies.
@@ -166,8 +183,10 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sperner(args) -> int:
+    from .sperner import sperner_check
+
     w = _parse_word(args.word)
-    rep = combi.sperner_check(w)
+    rep = sperner_check(w)
     print(json.dumps({
         "word": str(w),
         "contractible": rep.contractible,
@@ -180,13 +199,16 @@ def cmd_sperner(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .dissect import read_dissection
+    from .svg import check_span, render_svg
+
     P = parse_polygon_json(read_text(args.polygon))
-    svg.check_span(P)  # before the dissection is read
+    check_span(P)  # before the dissection is read
     if args.dissection:
         text = read_dissection(args.dissection,
-                               lambda slices: svg.render_svg(P, chain.from_iterable(slices())))
+                               lambda slices: render_svg(P, chain.from_iterable(slices())))
     else:
-        text = svg.render_svg(P)
+        text = render_svg(P)
     _write(args.output, (text,))
     return EXIT_OK
 
@@ -210,10 +232,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    from .gen import realize_word
+
     w = _parse_word(args.word)
     if args.bound < 1:
         raise ValueError(f"--bound must be at least 1, got {args.bound}")
-    P = gen.realize_word(w, coord_bound=args.bound)
+    P = realize_word(w, coord_bound=args.bound)
     if P is None:
         colorless = "".join(sorted(set(w.letters) - set("ABCD")))
         shown = _shown(w.letters)
@@ -268,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sperner)
 
     p = sub.add_parser("render", help="render a polygon (and optional dissection) as SVG")
-    p.add_argument("polygon", help=f"polygon JSON file, at most {svg.MAX_SPAN} lattice "
+    p.add_argument("polygon", help=f"polygon JSON file, at most {MAX_SPAN} lattice "
                    "units wide and tall (the grid draws a line per unit)")
     p.add_argument("dissection", nargs="?")
     p.add_argument("-o", "--output", required=True)
@@ -282,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="find a convex lattice polygon with a given boundary word")
     p.add_argument("word")
-    p.add_argument("--bound", type=int, default=gen.DEFAULT_BOUND,
-                   help=f"coordinate bound (default {gen.DEFAULT_BOUND})")
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                   help=f"coordinate bound (default {DEFAULT_BOUND})")
     p.add_argument("-o", "--output", help="output file (default stdout)")
     p.set_defaults(fn=cmd_realize)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from .geometry import (
+    DEFAULT_BOUND,
     ConvexLatticePolygon,
     Point,
     angle_key,
@@ -20,7 +21,6 @@ from .geometry import (
 )
 from .words import CyclicWord
 
-DEFAULT_BOUND = 50
 SEARCH_NODES = 400_000
 
 

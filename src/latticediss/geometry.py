@@ -23,6 +23,14 @@ from .words import CyclicWord, OneField
 Point = tuple[int, int]
 Triangle = tuple[Point, Point, Point]
 
+# The CLI's parser shows these, so they live here, where building it loads
+# no module that only another command runs: verify's area modes, the widest
+# and tallest polygon svg renders, in lattice units, and gen's default
+# coordinate bound.
+MODES = ("integral", "unit", "any")
+MAX_SPAN = 1000
+DEFAULT_BOUND = 50
+
 
 def as_point(p) -> Point:
     """Coerce an (x, y) pair of exact integers to a tuple; anything else raises ValueError."""

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .geometry import ConvexLatticePolygon, Triangle, color_of
+from .geometry import MAX_SPAN, ConvexLatticePolygon, Triangle, color_of
 
 UNIT = 40
 LEGEND_H = 50
 VERTEX_R = 6
 FILL = {"A": "black", "B": "red", "C": "blue", "D": "green"}
-MAX_SPAN = 1000
 
 
 def check_span(P: ConvexLatticePolygon) -> None:

@@ -40,6 +40,7 @@ from .combi import Triangulation
 from .dissect import Dissection
 from .errors import InvalidDissection, PreconditionViolated, TheoremViolation
 from .geometry import (
+    MODES,
     ConvexLatticePolygon,
     Point,
     Triangle,
@@ -50,8 +51,6 @@ from .geometry import (
     signed_area2,
 )
 from .words import decide_contractible
-
-MODES = ("integral", "unit", "any")
 
 
 CheckResult = namedtuple("CheckResult", "name passed detail")

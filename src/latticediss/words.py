@@ -11,11 +11,14 @@ such steps can shrink it to length < 3.  This module provides:
   reduces across the wrap-around, O(n) total, recording nothing.  On failure
   it returns the stuck cyclically-reduced word (stuck_positions gives where
   its letters were); on success a ContractionTrace, which keeps the word's
-  letters and computes the replayable deletion sequence on first use with
-  the same pass, each letter's original position kept next to its code;
+  letters and computes the deletion sequence on first use with the same
+  pass, each letter's original position kept next to its code;
 * exhaustive_contractible — an independent oracle searching every step order,
   for words of at most EXHAUSTIVE_BOUND = 12 letters, which the benchmark's
-  own tests run against its reference decider.
+  own tests run against its reference decider, and so stays here.
+
+A trace's replay against its word is a test's check, in
+tests/word_reference.py: every start-up compiles this module.
 
 Words are stored as ASCII strings, so the decider works on the word's bytes
 as its color codes.
@@ -151,13 +154,14 @@ class ContractionTrace(Immutable):
     decide_contractible returns one for a contractible word without recording
     anything: the trace keeps the word's letters, the str the CyclicWord
     already holds, and runs the recording kernel, _reduce_cyclic, on their
-    codes once, the first time steps, terminal, iteration or replay is used.
+    codes once, the first time steps, terminal or iteration is used.
     len() needs no kernel run: a word of n letters takes max(n - 2, 0)
     steps.  Each step is a (deleted, left, right) triple of original
     positions: the letter removed and its two cyclic neighbors at that
     moment, read off one linked-list walk over the kernel's deletion order.
     The steps contract the word to terminal, the (at most 2) surviving
-    original positions; replay checks the kernel's output against the word.
+    original positions, so a word of n letters has len(steps) +
+    len(terminal) == n.
     """
 
     __slots__ = ("_letters", "__dict__")  # __dict__ holds _recorded once computed
@@ -201,32 +205,6 @@ class ContractionTrace(Immutable):
 
     def __repr__(self) -> str:
         return f"ContractionTrace({len(self)} steps)"
-
-    def replay(self, w: "CyclicWord") -> None:
-        """Re-execute the deletions against w, checking each one is legal.
-
-        Raises IllegalStep if w's length is not the traced word's, if a
-        deleted position is not live (found by the walk that records the
-        steps), if a step deletes from a word shorter than 3 or from an
-        all-distinct window, or if the survivors differ from terminal.
-        """
-        steps, terminal = self._recorded
-        letters = w.letters
-        n = len(letters)
-        if n != len(self._letters):
-            raise IllegalStep(f"trace of a {len(self._letters)}-letter word replayed "
-                              f"on a {n}-letter word")
-        dead = bytearray(n)
-        for k, (d, l, r) in enumerate(steps):
-            if n - k < 3:
-                raise IllegalStep("step recorded on a word shorter than 3")
-            cl, cd, cr = letters[l], letters[d], letters[r]
-            if cl != cd and cd != cr and cl != cr:
-                raise IllegalStep(f"step ({d},{l},{r}) deletes from an all-distinct window")
-            dead[d] = 1
-        survivors = [i for i in range(n) if not dead[i]]
-        if tuple(survivors) != terminal:
-            raise IllegalStep(f"survivors {survivors} differ from terminal {list(terminal)}")
 
 
 def _window_repeats(a: str, b: str, c: str) -> bool:

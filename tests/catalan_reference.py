@@ -1,5 +1,5 @@
 """Reference enumeration of diagonal triangulations for tests of
-``combi.sperner_check``.
+``sperner.sperner_check``.
 
 ``sperner_check`` counts tricolor-free diagonal triangulations with an
 interval recurrence and never lists them.  This module lists every one of

@@ -13,7 +13,7 @@ import pytest
 from catalan_reference import enumerate_diagonal_triangulations
 from fuzz_reference import random_convex_polygon, random_dissection
 from latticediss.cli import main
-from latticediss.combi import boundary_word_of, disk_errors, sperner_check
+from latticediss.combi import disk_errors
 from latticediss.dissect import Dissection, split_with_point, unit_dissection
 from latticediss.geometry import (
     as_triangle,
@@ -24,6 +24,7 @@ from latticediss.geometry import (
 )
 from latticediss.bench import run_bench
 from latticediss.dissect import refine_triangle
+from latticediss.sperner import boundary_word_of, sperner_check
 from latticediss.verify import poof, verify_dissection, witness_noninteger
 from latticediss.words import (
     CyclicWord,

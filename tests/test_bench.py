@@ -167,17 +167,45 @@ def test_scale_startup_fails_when_filling_the_cache_fails(monkeypatch, capsys):
     # timed child succeeds
     scale = _scale()
     calls = []
+    outputs = {"decide": "contractible\n", "verify": '{"valid": true}\n', "-c": ""}
 
     def run(tree, args, **env):
         calls.append(args)
-        out = scale.STARTUP_OUTPUT["decide" if "decide" in args else "bare"]
+        out = next(out for cmd, out in outputs.items() if cmd in args)
         return 0.1, 10.0, 3 if len(calls) == 1 else 0, out
 
     monkeypatch.setattr(scale, "run", run)
     assert scale.main(["--mode", "startup", "--pairs", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["problems"] == [
         "change decide (filling the cache) exited 3 with 'contractible\\n' at letters 4"]
-    assert len(calls) == 2  # the cache-filling runs; no round runs a child after that
+    assert len(calls) == 3  # the cache-filling runs; no round runs a child after that
+
+
+@pytest.mark.parametrize("out, valid", [
+    ('{"valid": true, "checks": []}\n', True), ('{"valid": false}\n', False),
+    ("[]\n", False), ("", False), ('{"valid": 1}', False)])
+def test_scale_startup_verify_child_must_print_a_valid_report(out, valid):
+    assert _scale().STARTUP_OUTPUT["verify"](out) is valid
+
+
+def test_scale_ratio_over_a_zero_median_is_null():
+    # canned results, no child: a growth or change-over-parent ratio whose
+    # base median is 0 is written null, not left out
+    def runs(gen0, us):
+        return {"gen0_per_tri": [gen0], "gen0_per_tri_median": gen0,
+                "us_per_tri": [us], "us_per_tri_median": us}
+
+    results = [{"count": 250, "runs": {"parent": runs(0.5, 4.0), "change": runs(0.0, 2.0)}},
+               {"count": 64000, "runs": {"parent": runs(0.25, 4.0), "change": runs(0.0, 3.0)}}]
+    summary = _scale().summary(results)
+    assert summary == {
+        "parent_growth": {"gen0_per_tri_median": 0.5, "us_per_tri_median": 1.0},
+        "change_growth": {"gen0_per_tri_median": None, "us_per_tri_median": 1.5},
+        "change_over_parent": {"250": {"gen0_per_tri_median": 0.0, "us_per_tri_median": 0.5},
+                               "64000": {"gen0_per_tri_median": 0.0, "us_per_tri_median": 0.75}}}
+    assert '"change_growth": {"gen0_per_tri_median": null' in json.dumps(summary)
+    results[0]["runs"]["parent"]["gen0_per_tri_median"] = 0
+    assert _scale().summary(results)["change_over_parent"]["250"]["gen0_per_tri_median"] is None
 
 
 def test_scale_poof_child_counts_as_in_process(tmp_path):

@@ -797,12 +797,14 @@ def test_witness_reads_a_written_file_a_slice_at_a_time(tmp_path, monkeypatch, c
 
 def test_dissect_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     # a failure after the first slice is written removes the file
+    real = dissect.unit_pieces
+
     def failing(D):
-        yield from dissect.unit_pieces(D)
+        yield from real(D)
         raise ValueError("refinement failed")
 
     monkeypatch.setattr(dissect, "_SLICE", 64)
-    monkeypatch.setattr(cli, "unit_pieces", failing)
+    monkeypatch.setattr(dissect, "unit_pieces", failing)  # cmd_dissect imports it when run
     poly = tmp_path / "poly.json"
     poly.write_text(RECT46)
     out = tmp_path / "out"

@@ -15,15 +15,8 @@ from latticediss.dissect import parse_dissection_json
 from latticediss.errors import BoundExceeded, NotADisk, TooSmall
 from latticediss.geometry import parse_polygon_json
 from latticediss.verify import poof
-from latticediss.combi import (
-    Triangulation,
-    boundary_word_of,
-    disk_errors,
-    find_tricolor,
-    good_dissection,
-    sperner_check,
-    validate_disk,
-)
+from latticediss.combi import Triangulation, disk_errors, validate_disk
+from latticediss.sperner import boundary_word_of, find_tricolor, good_dissection, sperner_check
 from latticediss.words import CyclicWord, decide_contractible, exhaustive_contractible
 
 ROOT = Path(__file__).resolve().parents[1]

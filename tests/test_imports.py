@@ -2,9 +2,10 @@
 imports, the package reads each private name it defines at top level, no
 module of the package imports a private name from another, each public
 top-level def or class of the package is read by the package or the
-benchmark or named in README's library map, and importing the CLI and
-verify loads none of the standard modules that only code generation,
-annotations or `bench` would need."""
+benchmark or named in README's library map, importing the CLI and verify
+loads none of the standard modules that only code generation, annotations
+or `bench` would need, and each CLI command, and the benchmark's import,
+loads only the package modules it runs."""
 
 import ast
 import json
@@ -12,6 +13,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -186,3 +189,57 @@ def test_cli_and_verify_import_no_code_generation_or_bench_modules():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
     assert "dataclasses" not in imported
+
+
+# The package modules each entry point loads, each run in a fresh
+# interpreter: a CLI command through cli.main, as the console script runs
+# it, and the five modules the benchmark imports.  A command imports the
+# modules it runs beyond cli, words, geometry and errors, so `decide`
+# compiles only those, and the benchmark's import loads neither the CLI nor
+# the Sperner check.
+BASE = {"latticediss", "latticediss.cli", "latticediss.errors", "latticediss.geometry",
+        "latticediss.words"}
+CHECK = BASE | {"latticediss.combi", "latticediss.dissect", "latticediss.verify"}
+LOADED = {
+    "decide": (["decide", "ABAB"], BASE),
+    "decide-polygon": (["decide", "--polygon", "{square}"], BASE),
+    "dissect": (["dissect", "{square}", "--unit"], BASE | {"latticediss.dissect"}),
+    "verify": (["verify", "{square}", "{dissection}"], CHECK),
+    "witness": (["witness", "{unit}", "{halves}"], CHECK),
+    "sperner": (["sperner", "ABCD"], BASE | {"latticediss.combi", "latticediss.sperner"}),
+    "render": (["render", "{square}", "{dissection}", "-o", "{svg}"],
+               BASE | {"latticediss.dissect", "latticediss.svg"}),
+    "bench": (["bench", "--lengths", "10"], BASE | {"latticediss.bench"}),
+    "realize": (["realize", "ABCD"], BASE | {"latticediss.gen"}),
+    "benchmark-import": (None, CHECK - {"latticediss.cli"}),
+}
+
+
+@pytest.mark.parametrize("case", LOADED)
+def test_each_entry_point_loads_only_the_package_modules_it_runs(case, tmp_path):
+    argv, expected = LOADED[case]
+    files = {"square": [[0, 0], [2, 0], [2, 2], [0, 2]], "unit": [[0, 0], [1, 0], [1, 1], [0, 1]],
+             "dissection": {"polygon": [[0, 0], [2, 0], [2, 2], [0, 2]], "triangles": [
+                 [[0, 0], [2, 0], [1, 1]], [[2, 0], [2, 2], [1, 1]],
+                 [[2, 2], [0, 2], [1, 1]], [[0, 2], [0, 0], [1, 1]]]},
+             "halves": {"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], "triangles": [
+                 [[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]]}}
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, value in files.items():
+        paths[name].write_text(json.dumps(value))
+    paths["svg"] = tmp_path / "out.svg"
+    if argv is None:
+        run = ("import latticediss.combi, latticediss.dissect, latticediss.geometry, "
+               "latticediss.verify, latticediss.words; code = 0")
+    else:  # the command's own output goes to a buffer, the modules to stdout
+        run = ("import contextlib, io; from latticediss.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[2:])")
+    # -S: no site module, whose .pth files could import anything first
+    probe = (f"import json, sys; sys.path.insert(0, sys.argv[1])\n{run}\n"
+             "print(json.dumps([code, sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'latticediss')]))")
+    args = [a.format(**paths) for a in argv or ()]
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(ROOT / "src"), *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, sorted(expected)]

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 import latticediss.verify as verify_module
 from latticediss import combi
 from latticediss.errors import InvalidDissection, NotADisk, PreconditionViolated
-from latticediss.combi import Triangulation, boundary_word_of, validate_disk
+from latticediss.combi import Triangulation, validate_disk
 from latticediss.dissect import (
     Dissection,
     dissection_to_json,
@@ -31,6 +31,7 @@ from latticediss.geometry import (
     signed_area2,
     validate_convex,
 )
+from latticediss.sperner import boundary_word_of
 from latticediss.verify import MODES, poof, verify_dissection, verify_slices, witness_noninteger
 from latticediss.words import CyclicWord
 from chain_reference import chain_failure as reference_chain_failure

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticediss import words
-from latticediss.combi import Triangulation, sperner_check
+from latticediss.combi import Triangulation
 from latticediss.dissect import Dissection, dissection_to_json, parse_dissection_json, unit_dissection
 from latticediss.errors import BoundExceeded, IllegalStep, WordTooShort
 from latticediss.words import (
@@ -18,8 +18,9 @@ from latticediss.words import (
     exhaustive_contractible,
 )
 from latticediss.geometry import validate_convex
+from latticediss.sperner import sperner_check
 from latticediss.verify import poof, verify_dissection
-from word_reference import apply_step, contracting_positions, matrix_contractible
+from word_reference import apply_step, contracting_positions, matrix_contractible, replay
 
 ABCD = "ABCD"
 small_words = st.text(alphabet=ABCD, min_size=1, max_size=9).map(CyclicWord)
@@ -164,7 +165,7 @@ def test_trace_is_immutable_before_and_after_it_records():
                 setattr(trace, name, ())
         steps = trace.steps
     assert trace.steps == steps and len(steps) == len(w) - 2
-    trace.replay(w)
+    replay(trace, w)
     assert repr(trace) == "ContractionTrace(4 steps)"
     # a trace of a word that is not contractible fails at first use
     stuck = ContractionTrace("ABCD")
@@ -260,7 +261,7 @@ def test_decide_success_traces_replay(w):
         assert isinstance(payload, ContractionTrace)
         assert len(payload.terminal) <= 2
         assert len(payload) == len(w) - len(payload.terminal)
-        payload.replay(w)
+        replay(payload, w)
         if len(w) > 2:
             assert len(payload.terminal) == 2
     else:
@@ -288,7 +289,7 @@ def _trace_from_kernel(monkeypatch, w, kernel):
 
 def test_tampered_trace_rejected(monkeypatch):
     w = CyclicWord("AABB")
-    _trace_from_kernel(monkeypatch, w, lambda codes, out: out).replay(w)
+    replay(_trace_from_kernel(monkeypatch, w, lambda codes, out: out), w)
 
     def corrupt(codes, out):
         ok, deleted, final = out
@@ -296,19 +297,19 @@ def test_tampered_trace_rejected(monkeypatch):
         return ok, deleted, final
 
     with pytest.raises(IllegalStep, match="differ from terminal"):
-        _trace_from_kernel(monkeypatch, w, corrupt).replay(w)
+        replay(_trace_from_kernel(monkeypatch, w, corrupt), w)
     # a position deleted twice, or one outside the word, fails the walk
     for deleted, bad in (([1, 1], 1), ([1, 4], 4), ([-1, 1], -1)):
         trace = _trace_from_kernel(monkeypatch, w, lambda codes, out: (True, deleted, [0, 2]))
         with pytest.raises(IllegalStep, match=f"deleted position {bad} is not a live letter"):
-            trace.replay(w)
+            replay(trace, w)
 
 
 def test_replay_rejects_a_word_of_another_length():
     _, trace = decide_contractible(CyclicWord("AABBAAB"))
     for other in ("AAB", "AABBAABB"):
         with pytest.raises(IllegalStep, match=f"7-letter word replayed on a {len(other)}-letter"):
-            trace.replay(CyclicWord(other))
+            replay(trace, CyclicWord(other))
 
 
 @pytest.mark.parametrize("word, output, message", [
@@ -321,7 +322,7 @@ def test_replay_rejects_illegal_kernel_output(monkeypatch, word, output, message
     w = CyclicWord(word)
     trace = _trace_from_kernel(monkeypatch, w, lambda codes, out: output)
     with pytest.raises(IllegalStep, match=message):
-        trace.replay(w)
+        replay(trace, w)
 
 
 # --- the verdict pass against the recording kernel -----------------------------
@@ -356,7 +357,7 @@ def check_against_recording_kernel(w):
     n = len(w)
     assert len(payload) == max(n - 2, 0)  # before the trace is computed
     assert len(payload) == len(payload.steps) == n - len(payload.terminal)
-    payload.replay(w)
+    replay(payload, w)
     return ok
 
 
@@ -458,7 +459,7 @@ def test_trace_runs_recording_kernel_once_on_first_use(monkeypatch, use):
     assert calls == []
     for _ in range(2):
         if use == "replay":
-            trace.replay(w)
+            replay(trace, w)
         elif use == "iter":
             assert len(list(trace)) == 10
         else:

@@ -1,11 +1,12 @@
 """Reference word operations for tests of ``words``: single contracting
-steps and the SL(2, Z) oracle.
+steps, the replay of a contraction trace and the SL(2, Z) oracle.
 
 ``words.decide_contractible`` decides in one pass and never takes a step on
 its own; ``words.exhaustive_contractible`` searches every step order but
 only up to ``words.EXHAUSTIVE_BOUND`` letters.  This module gives the tests
-the legal steps of a word one at a time, for the diamond lemma, and an
-oracle for words of any length that shares no algorithm with either.
+the legal steps of a word one at a time, for the diamond lemma, a replay
+that checks a trace's steps against its word, and an oracle for words of
+any length that shares no algorithm with either.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from latticediss.errors import IllegalStep, WordTooShort
-from latticediss.words import CyclicWord, _window_repeats
+from latticediss.words import ContractionTrace, CyclicWord, _window_repeats
 
 
 def contracting_positions(w: CyclicWord) -> list[int]:
@@ -35,6 +36,33 @@ def apply_step(w: CyclicWord, i: int) -> CyclicWord:
     if not _window_repeats(lets[i - 1], lets[i], lets[(i + 1) % n]):
         raise IllegalStep(f"position {i} of {w!r}: neighbors and letter are pairwise distinct")
     return CyclicWord(lets[:i] + lets[i + 1 :])
+
+
+def replay(trace: ContractionTrace, w: CyclicWord) -> None:
+    """Re-execute the trace's deletions against w, checking each one is legal.
+
+    Reads the trace's steps and terminal; the traced word has len(steps) +
+    len(terminal) letters.  Raises IllegalStep if w's length is not the
+    traced word's, if a deleted position is not live (found by the walk that
+    records the steps), if a step deletes from a word shorter than 3 or from
+    an all-distinct window, or if the survivors differ from terminal.
+    """
+    steps, terminal = trace.steps, trace.terminal
+    letters = w.letters
+    n, traced = len(letters), len(steps) + len(terminal)
+    if n != traced:
+        raise IllegalStep(f"trace of a {traced}-letter word replayed on a {n}-letter word")
+    dead = bytearray(n)
+    for k, (d, l, r) in enumerate(steps):
+        if n - k < 3:
+            raise IllegalStep("step recorded on a word shorter than 3")
+        cl, cd, cr = letters[l], letters[d], letters[r]
+        if cl != cd and cd != cr and cl != cr:
+            raise IllegalStep(f"step ({d},{l},{r}) deletes from an all-distinct window")
+        dead[d] = 1
+    survivors = [i for i in range(n) if not dead[i]]
+    if tuple(survivors) != terminal:
+        raise IllegalStep(f"survivors {survivors} differ from terminal {list(terminal)}")
 
 
 def _mat_mul(m: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:

@@ -43,14 +43,19 @@ of its output, which must be the same in every tree.
   (that peak over what the read dissection holds); the digest covers
   poof's triangles, corners, colors and point map.
 - startup: `python -m latticediss.cli decide ABAB`, which must print
-  `contractible` and nothing else, and `python -c pass`, the bare
-  interpreter, with the bytecode cache on and off.  On, PYTHONPYCACHEPREFIX
-  points to a temporary directory that one untimed run of each per tree
-  fills, so no tree is written; those runs are checked as the timed ones
-  are.  Off, PYTHONDONTWRITEBYTECODE=1 runs a fresh copy of the tree's
-  src/latticediss, so the package is compiled at every run, as in a new
-  checkout, while the standard library keeps its cache.  Figures:
-  {decide,bare}_{cached,uncached}_{s,mb}.
+  `contractible` and nothing else; `python -m latticediss.cli verify
+  square.json dissection.json --mode unit` on the 2 x 2 square and its
+  unit dissection, four triangles around its centre, which this tool
+  writes into its work directory, and which must print a report with
+  `"valid": true`; and `python -c pass`, the bare interpreter, which must
+  print nothing.  Each runs with the bytecode cache on and off.  On,
+  PYTHONPYCACHEPREFIX points to a temporary directory that one untimed run
+  of each per tree fills, so no tree is written; those runs are checked as
+  the timed ones are.  Off, PYTHONDONTWRITEBYTECODE=1 runs a fresh copy of
+  the tree's src/latticediss, so the package is compiled at every run, as
+  in a new checkout, while the standard library keeps its cache.  Figures:
+  {decide,verify,bare}_{cached,uncached}_{s,mb}; the digest is the
+  children's output.
 
 The last line of standard output is the record:
 
@@ -59,8 +64,12 @@ The last line of standard output is the record:
                   round], "<figure>_median": <median, to 6 places>}}}],
      "summary": {"<tree>_growth": {<median>: largest size over smallest},
                  "change_over_parent": {<size>: {<median>: change over parent}},
-                 "<tree>_<cache>_over_bare_s": <decide less bare, startup>},
+                 "<tree>_<command>_<cache>_over_bare_s": <decide or verify
+                                                          less bare, startup>},
      "problems": [...]}
+
+A ratio whose base median is 0 is written null, so the record shows that it
+could not be formed.
 
 The first size field names the size: side, count, or letters (startup's
 one size, the decided word's).  --out also stores the record in a JSON file
@@ -286,23 +295,50 @@ def mode_poof(args: argparse.Namespace, trees: dict[str, Path], work: Path):
         yield {"count": count, "triangles": len(req.triangles)}, one_round
 
 
-STARTUP_RUNS = {"decide": [*CLI, "decide", "ABAB"], "bare": ["-c", "pass"]}
-STARTUP_OUTPUT = {"decide": "contractible\n", "bare": ""}  # each child's whole stdout
+STARTUP_SQUARE = [[0, 0], [2, 0], [2, 2], [0, 2]]
+STARTUP_DISSECTION = {"polygon": STARTUP_SQUARE, "triangles": [  # doubled area 2 each
+    [[0, 0], [2, 0], [1, 1]], [[2, 0], [2, 2], [1, 1]], [[2, 2], [0, 2], [1, 1]],
+    [[0, 2], [0, 0], [1, 1]]]}
 
 
-def startup_run(tree: Path, cmd: str, cache: str, env: dict) -> tuple[float, float] | str:
-    """(wall seconds, peak RSS in MB) of one start-up child, or a problem
-    text when it exits non-zero or prints anything but its STARTUP_OUTPUT."""
-    wall, mb, code, out = run(tree, STARTUP_RUNS[cmd], **env)
-    if code != 0 or out != STARTUP_OUTPUT[cmd]:
+def valid_report(out: str) -> bool:
+    """Whether out is a verify report that accepts the dissection."""
+    try:
+        return json.loads(out)["valid"] is True
+    except (ValueError, KeyError, TypeError):
+        return False
+
+
+# Whether each start-up child's whole stdout is right
+STARTUP_OUTPUT = {"decide": "contractible\n".__eq__, "verify": valid_report, "bare": "".__eq__}
+
+
+def startup_runs(work: Path) -> dict[str, list[str]]:
+    """The child arguments of each start-up child, verify's files written
+    into work."""
+    square, dissection = work / "square.json", work / "dissection.json"
+    square.write_text(json.dumps(STARTUP_SQUARE))
+    dissection.write_text(json.dumps(STARTUP_DISSECTION))
+    return {"decide": [*CLI, "decide", "ABAB"],
+            "verify": [*CLI, "verify", str(square), str(dissection), "--mode", "unit"],
+            "bare": ["-c", "pass"]}
+
+
+def startup_run(tree: Path, cmd: str, args: list[str], cache: str,
+                env: dict) -> tuple[float, float, str] | str:
+    """(wall seconds, peak RSS in MB, stdout) of one start-up child, or a
+    problem text when it exits non-zero or its stdout fails STARTUP_OUTPUT."""
+    wall, mb, code, out = run(tree, args, **env)
+    if code != 0 or not STARTUP_OUTPUT[cmd](out):
         return f"{cmd} ({cache}) exited {code} with {out!r}"
-    return wall, mb
+    return wall, mb, out
 
 
 def mode_startup(args: argparse.Namespace, trees: dict[str, Path], work: Path):
     """The one (size, one_round) of the start-up children."""
     # tree name -> cache setting -> (the tree the child imports, its added
     # environment); an empty variable counts as unset
+    runs = startup_runs(work)
     setups, failed = {}, {}
     for name, tree in trees.items():
         fresh = work / name / "src" / "latticediss"
@@ -311,8 +347,8 @@ def mode_startup(args: argparse.Namespace, trees: dict[str, Path], work: Path):
             shutil.copyfile(path, fresh / path.name)
         cached = {"PYTHONPYCACHEPREFIX": str(work / f"{name}-pycache"),
                   "PYTHONDONTWRITEBYTECODE": ""}
-        for cmd in STARTUP_RUNS:  # fill the cache, untimed: a failure fails every round
-            got = startup_run(tree, cmd, "filling the cache", cached)
+        for cmd, args in runs.items():  # fill the cache, untimed: a failure fails every round
+            got = startup_run(tree, cmd, args, "filling the cache", cached)
             if isinstance(got, str):
                 failed.setdefault(name, got)
         setups[name] = {"cached": (tree, cached), "uncached": (
@@ -321,31 +357,33 @@ def mode_startup(args: argparse.Namespace, trees: dict[str, Path], work: Path):
     def one_round(name, _):
         if name in failed:
             return failed[name]
-        figures = {}
+        figures, outputs = {}, []
         for cache, (tree, env) in setups[name].items():
-            for cmd in STARTUP_RUNS:
-                got = startup_run(tree, cmd, cache, env)
+            for cmd, args in runs.items():
+                got = startup_run(tree, cmd, args, cache, env)
                 if isinstance(got, str):
                     return got
-                wall, mb = got
+                wall, mb, out = got
                 figures[f"{cmd}_{cache}_s"] = round(wall, 4)
                 figures[f"{cmd}_{cache}_mb"] = round(mb, 1)
-        return figures, ""
+                outputs.append(out)
+        return figures, "".join(outputs)
 
     yield {"letters": len("ABAB")}, one_round
 
 
 def ratios(top: dict, bottom: dict) -> dict:
-    """Each median of top over bottom's, where bottom has it."""
-    return {fig: round(value / bottom[fig], 3) for fig, value in top.items()
-            if fig.endswith("_median") and bottom.get(fig)}
+    """Each median of top over bottom's, where bottom has it: None where
+    bottom's is 0."""
+    return {fig: round(value / bottom[fig], 3) if bottom[fig] else None
+            for fig, value in top.items() if fig.endswith("_median") and fig in bottom}
 
 
 def summary(results: list[dict]) -> dict:
     """For each tree, each median at the largest size over the one at the
     smallest; with a parent, each of the change's medians over the parent's
-    at each size; and for each tree and cache setting, decide's median time
-    less the bare interpreter's."""
+    at each size; and for each tree, command and cache setting, decide's
+    and verify's median time less the bare interpreter's."""
     out = {}
     first, last = results[0]["runs"], results[-1]["runs"]
     if len(results) > 1:
@@ -354,10 +392,11 @@ def summary(results: list[dict]) -> dict:
         out["change_over_parent"] = {str(next(iter(r.values()))): ratios(
             r["runs"]["change"], r["runs"]["parent"]) for r in results}
     for name, r in first.items():
-        for cache in ("cached", "uncached"):
-            if f"decide_{cache}_s_median" in r and f"bare_{cache}_s_median" in r:
-                out[f"{name}_{cache}_over_bare_s"] = round(
-                    r[f"decide_{cache}_s_median"] - r[f"bare_{cache}_s_median"], 4)
+        for cmd in ("decide", "verify"):
+            for cache in ("cached", "uncached"):
+                if f"{cmd}_{cache}_s_median" in r and f"bare_{cache}_s_median" in r:
+                    out[f"{name}_{cmd}_{cache}_over_bare_s"] = round(
+                        r[f"{cmd}_{cache}_s_median"] - r[f"bare_{cache}_s_median"], 4)
     return out
 
 
