@@ -34,6 +34,11 @@ of a slice once, with one json.loads, and interns its point through a dict
 shared by all slices.  read_dissection reads a file in slices of about
 _SLICE characters; a text in memory goes in a first slice of about
 _TEXT_FIRST and then slices of about _TEXT_SLICE (see there).
+
+unit_dissection, dissection_to_json and parse_dissection_json, which hold a
+whole dissection in memory, run with the cyclic collector paused
+(geometry.collector_paused); the streamed paths, unit_pieces, json_chunks
+and read_dissection, do not.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .geometry import (
     as_point,
     as_triangle,
     boundary_word,
+    collector_paused,
     load_json,
     polygon_area2,
     polygon_to_json,
@@ -244,6 +250,7 @@ def diagonal_dissection(P: ConvexLatticePolygon) -> Dissection | None:
     return Dissection(tuple(tris))
 
 
+@collector_paused
 def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
     """Dissection of P into lattice triangles of area 1, or None.
 
@@ -326,6 +333,7 @@ def json_chunks(P: ConvexLatticePolygon, triangles: Iterable[Triangle]) -> Itera
     yield _TAIL
 
 
+@collector_paused
 def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
     # The same text as json.dumps({"polygon": ..., "triangles": ...}).
     return "".join(json_chunks(P, D.triangles))
@@ -485,6 +493,7 @@ def read_dissection(path: str,
     return job(cache(lambda: (parse_dissection_json(read_text(path))[1].triangles,)))
 
 
+@collector_paused
 def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     """Parse dissection JSON; returns the stated polygon vertices (not yet
     validated) and the triangle list.

@@ -12,9 +12,10 @@ its doubled area is 2.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .errors import NotStrictlyConvex, RepeatedVertex, TooFewVertices
 from .words import CyclicWord, OneField
@@ -190,3 +191,28 @@ def parse_polygon_json(text: str) -> ConvexLatticePolygon:
 
 def polygon_to_json(P: ConvexLatticePolygon) -> str:
     return json.dumps(P.vertices)
+
+
+# --- the collector pause of the whole-dissection calls ----------------------
+
+def collector_paused(f: Callable) -> Callable:
+    """f, run with the cyclic garbage collector paused.
+
+    For the calls that build or walk a whole dissection in memory: they
+    allocate tuples per triangle and per point and make no reference
+    cycles, so the collector's young-generation passes over them would
+    find nothing.  The collector's state is recorded at the call and
+    restored on the way out, also when f raises, so a nested call, or a
+    caller that had turned the collector off, finds it as it left it.  The
+    caller's next allocation may then run the pass that the call skipped.
+    """
+    @functools.wraps(f)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused

@@ -25,6 +25,9 @@ _verify), so checking it and then poofing it, or taking its witness,
 verifies it once.  poof, the last reader of the result's segment index,
 takes the index out of the record: a second poof of the same dissection
 verifies it again, while verify and the witness reuse the kept report.
+verify_dissection, poof and witness_noninteger run with the cyclic
+collector paused (geometry.collector_paused); verify_slices and
+witness_slices, which the CLI runs on slices, do not.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .geometry import (
     Triangle,
     as_triangle,
     boundary_word,
+    collector_paused,
     color_of,
     polygon_area2,
     signed_area2,
@@ -362,6 +366,7 @@ def _verify(P: ConvexLatticePolygon, D: Dissection, mode: str,
     return report, index
 
 
+@collector_paused
 def verify_dissection(P: ConvexLatticePolygon, D: Dissection, mode: str = "any") -> VerifyReport:
     """Exact verification that D dissects P; mode adds area constraints.
 
@@ -371,6 +376,7 @@ def verify_dissection(P: ConvexLatticePolygon, D: Dissection, mode: str = "any")
     return _verify(P, D, mode)[0]
 
 
+@collector_paused
 def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[int, Point]]:
     """Rebuild a valid dissection as an abstract disk triangulation.
 
@@ -440,6 +446,7 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     return Triangulation._checked(colors, ids, corners), dict(enumerate(pts))
 
 
+@collector_paused
 def witness_noninteger(P: ConvexLatticePolygon, D: Dissection) -> Triangle:
     """A tricolor (odd doubled area) triangle of D.
 

@@ -28,7 +28,8 @@ of its output, which must be the same in every tree.
   made once here and handed to every child as its dissection text.  The
   child reads it with `parse_dissection_json` and `validate_convex`, and
   times `verify.poof`, which verifies first, on a fresh `Dissection` of the
-  triangles read, POOF_REPS times with the collector on, and each poof
+  triangles read, POOF_REPS times with the collector on at each call (poof
+  pauses it inside, through `geometry.collector_paused`), and each poof
   again with one read of its result's `triangles` view, which builds the
   frozen faces; then, untimed, it reads the text again and takes what the
   read dissection holds, verifies it, as foreign_check does before its
@@ -38,10 +39,13 @@ of its output, which must be the same in every tree.
   the package's frames, with tests/test_complexity.py's line_events, which
   it imports only after the timed poofs.  Figures: us_per_tri (the fastest
   poof, in µs per input triangle), view_us_per_tri (the fastest poof with
-  its read of the view), poofed_tris, gen0_per_tri, line_events_per_tri,
-  peak_b_per_tri (that peak in bytes per input triangle) and peak_over_read
-  (that peak over what the read dissection holds); the digest covers
-  poof's triangles, corners, colors and point map.
+  its read of the view), poofed_tris, gen0_per_tri (0 by construction:
+  poof runs with the collector paused, and the count starts after a full
+  collection, so anything else means the pause is gone),
+  line_events_per_tri, peak_b_per_tri (that peak in bytes per input
+  triangle) and peak_over_read (that peak over what the read dissection
+  holds); the digest covers poof's triangles, corners, colors and point
+  map.
 - startup: `python -m latticediss.cli decide ABAB`, which must print
   `contractible` and nothing else; `python -m latticediss.cli verify
   square.json dissection.json --mode unit` on the 2 x 2 square and its
