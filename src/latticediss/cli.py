@@ -19,8 +19,10 @@ from .geometry import (
     DEFAULT_BOUND,
     MAX_SPAN,
     MODES,
+    ConvexLatticePolygon,
     boundary_word,
     parse_polygon_json,
+    parse_read,
     polygon_to_json,
     read_text,
     signed_area2,
@@ -91,6 +93,10 @@ def _shown(s: str, show=str, note: str = "") -> str:
     return f"{show(s[:_SHOWN_LETTERS])}... ({len(s)} characters{note})"
 
 
+def _read_polygon(path: str) -> ConvexLatticePolygon:
+    return parse_read(parse_polygon_json, read_text(path), path)
+
+
 def _parse_word(s: str) -> CyclicWord:
     if s.isascii() and s.isalpha() and s.isupper():  # nonempty and all in A-Z
         return CyclicWord(s)
@@ -122,7 +128,7 @@ def _print_stuck(w: CyclicWord, corners=None) -> None:
 
 def cmd_decide(args) -> int:
     if args.polygon is not None:
-        P = parse_polygon_json(read_text(args.polygon))
+        P = _read_polygon(args.polygon)
         w = boundary_word(P)
         print(f"word {w}")
     else:  # "-" reads the word from stdin, which takes words too long for an argument
@@ -139,7 +145,7 @@ def cmd_decide(args) -> int:
 def cmd_dissect(args) -> int:
     from .dissect import diagonal_dissection, json_chunks, unit_pieces
 
-    P = parse_polygon_json(read_text(args.polygon))
+    P = _read_polygon(args.polygon)
     D = diagonal_dissection(P)
     if D is None:
         w = boundary_word(P)
@@ -155,7 +161,7 @@ def cmd_verify(args) -> int:
     from .dissect import read_dissection
     from .verify import verify_slices
 
-    P = parse_polygon_json(read_text(args.polygon))
+    P = _read_polygon(args.polygon)
     # A file in the writer's layout is read a slice at a time, and read
     # again only for a failing boundary-chain detail.
     report = read_dissection(args.dissection,
@@ -168,7 +174,7 @@ def cmd_witness(args) -> int:
     from .dissect import read_dissection
     from .verify import verify_slices, witness_slices
 
-    P = parse_polygon_json(read_text(args.polygon))
+    P = _read_polygon(args.polygon)
     # A file in the writer's layout is read a slice at a time: once to
     # verify it, and once more for the witness only when it verifies.
     t = read_dissection(args.dissection, lambda slices: witness_slices(
@@ -177,7 +183,7 @@ def cmd_witness(args) -> int:
     print(json.dumps({
         "triangle": t,
         "doubled_area": a2,
-        "area": str(a2 // 2) if a2 % 2 == 0 else f"{a2}/2",
+        "area": f"{a2}/2",
     }))
     return EXIT_OK
 
@@ -202,7 +208,7 @@ def cmd_render(args) -> int:
     from .dissect import read_dissection
     from .svg import check_span, render_svg
 
-    P = parse_polygon_json(read_text(args.polygon))
+    P = _read_polygon(args.polygon)
     check_span(P)  # before the dissection is read
     if args.dissection:
         text = read_dissection(args.dissection,

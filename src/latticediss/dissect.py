@@ -59,6 +59,7 @@ from .geometry import (
     boundary_word,
     collector_paused,
     load_json,
+    parse_read,
     polygon_area2,
     polygon_to_json,
     read_text,
@@ -490,7 +491,8 @@ def read_dissection(path: str,
             return job(lambda: _file_slices(path))
         except (OSError, ValueError):
             pass
-    return job(cache(lambda: (parse_dissection_json(read_text(path))[1].triangles,)))
+    return job(cache(lambda: (
+        parse_read(parse_dissection_json, read_text(path), path)[1].triangles,)))
 
 
 @collector_paused

@@ -9,6 +9,12 @@ class LatticeDissError(Exception):
     """Base class for all library errors."""
 
 
+# --- input text -------------------------------------------------------------
+
+class NotJSON(LatticeDissError, ValueError):
+    """Text that is not JSON, or JSON nested too deeply for the parser."""
+
+
 # --- polygon validation ---------------------------------------------------
 
 class PolygonError(LatticeDissError):

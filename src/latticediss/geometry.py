@@ -17,7 +17,7 @@ import json
 import sys
 from collections.abc import Callable, Iterable
 
-from .errors import NotStrictlyConvex, RepeatedVertex, TooFewVertices
+from .errors import NotJSON, NotStrictlyConvex, RepeatedVertex, TooFewVertices
 from .words import CyclicWord, OneField
 
 # Names for annotations only: a point is a plain (x, y) tuple of ints.
@@ -174,11 +174,23 @@ def read_text(path: str) -> str:
 
 
 def load_json(text: str):
-    """json.loads, with nesting too deep for the parser raised as ValueError."""
+    """json.loads, with a syntax error, or nesting too deep for the parser,
+    raised as NotJSON."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise NotJSON(str(e)) from e
     except RecursionError:
-        raise ValueError("JSON is nested too deeply") from None
+        raise NotJSON("JSON is nested too deeply") from None
+
+
+def parse_read(parse: Callable[[str], object], text: str, path: str) -> object:
+    """parse(text), text having been read from path: a NotJSON it raises
+    names the path, or stdin for "-", in front of its message."""
+    try:
+        return parse(text)
+    except NotJSON as e:
+        raise NotJSON(f"{'stdin' if path == '-' else path}: {e}") from e
 
 
 def parse_polygon_json(text: str) -> ConvexLatticePolygon:

@@ -11,13 +11,15 @@ such steps can shrink it to length < 3.  This module provides:
   reduces across the wrap-around, O(n) total, recording nothing.  On failure
   it returns the stuck cyclically-reduced word (stuck_positions gives where
   its letters were); on success a ContractionTrace, which keeps the word's
-  letters and computes the deletion sequence on first use with the same
-  pass, each letter's original position kept next to its code;
+  letters and computes the contracting steps on first use with the same
+  pass, each letter's original position kept next to its code and each
+  step taken down with both its neighbors as the pass deletes;
 * exhaustive_contractible — an independent oracle searching every step order,
   for words of at most EXHAUSTIVE_BOUND = 12 letters, which the benchmark's
   own tests run against its reference decider, and so stays here.
 
-A trace's replay against its word is a test's check, in
+A trace's replay against its word, and the linked-list walk that rebuilds
+its steps from their deletion order, are a test's checks, in
 tests/word_reference.py: every start-up compiles this module.
 
 Words are stored as ASCII strings, so the decider works on the word's bytes
@@ -158,10 +160,9 @@ class ContractionTrace(Immutable):
     len() needs no kernel run: a word of n letters takes max(n - 2, 0)
     steps.  Each step is a (deleted, left, right) triple of original
     positions: the letter removed and its two cyclic neighbors at that
-    moment, read off one linked-list walk over the kernel's deletion order.
-    The steps contract the word to terminal, the (at most 2) surviving
-    original positions, so a word of n letters has len(steps) +
-    len(terminal) == n.
+    moment, as the kernel takes it.  The steps contract the word to
+    terminal, the (at most 2) surviving original positions, so a word of n
+    letters has len(steps) + len(terminal) == n.
     """
 
     __slots__ = ("_letters", "__dict__")  # __dict__ holds _recorded once computed
@@ -171,22 +172,13 @@ class ContractionTrace(Immutable):
 
     @cached_property
     def _recorded(self) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-        ok, deleted, final = _reduce_cyclic(self._letters.encode("ascii"))
+        steps = []
+        ok, final = _reduce_cyclic(self._letters.encode("ascii"), steps)
         if not ok:
             raise IllegalStep("the word of this trace is not contractible")
-        # The live positions as a cyclic doubly linked list: prv is nxt
-        # turned by two, sharing its ints, and the steps share them too.  A
-        # deleted position's nxt is -1.
-        n = len(self._letters)
-        nxt = list(range(1, n)) + [0]
-        prv = nxt[-2:] + nxt[:-2]
-        steps = []
-        for d in deleted:
-            if not 0 <= d < n or nxt[d] < 0:
-                raise IllegalStep(f"deleted position {d} is not a live letter")
-            l, r = prv[d], nxt[d]
-            steps.append((prv[r], l, r))  # prv[r] is d
-            nxt[l], prv[r], nxt[d] = r, l, -1
+        if len(steps) + len(final) != len(self._letters):
+            raise IllegalStep(f"{len(steps)} steps and {len(final)} survivors from a "
+                              f"{len(self._letters)}-letter word")
         return tuple(steps), tuple(final)
 
     @property
@@ -211,32 +203,38 @@ def _window_repeats(a: str, b: str, c: str) -> bool:
     return a == b or b == c or a == c
 
 
-def _reduce_cyclic(codes: bytes) -> tuple[bool, array, array]:
+def _reduce_cyclic(codes: bytes, steps: list | None = None) -> tuple[bool, array]:
     """The recording kernel behind ContractionTrace: _stuck_codes's reduction
     with positions.
 
-    Works on the word's letter codes and returns (contractible, deleted,
-    final), two arrays of original positions: the deleted letters in
-    deletion order, which ContractionTrace walks for their neighbors, and
-    the survivors in order.  The stack of _stuck_codes, sentinels and all,
-    keeps each stacked letter's position in pos beside it.  Reduction stops
-    as soon as the live word has length 2 (or 1), so on success deleted has
-    exactly n - len(final) positions.
+    Works on the word's letter codes and returns (contractible, survivors),
+    the survivors' original positions in order.  Given a list, it appends
+    each contracting step to steps as it takes it: the (deleted, left,
+    right) original positions of the letter removed and of its two live
+    cyclic neighbors, which the kernel holds at that moment.  The stack of
+    _stuck_codes, sentinels and all, keeps each stacked letter's position
+    in pos beside it.  Reduction stops as soon as the live word has length
+    2 (or 1), so on success a word of n letters takes n - len(survivors)
+    steps.
     """
+    record = steps.append if steps is not None else None
     col = bytearray(b"\xff\xfe")
     pos = array("q", (-1, -1))
-    deleted = array("q")
     # live: the letters not deleted, those on the stack and those still to come
-    live = len(codes)
+    n = live = len(codes)
     for i, c in enumerate(codes):
         if live > 2 and c == col[-2]:
             # x,y,x: the middle letter's neighbors repeat; drop it
-            deleted.append(pos.pop())
             col.pop()
+            d = pos.pop()
+            if record:
+                record((d, pos[-1], i))
             live -= 1
         if live > 2 and c == col[-1]:
-            # equal pair: drop the newer letter
-            deleted.append(i)
+            # equal pair: drop the newer letter; after the word's last letter
+            # comes the bottom of the stack, which no pop reaches
+            if record:
+                record((i, pos[-1], i + 1 if i + 1 < n else pos[2]))
             live -= 1
         else:
             col.append(c)
@@ -247,14 +245,16 @@ def _reduce_cyclic(codes: bytes) -> tuple[bool, array, array]:
     head, tail = 2, len(col) - 1
     while tail - head + 1 > 2:
         if col[tail] == col[head] or col[tail] == col[head + 1]:
-            deleted.append(pos[head])
+            if record:
+                record((pos[head], pos[tail], pos[head + 1]))
             head += 1
         elif col[tail - 1] == col[head]:
-            deleted.append(pos[tail])
+            if record:
+                record((pos[tail], pos[tail - 1], pos[head]))
             tail -= 1
         else:
-            return False, deleted, pos[head : tail + 1]
-    return True, deleted, pos[head : tail + 1]
+            return False, pos[head : tail + 1]
+    return True, pos[head : tail + 1]
 
 
 _CHUNK = 8192  # letters the verdict pass encodes at a time
@@ -269,7 +269,7 @@ def _stuck_codes(letters: str) -> bytes | None:
     top (x,y,x -> x); the stack, a bytearray of one byte per letter, then
     holds the freely reduced word, and a seam pass runs across the
     wrap-around.  _reduce_cyclic is this pass with positions and recorded
-    deletions; on failure the stack holds the same codes as its survivors.
+    steps; on failure the stack holds the same codes as its survivors.
     """
     # The top two codes live in below and top, off the bytearray, so a pop
     # is one call; they start as sentinel codes that equal no ASCII code,
@@ -316,8 +316,9 @@ def decide_contractible(w: CyclicWord) -> tuple[bool, ContractionTrace | CyclicW
 def stuck_positions(w: CyclicWord) -> array:
     """The original positions of the stuck word's letters in the
     non-contractible w, in order: the recording kernel's survivor array,
-    which spells the word the verdict pass's stack holds."""
-    return _reduce_cyclic(w.letters.encode("ascii"))[2]
+    which spells the word the verdict pass's stack holds.  No step is
+    recorded."""
+    return _reduce_cyclic(w.letters.encode("ascii"))[1]
 
 
 EXHAUSTIVE_BOUND = 12

@@ -170,9 +170,9 @@ def test_dissect_refusal_decides_once(square_file, monkeypatch, capsys):
     calls = {"verdict": 0, "recording": 0}
 
     def counted(name, fn):
-        def wrapper(codes):
+        def wrapper(*args):
             calls[name] += 1
-            return fn(codes)
+            return fn(*args)
         return wrapper
 
     monkeypatch.setattr(words, "_stuck_codes", counted("verdict", words._stuck_codes))
@@ -365,8 +365,8 @@ def test_render_legend_lies_inside_the_view_box(square_file, tmp_path):
     (["dissect", "TRIANGLE", "-o", "UNWRITABLE"], "no-such-dir"),
     (["render", "SQUARE", "-o", "UNWRITABLE"], "no-such-dir"),
     (["realize", "ABCD", "-o", "UNWRITABLE"], "no-such-dir"),
-    (["verify", "SQUARE", "DEEP"], "nested too deeply"),
-    (["decide", "--polygon", "DEEP"], "nested too deeply"),
+    (["verify", "SQUARE", "DEEP"], "in2.json: JSON is nested too deeply"),
+    (["decide", "--polygon", "DEEP"], "in2.json: JSON is nested too deeply"),
     (["render", "[[0,0],[1000000000,0],[0,1]]", "-o", "OUT"], "1000000000 x 1"),
     (["decide", "--polygon", "[[0,0],[1],[0,1]]"], "[1] "),
     (["verify", "SQUARE", '{"triangles": [[[0,0],[2,0],[2,2,5]]]}'], "[2, 2, 5]"),
@@ -394,6 +394,16 @@ def test_render_legend_lies_inside_the_view_box(square_file, tmp_path):
     (["verify", "-", "-"], "cannot both be read from stdin"),
     (["witness", "-", "-"], "cannot both be read from stdin"),
     (["render", "-", "-", "-o", "OUT"], "cannot both be read from stdin"),
+    # a JSON syntax error names the file it is in, and stdin (empty here) as stdin
+    (["verify", "SQUARE", "EMPTY"], "in2.json: Expecting value: line 1 column 1 (char 0)"),
+    (["verify", "EMPTY", "SQUARE"], "in1.json: Expecting value: line 1 column 1 (char 0)"),
+    (["decide", "--polygon", "EMPTY"], "in2.json: Expecting value: line 1 column 1 (char 0)"),
+    (["decide", "--polygon", "-"], "error: stdin: Expecting value: line 1 column 1 (char 0)"),
+    (["verify", "-", "SQUARE"], "error: stdin: Expecting value: line 1 column 1 (char 0)"),
+    (["verify", "SQUARE", "-"], "error: stdin: Expecting value: line 1 column 1 (char 0)"),
+    (["verify", "SQUARE", "TRUNCATED"], "in2.json: Expecting ',' delimiter: line 1"),
+    (["witness", "SQUARE", "TRUNCATED"], "in2.json: Expecting ',' delimiter: line 1"),
+    (["render", "SQUARE", "TRUNCATED", "-o", "OUT"], "in2.json: Expecting ',' delimiter: line 1"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
@@ -405,9 +415,14 @@ def test_render_legend_lies_inside_the_view_box(square_file, tmp_path):
         "polygon-entry-200000-ints", "triangle-entry-200000-ints",
         "decide-polygon-path-with-newline", "verify-polygon-path-with-newline",
         "verify-dissection-path-with-newline", "verify-both-stdin", "witness-both-stdin",
-        "render-both-stdin"])
-def test_malformed_input_exits_2(args, named, tmp_path, capsys):
-    files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5}
+        "render-both-stdin", "verify-empty-dissection", "verify-empty-polygon",
+        "decide-empty-polygon", "decide-empty-stdin-polygon", "verify-empty-stdin-polygon",
+        "verify-empty-stdin-dissection", "verify-truncated", "witness-truncated",
+        "render-truncated"])
+def test_malformed_input_exits_2(args, named, tmp_path, monkeypatch, capsys):
+    files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5,
+             "EMPTY": "", "TRUNCATED": HALF_SPLIT[:-3]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     argv = []
     for i, a in enumerate(args):
         if a in files or a.startswith(("{", "[")):
@@ -574,12 +589,14 @@ RECT46 = "[[0, 0], [4, 0], [4, 6], [0, 6]]"
 
 
 def _verify_out(argv, capsys, stdin=None, monkeypatch=None):
-    """(exit status, stdout, stderr) of one verify, witness or render run."""
+    """(exit status, stdout, stderr) of one verify, witness or render run.
+    A JSON error names its source first: stderr names the dissection file
+    argv[2] as stdin, so that a file and stdin compare alike."""
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
     out, err = capsys.readouterr()
-    return code, out, err
+    return code, out, err.replace(f"error: {argv[2]}: ", "error: stdin: ")
 
 
 @pytest.mark.parametrize("size", [1, 7, 24, 25, 60, 1 << 16])

@@ -197,12 +197,13 @@ def test_decide_peak_on_a_random_word_follows_its_stuck_word():
 
 def test_cli_decide_refusal_peak_per_letter(tmp_path):
     # decide on a uniform word runs the verdict pass, then the recording
-    # kernel for the stuck positions: a byte and an 8-byte position per
-    # stacked letter and a position per deletion, about 11 bytes per letter
-    # in all, then the stuck lines, a bounded chunk at a time.  Lines that
-    # unpack the positions into ints read about 20 bytes per letter, and a
-    # kernel that records three ints per deletion about 70.  stderr goes to
-    # a file, whose buffer does not grow with it.
+    # kernel for the stuck positions, recording no step: a byte and an
+    # 8-byte position per stacked letter, about 8.5 bytes per letter in all
+    # (a kernel that also keeps each deleted position reads about 12), then
+    # the stuck lines, a bounded chunk at a time.  Lines that unpack the
+    # positions into ints read about 20 bytes per letter, and a kernel that
+    # records three ints per deletion about 70.  stderr goes to a file,
+    # whose buffer does not grow with it.
     n = 100_000
     w = inputs.word_request(random.Random(5), n, "random").text
     with open(tmp_path / "stderr", "w") as err, contextlib.redirect_stderr(err), \
@@ -214,4 +215,4 @@ def test_cli_decide_refusal_peak_per_letter(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 13 * n, f"{peak / n:.1f} bytes per letter"
+    assert peak <= 10 * n, f"{peak / n:.1f} bytes per letter"

@@ -20,7 +20,8 @@ from latticediss.words import (
 from latticediss.geometry import validate_convex
 from latticediss.sperner import sperner_check
 from latticediss.verify import poof, verify_dissection
-from word_reference import apply_step, contracting_positions, matrix_contractible, replay
+from word_reference import (apply_step, contracting_positions, matrix_contractible, replay,
+                            walk_steps)
 
 ABCD = "ABCD"
 small_words = st.text(alphabet=ABCD, min_size=1, max_size=9).map(CyclicWord)
@@ -279,9 +280,17 @@ def test_decide_is_rotation_invariant(w, k):
 
 
 def _trace_from_kernel(monkeypatch, w, kernel):
-    """w's trace, its steps computed by kernel(codes, real_output) in place
-    of the recording kernel: replay must catch a wrong kernel output."""
-    monkeypatch.setattr(words, "_reduce_cyclic", lambda codes: kernel(codes, _reduce_cyclic(codes)))
+    """w's trace, its steps and terminal those of kernel(real) in place of
+    the recording kernel's, where real is that kernel's own (contractible,
+    steps, survivors): replay must catch a wrong kernel output."""
+    def fake(codes, steps):
+        real = []
+        ok, final = _reduce_cyclic(codes, real)
+        ok, made, final = kernel((ok, real, final))
+        steps.extend(made)
+        return ok, final
+
+    monkeypatch.setattr(words, "_reduce_cyclic", fake)
     ok, trace = decide_contractible(w)
     assert ok
     return trace
@@ -289,20 +298,31 @@ def _trace_from_kernel(monkeypatch, w, kernel):
 
 def test_tampered_trace_rejected(monkeypatch):
     w = CyclicWord("AABB")
-    replay(_trace_from_kernel(monkeypatch, w, lambda codes, out: out), w)
+    trace = _trace_from_kernel(monkeypatch, w, lambda out: out)
+    assert trace.steps == ((1, 0, 2), (3, 2, 0))
+    replay(trace, w)
 
-    def corrupt(codes, out):
-        ok, deleted, final = out
-        deleted[0] = (deleted[0] + 1) % len(codes)  # corrupt the first deleted position
-        return ok, deleted, final
+    def moved(out):  # the first step deletes the next letter, neighbors kept
+        ok, steps, final = out
+        (d, l, r), *rest = steps
+        return ok, [(d + 1, l, r), *rest], final
 
+    with pytest.raises(IllegalStep, match=r"the live neighbors of 2 are \(1, 3\)"):
+        replay(_trace_from_kernel(monkeypatch, w, moved), w)
     with pytest.raises(IllegalStep, match="differ from terminal"):
-        replay(_trace_from_kernel(monkeypatch, w, corrupt), w)
+        replay(_trace_from_kernel(monkeypatch, w, lambda out: (True, out[1], [0, 3])), w)
     # a position deleted twice, or one outside the word, fails the walk
-    for deleted, bad in (([1, 1], 1), ([1, 4], 4), ([-1, 1], -1)):
-        trace = _trace_from_kernel(monkeypatch, w, lambda codes, out: (True, deleted, [0, 2]))
+    for steps, bad in (([(1, 0, 2)] * 2, 1), ([(1, 0, 2), (4, 0, 0)], 4),
+                       ([(-1, 0, 2), (1, 0, 2)], -1)):
+        trace = _trace_from_kernel(monkeypatch, w, lambda out: (True, steps, [0, 2]))
         with pytest.raises(IllegalStep, match=f"deleted position {bad} is not a live letter"):
             replay(trace, w)
+    # steps and survivors that do not add up to the word fail at first use
+    for steps, final in (([(1, 0, 2)], [0, 2]), ([(1, 0, 2), (3, 2, 0)], [0, 2, 3])):
+        trace = _trace_from_kernel(monkeypatch, w, lambda out: (True, steps, final))
+        with pytest.raises(IllegalStep, match=f"{len(steps)} steps and {len(final)} "
+                           "survivors from a 4-letter word"):
+            trace.steps
 
 
 def test_replay_rejects_a_word_of_another_length():
@@ -314,13 +334,14 @@ def test_replay_rejects_a_word_of_another_length():
 
 @pytest.mark.parametrize("word, output, message", [
     # after deleting 0 from AAB, positions 1 and 2 are each other's neighbors
-    ("AAB", (True, [0, 1], [2]), "shorter than 3"),
-    ("ABCB", (True, [1, 2], [0, 3]), "all-distinct window"),
-    ("AABB", (True, [1, 2], [2, 3]), "differ from terminal"),
+    ("AAB", (True, [(0, 2, 1), (1, 2, 2)], [2]), "shorter than 3"),
+    ("ABCB", (True, [(1, 0, 2), (2, 0, 3)], [0, 3]), "all-distinct window"),
+    ("AABB", (True, [(1, 0, 2), (2, 0, 3)], [2, 3]), "differ from terminal"),
+    ("AABB", (True, [(1, 0, 2), (3, 0, 2)], [0, 2]), r"live neighbors of 3 are \(2, 0\)"),
 ])
 def test_replay_rejects_illegal_kernel_output(monkeypatch, word, output, message):
     w = CyclicWord(word)
-    trace = _trace_from_kernel(monkeypatch, w, lambda codes, out: output)
+    trace = _trace_from_kernel(monkeypatch, w, lambda out: output)
     with pytest.raises(IllegalStep, match=message):
         replay(trace, w)
 
@@ -328,7 +349,7 @@ def test_replay_rejects_illegal_kernel_output(monkeypatch, word, output, message
 # --- the verdict pass against the recording kernel -----------------------------
 #
 # These tests hold the verdict pass to the recording kernel, whose every
-# step is replayed.
+# step is replayed and rebuilt by the linked-list walk of word_reference.
 
 def tree_walk_word(rng, n, alphabet):
     """About n letters: the colors of a closed walk on a random tree whose
@@ -349,8 +370,13 @@ def tree_walk_word(rng, n, alphabet):
 
 def check_against_recording_kernel(w):
     ok, payload = decide_contractible(w)
-    ok_ref, _, final = _reduce_cyclic(w.letters.encode("ascii"))
+    codes, steps = w.letters.encode("ascii"), []
+    ok_ref, final = _reduce_cyclic(codes, steps)
     assert ok == ok_ref, w
+    # The kernel's steps are those the linked-list walk takes in their
+    # deletion order, and recording them leaves the survivors as they are.
+    assert steps == walk_steps([d for d, _, _ in steps], len(w)), w
+    assert _reduce_cyclic(codes)[1] == final, w
     if not ok:
         assert payload.letters == "".join(w.letters[i] for i in final), w
         return ok
@@ -414,8 +440,8 @@ def test_verdict_pass_matches_recording_kernel_across_chunk_boundaries(k):
             check_against_recording_kernel(CyclicWord(base[: n - 6] + base[5::-1]))
 
 
-# The (deleted, left, right) steps that each contractible word's trace reads
-# off the deletion order pinned below.
+# The (deleted, left, right) steps that the kernel takes on each contractible
+# word, in the deletion order pinned below.
 PINNED_STEPS = {
     "ABABCCDCBBDB": [(1, 0, 2), (2, 0, 3), (5, 4, 6), (6, 4, 7), (7, 4, 8), (4, 3, 8),
                      (8, 3, 9), (9, 3, 10), (10, 3, 11), (11, 3, 0)],
@@ -434,12 +460,14 @@ PINNED_STEPS = {
 ])
 def test_recording_kernel_deletion_order(word, output):
     # The dissection JSON follows this order, so it is pinned exactly: the
-    # kernel's deletion order and the steps of the trace.
-    ok, deleted, final = _reduce_cyclic(word.encode("ascii"))
-    assert (ok, list(deleted), list(final)) == output
+    # kernel's deletion order and steps, and the steps of the trace.
+    steps = []
+    ok, final = _reduce_cyclic(word.encode("ascii"), steps)
+    assert (ok, [d for d, _, _ in steps], list(final)) == output
     if ok:
+        assert steps == PINNED_STEPS[word]
         trace = ContractionTrace(word)
-        assert list(trace.steps) == PINNED_STEPS[word] and list(trace.terminal) == final.tolist()
+        assert list(trace.steps) == steps and list(trace.terminal) == final.tolist()
 
 
 @pytest.mark.parametrize("use", ["steps", "terminal", "iter", "replay"])
@@ -447,9 +475,9 @@ def test_trace_runs_recording_kernel_once_on_first_use(monkeypatch, use):
     calls = []
     real = words._reduce_cyclic
 
-    def counting(codes):
+    def counting(codes, steps=None):
         calls.append(codes)
-        return real(codes)
+        return real(codes, steps)
 
     monkeypatch.setattr(words, "_reduce_cyclic", counting)
     w = CyclicWord("ABABCCDCBBDB")

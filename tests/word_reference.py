@@ -1,12 +1,13 @@
 """Reference word operations for tests of ``words``: single contracting
-steps, the replay of a contraction trace and the SL(2, Z) oracle.
+steps, the linked-list walk that rebuilds a deletion order's steps, the
+replay of a contraction trace and the SL(2, Z) oracle.
 
 ``words.decide_contractible`` decides in one pass and never takes a step on
 its own; ``words.exhaustive_contractible`` searches every step order but
 only up to ``words.EXHAUSTIVE_BOUND`` letters.  This module gives the tests
-the legal steps of a word one at a time, for the diamond lemma, a replay
-that checks a trace's steps against its word, and an oracle for words of
-any length that shares no algorithm with either.
+the legal steps of a word one at a time, for the diamond lemma, a walk
+and a replay that check a trace's steps against its word, and an oracle
+for words of any length that shares no algorithm with either.
 """
 
 from __future__ import annotations
@@ -38,22 +39,48 @@ def apply_step(w: CyclicWord, i: int) -> CyclicWord:
     return CyclicWord(lets[:i] + lets[i + 1 :])
 
 
+def walk_steps(deleted, n: int) -> list[tuple[int, int, int]]:
+    """The (deleted, left, right) steps that deleting the positions in
+    deleted, in order, takes on an n-letter cyclic word: each position's
+    two live neighbors, read off a doubly linked list of the live positions.
+
+    Shares nothing with the recording kernel, which takes its steps down as
+    it deletes.  Raises IllegalStep if a position is outside the word or
+    already deleted.
+    """
+    # prv is nxt turned by two, sharing its ints; a deleted position's nxt is -1.
+    nxt = list(range(1, n)) + [0]
+    prv = nxt[-2:] + nxt[:-2]
+    steps = []
+    for d in deleted:
+        if not 0 <= d < n or nxt[d] < 0:
+            raise IllegalStep(f"deleted position {d} is not a live letter")
+        l, r = prv[d], nxt[d]
+        steps.append((d, l, r))
+        nxt[l], prv[r], nxt[d] = r, l, -1
+    return steps
+
+
 def replay(trace: ContractionTrace, w: CyclicWord) -> None:
     """Re-execute the trace's deletions against w, checking each one is legal.
 
     Reads the trace's steps and terminal; the traced word has len(steps) +
     len(terminal) letters.  Raises IllegalStep if w's length is not the
-    traced word's, if a deleted position is not live (found by the walk that
-    records the steps), if a step deletes from a word shorter than 3 or from
-    an all-distinct window, or if the survivors differ from terminal.
+    traced word's, if a deleted position is not live or a step's left and
+    right are not its live neighbors (by walk_steps), if a step deletes from
+    a word shorter than 3 or from an all-distinct window, or if the
+    survivors differ from terminal.
     """
     steps, terminal = trace.steps, trace.terminal
     letters = w.letters
     n, traced = len(letters), len(steps) + len(terminal)
     if n != traced:
         raise IllegalStep(f"trace of a {traced}-letter word replayed on a {n}-letter word")
+    walked = walk_steps([d for d, _, _ in steps], n)
     dead = bytearray(n)
     for k, (d, l, r) in enumerate(steps):
+        if (d, l, r) != walked[k]:
+            raise IllegalStep(f"step ({d},{l},{r}): the live neighbors of {d} are {walked[k][1:]}")
         if n - k < 3:
             raise IllegalStep("step recorded on a word shorter than 3")
         cl, cd, cr = letters[l], letters[d], letters[r]
