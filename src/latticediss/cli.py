@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
     # A file in the writer's layout is read a slice at a time, and read
     # again only for a failing boundary-chain detail.
     report = read_dissection(args.dissection,
-                             lambda slices: verify_slices(P, slices, args.mode, exact=True)[0])
+                             lambda slices: verify_slices(P, slices, args.mode)[0])
     print(report.to_json())
     return EXIT_OK if report.valid else EXIT_INVALID
 
@@ -178,7 +178,7 @@ def cmd_witness(args) -> int:
     # A file in the writer's layout is read a slice at a time: once to
     # verify it, and once more for the witness only when it verifies.
     t = read_dissection(args.dissection, lambda slices: witness_slices(
-        P, slices, lambda once: verify_slices(P, once, "any", exact=True)[0]))
+        P, slices, lambda once: verify_slices(P, once, "any")[0]))
     a2 = signed_area2(t)
     print(json.dumps({
         "triangle": t,

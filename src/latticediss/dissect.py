@@ -29,6 +29,12 @@ halves are unit pieces: the loop yields them at once, with no gcd.
 tests/refine_reference.py spells out the same rule with explicit maps, and
 refine_triangle must match it piece for piece.
 
+A Dissection holds exact-int coordinates only.  Its constructor checks
+every triangle as it comes in; refine_triangle, unit_dissection and the
+reader of the writer's layout, whose arithmetic or parse makes exact ints,
+store their tuples through _built, unchecked.  So the writer formats every
+coordinate with %r and verify never scans types.
+
 The reader of dissection_to_json's layout parses each distinct point text
 of a slice once, with one json.loads, and interns its point through a dict
 shared by all slices.  read_dissection reads a file in slices of about
@@ -68,25 +74,38 @@ from .geometry import (
 from .words import ContractionTrace, OneField, decide_contractible
 
 class Dissection(OneField):
-    """A tuple of lattice triangles, each a tuple of three points.
+    """A tuple of lattice triangles, each a tuple of three points, every
+    coordinate an exact int.
 
-    Whether they dissect a given polygon, and are positively oriented, is
-    the verify module's business; this type only carries the pieces.
-    _record is () on any Dissection that parse_dissection_json did not
-    build.  The reader sets it to (triangles,), the very tuple it built,
-    every coordinate an exact int it made itself; verify then skips its
-    type scan and may append its valid mode-"any" result (see
-    verify._verify).  It is no part of the value: not an argument, not
-    shown, not compared and not copied.
+    The constructor takes any iterable of triangles, each three [x, y] pairs
+    of ints (geometry.as_triangle; anything else raises ValueError), and
+    makes one tuple per distinct point, shared by every triangle that names
+    it.  The package's own builders, whose arithmetic makes exact ints, store
+    their tuple as given through _built.  Whether the triangles dissect a
+    given polygon, and are positively oriented, is the verify module's
+    business; this type only carries the pieces.  _record is () until verify
+    keeps a valid mode-"any" result in it (see verify._verify).  It is no
+    part of the value: not an argument, not shown, not compared and not
+    copied.
     """
 
     __slots__ = ("triangles", "_record")
 
-    def __init__(self, triangles: tuple[Triangle, ...]):
-        self._set(triangles, ())
+    def __init__(self, triangles: Iterable):
+        seen: dict[Point, Point] = {}
+        points = map(seen.setdefault, *tee(chain.from_iterable(map(as_triangle, triangles))))
+        self._set(tuple(zip(points, points, points)), ())
 
     def doubled_areas(self) -> list[int]:
         return [signed_area2(t) for t in self.triangles]
+
+
+def _built(triangles: tuple[Triangle, ...]) -> Dissection:
+    """A Dissection of triangles that the package built of exact-int point
+    tuples, stored as given, without the constructor's loop."""
+    D = object.__new__(Dissection)
+    D._set(triangles, ())
+    return D
 
 
 def split_with_point(t: Triangle, x: Point) -> list[Triangle]:
@@ -95,9 +114,9 @@ def split_with_point(t: Triangle, x: Point) -> list[Triangle]:
     Three pieces when x is strictly interior, two when x lies in the
     interior of an edge; pieces are counterclockwise and their doubled areas
     sum to the triangle's.  x may be any [x, y] pair of ints; anything else
-    raises ValueError.
+    raises ValueError, and so does a triangle that is not three such pairs.
     """
-    x = as_point(x)
+    t, x = as_triangle(t), as_point(x)
     area2 = signed_area2(t)
     if area2 == 0:
         raise Degenerate("cannot split a degenerate triangle")
@@ -123,9 +142,11 @@ def refine_triangle(t: Triangle) -> Dissection:
     """Cut a lattice triangle of even doubled area into unit-area pieces.
 
     Returns exactly doubled-area/2 triangles of doubled area 2.  Input
-    orientation does not matter; pieces come out counterclockwise.  The
-    pieces share the point tuples of the triangles they came from.
+    orientation does not matter; pieces come out counterclockwise.  t must
+    be three [x, y] pairs of ints; anything else raises ValueError.  The
+    pieces share the point tuples of the triangle they came from.
     """
+    t = as_triangle(t)
     area2 = signed_area2(t)
     if area2 == 0:
         raise Degenerate("cannot refine a degenerate triangle")
@@ -137,7 +158,7 @@ def refine_triangle(t: Triangle) -> Dissection:
 
     out = tuple(_refined(area2, *t))
     assert len(out) == area2 // 2
-    return Dissection(out)
+    return _built(out)
 
 
 def _refined(a2: int, u0: Point, u1: Point, u2: Point) -> Iterator[Triangle]:
@@ -248,7 +269,7 @@ def diagonal_dissection(P: ConvexLatticePolygon) -> Dissection | None:
         a2 = signed_area2(tri)
         assert a2 > 0 and a2 % 2 == 0  # convexity and the parity of good triangles
         tris.append(tri)
-    return Dissection(tuple(tris))
+    return Dissection(tris)
 
 
 @collector_paused
@@ -263,7 +284,7 @@ def unit_dissection(P: ConvexLatticePolygon) -> Dissection | None:
         return None
     pieces = tuple(unit_pieces(diag))
     assert len(pieces) == polygon_area2(P) // 2
-    return Dissection(pieces)
+    return _built(pieces)
 
 
 def unit_pieces(diag: Dissection) -> Iterator[Triangle]:
@@ -288,8 +309,6 @@ _SKELETON = _TRIANGLE_JSON.replace("%r", "")  # "[[, ], [, ], [, ]]"
 _TRIANGLE_BREAK = "]]" + _TRIANGLE_SEP + "[["
 _VERTEX_BREAK = "], ["  # between the pairs of _TRIANGLE_JSON
 _NUMERALS = str.maketrans("", "", "-0123456789")
-# Deletes all that _SKELETON and the repr of an int or a finite float hold.
-_NUMBER_TEXT = str.maketrans("", "", _SKELETON + "-+.0123456789e")
 _DECODER = json.JSONDecoder()
 _SLICE = 1 << 16
 # The in-memory reader's cuts.  A slice's point texts, alive at once, take
@@ -306,27 +325,18 @@ _TEXT_SLICE = 6 << 10
 def json_chunks(P: ConvexLatticePolygon, triangles: Iterable[Triangle]) -> Iterator[str]:
     """dissection_to_json's text, written a slice of triangles at a time.
 
-    Each slice is the text json.dumps writes for it, with the triangles
-    formatted by one template each.  %r writes an int or a finite float as
-    json.dumps does.  Any other coordinate (a bool, nan, inf, a str in its
-    quotes, a Fraction) leaves a character that _NUMBER_TEXT keeps, and a
-    point that is not a pair, or a triangle that is not three points, fails
-    to unpack; json.dumps then writes the slice as it is given: it quotes a
-    str and raises TypeError on a Fraction.
+    The triangles must be three (x, y) pairs of exact ints each, as a
+    Dissection holds them.  Each slice is the text json.dumps writes for it,
+    with the triangles formatted by one template each: %r writes an int as
+    json.dumps does.
     """
     yield _HEAD + polygon_to_json(P) + _MIDDLE
     it = iter(triangles)
     sep = ""
     size = max(1, _SLICE // 32)  # triangles in a slice: each takes about 32 characters
     while part := list(islice(it, size)):
-        try:
-            text = _TRIANGLE_SEP.join([_TRIANGLE_JSON % (ax, ay, bx, by, cx, cy)
-                                       for (ax, ay), (bx, by), (cx, cy) in part])
-            numbers = not text.translate(_NUMBER_TEXT)
-        except (TypeError, ValueError):  # a point not a pair, a triangle not three points
-            numbers = False
-        if not numbers:
-            text = json.dumps(part)[1:-1]
+        text = _TRIANGLE_SEP.join([_TRIANGLE_JSON % (ax, ay, bx, by, cx, cy)
+                                   for (ax, ay), (bx, by), (cx, cy) in part])
         yield sep
         yield text
         sep = _TRIANGLE_SEP
@@ -338,16 +348,6 @@ def json_chunks(P: ConvexLatticePolygon, triangles: Iterable[Triangle]) -> Itera
 def dissection_to_json(P: ConvexLatticePolygon, D: Dissection) -> str:
     # The same text as json.dumps({"polygon": ..., "triangles": ...}).
     return "".join(json_chunks(P, D.triangles))
-
-
-def _recorded(triangles: Iterable[Triangle]) -> Dissection:
-    """A Dissection of the triangles that records them.  Both readers end
-    here, with exact ints only and one tuple per distinct point, shared by
-    every triangle that names it: _slice_triangles's json.loads sees only
-    numerals and as_point tests type(c) is int."""
-    D = Dissection(tuple(triangles))
-    object.__setattr__(D, "_record", (D.triangles,))
-    return D
 
 
 def _polygon_points(polygon) -> list[Point]:
@@ -367,7 +367,8 @@ def _slice_triangles(part: str, seen: dict[Point, Point]) -> list[Triangle]:
     space sits where the writer puts it.  Split at the two separators, the
     slice then gives 3 point texts per triangle, each numerals around one
     ", ": a numeral anywhere but a number slot breaks a separator and leaves
-    a bracket in a text, and a malformed number fails json.loads.
+    a bracket in a text, and a malformed number fails json.loads.  With no
+    "." or "e" in a numeral, json.loads gives exact ints only.
     """
     n = part.count(_TRIANGLE_BREAK) + 1
     if part.translate(_NUMERALS) != _TRIANGLE_SEP.join([_SKELETON] * n):
@@ -462,8 +463,8 @@ def _parse_written(text: str) -> tuple[list[Point], Dissection] | None:
     seen: dict[Point, Point] = {}
     try:
         polygon, slices = _written(lambda n: next(pieces, ""), _TEXT_FIRST, _TEXT_SLICE)
-        return polygon, _recorded(chain.from_iterable(
-            _slice_triangles(part, seen) for part in slices))
+        return polygon, _built(tuple(chain.from_iterable(
+            _slice_triangles(part, seen) for part in slices)))
     except ValueError:
         return None
 
@@ -511,7 +512,4 @@ def parse_dissection_json(text: str) -> tuple[list[Point], Dissection]:
     data = load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("triangles"), list):
         raise ValueError('dissection JSON must be an object with a "triangles" array')
-    poly = _polygon_points(data.get("polygon", []))
-    seen: dict[Point, Point] = {}
-    points = map(seen.setdefault, *tee(chain.from_iterable(map(as_triangle, data["triangles"]))))
-    return poly, _recorded(zip(points, points, points))
+    return _polygon_points(data.get("polygon", [])), Dissection(data["triangles"])

@@ -34,14 +34,15 @@ DEFAULT_BOUND = 50
 
 
 def as_point(p) -> Point:
-    """Coerce an (x, y) pair of exact integers to a tuple; anything else raises ValueError."""
+    """Coerce an (x, y) pair of exact integers to a tuple, p itself when it is
+    one; anything else raises ValueError."""
     try:
         x, y = p
     except (TypeError, ValueError):
         raise ValueError(f"lattice point {p!r} is not an [x, y] pair") from None
     if type(x) is not int or type(y) is not int:
         raise ValueError(f"lattice point coordinates must be integers, got {p!r}")
-    return (x, y)
+    return p if type(p) is tuple else (x, y)
 
 
 def as_triangle(t) -> Triangle:

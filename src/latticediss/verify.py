@@ -18,13 +18,14 @@ collinear vertices subdivide a triangle side or a polygon edge; it finds
 those vertices in the same per-line index.
 witness_noninteger exhibits a tricolor (hence non-integer-area) triangle in
 any valid dissection of a polygon whose boundary word is not contractible.
-Both need a valid dissection, so both verify it first.  On a dissection
-that parse_dissection_json built, verify skips the type scan of its
-coordinates and keeps a valid mode-"any" result in the reader's record (see
-_verify), so checking it and then poofing it, or taking its witness,
-verifies it once.  poof, the last reader of the result's segment index,
-takes the index out of the record: a second poof of the same dissection
-verifies it again, while verify and the witness reuse the kept report.
+Both need a valid dissection, so both verify it first.  A Dissection's
+coordinates are exact ints by construction, so verify never scans their
+types and its integer-coords check always passes.  verify keeps a valid
+mode-"any" result in the dissection's record (see _verify), so checking it
+and then poofing it, or taking its witness, verifies it once.  poof, the
+last reader of the result's segment index, takes the index out of the
+record: a second poof of the same dissection verifies it again, while
+verify and the witness reuse the kept report.
 verify_dissection, poof and witness_noninteger run with the cyclic
 collector paused (geometry.collector_paused); verify_slices and
 witness_slices, which the CLI runs on slices, do not.
@@ -37,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, count
-from math import gcd, nan
+from math import gcd
 
 from .combi import Triangulation
 from .dissect import Dissection
@@ -47,12 +48,10 @@ from .geometry import (
     ConvexLatticePolygon,
     Point,
     Triangle,
-    as_triangle,
     boundary_word,
     collector_paused,
     color_of,
     polygon_area2,
-    signed_area2,
 )
 from .words import decide_contractible
 
@@ -225,66 +224,34 @@ def _int_pairs(points) -> bool:
             and set(map(type, chain.from_iterable(points))) <= {int})
 
 
-def _area2_or_nan(t) -> float:
-    """signed_area2 of a triangle, or NaN when it is not three pairs of
-    numbers (a coordinate None, a str or a list, a point not a pair), so the
-    report still says which checks fail."""
-    try:
-        return signed_area2(t)
-    except (TypeError, ValueError):
-        return nan
-
-
-def _int_triangle(t) -> bool:
-    """Whether t is three pairs of exact ints, as as_triangle wants them."""
-    try:
-        as_triangle(t)
-    except ValueError:
-        return False
-    return True
-
-
 def verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequence[Triangle]]],
-                  mode: str, exact: bool) -> tuple[VerifyReport, _Index | None]:
+                  mode: str) -> tuple[VerifyReport, _Index]:
     """The report on the triangles that slices() gives, slice after slice, and
-    the segment index it built (None when the coordinates are not all
-    integers).
+    the segment index it built.  Every coordinate must be an exact int in
+    tuples, as a Dissection and the reader hold them.
 
     One pass keeps only counters, the first _SHOWN indices each check names
     and the sides that _add_sides has not cancelled yet.  Only a failing
-    boundary-chain detail calls slices() a second time.  exact says that
-    every coordinate is an exact int in tuples, as the reader makes them,
-    so the type scan is skipped.
+    boundary-chain detail calls slices() a second time.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     vs = P.vertices
     # The chain starts from P's edges v_i -> v_i+1, reversed: (v_i+1, v_i) as one tuple.
-    left: dict | None = dict.fromkeys(map(tuple.__add__, vs[1:] + vs[:1], vs), 1)
-    flipped, off, bad_coords = _Indices(), _Indices(), _Indices()
+    left = dict.fromkeys(map(tuple.__add__, vs[1:] + vs[:1], vs), 1)
+    flipped, off = _Indices(), _Indices()
     n = total = 0
     for tris in slices():
-        # Only exact integers may reach gcd; exact or a type scan settles the
-        # common case, and signed_area2 of each triangle is inline.
-        try:
-            areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-                     for (x1, y1), (x2, y2), (x3, y3) in tris]
-            ints = exact or set(map(type, chain.from_iterable(chain.from_iterable(tris)))) <= {int}
-        except (TypeError, ValueError):
-            ints = False
-        if not ints:
-            bad_coords.add([n + i for i, t in enumerate(tris) if not _int_triangle(t)])
-            areas = list(map(_area2_or_nan, tris))
-        if bad_coords:
-            left = None
-        elif left is not None:
-            _add_sides(left, tris)
-        # min and count settle the common case; other numbers (NaN) take the scan.
-        if not ints or min(areas, default=1) <= 0:
+        # signed_area2 of each triangle, inline.
+        areas = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+                 for (x1, y1), (x2, y2), (x3, y3) in tris]
+        _add_sides(left, tris)
+        # min and count settle the common case.
+        if min(areas, default=1) <= 0:
             flipped.add([n + i for i, a in enumerate(areas) if a <= 0])
         if mode == "integral":
             off.add([n + i for i, a in enumerate(areas) if a % 2])
-        elif mode == "unit" and (not ints or areas.count(2) != len(areas)):
+        elif mode == "unit" and areas.count(2) != len(areas):
             off.add([n + i for i, a in enumerate(areas) if a != 2])
         total += sum(areas)
         n += len(tris)
@@ -294,18 +261,13 @@ def verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequenc
         "all triangles counterclockwise with positive area" if not flipped
         else f"non-positive doubled area at triangles {flipped}")]
 
-    index = None
-    if left is None:
-        checks.append(CheckResult(
-            "boundary-chain", False, "not run: coordinates are not all integers"))
-    else:
-        index = _segment_index(left)
-        _, lines = index
-        closed = not any(_nonzero(lines))
-        checks.append(CheckResult(
-            "boundary-chain", closed,
-            "triangle sides add up to the polygon's edges" if closed
-            else _chain_failure(lines, slices())))
+    index = _segment_index(left)
+    _, lines = index
+    closed = not any(_nonzero(lines))
+    checks.append(CheckResult(
+        "boundary-chain", closed,
+        "triangle sides add up to the polygon's edges" if closed
+        else _chain_failure(lines, slices())))
 
     target = polygon_area2(P)
     checks.append(CheckResult(
@@ -324,10 +286,7 @@ def verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequenc
     else:
         checks.append(CheckResult("mode-areas", True, "mode any: no area constraint"))
 
-    checks.append(CheckResult(
-        "integer-coords", not bad_coords,
-        "all coordinates are integers" if not bad_coords
-        else f"non-integer coordinates at triangles {bad_coords}"))
+    checks.append(CheckResult("integer-coords", True, "all coordinates are integers"))
 
     return VerifyReport(all(c.passed for c in checks), tuple(checks), n, total), index
 
@@ -335,34 +294,29 @@ def verify_slices(P: ConvexLatticePolygon, slices: Callable[[], Iterable[Sequenc
 def _verify(P: ConvexLatticePolygon, D: Dissection, mode: str,
             take: bool = False) -> tuple[VerifyReport, _Index | None]:
     """verify_dissection on D.triangles as one slice, also returning the
-    segment index it built (None when the coordinates are not all integers).
+    segment index it built.
 
-    D._record holds the triangles tuple the reader built, every coordinate
-    an exact int in tuples nothing can change, so while it is D.triangles
-    the type scan is skipped; any other triangles are scanned.  A valid
-    mode-"any" result on those triangles is kept in the record as
-    (triangles, polygon vertices, report, index) when P's vertices are a
-    tuple of tuples of exact ints, and returned while both tuples are the
-    very objects kept: deep-immutable tuples hold the same values for as
-    long as they live.  The index kept is only the sides left uncancelled,
-    and its users only read it.
+    A valid mode-"any" result is kept in D._record as (polygon vertices,
+    report, index) when P's vertices are a tuple of tuples of exact ints,
+    and returned while P's vertices are the very tuple kept: D's triangles
+    and those vertices are deep-immutable tuples, which hold the same values
+    for as long as they live.  The index kept is only the sides left
+    uncancelled, and its users only read it.
 
     take says that the caller, poof, takes the index: the record keeps
-    (triangles, polygon vertices, report, None), so the index lives only as
-    long as the caller holds it.  A kept record without its index still
-    gives its report, and verifies again only for a caller that takes the
-    index, which is a second poof of the same D.
+    (polygon vertices, report, None), so the index lives only as long as the
+    caller holds it.  A kept record without its index still gives its
+    report, and verifies again only for a caller that takes the index, which
+    is a second poof of the same D.
     """
-    tris, vs = D.triangles, P.vertices
-    rec = D._record
-    read = bool(rec) and rec[0] is tris
-    if mode == "any" and read and len(rec) > 1 and rec[1] is vs and not (take and rec[3] is None):
+    vs, rec = P.vertices, D._record
+    if mode == "any" and rec and rec[0] is vs and not (take and rec[2] is None):
         if take:
-            object.__setattr__(D, "_record", rec[:3] + (None,))
-        return rec[2], rec[3]
-    report, index = verify_slices(P, lambda: (tris,), mode, read)
-    if report.valid and mode == "any" and read and _int_pairs(vs):
-        object.__setattr__(D, "_record", (tris, vs, report, None if take else index))
+            object.__setattr__(D, "_record", rec[:2] + (None,))
+        return rec[1], rec[2]
+    report, index = verify_slices(P, lambda: (D.triangles,), mode)
+    if report.valid and mode == "any" and _int_pairs(vs):
+        object.__setattr__(D, "_record", (vs, report, None if take else index))
     return report, index
 
 
@@ -394,8 +348,8 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     segment finds its inner vertices by bisection in its line's sorted
     coordinates, and _point_on gives each one's point.
 
-    The verification is the one kept on a read D just verified against P,
-    and poof takes its segment index out of D's record (see _verify), so a
+    The verification is the one kept on a D just verified against P, and
+    poof takes its segment index out of D's record (see _verify), so a
     second poof of the same D verifies again.  Vertex ids number the
     dissection's points in sorted order.  poof builds one flat list of
     vertex ids, three per face, the dissection's triangles in order and

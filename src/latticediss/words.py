@@ -52,8 +52,9 @@ class Immutable:
     first and in order, and its constructor sets them with _set.  Assigning
     or deleting any attribute raises AttributeError.  copy and pickle
     rebuild the value through its constructor from those leading slots, so
-    a slot after them starts afresh (a Dissection's _record) and nothing
-    computed on first use (a ContractionTrace's steps) is carried over.
+    a slot after them starts afresh (a Dissection's _record, the
+    verification it kept) and nothing computed on first use (a
+    ContractionTrace's steps) is carried over.
     """
 
     __slots__ = ()

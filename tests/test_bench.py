@@ -72,6 +72,51 @@ def test_bench_pipeline_records_name_revision_workload_and_command():
             assert m["q1"] <= m["median"] <= m["q3"]
 
 
+LOC_SOURCE = '''"""A module docstring,
+over two lines."""
+
+# a comment line
+import os  # a comment after code
+
+
+class C:
+    """A class docstring."""
+
+    def f(self, x):
+        \'\'\'A function docstring.\'\'\'
+
+        text = """not a docstring,
+        but a string over two lines"""
+        return (x,
+                text)
+
+
+async def g():
+    "A one-line docstring."
+    return [
+        1,  # a line of the bracket counts if it holds a token
+
+        2,
+    ]
+'''
+
+
+def test_loc_counts_code_lines_only(tmp_path, capsys):
+    # tools/loc.py skips blank lines, comment lines and docstrings, and counts
+    # every line that a token spans, so both lines of the two-line string:
+    # 12 code lines here.
+    spec = importlib.util.spec_from_file_location("loc", ROOT / "tools" / "loc.py")
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    assert loc.code_lines(LOC_SOURCE) == 12
+    package = tmp_path / "src" / "latticediss"
+    package.mkdir(parents=True)
+    (package / "b.py").write_text(LOC_SOURCE)
+    (package / "a.py").write_text("x = 1\n\n# done\n")
+    assert loc.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "1 a.py\n12 b.py\n13 total\n"
+
+
 def test_scale_record_names_no_local_path(tmp_path, monkeypatch):
     # tools/scale.py writes --parent's value as PARENT and --out's as its
     # file name, and names each tree it measured by a digest of its source.

@@ -404,6 +404,13 @@ def test_render_legend_lies_inside_the_view_box(square_file, tmp_path):
     (["verify", "SQUARE", "TRUNCATED"], "in2.json: Expecting ',' delimiter: line 1"),
     (["witness", "SQUARE", "TRUNCATED"], "in2.json: Expecting ',' delimiter: line 1"),
     (["render", "SQUARE", "TRUNCATED", "-o", "OUT"], "in2.json: Expecting ',' delimiter: line 1"),
+    # a dissection coordinate that is not an exact int, in the writer's layout
+    (["verify", "SQUARE", "HALF_FLOAT"], "must be integers, got [0.5, 1]"),
+    (["witness", "SQUARE", "HALF_FLOAT"], "must be integers, got [0.5, 1]"),
+    (["render", "SQUARE", "HALF_FLOAT", "-o", "OUT"], "must be integers, got [0.5, 1]"),
+    (["verify", "SQUARE", "HALF_TRUE"], "must be integers, got [True, 1]"),
+    (["witness", "SQUARE", "HALF_TRUE"], "must be integers, got [True, 1]"),
+    (["render", "SQUARE", "HALF_TRUE", "-o", "OUT"], "must be integers, got [True, 1]"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
@@ -418,10 +425,14 @@ def test_render_legend_lies_inside_the_view_box(square_file, tmp_path):
         "render-both-stdin", "verify-empty-dissection", "verify-empty-polygon",
         "decide-empty-polygon", "decide-empty-stdin-polygon", "verify-empty-stdin-polygon",
         "verify-empty-stdin-dissection", "verify-truncated", "witness-truncated",
-        "render-truncated"])
+        "render-truncated", "verify-float-coordinate", "witness-float-coordinate",
+        "render-float-coordinate", "verify-true-coordinate", "witness-true-coordinate",
+        "render-true-coordinate"])
 def test_malformed_input_exits_2(args, named, tmp_path, monkeypatch, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5,
-             "EMPTY": "", "TRUNCATED": HALF_SPLIT[:-3]}
+             "EMPTY": "", "TRUNCATED": HALF_SPLIT[:-3],
+             "HALF_FLOAT": HALF_SPLIT.replace("[1, 0], [1, 1]]", "[1, 0], [0.5, 1]]"),
+             "HALF_TRUE": HALF_SPLIT.replace("[1, 0], [1, 1]]", "[1, 0], [true, 1]]")}
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     argv = []
     for i, a in enumerate(args):

@@ -88,7 +88,7 @@ def verify_stage(side):
 
 
 def verify_read_stage(side):
-    # a read dissection: verify trusts the reader's record, with no type scan
+    # a read dissection: the reader's tuples, verified as any Dissection is
     P, D = square(side)
     _, D = parse_dissection_json(dissection_to_json(P, D))
     return verify_dissection, (P, D, "unit"), len(D)

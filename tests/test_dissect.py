@@ -1,9 +1,10 @@
-import copy
+import io
 import json
-import pickle
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from latticediss.dissect import (
     diagonal_dissection,
     dissection_to_json,
     parse_dissection_json,
+    read_dissection,
     refine_triangle,
     split_with_point,
     unit_dissection,
@@ -368,13 +370,7 @@ def test_dissection_to_json_text_unchanged():
         (tri, Dissection(())),
         (validate_convex([(-9, -1), (-5, -1), (-9, -2)]), None),
         (validate_convex(far), Dissection((far,))),
-        # %d would write 2.5 as 2
-        (tri, Dissection((((0, 0), (2.5, 0), (0, -1e20)),))),
     ]
-    # %s would write True, False, nan, inf and -inf where json.dumps writes
-    # true, false, NaN, Infinity and -Infinity, and a str without its quotes
-    for x in (True, False, float("nan"), float("inf"), float("-inf"), "a", "", "1-2"):
-        cases.append((tri, Dissection((((0, 0), (x, 0), (0, 2)),))))
     for seed in range(6):
         P = random_convex_polygon(3 + seed, 15, seed=seed)
         cases.append((P, random_dissection(P, depth=5, seed=seed)))
@@ -385,9 +381,6 @@ def test_dissection_to_json_text_unchanged():
             "triangles": [[[x, y] for x, y in t] for t in D.triangles],
         })
         assert dissection_to_json(P, D) == old
-    # json.dumps cannot write a Fraction, and neither can the writer
-    with pytest.raises(TypeError):
-        dissection_to_json(tri, Dissection((((0, 0), (Fraction(1, 2), 0), (0, 2)),)))
 
 
 def reference_parse(text):
@@ -557,7 +550,7 @@ def test_parse_dissection_json_shares_points():
         assert len(points) < 3 * len(D)
 
 
-# --- the reader's record ----------------------------------------------------------
+# --- exact ints by construction ----------------------------------------------------
 
 def _exact(D):
     """Whether D's triangles are a tuple of tuples of tuples of exact ints."""
@@ -566,38 +559,88 @@ def _exact(D):
         for t in D.triangles)
 
 
-def test_reader_records_the_triangles_it_built():
-    P = validate_convex([(0, 0), (4, 0), (3, 2), (0, 2)])
-    built = unit_dissection(P)
-    text = dissection_to_json(P, built)
-    data = json.loads(text)
-    for layout in [text, json.dumps(data, separators=(",", ":")), json.dumps(data, indent=1)]:
-        _, D = parse_dissection_json(layout)
-        assert D._record[0] is D.triangles and _exact(D)
-        # the record is no part of the value
-        plain = Dissection(D.triangles)
-        assert repr(D) == repr(plain) == repr(built)
-        assert D == plain == built and hash(D) == hash(plain) == hash(built)
-        assert plain._record == ()
-        for other in (copy.copy(D), pickle.loads(pickle.dumps(D))):
-            assert other == D and other._record == ()
-        assert Dissection(D.triangles[1:])._record == ()
+_SHAPE = validate_convex([(0, 0), (4, 0), (3, 2), (0, 2)])
+Read = namedtuple("Read", "triangles")  # what read_dissection's slices give, unchecked
+
+
+def _slices_read(path):
+    return Read(read_dissection(path, lambda slices: tuple(chain.from_iterable(slices()))))
+
+
+@pytest.mark.parametrize("row", ["lists", "refine", "diagonal", "unit", "written-layout",
+                                 "general-layout", "file-slices", "stdin-slices"])
+def test_every_builder_holds_exact_int_tuples(row, tmp_path, monkeypatch):
+    unit = unit_dissection(_SHAPE)
+    text = dissection_to_json(_SHAPE, unit)
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(json.loads(text), indent=1)))
+    D = {
+        "lists": lambda: Dissection([[list(v) for v in t] for t in unit.triangles]),
+        "refine": lambda: refine_triangle([[0, 0], [4, 0], [0, 2]]),
+        "diagonal": lambda: diagonal_dissection(_SHAPE),
+        "unit": lambda: unit,
+        "written-layout": lambda: parse_dissection_json(text)[1],
+        "general-layout": lambda: parse_dissection_json(json.dumps(json.loads(text), indent=1))[1],
+        "file-slices": lambda: _slices_read(str(path)),
+        "stdin-slices": lambda: _slices_read("-"),
+    }[row]()
+    assert _exact(D)
+    if row == "refine":
+        assert D == refine_triangle(((0, 0), (4, 0), (0, 2)))
+    elif row != "diagonal":
+        assert D.triangles == unit.triangles
+    if isinstance(D, Dissection):
+        assert hash(D) == hash(Dissection(D.triangles))
+    if row == "lists":
+        read = parse_dissection_json(text)[1]
+        assert D == read and hash(D) == hash(read) and repr(D) == repr(read)
+
+
+# Each entry is refused by the constructor, and the triangle by refine_triangle
+# and split_with_point: a coordinate that is not an exact int, a point that
+# is not a pair, or a triangle that is not three points.
+NOT_EXACT = [
+    ((0, 0), (2.0, 0), (0, 2)),
+    ((0, 0), (2.5, 0), (0, -1e20)),
+    ((0, 0), (1, 1), (0, 1.0)),
+    ((0, 0), (Fraction(1, 2), 0), (0, 2)),
+    *[((0, 0), (x, 0), (0, 2))
+      for x in (True, False, float("nan"), float("inf"), float("-inf"), "a", "", "1-2")],
+    ((2, 0, 7), (1, 0), (0, 1)),
+    ((5,), (1, 0), (0, 1)),
+    ((0, 0), (1, 0)),
+    ((0, 0), (1, 0), (0, 1), (1, 1)),
+    ((0, 0), (1, 0), "ab"),
+    ((), (1, 0), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("t", NOT_EXACT)
+def test_dissection_refuses_what_is_not_exact_int_triangles(t):
+    with pytest.raises(ValueError) as e:
+        Dissection((((0, 0), (1, 0), (0, 1)), t))
+    with pytest.raises(ValueError) as again:
+        as_triangle(t)
+    assert str(e.value) == str(again.value)  # the reader's messages
+    for refuse in (refine_triangle, lambda t: split_with_point(t, (1, 0))):
+        with pytest.raises(ValueError):
+            refuse(t)
 
 
 def test_builders_do_not_record():
-    P = validate_convex([(0, 0), (4, 0), (3, 2), (0, 2)])
-    for D in [unit_dissection(P), diagonal_dissection(P),
-              refine_triangle(((0, 0), (4, 0), (0, 2)))]:
+    for D in [unit_dissection(_SHAPE), diagonal_dissection(_SHAPE),
+              refine_triangle(((0, 0), (4, 0), (0, 2))), Dissection([[[0, 0], [4, 0], [0, 2]]])]:
         assert D._record == ()
 
 
 def test_every_mutated_text_read_is_recorded_and_exact():
-    # the record is sound only if every dissection the reader returns holds
-    # exact ints in tuples, on whichever path the text took
+    # every dissection the reader returns holds exact ints in tuples, on
+    # whichever path the text took, and a valid one keeps its verification
     rng = random.Random("reader-record")
     P = random_convex_polygon(5, 6, seed=3)
     base = dissection_to_json(P, random_dissection(P, depth=2, seed=3))
-    paths = set()
+    paths, kept = set(), 0
     for _ in range(3_000):
         text = base
         for _ in range(rng.randint(0, 2)):
@@ -607,21 +650,15 @@ def test_every_mutated_text_read_is_recorded_and_exact():
             _, D = parse_dissection_json(text)
         except ValueError:
             continue
-        assert D._record[0] is D.triangles and _exact(D), text
+        assert _exact(D), text
+        if verify_dissection(P, D).valid:
+            assert D._record[0] is P.vertices
+            kept += 1
         paths.add(takes_written_path(text))
-    assert paths == {True, False}
+    assert paths == {True, False} and kept > 0
 
 
 # --- slices of the triangles array --------------------------------------------------
-
-def test_writer_writes_points_that_are_not_pairs_as_given():
-    tri = validate_convex([(0, 0), (4, 0), (0, 1)])
-    for t in [((2, 0, 7), (1, 0), (0, 1)), ((5,), (1, 0), (0, 1)), ((0, 0), (1, 0)),
-              ((0, 0), (1, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), "ab"), ((), (1, 0), (0, 1))]:
-        D = Dissection((((0, 0), (1, 0), (0, 1)), t))
-        expected = json.dumps({"polygon": tri.vertices, "triangles": D.triangles})
-        assert dissection_to_json(tri, D) == expected, t
-
 
 def _square_text(side):
     P = validate_convex([(0, 0), (side, 0), (side, side), (0, side)])
@@ -630,8 +667,7 @@ def _square_text(side):
 
 def test_writer_slices_give_json_dumps_text(monkeypatch):
     P, U = _square_text(4)
-    cases = [(), U.triangles[:1], U.triangles[:2], U.triangles[:5], U.triangles,
-             (((0, 0), (1, 0), (0, 1)), ((0, 0), (0.5, 0), (0, 1)), ((0, 0), (1, 0), (0, 1)))]
+    cases = [(), U.triangles[:1], U.triangles[:2], U.triangles[:5], U.triangles]
     for size in [*range(1, 100), 500]:
         monkeypatch.setattr(dissect, "_SLICE", size)
         for tris in cases:
@@ -659,8 +695,7 @@ def test_reader_slices_match_the_general_parser(monkeypatch):
         for text in texts:
             assert takes_written_path(text)
             poly, D = parse_dissection_json(text)
-            assert (poly, D.triangles) == _general(text)
-            assert D._record == (D.triangles,)
+            assert (poly, D.triangles) == _general(text) and _exact(D)
 
 
 def test_reader_slices_give_one_tuple_per_point(tmp_path, monkeypatch):

@@ -103,7 +103,7 @@ def _verified_request(seed: int):
         read = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert verify.verify_dissection(P, D).valid and D._record[3] is not None
+    assert verify.verify_dissection(P, D).valid and D._record[2] is not None
     return P, D, read
 
 
@@ -119,7 +119,7 @@ def test_poof_holds_no_more_than_its_result_at_the_disk_check(monkeypatch):
 
     def recording(*parts):
         gc.collect()
-        at_entry.append((tracemalloc.get_traced_memory()[0], D._record[3]))
+        at_entry.append((tracemalloc.get_traced_memory()[0], D._record[2]))
         return check(*parts)
 
     monkeypatch.setattr(combi, "_disk_errors", recording)

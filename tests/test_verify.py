@@ -258,15 +258,11 @@ def test_repeated_vertex_fails_orientation_not_gcd():
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, True, None, "1", [0]])
 def test_non_integer_coordinates_skip_the_chain(bad):
+    # The constructor refuses the triangle, so the coordinate never reaches
+    # verify's chain.
     t = ((0, 0), (1, 0), (bad, 1))
-    D = Dissection((t, HALF_SPLIT.triangles[1]))
-    rep = verify_dissection(UNIT_SQUARE, D)
-    assert "integer-coords" in failed_names(rep)
-    chain = rep.checks[1]
-    assert chain.name == "boundary-chain" and not chain.passed
-    assert chain.detail.startswith("not run")
-    with pytest.raises(InvalidDissection, match="non-integer coordinates at triangles 0"):
-        poof(UNIT_SQUARE, D)
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        Dissection((t, HALF_SPLIT.triangles[1]))
 
 
 @pytest.mark.parametrize("bad", [
@@ -276,18 +272,9 @@ def test_non_integer_coordinates_skip_the_chain(bad):
     ((0, 0), (1, 0)),  # two points
 ], ids=["number-point", "none-point", "triple-point", "two-points"])
 def test_triangles_not_three_pairs_fail_integer_coords(bad):
-    D = Dissection((HALF_SPLIT.triangles[1], bad))
-    for mode in MODES:
-        rep = verify_dissection(UNIT_SQUARE, D, mode)
-        assert not rep.valid and rep.triangle_count == 2
-        assert "integer-coords" in failed_names(rep)
-        assert rep.checks[-1].detail == "non-integer coordinates at triangles 1"
-        assert rep.checks[1].detail == "not run: coordinates are not all integers"
-        json.loads(rep.to_json().replace("NaN", "null"))
-    with pytest.raises(InvalidDissection, match="non-integer coordinates at triangles 1"):
-        poof(UNIT_SQUARE, D)
-    with pytest.raises(PreconditionViolated, match="does not verify"):
-        witness_noninteger(UNIT_SQUARE, D)
+    # The constructor refuses the entry, so verify never meets it.
+    with pytest.raises(ValueError, match="pair|3 vertices|integers"):
+        Dissection((HALF_SPLIT.triangles[1], bad))
 
 
 def _sliced(tris, k):
@@ -303,20 +290,16 @@ def test_reports_do_not_depend_on_slices():
         cases.append((P, tris[: len(tris) // 2]))  # a chain failure
         flipped = [(a, c, b) if rng.random() < 0.3 else (a, b, c) for a, b, c in tris]
         cases.append((P, flipped))  # orientation and mode-areas with many indices
-    a, b, c, d = UNIT_SQUARE.vertices
-    cases += [(UNIT_SQUARE, (HALF_SPLIT.triangles[0], (a, (0.5, 1), d), (a, c, d))),
-              (UNIT_SQUARE, ((a, b, 5), (a, c, d), (a, b, None), (a, b, c)) * 6)]
     details = set()
     for P, tris in cases:
         tris = tuple(tris)
         for mode in MODES:
-            # to_json, since a NaN total equals no NaN
-            whole = verify_slices(P, lambda: (tris,), mode, False)[0]
-            assert whole.to_json() == verify_dissection(P, Dissection(tris), mode).to_json()
+            whole = verify_slices(P, lambda: (tris,), mode)[0]
+            assert whole == verify_dissection(P, Dissection(tris), mode)
             for k in (1, 3, 7):
                 slices = _sliced(tris, k)
-                sliced = verify_slices(P, lambda: slices, mode, False)[0]
-                assert sliced.to_json() == whole.to_json(), (P, tris, k)
+                sliced = verify_slices(P, lambda: slices, mode)[0]
+                assert sliced == whole, (P, tris, k)
             details.update(c.detail for c in whole.checks if not c.passed)
     assert any("more)" in d for d in details)
     assert any(d.startswith("segment") for d in details)
@@ -343,22 +326,20 @@ class Masked(int):
 def test_masked_int_subclass_fails_integer_coords():
     # Two copies of one half of the unit square, the second one's corners
     # masked as the other half's: an int subclass is no integer coordinate,
-    # so the chain never sees the masks.
+    # so the constructor refuses it and the chain never sees the masks.
     t1 = ((0, 0), (1, 0), (1, 1))
     t2 = tuple((Masked(x, mx), Masked(y, my))
                for (x, y), (mx, my) in zip(t1, ((0, 0), (1, 1), (0, 1))))
-    rep = verify_dissection(UNIT_SQUARE, Dissection((t1, t2)), "any")
-    assert not rep.valid
-    assert "integer-coords" in failed_names(rep)
-    assert rep.checks[1].detail.startswith("not run")
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        Dissection((t1, t2))
 
 
 def test_nan_coordinate_does_not_hide_a_clockwise_triangle():
-    # min over doubled areas is no shortcut once a NaN is among them
+    # min over doubled areas would be no shortcut with a NaN among them; the
+    # constructor refuses the NaN, so verify's areas are all ints
     t = ((0, 0), (1, 0), (float("nan"), 1))
-    D = Dissection((t, ((0, 0), (1, 1), (1, 0))))
-    orientation = verify_dissection(UNIT_SQUARE, D, "unit").checks[0]
-    assert orientation.detail == "non-positive doubled area at triangles 1"
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        Dissection((t, ((0, 0), (1, 1), (1, 0))))
 
 
 # --- the chain index against its reference and against the definition -----------
@@ -406,7 +387,7 @@ def test_segment_index_matches_reference_in_order():
         expected = _index_in_order(([((*p, *q), *rest) for p, q, *rest in segments], lines))
         for k in (max(1, len(tris)), 1, 7):
             slices = [tris[i:i + k] for i in range(0, len(tris), k)]
-            index = verify_slices(P, lambda: slices, "any", False)[1]
+            index = verify_slices(P, lambda: slices, "any")[1]
             assert _index_in_order(index) == expected, (P, tris, k)
 
 
@@ -443,7 +424,7 @@ def test_chain_failure_detail_matches_the_side_by_side_scan():
         assert chain.detail == expected, (P, tris)
         for k in (1, 3, 7):
             slices = [tris[i:i + k] for i in range(0, len(tris), k)]
-            report = verify_slices(P, lambda: slices, "any", False)[0]
+            report = verify_slices(P, lambda: slices, "any")[0]
             assert report.checks[1].detail == expected, (P, tris, k)
         details.add(expected.endswith("none"))
     assert details == {True, False}  # details with and without triangles named
@@ -635,14 +616,14 @@ def test_poof_takes_the_kept_index_and_a_second_poof_verifies_again(monkeypatch)
     monkeypatch.setattr(verify_module, "verify_slices",
                         lambda *args: calls.append(args[2]) or real(*args))
     report = verify_dissection(P, D)
-    assert calls == ["any"] and D._record[2] is report and D._record[3] is not None
+    assert calls == ["any"] and D._record[1] is report and D._record[2] is not None
     first = poof(P, D)
-    assert calls == ["any"] and D._record[2:] == (report, None)  # the index is poof's now
+    assert calls == ["any"] and D._record[1:] == (report, None)  # the index is poof's now
     assert verify_dissection(P, D) is report
     witness = witness_noninteger(P, D)
     assert calls == ["any"]  # verify and witness reuse the kept report
     second = poof(P, D)  # needs the index, which the record no longer holds
-    assert calls == ["any", "any"] and D._record[3] is None
+    assert calls == ["any", "any"] and D._record[2] is None
     assert verify_dissection(P, D) == report and witness_noninteger(P, D) == witness
     assert len(calls) == 2
     assert (second[0].triangles, second[0].corners, second[0].vertex_colors, second[1]) == (
@@ -794,42 +775,27 @@ def _kept(P, D):
 
 
 def test_kept_result_is_not_used_for_mutable_triangles():
-    # a list of triangles, and a tuple of triangles that are lists, swapped
-    # into a dissection with a kept result
+    # a list of triangles, and a tuple of triangles that are lists: the
+    # constructor copies them into tuples, so changing them afterwards
+    # changes neither the dissection nor its kept result
     for triangles in (list(HALF_SPLIT.triangles), tuple(map(list, HALF_SPLIT.triangles))):
-        D = _kept(UNIT_SQUARE, HALF_SPLIT)
-        object.__setattr__(D, "triangles", triangles)
-        assert _checks(UNIT_SQUARE, D)[0].valid
-        assert _checks(UNIT_SQUARE, D) == _checks(UNIT_SQUARE, _fresh(D))
-        if isinstance(D.triangles, list):
-            D.triangles.pop()
+        D = Dissection(triangles)
+        kept = _checks(UNIT_SQUARE, D)
+        assert kept[0].valid and len(D._record) > 1
+        if isinstance(triangles, list):
+            triangles.pop()
         else:
-            D.triangles[1][2] = (0, 2)
-        after = _checks(UNIT_SQUARE, D)
-        assert not after[0].valid
-        assert after == _checks(UNIT_SQUARE, _fresh(D))
+            triangles[1][2] = (0, 2)
+        assert D == HALF_SPLIT and _checks(UNIT_SQUARE, D) == kept
 
 
 def test_kept_result_is_not_used_for_mutable_vertices():
-    # poof cannot run here: a tuple corner of P never equals a list vertex
-    D = _kept(UNIT_SQUARE, HALF_SPLIT)
-    object.__setattr__(D, "triangles",
-                       tuple(tuple(map(_HashableList, t)) for t in HALF_SPLIT.triangles))
-    assert verify_dissection(UNIT_SQUARE, D).valid
-    D.triangles[1][2][1] = 2  # (0, 1) becomes (0, 2)
-    after = verify_dissection(UNIT_SQUARE, D)
-    assert not after.valid
-    assert after == verify_dissection(UNIT_SQUARE, _fresh(D))
-
-
-def test_kept_result_is_not_used_for_swapped_triangles():
-    D = _read(UNIT_SQUARE, HALF_SPLIT)
-    assert _checks(UNIT_SQUARE, D)[0].valid
-    assert len(D._record) > 1
-    object.__setattr__(D, "triangles", HALF_SPLIT.triangles[:1])
-    after = _checks(UNIT_SQUARE, D)
-    assert not after[0].valid
-    assert after == _checks(UNIT_SQUARE, _fresh(D))
+    # vertices that are lists, which can still key a dict, become tuples
+    vertices = tuple(tuple(map(_HashableList, t)) for t in HALF_SPLIT.triangles)
+    D = Dissection(vertices)
+    assert verify_dissection(UNIT_SQUARE, D).valid and len(D._record) > 1
+    vertices[1][2][1] = 2  # the input's (0, 1) becomes (0, 2)
+    assert D == HALF_SPLIT and verify_dissection(UNIT_SQUARE, D).valid
 
 
 def test_kept_result_is_not_used_for_another_polygon():
@@ -859,12 +825,12 @@ def test_invalid_results_and_other_modes_are_not_kept():
     for mode in MODES:
         D = _read(UNIT_SQUARE, Dissection(HALF_SPLIT.triangles[:1]))
         assert not verify_dissection(UNIT_SQUARE, D, mode).valid
-        assert len(D._record) == 1
+        assert D._record == ()
     square = validate_convex([(0, 0), (2, 0), (2, 2), (0, 2)])
     D = _read(square, unit_dissection(square))
     for mode in ("unit", "integral"):
         assert verify_dissection(square, D, mode).valid
-        assert len(D._record) == 1
+        assert D._record == ()
     assert verify_dissection(square, D, "any") == verify_dissection(square, _fresh(D), "any")
     D = _read(UNIT_SQUARE, HALF_SPLIT)
     verify_dissection(UNIT_SQUARE, D, "any")
@@ -874,12 +840,12 @@ def test_invalid_results_and_other_modes_are_not_kept():
     assert D._record is kept
 
 
-def test_dissections_not_read_keep_nothing():
+def test_dissections_not_read_keep_their_result():
     square = validate_convex([(0, 0), (4, 0), (4, 4), (0, 4)])
     for P, built in [(UNIT_SQUARE, HALF_SPLIT), (square, unit_dissection(square))]:
         D = Dissection(built.triangles)
         assert verify_dissection(P, D, "any").valid
-        assert D._record == () and built._record == ()
+        assert D._record[0] is P.vertices
         assert _everything(P, D) == _everything(P, _kept(P, built))
 
 
@@ -890,11 +856,11 @@ def test_equal_polygon_of_other_tuples_is_verified_again():
     Q = validate_convex(P.vertices)
     assert Q.vertices == P.vertices and Q.vertices is not P.vertices
     report = verify_dissection(Q, D, "any")
-    assert report == kept[2] and report is not kept[2]
-    assert verify_dissection(P, D, "any") is not kept[2]  # Q's result is kept now
+    assert report == kept[1] and report is not kept[1]
+    assert verify_dissection(P, D, "any") is not kept[1]  # Q's result is kept now
 
 
-# --- the reader's record: a read dissection skips the type scans -------------------
+# --- the kept result: read and fresh dissections report alike ----------------------
 
 def _everything(P, D, poof_first=False):
     """verify in every mode, poof and witness on D, as comparable values."""
@@ -919,34 +885,11 @@ def test_dissections_not_read_report_as_the_read_one():
     for P, D in [(UNIT_SQUARE, HALF_SPLIT), (square, unit_dissection(square)),
                  (UNIT_SQUARE, Dissection(HALF_SPLIT.triangles[:1]))]:
         read = _read(P, D)
-        assert read._record[0] is read.triangles
         others = [Dissection(read.triangles), copy.copy(read), pickle.loads(pickle.dumps(read))]
         for other in others:
             assert other._record == ()
             for mode in MODES:
                 assert verify_dissection(P, other, mode) == verify_dissection(P, read, mode)
-
-
-def test_masked_triangles_swapped_into_a_read_dissection_fail_integer_coords():
-    # as in test_masked_int_subclass_fails_integer_coords, but behind a
-    # record and a kept result: the swapped tuple is not the one the reader
-    # built, so it is scanned
-    t1 = ((0, 0), (1, 0), (1, 1))
-    t2 = tuple((Masked(x, mx), Masked(y, my))
-               for (x, y), (mx, my) in zip(t1, ((0, 0), (1, 1), (0, 1))))
-    for verify_first in (False, True):
-        D = _read(UNIT_SQUARE, HALF_SPLIT)
-        if verify_first:
-            assert verify_dissection(UNIT_SQUARE, D, "any").valid
-            assert len(D._record) > 1
-        object.__setattr__(D, "triangles", (t1, t2))
-        for mode in MODES:
-            rep = verify_dissection(UNIT_SQUARE, D, mode)
-            assert not rep.valid
-            assert "integer-coords" in failed_names(rep)
-            assert rep.checks[1].detail.startswith("not run")
-        with pytest.raises(InvalidDissection, match="non-integer coordinates"):
-            poof(UNIT_SQUARE, D)
 
 
 def _differential_cases():
@@ -964,7 +907,6 @@ def test_read_and_fresh_dissections_give_equal_results():
     labels = set()
     for P, text in _differential_cases():
         D = parse_dissection_json(text)[1]
-        assert D._record[0] is D.triangles
         fresh = _everything(P, _fresh(D))
         assert _everything(P, D) == fresh
         assert _everything(P, parse_dissection_json(text)[1], poof_first=True) == fresh
@@ -1011,8 +953,7 @@ def test_witness_preconditions():
 @pytest.mark.parametrize("triangles, failed", [
     ((HALF_SPLIT.triangles[0][::-1], HALF_SPLIT.triangles[1]),
      "orientation, boundary-chain, area-sum"),
-    ((HALF_SPLIT.triangles[0], ((0, 0), (1, 1), (0, 1.0))), "boundary-chain, integer-coords"),
-], ids=["clockwise-triangle", "float-coordinate"])
+], ids=["clockwise-triangle"])
 def test_witness_names_the_checks_that_fail(triangles, failed):
     # names only: the details stay in verify's report
     with pytest.raises(PreconditionViolated) as e:

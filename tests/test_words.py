@@ -187,7 +187,7 @@ def _read_dissection():
     # verified once, so that its record also keeps the report and index
     P = validate_convex([(0, 0), (2, 0), (2, 2), (0, 2)])
     D = parse_dissection_json(dissection_to_json(P, unit_dissection(P)))[1]
-    assert verify_dissection(P, D).valid and len(D._record) == 4
+    assert verify_dissection(P, D).valid and len(D._record) == 3
     return D
 
 

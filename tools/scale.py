@@ -154,9 +154,10 @@ tracemalloc.stop()
 del result
 sys.path.insert(0, sys.argv[3])
 from test_complexity import line_events  # only now: loaded modules move the timings
+D = Dissection(tris)  # built before the count: the constructor allocates a tuple per triangle
 gc.collect()
 before = gc.get_stats()[0]["collections"]
-poof(P, Dissection(tris))
+poof(P, D)
 gen0 = gc.get_stats()[0]["collections"] - before
 print(json.dumps({"us_per_tri": min(times) / len(tris) * 1e6,
                   "view_us_per_tri": min(viewed) / len(tris) * 1e6, "poofed": poofed,
