@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success/contractible, 10 impossible (no dissection or no
-realization, or word not contractible), 11 verification failed, 2 usage or
-parse errors and output that cannot be written, to a file or to stdout (a
-closed pipe or a full disk).
+Exit codes: 0 success/contractible, 10 impossible (no dissection, or word
+not contractible), 11 verification failed, 2 usage or parse errors and
+output that cannot be written, to a file or to stdout (a closed pipe or a
+full disk).  For realize, 10 means only that the bounded search found no
+polygon, or that the word has a letter outside A-D: a realization beyond
+the search's reach may still exist.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 A combinatorial polygon is just a cyclic sequence of colored corners; a
 triangulation is a set of vertex-id triples that glue into a topological
 disk whose boundary is the polygon.  This module holds the triangulation
-and validates its disk structure, and nothing else: the tricolor checks and
-the Sperner lemma over diagonal triangulations are in sperner, which only
-the CLI's `sperner` command and the tests import.
+and validates its disk structure, and nothing else: the Sperner lemma over
+diagonal triangulations is in sperner, which counts them and builds no
+Triangulation.  Only poof builds one.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ class Triangulation(Immutable):
     def __repr__(self) -> str:
         faces = len(self._ids) // 3
         return f"Triangulation({len(self.vertex_colors)} vertices, {faces} triangles)"
-
-    def sorted_triangles(self) -> list[tuple[int, ...]]:
-        return sorted(tuple(sorted(t)) for t in _faces(self._ids))
 
 
 def _same_cycle(cycle: list[int], corners: tuple) -> bool:

@@ -27,7 +27,7 @@ to place (1,1) or (2,1).  A triangle of doubled area 4 has d = 4, or d = 2
 and q = 2, so its split point is always the midpoint of v0 -> v1 and both
 halves are unit pieces: the loop yields them at once, with no gcd.
 tests/refine_reference.py spells out the same rule with explicit maps, and
-refine_triangle must match it piece for piece.
+refine_triangle must match it piece for piece, in its split order.
 
 A Dissection holds exact-int coordinates only.  Its constructor checks
 every triangle as it comes in; refine_triangle, unit_dissection and the
@@ -96,9 +96,6 @@ class Dissection(OneField):
         points = map(seen.setdefault, *tee(chain.from_iterable(map(as_triangle, triangles))))
         self._set(tuple(zip(points, points, points)), ())
 
-    def doubled_areas(self) -> list[int]:
-        return [signed_area2(t) for t in self.triangles]
-
 
 def _built(triangles: tuple[Triangle, ...]) -> Dissection:
     """A Dissection of triangles that the package built of exact-int point
@@ -106,36 +103,6 @@ def _built(triangles: tuple[Triangle, ...]) -> Dissection:
     D = object.__new__(Dissection)
     D._set(triangles, ())
     return D
-
-
-def split_with_point(t: Triangle, x: Point) -> list[Triangle]:
-    """Dissect the triangle using a lattice point of it that is not a vertex.
-
-    Three pieces when x is strictly interior, two when x lies in the
-    interior of an edge; pieces are counterclockwise and their doubled areas
-    sum to the triangle's.  x may be any [x, y] pair of ints; anything else
-    raises ValueError, and so does a triangle that is not three such pairs.
-    """
-    t, x = as_triangle(t), as_point(x)
-    area2 = signed_area2(t)
-    if area2 == 0:
-        raise Degenerate("cannot split a degenerate triangle")
-    if area2 < 0:
-        t = (t[0], t[2], t[1])
-    if x in t:
-        raise IsVertex(f"{x} is a vertex of the triangle")
-    o = [signed_area2((t[i], t[(i + 1) % 3], x)) for i in range(3)]
-    if any(side < 0 for side in o):
-        raise OutsideTriangle(f"{x} lies outside the triangle")
-    zeros = [i for i in range(3) if o[i] == 0]
-    if not zeros:
-        return [(t[i], t[(i + 1) % 3], x) for i in range(3)]
-    assert len(zeros) == 1  # two zero sides would make x a vertex
-    i = zeros[0]
-    return [
-        (t[i], x, t[(i + 2) % 3]),
-        (x, t[(i + 1) % 3], t[(i + 2) % 3]),
-    ]
 
 
 def refine_triangle(t: Triangle) -> Dissection:
@@ -234,8 +201,8 @@ def _refined(a2: int, u0: Point, u1: Point, u2: Point) -> Iterator[Triangle]:
         if o0 < 0 or o1 < 0 or o2 < 0:
             raise OutsideTriangle(f"{x} lies outside the triangle")
         assert not (o0 | o1 | o2) & 1
-        # The pieces in split_with_point's order: the last is refined next,
-        # the others are set aside.
+        # The pieces in the reference's split order: the last is refined
+        # next, the others are set aside.
         if o0 and o1 and o2:
             work += (o0, u0, u1, x), (o1, u1, u2, x)
             a2, u0, u1, u2 = o2, u2, u0, x

@@ -57,10 +57,6 @@ class NotADisk(LatticeDissError):
         self.errors = list(errors)
 
 
-class TooSmall(LatticeDissError):
-    pass
-
-
 class TheoremViolation(LatticeDissError):
     """An exhaustive check contradicted a proved statement: implementation bug."""
 

@@ -83,10 +83,6 @@ class ConvexLatticePolygon(OneField):
     def __init__(self, vertices: tuple[Point, ...]):
         self._set(vertices)
 
-    def edges(self) -> list[tuple[Point, Point]]:
-        vs = self.vertices
-        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
 
 def _direction_half(v: Point) -> int:
     # 0 for the upper half-plane (including the positive x-axis),
@@ -175,14 +171,15 @@ def read_text(path: str) -> str:
 
 
 def load_json(text: str):
-    """json.loads, with a syntax error, or nesting too deep for the parser,
-    raised as NotJSON."""
+    """json.loads, with a syntax error, an int of more digits than the
+    interpreter converts, or nesting too deep for the parser, raised as
+    NotJSON."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise NotJSON(str(e)) from e
     except RecursionError:
         raise NotJSON("JSON is nested too deeply") from None
+    except ValueError as e:  # a JSONDecodeError, or the digit limit and its advice
+        raise NotJSON(str(e).partition("; use sys.set_int_max_str_digits()")[0]) from e
 
 
 def parse_read(parse: Callable[[str], object], text: str, path: str) -> object:

@@ -1,13 +1,10 @@
 """The combinatorial Sperner lemma over diagonal triangulations.
 
 The polygon of a boundary word has one corner per letter, colored by it.
-Its diagonal triangulations are disk triangulations (combi.Triangulation)
-with no interior vertex.  This module finds tricolor triangles, builds a
-good (tricolor-free) diagonal triangulation from the decider's contraction
-trace, and checks the tricolor property over all diagonal triangulations of
-a word's polygon by counting them with an interval recurrence.  Only the
-CLI's `sperner` command and the tests run it; the decision, the dissection
-and poof do not.
+This module checks the tricolor property over all diagonal triangulations
+of a word's polygon by counting them with an interval recurrence, and
+builds none of them.  Only the CLI's `sperner` command and the tests run
+it; the decision, the dissection and poof do not.
 """
 
 from __future__ import annotations
@@ -15,40 +12,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .combi import Triangulation
-from .errors import BoundExceeded, TheoremViolation, TooSmall
-from .words import ContractionTrace, CyclicWord, decide_contractible
-
-
-def boundary_word_of(T: Triangulation) -> CyclicWord:
-    return CyclicWord(T.vertex_colors[v] for v in T.corners)
-
-
-def find_tricolor(T: Triangulation) -> frozenset | None:
-    """Some triangle with three pairwise distinct vertex colors, or None."""
-    tris = sorted(T.triangles, key=sorted)
-    return next((t for t in tris if len({T.vertex_colors[v] for v in t}) == 3), None)
-
-
-def good_dissection(w: CyclicWord) -> Triangulation | None:
-    """A diagonal triangulation of the polygon with corner colors w into good
-    triangles, if one exists.
-
-    Replays the decider's contraction trace: every deletion step (left,
-    deleted, right) contributes the external triangle on those corners, and
-    the final step closes the polygon.  Returns None when the boundary word
-    is not contractible.
-    """
-    n = len(w)
-    if n < 3:
-        raise TooSmall("a combinatorial polygon needs at least 3 corners")
-    ok, trace = decide_contractible(w)
-    if not ok:
-        return None
-    assert isinstance(trace, ContractionTrace)
-    T = Triangulation(dict(enumerate(w.letters)), trace.steps, tuple(range(n)))
-    assert len(T.triangles) == n - 2
-    return T
+from .errors import BoundExceeded, TheoremViolation
+from .words import CyclicWord, decide_contractible
 
 
 SPERNER_BOUND = 200

@@ -40,7 +40,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, count
 from math import gcd
 
-from .combi import Triangulation
 from .dissect import Dissection
 from .errors import InvalidDissection, PreconditionViolated, TheoremViolation
 from .geometry import (
@@ -362,6 +361,8 @@ def poof(P: ConvexLatticePolygon, D: Dissection) -> tuple[Triangulation, dict[in
     further along it, so each three ids in turn are 3 distinct int ids.  A
     poofagon equal to another face fails the disk check.
     """
+    from .combi import Triangulation  # here, so that verify and witness load no combi
+
     rep, index = _verify(P, D, "any", take=True)
     if not rep.valid:
         raise InvalidDissection("; ".join(c.detail for c in rep.checks if not c.passed))

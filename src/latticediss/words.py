@@ -121,11 +121,6 @@ class CyclicWord(Immutable):
             raise ValueError("labels must be ASCII characters")
         self._set(letters)
 
-    def rotate(self, k: int) -> "CyclicWord":
-        n = len(self.letters)
-        k %= n
-        return CyclicWord(self.letters[k:] + self.letters[:k])
-
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -40,7 +40,7 @@ def is_dissection(P: ConvexLatticePolygon, triangles) -> bool:
     tris = list(triangles)
     if any(signed_area2(t) <= 0 for t in tris):
         return False
-    edges = P.edges()
+    edges = list(zip(P.vertices, P.vertices[1:] + P.vertices[:1]))
     if any(signed_area2((a, b, v)) < 0 for t in tris for v in t for a, b in edges):
         return False
     if sum(map(signed_area2, tris)) != polygon_area2(P):

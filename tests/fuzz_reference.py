@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 
-from latticediss.dissect import Dissection, split_with_point
+from latticediss.dissect import Dissection
 from latticediss.gen import DEFAULT_BOUND, _centred, _direction
 from latticediss.geometry import (
     ConvexLatticePolygon,
@@ -24,6 +24,7 @@ from latticediss.geometry import (
     signed_area2,
     validate_convex,
 )
+from refine_reference import split_with_point
 
 POLYGON_TRIES = 800
 

@@ -3,10 +3,11 @@
 The unit-refinement rule spelled out with explicit maps: ``normalize`` moves a
 triangle of even doubled area to its normal form (0,0), (d,0), (p,q) with a
 determinant +1 affine map, the split point is chosen there by parity, mapped
-back with the inverse map and cut with ``split_with_point``.  The package
-computes the same split point with plain integers and builds no maps, so
-``refine_triangle`` must return exactly the pieces of ``reference_refine``,
-in the same order.
+back with the inverse map and cut with ``split_with_point``, whose piece
+order ``dissect._refined`` follows: the last piece is refined next.  The
+package computes the same split point with plain integers and builds no
+maps, so ``refine_triangle`` must return exactly the pieces of
+``reference_refine``, in the same order.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from latticediss.dissect import split_with_point
-from latticediss.errors import Degenerate, NotIntegerArea
-from latticediss.geometry import Point, Triangle, color_of, signed_area2
+from latticediss.errors import Degenerate, IsVertex, NotIntegerArea, OutsideTriangle
+from latticediss.geometry import Point, Triangle, as_point, as_triangle, color_of, signed_area2
 
 
 def bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -132,6 +132,36 @@ def normalize(t: Triangle) -> tuple[UnimodularAffineMap, NormalizedTriangle]:
     assert d % 2 == 0 and 1 <= p <= q
     assert M.apply(v0) == (0, 0) and M.apply(v1) == (d, 0) and M.apply(v2) == (p, q)
     return M, NormalizedTriangle(d, p, q)
+
+
+def split_with_point(t: Triangle, x: Point) -> list[Triangle]:
+    """Dissect the triangle using a lattice point of it that is not a vertex.
+
+    Three pieces when x is strictly interior, two when x lies in the
+    interior of an edge; pieces are counterclockwise and their doubled areas
+    sum to the triangle's.  x may be any [x, y] pair of ints; anything else
+    raises ValueError, and so does a triangle that is not three such pairs.
+    """
+    t, x = as_triangle(t), as_point(x)
+    area2 = signed_area2(t)
+    if area2 == 0:
+        raise Degenerate("cannot split a degenerate triangle")
+    if area2 < 0:
+        t = (t[0], t[2], t[1])
+    if x in t:
+        raise IsVertex(f"{x} is a vertex of the triangle")
+    o = [signed_area2((t[i], t[(i + 1) % 3], x)) for i in range(3)]
+    if any(side < 0 for side in o):
+        raise OutsideTriangle(f"{x} lies outside the triangle")
+    zeros = [i for i in range(3) if o[i] == 0]
+    if not zeros:
+        return [(t[i], t[(i + 1) % 3], x) for i in range(3)]
+    assert len(zeros) == 1  # two zero sides would make x a vertex
+    i = zeros[0]
+    return [
+        (t[i], x, t[(i + 2) % 3]),
+        (x, t[(i + 1) % 3], t[(i + 2) % 3]),
+    ]
 
 
 def reference_refine(t: Triangle) -> tuple[Triangle, ...]:

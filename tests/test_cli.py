@@ -28,6 +28,9 @@ HALF_SPLIT = json.dumps({
     "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
     "triangles": [[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]],
 })
+# The message of an int of 5,001 digits, over the interpreter's default limit
+DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: "
+               "value has 5001 digits\n")
 
 
 @pytest.fixture
@@ -411,6 +414,12 @@ def test_render_legend_lies_inside_the_view_box(square_file, tmp_path):
     (["verify", "SQUARE", "HALF_TRUE"], "must be integers, got [True, 1]"),
     (["witness", "SQUARE", "HALF_TRUE"], "must be integers, got [True, 1]"),
     (["render", "SQUARE", "HALF_TRUE", "-o", "OUT"], "must be integers, got [True, 1]"),
+    # an int over the interpreter's digit limit names its file, and the line
+    # ends before Python's advice on raising the limit
+    (["decide", "--polygon", "BIG"], f"in2.json: {DIGIT_LIMIT}"),
+    (["verify", "SQUARE", "HALF_BIG"], f"in2.json: {DIGIT_LIMIT}"),
+    (["witness", "SQUARE", "HALF_BIG"], f"in2.json: {DIGIT_LIMIT}"),
+    (["render", "SQUARE", "HALF_BIG", "-o", "OUT"], f"in2.json: {DIGIT_LIMIT}"),
 ], ids=["triangle-number", "triangles-number", "null-vertex", "polygon-number",
         "dissect-unwritable", "render-unwritable", "realize-unwritable",
         "verify-deep-json", "decide-deep-json", "render-huge-polygon", "polygon-entry-not-pair",
@@ -427,12 +436,15 @@ def test_render_legend_lies_inside_the_view_box(square_file, tmp_path):
         "verify-empty-stdin-dissection", "verify-truncated", "witness-truncated",
         "render-truncated", "verify-float-coordinate", "witness-float-coordinate",
         "render-float-coordinate", "verify-true-coordinate", "witness-true-coordinate",
-        "render-true-coordinate"])
+        "render-true-coordinate", "decide-polygon-5001-digits", "verify-5001-digits",
+        "witness-5001-digits", "render-5001-digits"])
 def test_malformed_input_exits_2(args, named, tmp_path, monkeypatch, capsys):
     files = {"SQUARE": SQUARE, "TRIANGLE": TRIANGLE, "DEEP": "[" * 10**5 + "]" * 10**5,
              "EMPTY": "", "TRUNCATED": HALF_SPLIT[:-3],
              "HALF_FLOAT": HALF_SPLIT.replace("[1, 0], [1, 1]]", "[1, 0], [0.5, 1]]"),
-             "HALF_TRUE": HALF_SPLIT.replace("[1, 0], [1, 1]]", "[1, 0], [true, 1]]")}
+             "HALF_TRUE": HALF_SPLIT.replace("[1, 0], [1, 1]]", "[1, 0], [true, 1]]"),
+             "BIG": f"[[0, 0], [{'1' * 5001}, 0], [0, 1]]",
+             "HALF_BIG": HALF_SPLIT.replace("[1, 0], [1, 1]]", f"[1, 0], [{'1' * 5001}, 1]]")}
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     argv = []
     for i, a in enumerate(args):

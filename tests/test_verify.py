@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import latticediss.verify as verify_module
+from latticediss.cli import main
 from latticediss import combi
 from latticediss.errors import InvalidDissection, NotADisk, PreconditionViolated
 from latticediss.combi import Triangulation, validate_disk
@@ -18,7 +19,6 @@ from latticediss.dissect import (
     Dissection,
     dissection_to_json,
     parse_dissection_json,
-    split_with_point,
     unit_dissection,
 )
 from latticediss.gen import realize_word
@@ -31,12 +31,13 @@ from latticediss.geometry import (
     signed_area2,
     validate_convex,
 )
-from latticediss.sperner import boundary_word_of
 from latticediss.verify import MODES, poof, verify_dissection, verify_slices, witness_noninteger
 from latticediss.words import CyclicWord
 from chain_reference import chain_failure as reference_chain_failure
 from chain_reference import segment_index as reference_segment_index
 from fuzz_reference import random_convex_polygon, random_dissection
+from refine_reference import split_with_point
+from sperner_reference import boundary_word_of
 from dissection_oracle import is_dissection
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +60,34 @@ def test_half_square_split_modes():
     assert verify_dissection(UNIT_SQUARE, HALF_SPLIT, "any").valid
     rep = verify_dissection(UNIT_SQUARE, HALF_SPLIT, "integral")
     assert not rep.valid and failed_names(rep) == ["mode-areas"]
+
+
+SQUARE_2 = validate_convex([(0, 0), (2, 0), (2, 2), (0, 2)])
+SQUARE_2_HALVES = (((0, 0), (2, 0), (2, 2)), ((0, 0), (2, 2), (0, 2)))  # doubled area 4 each
+ODD_TRIANGLE = ((0, 0), (1, 0), (0, 1))  # doubled area 1
+
+
+@pytest.mark.parametrize("P, triangles, mode, passed, detail", [
+    (SQUARE_2, SQUARE_2_HALVES, "unit", False, "doubled area differs from 2 at triangles 0, 1"),
+    (SQUARE_2, SQUARE_2_HALVES, "integral", True, "all doubled areas even"),
+    (SQUARE_2, unit_dissection(SQUARE_2).triangles, "unit", True, "all doubled areas equal 2"),
+    (validate_convex(ODD_TRIANGLE), (ODD_TRIANGLE,), "integral", False,
+     "odd doubled area at triangles 0"),
+], ids=["unit-halves", "integral-halves", "unit-cells", "integral-odd"])
+def test_mode_areas_detail_from_the_library_and_the_cli(P, triangles, mode, passed, detail,
+                                                        tmp_path, capsys):
+    # Each dissection passes every other check: only the mode's area check
+    # can refuse it, in the library and through the CLI's exit code.
+    rep = verify_dissection(P, Dissection(triangles), mode)
+    assert rep.valid == passed and failed_names(rep) == ([] if passed else ["mode-areas"])
+    assert [c.detail for c in rep.checks if c.name == "mode-areas"] == [detail]
+    polygon, dissection = tmp_path / "polygon.json", tmp_path / "dissection.json"
+    polygon.write_text(json.dumps(P.vertices))
+    dissection.write_text(json.dumps({"polygon": P.vertices, "triangles": triangles}))
+    assert main(["verify", str(polygon), str(dissection), "--mode", mode]) == (0 if passed else 11)
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["passed"], c["detail"]) for c in checks if c["name"] == "mode-areas"] == [
+        (passed, detail)]
 
 
 def test_unit_mode_roundtrip():
@@ -649,7 +678,9 @@ def reference_poof(P, D):
     pts = sorted({v for t in D.triangles for v in t})
     idx = {p: i for i, p in enumerate(pts)}
     tris = {frozenset(idx[v] for v in t) for t in D.triangles}
-    sides = [(t[k], t[(k + 1) % 3]) for t in D.triangles for k in range(3)] + P.edges()
+    vs = P.vertices
+    sides = ([(t[k], t[(k + 1) % 3]) for t in D.triangles for k in range(3)]
+             + list(zip(vs, vs[1:] + vs[:1])))
     for a, b in sides:
         dx, dy = b[0] - a[0], b[1] - a[1]
 
@@ -745,7 +776,7 @@ def _read(P, D):
 def _checks(P, D):
     """What verify, poof and witness say about D, as comparable values."""
     try:
-        poofed = poof(P, D)[0].sorted_triangles()
+        poofed = sorted(tuple(sorted(t)) for t in poof(P, D)[0].triangles)
     except InvalidDissection as e:
         poofed = str(e)
     try:

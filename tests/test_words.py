@@ -82,7 +82,8 @@ def test_word_is_immutable_and_unequal_to_its_string():
 def test_word_indexing_is_cyclic():
     w = CyclicWord("ABC")
     assert w[3] == "A" and w[-1] == "C" and w[7] == "B"
-    assert str(w.rotate(1)) == "BCA"
+    rotated = CyclicWord(w.letters[1:] + w.letters[:1])
+    assert str(rotated) == "BCA" and rotated == w
     assert str(w) == "ABC"
 
 
@@ -275,7 +276,8 @@ def test_decide_success_traces_replay(w):
 @given(medium_words, st.integers(min_value=0, max_value=59))
 def test_decide_is_rotation_invariant(w, k):
     ok1, _ = decide_contractible(w)
-    ok2, _ = decide_contractible(w.rotate(k))
+    k %= len(w)
+    ok2, _ = decide_contractible(CyclicWord(w.letters[k:] + w.letters[:k]))
     assert ok1 == ok2
 
 

@@ -49,7 +49,7 @@ def _first_angle(d):
 def lattice_points(P: ConvexLatticePolygon) -> list:
     """The lattice points of P, boundary included."""
     xs, ys = zip(*P.vertices)
-    edges = P.edges()
+    edges = list(zip(P.vertices, P.vertices[1:] + P.vertices[:1]))
     return [(x, y) for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)
             if all(signed_area2((a, b, (x, y))) >= 0 for a, b in edges)]
 
@@ -61,7 +61,8 @@ def unit_tiling(P: ConvexLatticePolygon) -> list | None:
         return None
     points = lattice_points(P)
     inside = set(points)
-    boundary = {s for a, b in P.edges() for s in _steps(a, b)}
+    vs = P.vertices
+    boundary = {s for a, b in zip(vs, vs[1:] + vs[:1]) for s in _steps(a, b)}
     tiles: list = []
     failed: set = set()
 
